@@ -12,11 +12,12 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .augmentation import AugmentedDataset, AugmentedRow, AugmentationSpec, PrimaryDataset, augment, select_auxiliary
+from .augmentation import AugmentedRow, AugmentationSpec, PrimaryDataset, augment, select_auxiliary
 from .labels import IntentClass
 from .similarity import SimilarityRanking
 from .textprep import ProcessedDocument
@@ -35,50 +36,72 @@ class TrainConfig:
     epochs: int = 50
     learning_rate: float = 0.1
     l2: float = 1e-4
-    seed: int = 0
-    use_bigrams: bool = False
 
 
 @dataclass(frozen=True)
 class FeatureSpace:
     vocabulary: tuple[str, ...]
     idf: np.ndarray
-    use_bigrams: bool = False
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
         return {term: i for i, term in enumerate(self.vocabulary)}
 
 
-def _doc_terms(doc: ProcessedDocument, use_bigrams: bool) -> list[str]:
-    terms = list(doc.tokens)
-    if use_bigrams:
-        terms += [f"{a}__{b}" for a, b in zip(doc.tokens, doc.tokens[1:])]
-    return terms
-
-
-def build_feature_space(rows: Sequence[AugmentedRow], use_bigrams: bool = False) -> FeatureSpace:
+def build_feature_space(rows: Sequence[AugmentedRow]) -> FeatureSpace:
     """Vocabulary and idf weights derived from training rows only."""
     df: dict[str, int] = {}
     for row in rows:
-        for term in set(_doc_terms(row.doc, use_bigrams)):
+        for term in set(row.doc.tokens):
             df[term] = df.get(term, 0) + 1
     vocabulary = tuple(sorted(df))
     n_docs = max(len(rows), 1)
     idf = np.array([math.log(n_docs / df[t]) + 1.0 for t in vocabulary], dtype=np.float64)
-    return FeatureSpace(vocabulary=vocabulary, idf=idf, use_bigrams=use_bigrams)
+    return FeatureSpace(vocabulary=vocabulary, idf=idf)
 
 
-def vectorize(space: FeatureSpace, rows: Sequence[AugmentedRow]) -> np.ndarray:
+@dataclass(frozen=True)
+class TfidfMatrix:
+    """Sparse rows × vocabulary tf-idf features: entry k is the value at
+    (row_ids[k], col_ids[k]), one entry per distinct (row, term) pair.
+
+    Memory is linear in the nonzeros. ``X @ v`` multiplies by a dense vector;
+    ``X.T`` swaps the roles of rows and columns, so ``X.T @ r`` is Xᵀr.
+    """
+
+    row_ids: np.ndarray
+    col_ids: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.values)
+
+    @property
+    def T(self) -> TfidfMatrix:
+        return TfidfMatrix(self.col_ids, self.row_ids, self.values, (self.shape[1], self.shape[0]))
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        # bincount, unlike np.add.reduceat, gives 0 to rows that hold no entry;
+        # with no entries at all it returns integers, hence the cast
+        products = self.values * vector[self.col_ids]
+        return np.bincount(self.row_ids, weights=products, minlength=self.shape[0]).astype(np.float64, copy=False)
+
+
+def vectorize(space: FeatureSpace, rows: Sequence[AugmentedRow]) -> TfidfMatrix:
     """Term-count times idf features; terms outside the vocabulary are ignored."""
     index = space.index
-    matrix = np.zeros((len(rows), len(space.vocabulary)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for term in _doc_terms(row.doc, space.use_bigrams):
-            j = index.get(term)
-            if j is not None:
-                matrix[i, j] += 1.0
-    return matrix * space.idf
+    n_terms = len(space.vocabulary)
+    lengths = np.array([len(row.doc.tokens) for row in rows], dtype=np.intp)
+    columns = np.fromiter(
+        (index.get(term, -1) for row in rows for term in row.doc.tokens), dtype=np.intp, count=int(lengths.sum())
+    )
+    row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+    known = columns >= 0
+    keys, counts = np.unique(row_of[known] * n_terms + columns[known], return_counts=True)
+    row_ids, col_ids = np.divmod(keys, n_terms)
+    return TfidfMatrix(row_ids, col_ids, counts * space.idf[col_ids], (len(rows), n_terms))
 
 
 @dataclass
@@ -101,7 +124,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(
-    weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, l2: float
+    weights: np.ndarray, bias: float, X: TfidfMatrix, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean logistic loss with L2 on weights (bias unregularized), and its gradient."""
     z = X @ weights + bias
@@ -125,7 +148,7 @@ def train(
     y = labels_for(rows, target)
     if y.sum() == 0 or y.sum() == len(y):
         raise DegenerateLabels(f"training set has a single class for target {target.value}")
-    space = build_feature_space(rows, config.use_bigrams)
+    space = build_feature_space(rows)
     X = vectorize(space, rows)
     weights = np.zeros(len(space.vocabulary), dtype=np.float64)
     bias = 0.0
@@ -276,7 +299,7 @@ def cross_validate(
     config: TrainConfig | None = None,
 ) -> EvalReport:
     """Stratified k-fold evaluation; reported metrics are per-fold averages."""
-    config = config or TrainConfig(seed=seed)
+    config = config or TrainConfig()
     started = time.perf_counter()
     fold_metrics = []
     for train_idx, test_idx in stratified_folds(rows, target, k=k, seed=seed):
@@ -301,6 +324,11 @@ def run_experiment(
     """
     comparison: list[dict] = []
     baseline_rows = as_rows(primary.rows)
+    # sampling depends on spec.seed alone, so every target sees the same rows
+    datasets = []
+    for spec in specs:
+        auxiliary, _ = select_auxiliary(list(pool), spec, len(primary.rows), rankings)
+        datasets.append(augment(primary, auxiliary, spec))
     for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
         baseline = cross_validate(baseline_rows, target, k=k, seed=seed, config=config)
         comparison.append(
@@ -315,9 +343,7 @@ def run_experiment(
                 "delta_f1": 0.0,
             }
         )
-        for spec in specs:
-            auxiliary, _ = select_auxiliary(list(pool), spec, len(primary.rows), rankings)
-            dataset = augment(primary, auxiliary, spec)
+        for spec, dataset in zip(specs, datasets):
             report = cross_validate(dataset.rows, target, k=k, seed=seed, config=config)
             model_name = f"{spec.method.value}@r={spec.ratio:g}"
             if spec.include_same_app:

@@ -30,6 +30,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_STAGE_FAILURE = 3
 
+MAX_SWEEP_RATIOS = 1001
+
 
 class ValidationError(Exception):
     pass
@@ -275,9 +277,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 
         # stage 6: train and evaluate both binary targets
         current_stage = "train-eval"
-        config_train = classifier.TrainConfig(
-            epochs=config.epochs, learning_rate=config.learning_rate, l2=config.l2, seed=config.seed
-        )
+        config_train = classifier.TrainConfig(epochs=config.epochs, learning_rate=config.learning_rate, l2=config.l2)
         report = {"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows)}
         for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
             eval_report = classifier.cross_validate(
@@ -560,25 +560,36 @@ def _cmd_augment(args) -> int:
 
 
 def _parse_ratios(text: str) -> list[float]:
-    """Either "start:stop:step" or a comma-separated list."""
-    if ":" in text:
-        start_s, stop_s, step_s = text.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+    """Either "start:stop:step" or a comma-separated list, every ratio in [0, 1]."""
+    step_form = ":" in text
+    try:
+        if step_form:
+            start, stop, step = (float(part) for part in text.split(":"))
+        else:
+            ratios = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--ratios must be start:stop:step or a comma-separated list, got {text!r}") from exc
+    if step_form:
+        if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0 and step > 0.0):
+            raise ValidationError(f"--ratios {text!r} needs start and stop in [0, 1] and a step > 0")
         ratios = []
         value = start
         while value <= stop + 1e-9:
+            if len(ratios) == MAX_SWEEP_RATIOS:
+                raise ValidationError(f"--ratios {text!r} gives more than {MAX_SWEEP_RATIOS} ratios")
             ratios.append(round(value, 10))
             value += step
-        return ratios
-    return [float(part) for part in text.split(",") if part.strip()]
+    if not ratios or not all(0.0 <= ratio <= 1.0 for ratio in ratios):
+        raise ValidationError(f"--ratios {text!r} must give at least one ratio, each in [0, 1]")
+    return ratios
 
 
 def _cmd_sweep(args) -> int:
+    ratios = _parse_ratios(args.ratios)
     lists = textprep.load_wordlists(args.lists)
     label_map = augmentation.load_label_map(args.labelmap)
     primary = augmentation.load_primary(args.primary, label_map, lists)
     pool = augmentation.load_docs(args.pool)
-    ratios = _parse_ratios(args.ratios)
     method = Method(args.method)
     rankings = None
     if method is Method.WITHIN_CONTEXT:
@@ -598,7 +609,6 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = augmentation.sweep_table(datasets)
-    config = classifier.TrainConfig(seed=args.seed)
     trend_rows = []
     for dataset, info in zip(datasets, table):
         name = f"augmented_r{info['ratio']:g}.jsonl"
@@ -607,9 +617,7 @@ def _cmd_sweep(args) -> int:
         row["file"] = name
         if args.train:
             for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-                report = classifier.cross_validate(
-                    dataset.rows, target, k=args.k, seed=args.seed, config=config
-                )
+                report = classifier.cross_validate(dataset.rows, target, k=args.k, seed=args.seed)
                 row[f"{target.value}_precision"] = report.mean_precision
                 row[f"{target.value}_recall"] = report.mean_recall
                 row[f"{target.value}_f1"] = report.mean_f1

@@ -178,6 +178,90 @@ def test_training_is_deterministic():
     assert a.bias == b.bias
 
 
+# --- sparse features --------------------------------------------------------------------
+
+def _dense_oracle(space, rows) -> np.ndarray:
+    """Term-count matrix times idf, built cell by cell."""
+    matrix = np.zeros((len(rows), len(space.vocabulary)))
+    for i, row in enumerate(rows):
+        for term in row.doc.tokens:
+            if term in space.vocabulary:
+                matrix[i, space.vocabulary.index(term)] += 1.0
+    return matrix * space.idf
+
+
+def _densify(X) -> np.ndarray:
+    dense = np.zeros(X.shape)
+    np.add.at(dense, (X.row_ids, X.col_ids), X.values)
+    return dense
+
+
+def _random_rows(rng: random.Random, n_rows: int, vocab: list[str], max_len: int) -> list[AugmentedRow]:
+    rows = []
+    for i in range(n_rows):
+        # lengths from 0 give rows with no term; a small vocabulary gives repeats
+        tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(0, max_len)))
+        rows.append(AugmentedRow(doc=doc(f"r{i}", tokens, rng.random() < 0.5), origin="primary"))
+    return rows
+
+
+def test_vectorize_matches_dense_oracle():
+    rng = random.Random(11)
+    vocab = [f"w{j}" for j in range(15)]
+    for _ in range(20):
+        train_rows = _random_rows(rng, rng.randint(1, 12), vocab, 8)
+        space = build_feature_space(train_rows)
+        test_rows = _random_rows(rng, rng.randint(0, 12), vocab + ["unseen1", "unseen2"], 8)
+        test_rows.append(AugmentedRow(doc=doc("oov", ("unseen1", "unseen2", "unseen1"), True), origin="primary"))
+        for rows in (train_rows, test_rows, []):
+            X = vectorize(space, rows)
+            oracle = _dense_oracle(space, rows)
+            assert X.shape == oracle.shape
+            assert X.nnz == np.count_nonzero(oracle)
+            assert np.array_equal(_densify(X), oracle)
+
+
+def test_sparse_products_match_dense():
+    rng = random.Random(12)
+    np_rng = np.random.default_rng(12)
+    vocab = [f"w{j}" for j in range(40)]
+    for _ in range(20):
+        rows = _random_rows(rng, rng.randint(1, 30), vocab, 12)
+        space = build_feature_space(rows[: len(rows) // 2 + 1])
+        X = vectorize(space, rows)
+        dense = _dense_oracle(space, rows)
+        w = np_rng.uniform(-1, 1, X.shape[1])
+        r = np_rng.uniform(-1, 1, X.shape[0])
+        assert (X @ w).dtype == np.float64 and (X.T @ r).dtype == np.float64
+        np.testing.assert_allclose(X @ w, dense @ w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(X.T @ r, dense.T @ r, rtol=1e-12, atol=1e-12)
+        y = labels_for(rows, BUG)
+        sparse_loss, sparse_grad_w, sparse_grad_b = loss_and_grad(w, 0.3, X, y, 1e-4)
+        dense_loss, dense_grad_w, dense_grad_b = loss_and_grad(w, 0.3, dense, y, 1e-4)
+        assert sparse_loss == pytest.approx(dense_loss, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(sparse_grad_w, dense_grad_w, rtol=1e-12, atol=1e-12)
+        assert sparse_grad_b == pytest.approx(dense_grad_b, rel=1e-12, abs=1e-12)
+    # a matrix with no stored entry still yields float zeros
+    empty = vectorize(space, [AugmentedRow(doc=doc("oov", ("unseen",), True), origin="primary")])
+    assert empty.nnz == 0
+    for product in (empty @ w, empty.T @ np.ones(1)):
+        assert product.dtype == np.float64 and not product.any()
+
+
+def test_feature_memory_is_linear_in_nonzeros():
+    rng = random.Random(13)
+    vocab = [f"t{j}" for j in range(15_000)]
+    rows = [
+        AugmentedRow(doc=doc(f"r{i}", tuple(rng.choice(vocab) for _ in range(30)), i % 2 == 0), origin="primary")
+        for i in range(1_000)
+    ]
+    space = build_feature_space(rows)
+    assert len(space.vocabulary) >= 10_000
+    X = vectorize(space, rows)
+    assert X.shape == (1_000, len(space.vocabulary))
+    assert X.row_ids.nbytes + X.col_ids.nbytes + X.values.nbytes < 64 * X.nnz
+
+
 # --- metrics ----------------------------------------------------------------------------
 
 def test_metric_unit_case_one():

@@ -305,6 +305,33 @@ def test_parse_ratios_step_form():
     assert _parse_ratios("0,0.25,0.5") == [0.0, 0.25, 0.5]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0:1:0", "0:1:-0.1", "0:1:1e-300", "0:1", "0:1:0.1:2", "0::0.1", "a:1:0.1", "0:1.5:0.1", "1:0:0.1",
+     "0,1.5", "-0.1,0.5", "0,x", "", ",", "nan", "0:nan:0.1", "0:1:nan"],
+)
+def test_parse_ratios_rejects_bad_input(text):
+    from issueforge.cli import _parse_ratios
+
+    with pytest.raises(ValidationError):
+        _parse_ratios(text)
+
+
+def test_sweep_with_zero_step_is_a_validation_error(tmp_path):
+    code = main(
+        [
+            "sweep",
+            "--primary", str(DEMO / "primary_demo.csv"),
+            "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(tmp_path / "unread.jsonl"),
+            "--ratios", "0:1:0",
+            "--out-dir", str(tmp_path / "sweep"),
+        ]
+    )
+    assert code == EXIT_VALIDATION
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_rerun_into_same_directory_replaces_artifacts(tmp_path):
     out = tmp_path / "run"
     config = str(DEMO / "demo_config.json")
