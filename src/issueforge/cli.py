@@ -64,6 +64,10 @@ def configure_logging(verbose: bool = False) -> None:
 
 # --- pipeline config -------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class PipelineConfig:
     seed: int
@@ -113,7 +117,7 @@ class PipelineConfig:
             p = Path(value)
             return p if p.is_absolute() else base / p
 
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_int(self.seed):
             raise ValidationError("seed must be an integer")
         for name in ("corpus_dir", "primary_csv", "label_map"):
             value = getattr(self, name)
@@ -649,24 +653,49 @@ def _cmd_train_eval(args) -> int:
     return EXIT_OK
 
 
+def _experiment_config(path: str) -> tuple[dict, list[AugmentationSpec]]:
+    """Read an ``experiment`` config; every malformed part is a ValidationError."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"experiment config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError("experiment config must be a JSON object")
+    missing = [name for name in ("label_map", "primary_csv", "pool") if not isinstance(raw.get(name), str)]
+    if missing:
+        raise ValidationError(f"experiment config needs a path string for each of {missing}")
+    entries = raw.get("specs", [])
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ValidationError("experiment specs must be a list of objects")
+    seed, k = raw.get("seed", 0), raw.get("k", 5)
+    if not _is_int(seed) or not _is_int(k) or k < 2:
+        raise ValidationError(f"experiment seed must be an integer and k an integer >= 2, got {seed!r} and {k!r}")
+    specs = []
+    for i, entry in enumerate(entries):
+        try:
+            spec = AugmentationSpec(
+                method=Method(entry.get("method")),
+                ratio=entry.get("ratio", augmentation.DEFAULT_RATIO),
+                seed=entry.get("seed", seed),
+                target_app=entry.get("target_app"),
+                top_k_similar=entry.get("top_k_similar", 3),
+                include_same_app=entry.get("include_same_app", False),
+            )
+        except (TypeError, ValueError) as exc:  # TypeError: a ratio that is not a number
+            raise ValidationError(f"spec {i}: {exc}") from exc
+        if spec.method is Method.WITHIN_CONTEXT and "corpus_dir" not in raw:
+            raise ValidationError(f"spec {i}: within-context needs corpus_dir in the config")
+        specs.append(spec)
+    return raw, specs
+
+
 def _cmd_experiment(args) -> int:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    raw, specs = _experiment_config(args.config)
     lists = textprep.load_wordlists(raw.get("word_lists_dir"))
     label_map = augmentation.load_label_map(raw["label_map"])
     primary = augmentation.load_primary(raw["primary_csv"], label_map, lists)
     pool = augmentation.load_docs(raw["pool"])
     seed = raw.get("seed", 0)
-    specs = [
-        AugmentationSpec(
-            method=Method(s["method"]),
-            ratio=s.get("ratio", augmentation.DEFAULT_RATIO),
-            seed=s.get("seed", seed),
-            target_app=s.get("target_app"),
-            top_k_similar=s.get("top_k_similar", 3),
-            include_same_app=s.get("include_same_app", False),
-        )
-        for s in raw.get("specs", [])
-    ]
     rankings = None
     if any(spec.method is Method.WITHIN_CONTEXT for spec in specs):
         corpus = ingestion.load_corpus(raw["corpus_dir"])

@@ -106,11 +106,14 @@ def load_patterns(path: Path | str | None = None) -> PatternSet:
     return PatternSet(patterns=tuple(patterns))
 
 
+_DIGITS = re.compile(r"[0-9]+")
+
+
 def normalize_title(raw: str, lists: WordLists) -> str:
     """Lowercase, drop stopwords (keeping what/about/should), and stem a title."""
     tokens = []
     for tok in tokenize(raw):
-        tok = re.sub(r"[0-9]+", "", tok)
+        tok = _DIGITS.sub("", tok)
         if not tok:
             continue
         if tok in lists.stopwords and tok not in TITLE_RETAINED_STOPWORDS:

@@ -74,13 +74,22 @@ def _collapse_negations(tokens: list[str], modifiers: frozenset[str]) -> list[st
     return out
 
 
-def build_label_table(corpus: Corpus, lists: WordLists) -> list[NormalizedLabel]:
-    """Group label originals by surface form; frequency counts distinct issues."""
+def _surfaces(corpus: Corpus, lists: WordLists) -> dict[str, str]:
+    """Map each distinct raw label string in the corpus to its surface form."""
+    surfaces: dict[str, str] = {}
+    for issue in corpus.issues:
+        for raw in issue.label_names:
+            if raw not in surfaces:
+                surfaces[raw] = normalize_label(raw, lists)
+    return surfaces
+
+
+def _label_table(corpus: Corpus, surfaces: dict[str, str]) -> list[NormalizedLabel]:
     originals: dict[str, set[str]] = {}
     issue_sets: dict[str, set[str]] = {}
     for issue in corpus.issues:
         for raw in issue.label_names:
-            surface = normalize_label(raw, lists)
+            surface = surfaces[raw]
             if not surface:
                 continue
             originals.setdefault(surface, set()).add(raw)
@@ -91,6 +100,11 @@ def build_label_table(corpus: Corpus, lists: WordLists) -> list[NormalizedLabel]
     ]
     table.sort(key=lambda entry: (-entry.frequency, entry.surface))
     return table
+
+
+def build_label_table(corpus: Corpus, lists: WordLists) -> list[NormalizedLabel]:
+    """Group label originals by surface form; frequency counts distinct issues."""
+    return _label_table(corpus, _surfaces(corpus, lists))
 
 
 def load_lexicon(path: Path | str, lists: WordLists) -> IntentLexicon:
@@ -132,12 +146,13 @@ def assign_intents(
     """Map issue_id -> intent classes. Issues matching no lexicon entry (or only
     entries rarer than ``min_label_frequency``) are unrelated and omitted."""
     validate_lexicon(lexicon, lists)
-    frequency = {entry.surface: entry.frequency for entry in build_label_table(corpus, lists)}
+    surfaces = _surfaces(corpus, lists)
+    frequency = {entry.surface: entry.frequency for entry in _label_table(corpus, surfaces)}
     assigned: dict[str, frozenset[IntentClass]] = {}
     for issue in corpus.issues:
         intents = set()
         for raw in issue.label_names:
-            surface = normalize_label(raw, lists)
+            surface = surfaces[raw]
             if not surface or surface not in lexicon.entries:
                 continue
             if frequency.get(surface, 0) < min_label_frequency:

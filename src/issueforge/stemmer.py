@@ -3,7 +3,8 @@
 Implements the Snowball English stemming algorithm from scratch so that label
 surfaces, section titles, and fallback lemmatization all share one token
 normalizer. ``stem`` iterates the single-pass algorithm to a fixed point,
-which makes every downstream normalization idempotent by construction.
+which makes every downstream normalization idempotent by construction, and
+remembers the result for each distinct token.
 """
 
 from __future__ import annotations
@@ -275,8 +276,7 @@ def _stem_once(word: str) -> str:
     return word.replace("Y", "y")
 
 
-def stem(word: str) -> str:
-    """Stem a lowercase token, iterating to a fixed point (at most 4 passes)."""
+def _stem_fixed_point(word: str) -> str:
     current = word
     for _ in range(4):
         nxt = _stem_once(current)
@@ -284,3 +284,16 @@ def stem(word: str) -> str:
             return current
         current = nxt
     return current
+
+
+# One entry per distinct token ever stemmed: the stem of a word never changes,
+# and token vocabularies repeat heavily across documents.
+_STEMS: dict[str, str] = {}
+
+
+def stem(word: str) -> str:
+    """Stem a lowercase token, iterating to a fixed point (at most 4 passes)."""
+    stemmed = _STEMS.get(word)
+    if stemmed is None:
+        stemmed = _STEMS[word] = _stem_fixed_point(word)
+    return stemmed

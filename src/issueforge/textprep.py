@@ -127,9 +127,24 @@ def strip_noise(
     text = _URL.sub("", text)
     text = _MENTION.sub("", text)
     text = _ISSUE_REF.sub("", text)
-    for phrase in lists.special_phrases:
-        text = re.sub(r"\b" + re.escape(phrase) + r"\b", "", text, flags=re.IGNORECASE)
+    for pattern in _phrase_patterns(lists.special_phrases):
+        text = pattern.sub("", text)
     return text
+
+
+# Compiled whole-word patterns per special-phrase list. Each phrase keeps its
+# own pattern, applied in list order: one alternation would remove different
+# text when phrases overlap.
+_PHRASE_PATTERNS: dict[tuple[str, ...], tuple[re.Pattern, ...]] = {}
+
+
+def _phrase_patterns(phrases: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    patterns = _PHRASE_PATTERNS.get(phrases)
+    if patterns is None:
+        patterns = _PHRASE_PATTERNS[phrases] = tuple(
+            re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE) for phrase in phrases
+        )
+    return patterns
 
 
 # --- tokenization and normalization -----------------------------------------

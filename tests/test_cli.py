@@ -43,6 +43,23 @@ def test_pipeline_writes_seven_artifacts(pipeline_dir):
     assert not list(pipeline_dir.glob("*.partial"))
 
 
+# sha256 of every demo artifact; an optimization must leave all of them unchanged
+DEMO_ARTIFACT_HASHES = {
+    "augmented.jsonl": "58a3d9b19b4877f5cdf55c97d14933de46e30d77d21388242fe4abf2a1511c82",
+    "corpus": "1a53b95ca61e806d9cac656ea9c1988f31972f14a2cf99b45ea29b87602b0176",
+    "docs.jsonl": "7c85af09fc813ef25007de0c803bbba0a34c88883f0f9eda979a1e8ae543a09c",
+    "extracted.jsonl": "ee8e9f864098029a664cb188792dead40aae4f8c9558002521da375b4e89e47d",
+    "extraction_report.json": "8d73759d624fb464c87ad265facc6ed6dc1226d47b0676deb8d29b3553f4fd33",
+    "labels.jsonl": "b8b88884fbbdca4315a60f08b4729732bf081e8dd9a4612ab01599f5926f3486",
+    "report.json": "d207c714452d6e156268050d7d5564438c44990bcd61f8be102c9f131f9ca7e4",
+}
+
+
+def test_demo_artifact_hashes_are_pinned(pipeline_dir):
+    manifest = json.loads((pipeline_dir / "manifest.json").read_text())
+    assert manifest["artifacts"] == DEMO_ARTIFACT_HASHES
+
+
 def test_pipeline_is_deterministic(pipeline_dir, tmp_path):
     second = tmp_path / "again"
     code = main(["pipeline", "--config", str(DEMO / "demo_config.json"), "--out", str(second)])
@@ -258,6 +275,50 @@ def test_experiment_command(staged, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("target\tmodel")
     assert len(lines) == 5  # header + (baseline + 1 spec) x 2 targets
+
+
+def _experiment_config(**changes):
+    config = {
+        "primary_csv": str(DEMO / "primary_demo.csv"),
+        "label_map": str(DEMO / "labelmap_demo.tsv"),
+        "pool": "unread.jsonl",
+        "specs": [{"method": "between-app", "ratio": 0.3}],
+    }
+    config.update(changes)
+    return json.dumps({key: value for key, value in config.items() if value is not None})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{bad",
+        "[1, 2]",
+        _experiment_config(label_map=None),
+        _experiment_config(primary_csv=None),
+        _experiment_config(pool=None),
+        _experiment_config(specs=[{"method": "within-context", "target_app": "r-podkit"}]),
+        _experiment_config(specs=[{"ratio": 0.3}]),
+        _experiment_config(specs=[{"method": "cross-app", "ratio": 0.3}]),
+        _experiment_config(specs=[{"method": "between-app", "ratio": 1.5}]),
+        _experiment_config(specs=[{"method": "between-app", "ratio": -0.1}]),
+        _experiment_config(specs=[{"method": "between-app", "ratio": "0.3"}]),
+        _experiment_config(label_map=5),
+        _experiment_config(seed="x"),
+        _experiment_config(k="x"),
+        _experiment_config(k=1),
+    ],
+    ids=[
+        "not-json", "not-an-object", "no-label-map", "no-primary-csv", "no-pool",
+        "within-context-without-corpus-dir", "no-method", "unknown-method", "ratio-above-1", "ratio-below-0",
+        "ratio-not-a-number", "label-map-not-a-string", "seed-not-an-integer", "k-not-an-integer", "k-below-2",
+    ],
+)
+def test_bad_experiment_config_is_a_validation_error(tmp_path, text):
+    config = tmp_path / "exp.json"
+    config.write_text(text)
+    out = tmp_path / "comparison.tsv"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_within_context_pipeline(tmp_path):

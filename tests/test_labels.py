@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issueforge.ingestion import Corpus, RawIssue, RepoRecord
+from issueforge.ingestion import Corpus, RawIssue, RepoRecord, load_corpus
 from issueforge.labels import (
     IntentClass,
     IntentLexicon,
@@ -15,7 +15,7 @@ from issueforge.labels import (
     normalize_label,
     validate_lexicon,
 )
-from issueforge.textprep import load_wordlists
+from issueforge.textprep import default_data_dir, load_wordlists
 
 
 def make_corpus(issue_labels: list[list[str]]) -> Corpus:
@@ -216,3 +216,69 @@ def test_raising_min_frequency_never_adds(issue_labels, min_freq):
     high = assign_intents(corpus, lexicon, lists, min_label_frequency=min_freq + 1)
     for issue_id, intents in high.items():
         assert intents <= low.get(issue_id, frozenset())
+
+
+# --- oracles: normalize every label occurrence ----------------------------------
+
+def _table_oracle(corpus, lists):
+    originals, issue_sets = {}, {}
+    for issue in corpus.issues:
+        for raw in issue.label_names:
+            surface = normalize_label(raw, lists)
+            if surface:
+                originals.setdefault(surface, set()).add(raw)
+                issue_sets.setdefault(surface, set()).add(issue.issue_id)
+    table = [(surface, frozenset(originals[surface]), len(ids)) for surface, ids in issue_sets.items()]
+    return sorted(table, key=lambda entry: (-entry[2], entry[0]))
+
+
+def _assign_oracle(corpus, lexicon, lists, min_label_frequency):
+    frequency = {surface: count for surface, _, count in _table_oracle(corpus, lists)}
+    assigned = {}
+    for issue in corpus.issues:
+        intents = set()
+        for raw in issue.label_names:
+            surface = normalize_label(raw, lists)
+            if surface in lexicon.entries and frequency.get(surface, 0) >= min_label_frequency:
+                intents.add(lexicon.entries[surface])
+        if intents:
+            assigned[issue.issue_id] = frozenset(intents)
+    return assigned
+
+
+def _as_tuples(table):
+    return [(entry.surface, entry.originals, entry.frequency) for entry in table]
+
+
+@pytest.fixture(scope="module")
+def bundled_lexicon(lists):
+    return load_lexicon(default_data_dir() / "lexicon.tsv", lists)
+
+
+@pytest.mark.parametrize("min_freq", [1, 2, 3, 11])
+def test_demo_corpus_matches_oracle(lists, bundled_lexicon, min_freq):
+    corpus = load_corpus(default_data_dir() / "demo_corpus")
+    assert _as_tuples(build_label_table(corpus, lists)) == _table_oracle(corpus, lists)
+    assigned = assign_intents(corpus, bundled_lexicon, lists, min_label_frequency=min_freq)
+    assert assigned == _assign_oracle(corpus, bundled_lexicon, lists, min_freq)
+    if min_freq == 1:
+        assert assigned
+
+
+ORACLE_POOL = LABEL_POOL + SIX_NEGATED_VARIANTS + ["Bug", "BUG 🐛", "Type: Enhancement", "type-enhancement", ""]
+
+
+@given(
+    st.lists(
+        st.lists(st.one_of(st.sampled_from(ORACLE_POOL), st.text(max_size=12)), max_size=4),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_label_lists_match_oracle(lists, bundled_lexicon, issue_labels, min_freq):
+    corpus = make_corpus(issue_labels)
+    assert _as_tuples(build_label_table(corpus, lists)) == _table_oracle(corpus, lists)
+    assigned = assign_intents(corpus, bundled_lexicon, lists, min_label_frequency=min_freq)
+    assert assigned == _assign_oracle(corpus, bundled_lexicon, lists, min_freq)

@@ -1,10 +1,13 @@
+import inspect
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from issueforge import stemmer
 from issueforge.stemmer import stem
+from issueforge.textprep import default_data_dir
 
 # (word, stem) pairs covering each suffix-stripping step plus the surfaces the
 # shipped pattern set and lexicon depend on
@@ -111,3 +114,39 @@ def test_idempotent(word):
 @settings(max_examples=300)
 def test_output_never_longer(word):
     assert len(stem(word)) <= len(word)
+
+
+# --- the per-token cache --------------------------------------------------------
+
+def _bundled_and_test_words() -> list[str]:
+    words = {word for pair in KNOWN for word in pair}
+    for name in ("lemmas.txt", "stopwords.txt", "lexicon.tsv"):
+        for line in (default_data_dir() / name).read_text(encoding="utf-8").splitlines():
+            words.update(line.lower().split())
+    return sorted(words)
+
+
+def test_cached_stem_equals_uncached_on_bundled_words():
+    words = _bundled_and_test_words()
+    assert len(words) > 500
+    for word in words:
+        assert stem(word) == stemmer._stem_fixed_point(word), word
+
+
+@given(st.text(alphabet=string.ascii_lowercase + "'", min_size=1, max_size=15))
+@settings(max_examples=500)
+def test_cached_stem_equals_uncached(word):
+    assert stem(word) == stemmer._stem_fixed_point(word)
+
+
+def test_second_call_returns_the_same_value():
+    word = "unreproducibilities"
+    first = stem(word)
+    assert stemmer._STEMS[word] == first
+    assert stem(word) == first
+
+
+def test_stem_is_a_plain_function():
+    # The benchmark's tracer (perfbench/tracer.py) wraps only plain functions;
+    # a cache wrapper such as functools.lru_cache would hide the stemmer.stem span.
+    assert inspect.isfunction(stemmer.stem)

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+import shutil
 import string
 
 import pytest
@@ -9,6 +12,7 @@ from issueforge.textprep import (
     RETAINED_MODALS,
     Source,
     admit,
+    default_data_dir,
     has_identifier_token,
     load_wordlists,
     preprocess,
@@ -79,6 +83,64 @@ def test_strip_noise_identity_on_clean_text(text):
     if any(phrase in text.lower() for phrase in lists.special_phrases):
         return
     assert strip_noise(text, lists) == text
+
+
+def _strip_noise_oracle(text, lists):
+    """strip_noise as it was before the phrase patterns were compiled once:
+    everything but the phrases, then one re.sub per phrase in list order."""
+    text = strip_noise(text, dataclasses.replace(lists, special_phrases=()))
+    for phrase in lists.special_phrases:
+        text = re.sub(r"\b" + re.escape(phrase) + r"\b", "", text, flags=re.IGNORECASE)
+    return text
+
+
+# Six phrases, like the bundled list, several overlapping each other.
+OVERLAPPING_PHRASES = ["b c", "a b", "reported", "by a", "on by", "c"]
+BUNDLED_PHRASES = load_wordlists().special_phrases
+
+
+@pytest.fixture(scope="module")
+def overlapping_lists(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("wordlists")
+    for name in ("negative_modifiers.txt", "stopwords.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, directory / name)
+    (directory / "special_phrases.txt").write_text("\n".join(OVERLAPPING_PHRASES) + "\n", encoding="utf-8")
+    return load_wordlists(directory)
+
+
+def _any_case(phrase_strategy):
+    return phrase_strategy.flatmap(
+        lambda phrase: st.lists(st.booleans(), min_size=len(phrase), max_size=len(phrase)).map(
+            lambda upper: "".join(c.upper() if u else c for c, u in zip(phrase, upper))
+        )
+    )
+
+
+def _mixed_text(phrases):
+    filler = st.text(alphabet=string.ascii_letters + " \n.,#@_`", max_size=8)
+    return st.lists(st.one_of(_any_case(st.sampled_from(phrases)), filler), max_size=12).map("".join)
+
+
+def test_overlapping_phrases_are_removed_in_list_order(overlapping_lists):
+    # "b c" goes first, so "a b" no longer matches; one alternation would take "a b"
+    assert strip_noise("a b c d", overlapping_lists) == _strip_noise_oracle("a b c d", overlapping_lists)
+    assert strip_noise("a b c d", overlapping_lists) == "a  d"
+
+
+@given(_mixed_text(BUNDLED_PHRASES))
+@settings(max_examples=200)
+def test_strip_noise_equals_per_phrase_loop(lists, text):
+    assert strip_noise(text, lists) == _strip_noise_oracle(text, lists)
+
+
+@given(_mixed_text(OVERLAPPING_PHRASES + list(BUNDLED_PHRASES)))
+@settings(max_examples=200)
+def test_strip_noise_equals_per_phrase_loop_for_other_lists(lists, overlapping_lists, text):
+    # alternate the two lists, so a pattern cache keyed on anything but the
+    # phrases themselves returns the other list's patterns
+    assert strip_noise(text, overlapping_lists) == _strip_noise_oracle(text, overlapping_lists)
+    assert strip_noise(text, lists) == _strip_noise_oracle(text, lists)
+    assert strip_noise(text, overlapping_lists) == _strip_noise_oracle(text, overlapping_lists)
 
 
 # --- preprocess --------------------------------------------------------------------
