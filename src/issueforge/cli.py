@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,6 +69,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class PipelineConfig:
     seed: int
@@ -119,6 +124,24 @@ class PipelineConfig:
 
         if not _is_int(self.seed):
             raise ValidationError("seed must be an integer")
+        optional = ("lexicon", "patterns", "word_lists_dir", "target_app")
+        for name in ("corpus_dir", "primary_csv", "label_map", "method", *optional):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (value is None and name in optional):
+                raise ValidationError(f"{name} must be a string, got {value!r}")
+        for name, low in (("folds", 2), ("epochs", 1), ("top_k_similar", 1),
+                          ("min_labeled_issues", 0), ("min_contributors", 0), ("min_label_frequency", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not _is_real(self.ratio) or not 0.0 <= self.ratio <= 1.0:
+            raise ValidationError(f"ratio must be a number in [0, 1], got {self.ratio!r}")
+        if not _is_real(self.learning_rate) or not 0.0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not _is_real(self.l2) or not 0.0 <= self.l2 < math.inf:
+            raise ValidationError(f"l2 must be finite and >= 0, got {self.l2!r}")
+        if not isinstance(self.include_same_app, bool):
+            raise ValidationError(f"include_same_app must be true or false, got {self.include_same_app!r}")
         for name in ("corpus_dir", "primary_csv", "label_map"):
             value = getattr(self, name)
             resolved = resolve(value)
@@ -132,8 +155,6 @@ class PipelineConfig:
                 if not resolved.exists():
                     raise ValidationError(f"{name} does not exist: {resolved}")
                 setattr(self, name, str(resolved))
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValidationError(f"ratio must be in [0, 1], got {self.ratio}")
         try:
             Method(self.method)
         except ValueError:

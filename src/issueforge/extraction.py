@@ -19,7 +19,7 @@ from pathlib import Path
 from .ingestion import RawIssue, TemplateFile, TemplateFormat
 from .labels import IntentClass
 from .stemmer import stem
-from .textprep import WordLists, strip_noise, tokenize
+from .textprep import _DIGITS, WordLists, strip_noise, tokenize
 
 
 class TemplateGroup(str, Enum):
@@ -106,16 +106,14 @@ def load_patterns(path: Path | str | None = None) -> PatternSet:
     return PatternSet(patterns=tuple(patterns))
 
 
-_DIGITS = re.compile(r"[0-9]+")
-
-
 def normalize_title(raw: str, lists: WordLists) -> str:
     """Lowercase, drop stopwords (keeping what/about/should), and stem a title."""
     tokens = []
     for tok in tokenize(raw):
-        tok = _DIGITS.sub("", tok)
-        if not tok:
-            continue
+        if not tok.isalpha():
+            tok = _DIGITS.sub("", tok)
+            if not tok:
+                continue
         if tok in lists.stopwords and tok not in TITLE_RETAINED_STOPWORDS:
             continue
         tokens.append(stem(tok))

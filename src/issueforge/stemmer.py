@@ -2,12 +2,16 @@
 
 Implements the Snowball English stemming algorithm from scratch so that label
 surfaces, section titles, and fallback lemmatization all share one token
-normalizer. ``stem`` iterates the single-pass algorithm to a fixed point,
+normalizer. One pass looks up the step 2-4 suffixes in tables, longest first,
+and finds the R1/R2 regions and the vowel and short-syllable tests with
+precompiled regular expressions. ``stem`` iterates that pass to a fixed point,
 which makes every downstream normalization idempotent by construction, and
 remembers the result for each distinct token.
 """
 
 from __future__ import annotations
+
+import re
 
 VOWELS = frozenset("aeiouy")
 DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
@@ -112,57 +116,33 @@ _STEP4_SUFFIXES = [
 ]
 
 
-def _is_vowel(word: str, i: int) -> bool:
-    c = word[i]
-    if c in "aeiou":
-        return True
-    if c != "y":
-        return False
-    # y is a consonant at the start of the word or right after a vowel
-    if i == 0:
-        return False
-    return not _is_vowel(word, i - 1)
+# Suffix tables keyed by suffix, tried longest length first. Within each rule
+# list, suffixes of equal length cannot both match a word, so the longest match
+# is the first match in list order.
+_STEP2 = dict(_STEP2_RULES)
+_STEP3 = dict(_STEP3_RULES)
+_STEP4 = frozenset(_STEP4_SUFFIXES)
+_STEP2_LENGTHS = sorted({len(suf) for suf in _STEP2}, reverse=True)
+_STEP3_LENGTHS = sorted({len(suf) for suf in _STEP3}, reverse=True)
+_STEP4_LENGTHS = sorted({len(suf) for suf in _STEP4}, reverse=True)
+
+# After consonant y is marked as Y, a lowercase y is always a vowel and Y never is.
+_Y_AFTER_VOWEL = re.compile(r"([aeiouy])y")
+# R1 ends right after the first non-vowel that follows a vowel; R2 likewise,
+# searching from R1.
+_VOWEL_CONSONANT = re.compile(r"[aeiouy][^aeiouy]")
+# A short syllable: vowel-consonant as the whole word, or
+# consonant-vowel-consonant (the last not w, x or Y) at its end.
+_SHORT_SYLLABLE_END = re.compile(r"\A[aeiouy][^aeiouy]\Z|[^aeiouy][aeiouy][^aeiouywxY]\Z")
 
 
-def _regions(word: str) -> tuple[int, int]:
-    """Return (R1, R2) start offsets per the algorithm definition."""
-    n = len(word)
-    r1 = n
-    if word.startswith(("gener", "commun", "arsen")):
-        r1 = 6 if word.startswith("commun") else 5
-    else:
-        for i in range(1, n):
-            if not _is_vowel(word, i) and _is_vowel(word, i - 1):
-                r1 = i + 1
-                break
-    r2 = n
-    for i in range(r1 + 1, n):
-        if not _is_vowel(word, i) and _is_vowel(word, i - 1):
-            r2 = i + 1
-            break
-    return r1, r2
-
-
-def _ends_short_syllable(word: str) -> bool:
-    n = len(word)
-    if n == 2:
-        return _is_vowel(word, 0) and not _is_vowel(word, 1)
-    if n >= 3:
-        return (
-            not _is_vowel(word, n - 3)
-            and _is_vowel(word, n - 2)
-            and not _is_vowel(word, n - 1)
-            and word[n - 1] not in "wxY"
-        )
-    return False
-
-
-def _is_short(word: str, r1: int) -> bool:
-    return r1 >= len(word) and _ends_short_syllable(word)
-
-
-def _contains_vowel(word: str, end: int) -> bool:
-    return any(_is_vowel(word, i) for i in range(end))
+def _mark_y(word: str) -> str:
+    """Mark consonant y as Y: at the start of the word, or right after a vowel."""
+    if "y" not in word:
+        return word
+    if word[0] == "y":
+        word = "Y" + word[1:]
+    return _Y_AFTER_VOWEL.sub(r"\1Y", word)
 
 
 def _stem_once(word: str) -> str:
@@ -175,16 +155,18 @@ def _stem_once(word: str) -> str:
     if len(word) <= 2:
         return word
 
-    # Mark consonant y as Y to keep vowel tests local
-    chars = list(word)
-    if chars[0] == "y":
-        chars[0] = "Y"
-    for i in range(1, len(chars)):
-        if chars[i] == "y" and chars[i - 1] in "aeiouy":
-            chars[i] = "Y"
-    word = "".join(chars)
-
-    r1, r2 = _regions(word.lower())
+    # Regions are measured on the lowercase word, Y-marked on its own; it
+    # differs from the marked word only for input that is not all lowercase.
+    lower = word.lower()
+    marked_lower = _mark_y(lower)
+    word = marked_lower if lower == word else _mark_y(word)
+    if lower.startswith(("gener", "commun", "arsen")):
+        r1 = 6 if lower.startswith("commun") else 5
+    else:
+        match = _VOWEL_CONSONANT.search(marked_lower)
+        r1 = match.end() if match else len(lower)
+    match = _VOWEL_CONSONANT.search(marked_lower, r1)
+    r2 = match.end() if match else len(lower)
 
     # Step 0
     for suf in ("'s'", "'s", "'"):
@@ -200,7 +182,7 @@ def _stem_once(word: str) -> str:
     elif word.endswith(("us", "ss")):
         pass
     elif word.endswith("s"):
-        if any(_is_vowel(word, i) for i in range(len(word) - 2)):
+        if not VOWELS.isdisjoint(word[:-2]):
             word = word[:-1]
 
     if word.lower() in _STOP_AFTER_1A:
@@ -215,25 +197,27 @@ def _stem_once(word: str) -> str:
         for suf in ("ingly", "edly", "ing", "ed"):
             if word.endswith(suf):
                 stemmed = word[: -len(suf)]
-                if _contains_vowel(stemmed, len(stemmed)):
+                if not VOWELS.isdisjoint(stemmed):
                     word = stemmed
                     if word.endswith(("at", "bl", "iz")):
                         word += "e"
                     elif word.endswith(DOUBLES):
                         word = word[:-1]
-                    elif _is_short(word, r1):
+                    elif r1 >= len(word) and _SHORT_SYLLABLE_END.search(word):
                         word += "e"
                 break
 
     # Step 1c
-    if len(word) > 2 and word[-1] in "yY" and not _is_vowel(word, len(word) - 2):
+    if len(word) > 2 and word[-1] in "yY" and word[-2] not in VOWELS:
         word = word[:-1] + "i"
 
+    # Steps 2-4 stop at the longest listed suffix, even when its region test fails.
     # Step 2
-    for suf, repl in _STEP2_RULES:
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r1:
-                word = word[: -len(suf)] + repl
+    n = len(word)
+    for k in _STEP2_LENGTHS:
+        if k <= n and word[-k:] in _STEP2:
+            if n - k >= r1:
+                word = word[:-k] + _STEP2[word[-k:]]
             break
     else:
         if word.endswith("ogi"):
@@ -244,31 +228,33 @@ def _stem_once(word: str) -> str:
                 word = word[:-2]
 
     # Step 3
-    for suf, repl in _STEP3_RULES:
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r1:
-                word = word[: -len(suf)] + repl
+    n = len(word)
+    for k in _STEP3_LENGTHS:
+        if k <= n and word[-k:] in _STEP3:
+            if n - k >= r1:
+                word = word[:-k] + _STEP3[word[-k:]]
             break
     else:
         if word.endswith("ative") and len(word) - 5 >= r2:
             word = word[:-5]
 
     # Step 4
-    for suf in _STEP4_SUFFIXES:
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r2:
-                if suf == "ion":
-                    if len(word) > 3 and word[-4] in "st":
+    n = len(word)
+    for k in _STEP4_LENGTHS:
+        if k <= n and word[-k:] in _STEP4:
+            if n - k >= r2:
+                if word[-k:] == "ion":
+                    if n > 3 and word[-4] in "st":
                         word = word[:-3]
                 else:
-                    word = word[: -len(suf)]
+                    word = word[:-k]
             break
 
     # Step 5
     if word.endswith("e"):
         if len(word) - 1 >= r2:
             word = word[:-1]
-        elif len(word) - 1 >= r1 and not _ends_short_syllable(word[:-1]):
+        elif len(word) - 1 >= r1 and not _SHORT_SYLLABLE_END.search(word[:-1]):
             word = word[:-1]
     elif word.endswith("l") and len(word) - 1 >= r2 and len(word) > 1 and word[-2] == "l":
         word = word[:-1]

@@ -321,6 +321,47 @@ def test_bad_experiment_config_is_a_validation_error(tmp_path, text):
     assert not out.exists()
 
 
+BAD_PIPELINE_FIELDS = {
+    "ratio-a-string": {"ratio": "0.3"},
+    "ratio-a-bool": {"ratio": True},
+    "ratio-above-1": {"ratio": 1.5},
+    "ratio-nan": {"ratio": float("nan")},
+    "folds-1": {"folds": 1},
+    "folds-a-string": {"folds": "5"},
+    "folds-a-float": {"folds": 5.0},
+    "epochs-negative": {"epochs": -1},
+    "epochs-0": {"epochs": 0},
+    "top-k-similar-0": {"top_k_similar": 0},
+    "min-labeled-issues-negative": {"min_labeled_issues": -1},
+    "min-contributors-a-string": {"min_contributors": "2"},
+    "min-label-frequency-a-string": {"min_label_frequency": "x"},
+    "min-label-frequency-a-bool": {"min_label_frequency": True},
+    "learning-rate-0": {"learning_rate": 0},
+    "learning-rate-infinite": {"learning_rate": float("inf")},
+    "learning-rate-a-string": {"learning_rate": "0.1"},
+    "l2-negative": {"l2": -1e-4},
+    "l2-nan": {"l2": float("nan")},
+    "include-same-app-a-string": {"include_same_app": "yes"},
+    "include-same-app-an-int": {"include_same_app": 1},
+    "corpus-dir-a-number": {"corpus_dir": 5},
+    "lexicon-a-number": {"lexicon": 5},
+    "method-a-number": {"method": 5},
+    "target-app-a-number": {"target_app": 5},
+}
+
+
+@pytest.mark.parametrize("changes", BAD_PIPELINE_FIELDS.values(), ids=BAD_PIPELINE_FIELDS.keys())
+def test_bad_pipeline_config_is_a_validation_error(tmp_path, changes):
+    config = json.loads((DEMO / "demo_config.json").read_text())
+    config.update(corpus_dir=str(DEMO), primary_csv=str(DEMO / "primary_demo.csv"))
+    config.update(label_map=str(DEMO / "labelmap_demo.tsv"), **changes)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(config_file), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_within_context_pipeline(tmp_path):
     config = json.loads((DEMO / "demo_config.json").read_text())
     config["corpus_dir"] = str(DEMO)

@@ -2,11 +2,20 @@ import inspect
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from issueforge import stemmer
-from issueforge.stemmer import stem
+from issueforge.stemmer import (
+    DOUBLES,
+    LI_ENDINGS,
+    _EXCEPTIONS,
+    _STEP2_RULES,
+    _STEP3_RULES,
+    _STEP4_SUFFIXES,
+    _STOP_AFTER_1A,
+    stem,
+)
 from issueforge.textprep import default_data_dir
 
 # (word, stem) pairs covering each suffix-stripping step plus the surfaces the
@@ -150,3 +159,221 @@ def test_stem_is_a_plain_function():
     # The benchmark's tracer (perfbench/tracer.py) wraps only plain functions;
     # a cache wrapper such as functools.lru_cache would hide the stemmer.stem span.
     assert inspect.isfunction(stemmer.stem)
+
+
+# --- the table-driven pass against the endswith-loop reference ------------------
+# The reference is the earlier single pass, kept verbatim: suffix loops over the
+# rule lists, regions from a recursive vowel test on the lowercase word.
+
+def _is_vowel(word: str, i: int) -> bool:
+    c = word[i]
+    if c in "aeiou":
+        return True
+    if c != "y":
+        return False
+    # y is a consonant at the start of the word or right after a vowel
+    if i == 0:
+        return False
+    return not _is_vowel(word, i - 1)
+
+
+def _regions(word: str) -> tuple[int, int]:
+    """Return (R1, R2) start offsets per the algorithm definition."""
+    n = len(word)
+    r1 = n
+    if word.startswith(("gener", "commun", "arsen")):
+        r1 = 6 if word.startswith("commun") else 5
+    else:
+        for i in range(1, n):
+            if not _is_vowel(word, i) and _is_vowel(word, i - 1):
+                r1 = i + 1
+                break
+    r2 = n
+    for i in range(r1 + 1, n):
+        if not _is_vowel(word, i) and _is_vowel(word, i - 1):
+            r2 = i + 1
+            break
+    return r1, r2
+
+
+def _ends_short_syllable(word: str) -> bool:
+    n = len(word)
+    if n == 2:
+        return _is_vowel(word, 0) and not _is_vowel(word, 1)
+    if n >= 3:
+        return (
+            not _is_vowel(word, n - 3)
+            and _is_vowel(word, n - 2)
+            and not _is_vowel(word, n - 1)
+            and word[n - 1] not in "wxY"
+        )
+    return False
+
+
+def _is_short(word: str, r1: int) -> bool:
+    return r1 >= len(word) and _ends_short_syllable(word)
+
+
+def _contains_vowel(word: str, end: int) -> bool:
+    return any(_is_vowel(word, i) for i in range(end))
+
+
+def _reference_stem_once(word: str) -> str:
+    if len(word) <= 2:
+        return word
+    if word in _EXCEPTIONS:
+        return _EXCEPTIONS[word]
+
+    word = word.lstrip("'")
+    if len(word) <= 2:
+        return word
+
+    # Mark consonant y as Y to keep vowel tests local
+    chars = list(word)
+    if chars[0] == "y":
+        chars[0] = "Y"
+    for i in range(1, len(chars)):
+        if chars[i] == "y" and chars[i - 1] in "aeiouy":
+            chars[i] = "Y"
+    word = "".join(chars)
+
+    r1, r2 = _regions(word.lower())
+
+    # Step 0
+    for suf in ("'s'", "'s", "'"):
+        if word.endswith(suf):
+            word = word[: -len(suf)]
+            break
+
+    # Step 1a
+    if word.endswith("sses"):
+        word = word[:-2]
+    elif word.endswith(("ied", "ies")):
+        word = word[:-2] if len(word) > 4 else word[:-1]
+    elif word.endswith(("us", "ss")):
+        pass
+    elif word.endswith("s"):
+        if any(_is_vowel(word, i) for i in range(len(word) - 2)):
+            word = word[:-1]
+
+    if word.lower() in _STOP_AFTER_1A:
+        return word.lower().replace("Y", "y")
+
+    # Step 1b
+    if word.endswith(("eedly", "eed")):
+        suf = "eedly" if word.endswith("eedly") else "eed"
+        if len(word) - len(suf) >= r1:
+            word = word[: -len(suf)] + "ee"
+    else:
+        for suf in ("ingly", "edly", "ing", "ed"):
+            if word.endswith(suf):
+                stemmed = word[: -len(suf)]
+                if _contains_vowel(stemmed, len(stemmed)):
+                    word = stemmed
+                    if word.endswith(("at", "bl", "iz")):
+                        word += "e"
+                    elif word.endswith(DOUBLES):
+                        word = word[:-1]
+                    elif _is_short(word, r1):
+                        word += "e"
+                break
+
+    # Step 1c
+    if len(word) > 2 and word[-1] in "yY" and not _is_vowel(word, len(word) - 2):
+        word = word[:-1] + "i"
+
+    # Step 2
+    for suf, repl in _STEP2_RULES:
+        if word.endswith(suf):
+            if len(word) - len(suf) >= r1:
+                word = word[: -len(suf)] + repl
+            break
+    else:
+        if word.endswith("ogi"):
+            if len(word) - 3 >= r1 and len(word) > 3 and word[-4] == "l":
+                word = word[:-1]
+        elif word.endswith("li"):
+            if len(word) - 2 >= r1 and len(word) > 2 and word[-3] in LI_ENDINGS:
+                word = word[:-2]
+
+    # Step 3
+    for suf, repl in _STEP3_RULES:
+        if word.endswith(suf):
+            if len(word) - len(suf) >= r1:
+                word = word[: -len(suf)] + repl
+            break
+    else:
+        if word.endswith("ative") and len(word) - 5 >= r2:
+            word = word[:-5]
+
+    # Step 4
+    for suf in _STEP4_SUFFIXES:
+        if word.endswith(suf):
+            if len(word) - len(suf) >= r2:
+                if suf == "ion":
+                    if len(word) > 3 and word[-4] in "st":
+                        word = word[:-3]
+                else:
+                    word = word[: -len(suf)]
+            break
+
+    # Step 5
+    if word.endswith("e"):
+        if len(word) - 1 >= r2:
+            word = word[:-1]
+        elif len(word) - 1 >= r1 and not _ends_short_syllable(word[:-1]):
+            word = word[:-1]
+    elif word.endswith("l") and len(word) - 1 >= r2 and len(word) > 1 and word[-2] == "l":
+        word = word[:-1]
+
+    return word.replace("Y", "y")
+
+
+def _reference_fixed_point(word: str) -> str:
+    current = word
+    for _ in range(4):
+        nxt = _reference_stem_once(current)
+        if nxt == current:
+            return current
+        current = nxt
+    return current
+
+
+def _assert_matches_reference(word: str) -> None:
+    assert stemmer._stem_once(word) == _reference_stem_once(word), repr(word)
+    assert stemmer._stem_fixed_point(word) == _reference_fixed_point(word), repr(word)
+
+
+def test_pass_matches_reference_on_bundled_words():
+    for word in _bundled_and_test_words():
+        _assert_matches_reference(word)
+
+
+# y/Y and upper-case vowels move the regions; İ lowercases to two characters.
+ODD_ALPHABET = "abcdegilnorstuyYAEIOU'09\nİſ"
+RULE_SUFFIXES = sorted(
+    {suf for suf, _ in _STEP2_RULES}
+    | {suf for suf, _ in _STEP3_RULES}
+    | set(_STEP4_SUFFIXES)
+    | {"'s'", "'s", "'", "sses", "ied", "ies", "us", "ss", "s", "eedly", "eed", "ingly", "edly", "ing", "ed"}
+    | {"at", "bl", "iz", "bb", "tt", "y", "Y", "ogi", "li", "ative", "e", "ll"}
+)
+
+
+@given(st.text(alphabet=ODD_ALPHABET, max_size=15))
+@example("ab\ne")  # a short syllable must end at the end of the word, not before a newline
+@example("sayYing")  # mixed case: the regions come from the lowercase word
+@example("ayyy")  # a y right after a marked Y is a vowel, not a consonant
+@settings(max_examples=1000)
+def test_pass_matches_reference_on_odd_text(word):
+    _assert_matches_reference(word)
+
+
+@given(
+    st.sampled_from(["", "gener", "commun", "arsen", "y", "Y", "'"]),
+    st.text(alphabet=ODD_ALPHABET, max_size=8),
+    st.lists(st.sampled_from(RULE_SUFFIXES), min_size=1, max_size=3),
+)
+@settings(max_examples=1000)
+def test_pass_matches_reference_on_every_rule_suffix(prefix, stem_text, suffixes):
+    _assert_matches_reference(prefix + stem_text + "".join(suffixes))

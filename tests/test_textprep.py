@@ -143,6 +143,26 @@ def test_strip_noise_equals_per_phrase_loop_for_other_lists(lists, overlapping_l
     assert strip_noise(text, overlapping_lists) == _strip_noise_oracle(text, overlapping_lists)
 
 
+@pytest.mark.parametrize(
+    "phrases,text",
+    [
+        (("c++ by", "a.b"), "written in C++ by hand; a.b but not axb"),
+        (("c++ by", "a.b"), "axb and c by"),
+        (BUNDLED_PHRASES, "reported`x` by a tester, then <b>posted</b> by me"),
+        (BUNDLED_PHRASES, "Crashes on start.\nSee https://example.org/created-by for logs"),
+    ],
+    ids=["metacharacters", "metacharacters-no-match", "created-by-earlier-subs", "no-phrase"],
+)
+def test_phrase_guard_equals_per_phrase_loop(lists, phrases, text):
+    phrase_lists = dataclasses.replace(lists, special_phrases=phrases)
+    assert strip_noise(text, phrase_lists) == _strip_noise_oracle(text, phrase_lists)
+
+
+def test_empty_phrase_list_removes_no_phrase(lists):
+    no_phrases = dataclasses.replace(lists, special_phrases=())
+    assert strip_noise("reported`x` by a tester", no_phrases) == "reported by a tester"
+
+
 # --- preprocess --------------------------------------------------------------------
 
 def test_negation_contraction(lists):
