@@ -125,7 +125,7 @@ class PipelineConfig:
         if not _is_int(self.seed):
             raise ValidationError("seed must be an integer")
         optional = ("lexicon", "patterns", "word_lists_dir", "target_app")
-        for name in ("corpus_dir", "primary_csv", "label_map", "method", *optional):
+        for name in ("corpus_dir", "primary_csv", "label_map", *optional):
             value = getattr(self, name)
             if not isinstance(value, str) and not (value is None and name in optional):
                 raise ValidationError(f"{name} must be a string, got {value!r}")

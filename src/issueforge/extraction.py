@@ -19,7 +19,7 @@ from pathlib import Path
 from .ingestion import RawIssue, TemplateFile, TemplateFormat
 from .labels import IntentClass
 from .stemmer import stem
-from .textprep import _DIGITS, WordLists, strip_noise, tokenize
+from .textprep import DIGITS, WordLists, strip_noise, tokenize
 
 
 class TemplateGroup(str, Enum):
@@ -111,7 +111,7 @@ def normalize_title(raw: str, lists: WordLists) -> str:
     tokens = []
     for tok in tokenize(raw):
         if not tok.isalpha():
-            tok = _DIGITS.sub("", tok)
+            tok = DIGITS.sub("", tok)
             if not tok:
                 continue
         if tok in lists.stopwords and tok not in TITLE_RETAINED_STOPWORDS:

@@ -127,33 +127,32 @@ def strip_noise(
     text = _URL.sub("", text)
     text = _MENTION.sub("", text)
     text = _ISSUE_REF.sub("", text)
-    guard, patterns = _phrase_patterns(lists.special_phrases)
-    if guard is not None and guard.search(text):
-        for pattern in patterns:
-            text = pattern.sub("", text)
+    for pattern in _phrase_patterns(lists.special_phrases):
+        text = pattern.sub("", text)
     return text
 
 
-# Compiled whole-word patterns per special-phrase list, applied one by one in
-# list order: one alternation would remove different text when phrases overlap.
-# Their alternation only guards them (it matches where some pattern matches),
-# and it runs after the other noise subs, which can create a phrase.
-_PHRASE_PATTERNS: dict[tuple[str, ...], tuple[re.Pattern | None, tuple[re.Pattern, ...]]] = {}
+# Compiled whole-word patterns per special-phrase list. Each phrase keeps its
+# own pattern, applied in list order: one alternation would remove different
+# text when phrases overlap.
+_PHRASE_PATTERNS: dict[tuple[str, ...], tuple[re.Pattern, ...]] = {}
 
 
-def _phrase_patterns(phrases: tuple[str, ...]) -> tuple[re.Pattern | None, tuple[re.Pattern, ...]]:
-    compiled = _PHRASE_PATTERNS.get(phrases)
-    if compiled is None:
-        guard = re.compile(r"\b(?:" + "|".join(map(re.escape, phrases)) + r")\b", re.IGNORECASE) if phrases else None
-        patterns = tuple(re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE) for phrase in phrases)
-        compiled = _PHRASE_PATTERNS[phrases] = (guard, patterns)
-    return compiled
+def _phrase_patterns(phrases: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    patterns = _PHRASE_PATTERNS.get(phrases)
+    if patterns is None:
+        patterns = _PHRASE_PATTERNS[phrases] = tuple(
+            re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE) for phrase in phrases
+        )
+    return patterns
 
 
 # --- tokenization and normalization -----------------------------------------
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-_DIGITS = re.compile(r"[0-9]+")
+# tokenize() yields only [a-z0-9]+ tokens, so a token holds a digit exactly when
+# it is not all letters: callers run this sub only when ``not tok.isalpha()``.
+DIGITS = re.compile(r"[0-9]+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -191,9 +190,8 @@ def preprocess(text: str, lists: WordLists, *, filter_noise: bool = True) -> lis
         if tok == FUSED_HAVE_TO:
             out.append(tok)
             continue
-        # tokens are [a-z0-9]+, so only a token that is not all letters has digits
         if not tok.isalpha():
-            tok = _DIGITS.sub("", tok)
+            tok = DIGITS.sub("", tok)
             if not tok:
                 continue
         if tok in lists.negative_modifiers:

@@ -153,7 +153,7 @@ def test_strip_noise_equals_per_phrase_loop_for_other_lists(lists, overlapping_l
     ],
     ids=["metacharacters", "metacharacters-no-match", "created-by-earlier-subs", "no-phrase"],
 )
-def test_phrase_guard_equals_per_phrase_loop(lists, phrases, text):
+def test_phrase_removal_equals_per_phrase_loop(lists, phrases, text):
     phrase_lists = dataclasses.replace(lists, special_phrases=phrases)
     assert strip_noise(text, phrase_lists) == _strip_noise_oracle(text, phrase_lists)
 
