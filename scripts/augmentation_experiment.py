@@ -15,32 +15,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from issueforge import augmentation, classifier, extraction, ingestion, labels as labels_mod, similarity, textprep
 from issueforge.augmentation import AugmentationSpec, Method
-from issueforge.cli import _docs_from_extracted
 from issueforge.textprep import default_data_dir
 
 TARGET_APP = "r-podkit"
 
 
 def build_pool(corpus, lists, patterns):
+    """Labels, extract and preprocess as the pipeline runs them, with every label counted."""
     lexicon = labels_mod.load_lexicon(default_data_dir() / "lexicon.tsv", lists)
-    intents = labels_mod.assign_intents(corpus, lexicon, lists, min_label_frequency=1)
-    extracted = []
-    for issue in corpus.issues:
-        if issue.issue_id not in intents:
-            continue
-        result = extraction.extract(issue, patterns, lists)
-        if result is None:
-            continue
-        extracted.append(
-            {
-                "issue_id": issue.issue_id,
-                "repo_id": issue.repo_id,
-                "title": issue.title,
-                "text": result.text,
-                "intents": sorted(i.value for i in intents[issue.issue_id]),
-            }
-        )
-    return _docs_from_extracted(extracted, lists)
+    label_rows = labels_mod.label_rows(corpus.issues, labels_mod.assign_intents(corpus, lexicon, lists, 1))
+    intents = {row["issue_id"]: row["intents"] for row in label_rows}
+    extracted, _, _ = extraction.extract_rows(corpus.issues, patterns, lists, intents)
+    return augmentation.docs_from_extracted(extracted, lists)
 
 
 def main() -> int:

@@ -224,6 +224,19 @@ def augment(
     return dataset
 
 
+def augment_from_pool(
+    primary: PrimaryDataset,
+    pool: list[ProcessedDocument],
+    spec: AugmentationSpec,
+    rankings: SimilarityRanking | None = None,
+) -> AugmentedDataset:
+    """Select the auxiliary rows for ``spec`` from ``pool`` and merge them with the primary rows."""
+    auxiliary, shortfall = select_auxiliary(pool, spec, len(primary.rows), rankings)
+    dataset = augment(primary, auxiliary, spec)
+    dataset.shortfall = shortfall
+    return dataset
+
+
 def sweep(
     primary: PrimaryDataset,
     pool: list[ProcessedDocument],
@@ -239,17 +252,10 @@ def sweep(
     datasets = []
     for ratio in r_values:
         spec = AugmentationSpec(
-            method=method,
-            ratio=ratio,
-            seed=seed,
-            target_app=target_app,
-            top_k_similar=top_k_similar,
-            include_same_app=include_same_app,
+            method=method, ratio=ratio, seed=seed, target_app=target_app,
+            top_k_similar=top_k_similar, include_same_app=include_same_app,
         )
-        auxiliary, shortfall = select_auxiliary(pool, spec, len(primary.rows), rankings)
-        dataset = augment(primary, auxiliary, spec)
-        dataset.shortfall = shortfall
-        datasets.append(dataset)
+        datasets.append(augment_from_pool(primary, pool, spec, rankings))
     return datasets
 
 
@@ -269,7 +275,29 @@ def sweep_table(datasets: list[AugmentedDataset]) -> list[dict]:
     return table
 
 
-# --- JSONL interchange ---------------------------------------------------------
+# --- issue documents and JSONL interchange ---------------------------------------
+
+def docs_from_extracted(extracted_rows: list[dict], lists: WordLists) -> list[ProcessedDocument]:
+    """Title and body documents for every extracted issue, admission-filtered, sorted by doc_id."""
+    docs = []
+    for row in extracted_rows:
+        intents = frozenset(IntentClass(i) for i in row["intents"])
+        parts = (("title", Source.ISSUE_TITLE, row["title"]), ("body", Source.ISSUE_BODY, row["text"]))
+        for part, source, text in parts:
+            tokens = preprocess(text, lists)
+            if admit(tokens, source, row["title"]):
+                docs.append(
+                    ProcessedDocument(
+                        doc_id=f"{row['issue_id']}:{part}",
+                        source=source,
+                        tokens=tuple(tokens),
+                        intents=intents,
+                        app_id=row["repo_id"],
+                    )
+                )
+    docs.sort(key=lambda d: d.doc_id)
+    return docs
+
 
 def write_docs(docs: list[ProcessedDocument], path: Path | str) -> Path:
     path = Path(path)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .augmentation import AugmentedRow, AugmentationSpec, PrimaryDataset, augment, select_auxiliary
+from .augmentation import AugmentedRow, AugmentationSpec, PrimaryDataset, augment_from_pool
 from .labels import IntentClass
 from .similarity import SimilarityRanking
 from .textprep import ProcessedDocument
@@ -325,10 +325,7 @@ def run_experiment(
     comparison: list[dict] = []
     baseline_rows = as_rows(primary.rows)
     # sampling depends on spec.seed alone, so every target sees the same rows
-    datasets = []
-    for spec in specs:
-        auxiliary, _ = select_auxiliary(list(pool), spec, len(primary.rows), rankings)
-        datasets.append(augment(primary, auxiliary, spec))
+    datasets = [augment_from_pool(primary, list(pool), spec, rankings) for spec in specs]
     for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
         baseline = cross_validate(baseline_rows, target, k=k, seed=seed, config=config)
         comparison.append(

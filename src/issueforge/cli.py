@@ -104,6 +104,8 @@ class PipelineConfig:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise ValidationError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -179,6 +181,28 @@ def _dump_json(obj, path: Path) -> Path:
     return path
 
 
+def _write_jsonl(rows: list[dict], path: Path | str, ensure_ascii: bool) -> None:
+    """One sorted-key JSON object per line; labels.jsonl keeps ASCII escapes, extracted.jsonl does not."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n")
+
+
+_INTENT_VALUES = frozenset(i.value for i in IntentClass)
+
+
+def _read_stage_rows(path: str, required: dict[str, type]) -> list[dict]:
+    """Rows of a stage's JSONL input; a bad line or intent value is a ValidationError."""
+    try:
+        rows = ingestion.parse_jsonl(Path(path), required)
+    except ingestion.SchemaViolation as exc:
+        raise ValidationError(str(exc)) from exc
+    for lineno, row in rows:
+        if not all(isinstance(i, str) and i in _INTENT_VALUES for i in row["intents"]):
+            raise ValidationError(f"{path}:{lineno}: intents must be drawn from {sorted(_INTENT_VALUES)}")
+    return [row for _, row in rows]
+
+
 # --- pipeline -----------------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
@@ -216,50 +240,15 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         # stage 2: label normalization and intent assignment
         current_stage = "labels"
         intents = labels_mod.assign_intents(corpus, lexicon, lists, config.min_label_frequency)
-        with stage_path("labels.jsonl").open("w", encoding="utf-8") as handle:
-            for issue in corpus.issues:
-                if issue.issue_id in intents:
-                    handle.write(
-                        json.dumps(
-                            {
-                                "issue_id": issue.issue_id,
-                                "repo_id": issue.repo_id,
-                                "intents": sorted(i.value for i in intents[issue.issue_id]),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+        label_rows = labels_mod.label_rows(corpus.issues, intents)
+        _write_jsonl(label_rows, stage_path("labels.jsonl"), ensure_ascii=True)
         logger.info("pipeline: labels assigned intents to %d/%d issues", len(intents), len(corpus.issues))
 
-        # stage 3: target-section extraction (intent-labeled issues only)
+        # stage 3: target-section extraction (intent-labeled issues only), as `extract --labels` does it
         current_stage = "extract"
-        extracted_rows = []
-        per_pattern: dict[str, int] = {}
-        modes: dict[str, int] = {}
-        for issue in corpus.issues:
-            if issue.issue_id not in intents:
-                continue
-            result = extraction.extract(issue, patterns, lists)
-            if result is None:
-                continue
-            modes[result.mode.value] = modes.get(result.mode.value, 0) + 1
-            if result.matched_pattern:
-                per_pattern[result.matched_pattern] = per_pattern.get(result.matched_pattern, 0) + 1
-            extracted_rows.append(
-                {
-                    "issue_id": issue.issue_id,
-                    "repo_id": issue.repo_id,
-                    "title": issue.title,
-                    "text": result.text,
-                    "mode": result.mode.value,
-                    "matched_pattern": result.matched_pattern,
-                    "intents": sorted(i.value for i in intents[issue.issue_id]),
-                }
-            )
-        with stage_path("extracted.jsonl").open("w", encoding="utf-8") as handle:
-            for row in extracted_rows:
-                handle.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+        labeled = {row["issue_id"]: row["intents"] for row in label_rows}
+        extracted_rows, modes, per_pattern = extraction.extract_rows(corpus.issues, patterns, lists, labeled)
+        _write_jsonl(extracted_rows, stage_path("extracted.jsonl"), ensure_ascii=False)
         funnel_report = {
             "funnel": {
                 "issues_total": issues_total,
@@ -267,15 +256,15 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
                 "issues_intent_labeled": len(intents),
                 "issues_extracted": len(extracted_rows),
             },
-            "modes": dict(sorted(modes.items())),
-            "per_pattern": dict(sorted(per_pattern.items())),
+            "modes": modes,
+            "per_pattern": per_pattern,
         }
         _dump_json(funnel_report, stage_path("extraction_report.json"))
         logger.info("pipeline: extracted target text from %d issues", len(extracted_rows))
 
         # stage 4: preprocessing into the document pool
         current_stage = "preprocess"
-        docs = _docs_from_extracted(extracted_rows, lists)
+        docs = augmentation.docs_from_extracted(extracted_rows, lists)
         augmentation.write_docs(docs, stage_path("docs.jsonl"))
         logger.info("pipeline: admitted %d documents", len(docs))
 
@@ -293,11 +282,8 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         )
         rankings = None
         if method is Method.WITHIN_CONTEXT:
-            profiles = similarity.build_profiles(corpus, lists)
-            rankings = similarity.rank_similar(spec.target_app, profiles)
-        auxiliary, shortfall = augmentation.select_auxiliary(docs, spec, len(primary.rows), rankings)
-        dataset = augmentation.augment(primary, auxiliary, spec)
-        dataset.shortfall = shortfall
+            rankings = similarity.rank_similar(spec.target_app, similarity.build_profiles(corpus, lists))
+        dataset = augmentation.augment_from_pool(primary, docs, spec, rankings)
         augmentation.write_augmented(dataset, stage_path("augmented.jsonl"))
 
         # stage 6: train and evaluate both binary targets
@@ -341,37 +327,6 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     _dump_json(manifest, out / "manifest.json")
     logger.info("pipeline: wrote %d artifacts to %s", len(artifacts), out)
     return out
-
-
-def _docs_from_extracted(extracted_rows: list[dict], lists: textprep.WordLists) -> list:
-    """Title and body documents for every extracted issue, admission-filtered."""
-    docs = []
-    for row in extracted_rows:
-        intents = frozenset(IntentClass(i) for i in row["intents"])
-        title_tokens = textprep.preprocess(row["title"], lists)
-        if textprep.admit(title_tokens, textprep.Source.ISSUE_TITLE, row["title"]):
-            docs.append(
-                textprep.ProcessedDocument(
-                    doc_id=f"{row['issue_id']}:title",
-                    source=textprep.Source.ISSUE_TITLE,
-                    tokens=tuple(title_tokens),
-                    intents=intents,
-                    app_id=row["repo_id"],
-                )
-            )
-        body_tokens = textprep.preprocess(row["text"], lists)
-        if textprep.admit(body_tokens, textprep.Source.ISSUE_BODY):
-            docs.append(
-                textprep.ProcessedDocument(
-                    doc_id=f"{row['issue_id']}:body",
-                    source=textprep.Source.ISSUE_BODY,
-                    tokens=tuple(body_tokens),
-                    intents=intents,
-                    app_id=row["repo_id"],
-                )
-            )
-    docs.sort(key=lambda d: d.doc_id)
-    return docs
 
 
 def print_report(artifact_dir: Path | str, stream=None) -> dict:
@@ -444,22 +399,9 @@ def _cmd_labels(args) -> int:
     lists = textprep.load_wordlists(args.lists)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     lexicon = labels_mod.load_lexicon(args.lexicon, lists)
-    intents = labels_mod.assign_intents(corpus, lexicon, lists, args.min_freq)
-    with Path(args.out).open("w", encoding="utf-8") as handle:
-        for issue in corpus.issues:
-            if issue.issue_id in intents:
-                handle.write(
-                    json.dumps(
-                        {
-                            "issue_id": issue.issue_id,
-                            "repo_id": issue.repo_id,
-                            "intents": sorted(i.value for i in intents[issue.issue_id]),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    print(f"assigned intents to {len(intents)}/{len(corpus.issues)} issues")
+    rows = labels_mod.label_rows(corpus.issues, labels_mod.assign_intents(corpus, lexicon, lists, args.min_freq))
+    _write_jsonl(rows, args.out, ensure_ascii=True)
+    print(f"assigned intents to {len(rows)}/{len(corpus.issues)} issues")
     return EXIT_OK
 
 
@@ -467,65 +409,28 @@ def _cmd_extract(args) -> int:
     lists = textprep.load_wordlists(args.lists)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     patterns = extraction.load_patterns(args.patterns)
-    intents: dict[str, list[str]] = {}
+    intents = None
     if args.labels:
-        for line in Path(args.labels).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                row = json.loads(line)
-                intents[row["issue_id"]] = row["intents"]
-    per_pattern: dict[str, int] = {}
-    modes: dict[str, int] = {}
-    n_considered = 0
-    with Path(args.out).open("w", encoding="utf-8") as handle:
-        for issue in corpus.issues:
-            if args.labels and issue.issue_id not in intents:
-                continue
-            n_considered += 1
-            result = extraction.extract(issue, patterns, lists)
-            if result is None:
-                continue
-            modes[result.mode.value] = modes.get(result.mode.value, 0) + 1
-            if result.matched_pattern:
-                per_pattern[result.matched_pattern] = per_pattern.get(result.matched_pattern, 0) + 1
-            handle.write(
-                json.dumps(
-                    {
-                        "issue_id": issue.issue_id,
-                        "repo_id": issue.repo_id,
-                        "title": issue.title,
-                        "text": result.text,
-                        "mode": result.mode.value,
-                        "matched_pattern": result.matched_pattern,
-                        "intents": intents.get(issue.issue_id, []),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    n_extracted = sum(modes.values())
+        label_rows = _read_stage_rows(args.labels, {"issue_id": str, "intents": list})
+        intents = {row["issue_id"]: row["intents"] for row in label_rows}
+    rows, modes, per_pattern = extraction.extract_rows(corpus.issues, patterns, lists, intents)
+    _write_jsonl(rows, args.out, ensure_ascii=False)
+    n_considered = len(corpus.issues) if intents is None else sum(i.issue_id in intents for i in corpus.issues)
     if args.report:
         _dump_json(
-            {
-                "considered": n_considered,
-                "extracted": n_extracted,
-                "modes": dict(sorted(modes.items())),
-                "per_pattern": dict(sorted(per_pattern.items())),
-            },
+            {"considered": n_considered, "extracted": len(rows), "modes": modes, "per_pattern": per_pattern},
             Path(args.report),
         )
-    print(f"extracted {n_extracted}/{n_considered} issues")
+    print(f"extracted {len(rows)}/{n_considered} issues")
     return EXIT_OK
 
 
 def _cmd_preprocess(args) -> int:
     lists = textprep.load_wordlists(args.lists)
-    extracted_rows = [
-        json.loads(line)
-        for line in Path(getattr(args, "in")).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    docs = _docs_from_extracted(extracted_rows, lists)
+    extracted_rows = _read_stage_rows(
+        getattr(args, "in"), {"issue_id": str, "repo_id": str, "title": str, "text": str, "intents": list}
+    )
+    docs = augmentation.docs_from_extracted(extracted_rows, lists)
     augmentation.write_docs(docs, args.out)
     print(f"admitted {len(docs)} documents from {len(extracted_rows)} extracted issues")
     return EXIT_OK
@@ -546,38 +451,34 @@ def _cmd_similar(args) -> int:
     return EXIT_OK
 
 
-def _make_spec(args, seed: int) -> AugmentationSpec:
-    method = Method(args.method)
-    return AugmentationSpec(
-        method=method,
-        ratio=args.ratio,
-        seed=seed,
-        target_app=args.app if method is not Method.BETWEEN_APP else None,
-        top_k_similar=args.top,
-        include_same_app=args.include_same_app,
-    )
-
-
-def _rankings_for(args, spec: AugmentationSpec, lists) -> similarity.SimilarityRanking | None:
-    if spec.method is not Method.WITHIN_CONTEXT:
+def _rankings_for(args, method: Method, lists) -> similarity.SimilarityRanking | None:
+    """The ranking of --app within --corpus for within-context, else None; checks both flags."""
+    if method is not Method.BETWEEN_APP and not args.app:
+        raise ValidationError(f"{method.value} augmentation requires --app")
+    if method is not Method.WITHIN_CONTEXT:
         return None
     if not args.corpus:
         raise ValidationError("within-context augmentation requires --corpus for profiles")
     corpus = ingestion.load_corpus(args.corpus)
-    profiles = similarity.build_profiles(corpus, lists)
-    return similarity.rank_similar(spec.target_app, profiles)
+    return similarity.rank_similar(args.app, similarity.build_profiles(corpus, lists))
 
 
 def _cmd_augment(args) -> int:
+    method = Method(args.method)
+    try:
+        spec = AugmentationSpec(
+            method=method, ratio=args.ratio, seed=args.seed,
+            target_app=args.app if method is not Method.BETWEEN_APP else None,
+            top_k_similar=args.top, include_same_app=args.include_same_app,
+        )
+    except ValueError as exc:  # a ratio outside [0, 1], or no --app for within-app/within-context
+        raise ValidationError(str(exc)) from exc
     lists = textprep.load_wordlists(args.lists)
+    rankings = _rankings_for(args, method, lists)
     label_map = augmentation.load_label_map(args.labelmap)
     primary = augmentation.load_primary(args.primary, label_map, lists)
     pool = augmentation.load_docs(args.pool)
-    spec = _make_spec(args, args.seed)
-    rankings = _rankings_for(args, spec, lists)
-    auxiliary, shortfall = augmentation.select_auxiliary(pool, spec, len(primary.rows), rankings)
-    dataset = augmentation.augment(primary, auxiliary, spec)
-    dataset.shortfall = shortfall
+    dataset = augmentation.augment_from_pool(primary, pool, spec, rankings)
     augmentation.write_augmented(dataset, args.out)
     counts = dataset.origin_counts()
     print(f"wrote {counts['primary']} primary + {counts['auxiliary']} auxiliary rows")
@@ -612,14 +513,11 @@ def _parse_ratios(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     ratios = _parse_ratios(args.ratios)
     lists = textprep.load_wordlists(args.lists)
+    method = Method(args.method)
+    rankings = _rankings_for(args, method, lists)
     label_map = augmentation.load_label_map(args.labelmap)
     primary = augmentation.load_primary(args.primary, label_map, lists)
     pool = augmentation.load_docs(args.pool)
-    method = Method(args.method)
-    rankings = None
-    if method is Method.WITHIN_CONTEXT:
-        probe = AugmentationSpec(method=method, ratio=0.0, seed=args.seed, target_app=args.app)
-        rankings = _rankings_for(args, probe, lists)
     datasets = augmentation.sweep(
         primary,
         pool,
@@ -872,8 +770,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STAGE_FAILURE
     except (
         ingestion.CorpusError,
-        extraction.TemplateParseError,
-        extraction.MissingGold,
         similarity.EmptyProfile,
         augmentation.EmptyPool,
         classifier.TooFewRows,

@@ -11,27 +11,15 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .ingestion import RawIssue, TemplateFile, TemplateFormat
-from .labels import IntentClass
+from .ingestion import RawIssue
 from .stemmer import stem
 from .textprep import DIGITS, WordLists, strip_noise, tokenize
-
-
-class TemplateGroup(str, Enum):
-    BUG = "bug"
-    FEATURE = "feature"
-    OTHER = "other"
-    ISSUE = "issue"
-    DELETED = "deleted"
-
-
-class TemplateParseError(Exception):
-    pass
 
 
 class MissingGold(Exception):
@@ -55,7 +43,6 @@ class BodySection:
 class TitlePattern:
     name: str
     regex: re.Pattern
-    intents: frozenset[IntentClass]
 
 
 @dataclass(frozen=True)
@@ -77,11 +64,8 @@ class ExtractedSection:
 # Words whose presence flips a title's meaning; kept during normalization.
 TITLE_RETAINED_STOPWORDS = frozenset({"what", "about", "should"})
 
-_FLAG_TO_INTENT = {
-    "B": IntentClass.BUG_REPORT,
-    "F": IntentClass.FEATURE_REQUEST,
-    "O": IntentClass.OTHER,
-}
+# The flags column (bug, feature, other) documents what a pattern is for; it is checked, not used.
+_PATTERN_FLAGS = frozenset("BFO")
 
 
 def load_patterns(path: Path | str | None = None) -> PatternSet:
@@ -101,8 +85,9 @@ def load_patterns(path: Path | str | None = None) -> PatternSet:
         if len(parts) != 3:
             raise ValueError(f"{origin}:{lineno}: expected name<TAB>regex<TAB>flags")
         name, regex, flags = parts
-        intents = frozenset(_FLAG_TO_INTENT[flag] for flag in flags.strip())
-        patterns.append(TitlePattern(name=name.strip(), regex=re.compile(regex), intents=intents))
+        if not set(flags.strip()) <= _PATTERN_FLAGS:
+            raise ValueError(f"{origin}:{lineno}: flags must be drawn from B, F and O, got {flags.strip()!r}")
+        patterns.append(TitlePattern(name=name.strip(), regex=re.compile(regex)))
     return PatternSet(patterns=tuple(patterns))
 
 
@@ -118,53 +103,6 @@ def normalize_title(raw: str, lists: WordLists) -> str:
             continue
         tokens.append(stem(tok))
     return " ".join(tokens)
-
-
-# --- template grouping -------------------------------------------------------
-
-_GROUP_KEYWORDS = [
-    (TemplateGroup.BUG, ("bug", "crash", "defect")),
-    (TemplateGroup.FEATURE, ("feature", "enhancement", "request")),
-    (TemplateGroup.OTHER, ("question", "support", "faq")),
-    (TemplateGroup.ISSUE, ("issue",)),
-]
-
-_FRONT_MATTER = re.compile(r"\A---\s*\n(.*?)\n---\s*(?:\n|\Z)", re.DOTALL)
-_META_LINE = re.compile(r"^(name|about|description|title)\s*:\s*(.+)$")
-
-
-def _template_metadata(tf: TemplateFile) -> str:
-    """Pull name/description text out of a template's structured header."""
-    meta: list[str] = []
-    if tf.format is TemplateFormat.YAML:
-        source = tf.raw_text
-        if _looks_binary(source):
-            raise TemplateParseError(f"{tf.path}: not parseable as a structured template")
-        for line in source.splitlines():
-            match = _META_LINE.match(line.strip())
-            if match:
-                meta.append(match.group(2))
-    else:
-        front = _FRONT_MATTER.match(tf.raw_text)
-        if front:
-            for line in front.group(1).splitlines():
-                match = _META_LINE.match(line.strip())
-                if match:
-                    meta.append(match.group(2))
-    return " ".join(meta)
-
-
-def _looks_binary(text: str) -> bool:
-    return "\x00" in text
-
-
-def group_template(tf: TemplateFile) -> TemplateGroup:
-    """Classify a template by filename plus declared name/description keywords."""
-    haystack = (Path(tf.path).name + " " + _template_metadata(tf)).lower()
-    for group, keywords in _GROUP_KEYWORDS:
-        if any(keyword in haystack for keyword in keywords):
-            return group
-    return TemplateGroup.DELETED
 
 
 # --- section splitting --------------------------------------------------------
@@ -285,6 +223,43 @@ def extract(issue: RawIssue, patterns: PatternSet, lists: WordLists) -> Extracte
     if not text:
         return None
     return ExtractedSection(issue_id=issue.issue_id, text=text, mode=ExtractionMode.SINGLE_PARAGRAPH)
+
+
+def extract_rows(
+    issues: Iterable[RawIssue],
+    patterns: PatternSet,
+    lists: WordLists,
+    intents: Mapping[str, list[str]] | None = None,
+) -> tuple[list[dict], dict[str, int], dict[str, int]]:
+    """Extracted-issue rows plus per-mode and per-pattern counts.
+
+    With ``intents`` only the issues it names are considered and each row carries
+    their intent values; without it every issue is considered, with no intents.
+    """
+    rows: list[dict] = []
+    modes: dict[str, int] = {}
+    per_pattern: dict[str, int] = {}
+    for issue in issues:
+        if intents is not None and issue.issue_id not in intents:
+            continue
+        result = extract(issue, patterns, lists)
+        if result is None:
+            continue
+        modes[result.mode.value] = modes.get(result.mode.value, 0) + 1
+        if result.matched_pattern:
+            per_pattern[result.matched_pattern] = per_pattern.get(result.matched_pattern, 0) + 1
+        rows.append(
+            {
+                "issue_id": issue.issue_id,
+                "repo_id": issue.repo_id,
+                "title": issue.title,
+                "text": result.text,
+                "mode": result.mode.value,
+                "matched_pattern": result.matched_pattern,
+                "intents": intents[issue.issue_id] if intents is not None else [],
+            }
+        )
+    return rows, modes, per_pattern
 
 
 # --- fixture verification -------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -34,11 +33,6 @@ class SchemaViolation(CorpusError):
 
 class DanglingRepoRef(CorpusError):
     pass
-
-
-class TemplateFormat(str, Enum):
-    MARKDOWN = "markdown"
-    YAML = "yaml"
 
 
 @dataclass(frozen=True)
@@ -68,21 +62,12 @@ class TemplateFile:
     path: str
     raw_text: str
 
-    @property
-    def format(self) -> TemplateFormat:
-        if self.path.endswith((".yaml", ".yml")):
-            return TemplateFormat.YAML
-        return TemplateFormat.MARKDOWN
-
 
 @dataclass
 class Corpus:
     repos: dict[str, RepoRecord] = field(default_factory=dict)
     issues: list[RawIssue] = field(default_factory=list)
     templates: list[TemplateFile] = field(default_factory=list)
-
-    def issues_for(self, repo_id: str) -> list[RawIssue]:
-        return [issue for issue in self.issues if issue.repo_id == repo_id]
 
 
 _REPO_FIELDS = {
@@ -106,7 +91,8 @@ _TEMPLATE_FIELDS = {
 }
 
 
-def _parse_jsonl(path: Path, required: dict[str, type]) -> list[tuple[int, dict]]:
+def parse_jsonl(path: Path, required: dict[str, type]) -> list[tuple[int, dict]]:
+    """(line number, object) for each non-blank line; SchemaViolation names the first bad line."""
     rows: list[tuple[int, dict]] = []
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -142,7 +128,7 @@ def load_corpus(path: Path | str) -> Corpus:
             raise MissingFile(str(required_file))
 
     repos: dict[str, RepoRecord] = {}
-    for lineno, row in _parse_jsonl(repos_file, _REPO_FIELDS):
+    for lineno, row in parse_jsonl(repos_file, _REPO_FIELDS):
         if row["repo_id"] in repos:
             raise SchemaViolation(repos_file.name, lineno, "repo_id", "duplicate repo_id")
         repos[row["repo_id"]] = RepoRecord(
@@ -156,7 +142,7 @@ def load_corpus(path: Path | str) -> Corpus:
 
     issues: list[RawIssue] = []
     seen_issue_ids: set[str] = set()
-    for lineno, row in _parse_jsonl(issues_file, _ISSUE_FIELDS):
+    for lineno, row in parse_jsonl(issues_file, _ISSUE_FIELDS):
         if row["issue_id"] in seen_issue_ids:
             raise SchemaViolation(issues_file.name, lineno, "issue_id", "duplicate issue_id")
         seen_issue_ids.add(row["issue_id"])
@@ -180,7 +166,7 @@ def load_corpus(path: Path | str) -> Corpus:
 
     templates: list[TemplateFile] = []
     if templates_file.exists():
-        for lineno, row in _parse_jsonl(templates_file, _TEMPLATE_FIELDS):
+        for lineno, row in parse_jsonl(templates_file, _TEMPLATE_FIELDS):
             if row["repo_id"] not in repos:
                 raise DanglingRepoRef(
                     f"{templates_file.name}:{lineno}: template {row['path']!r} references unknown repo {row['repo_id']!r}"

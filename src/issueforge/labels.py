@@ -9,11 +9,12 @@ variants like "can't reproduce" and "could not reproduce" unify.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .ingestion import Corpus
+from .ingestion import Corpus, RawIssue
 from .stemmer import stem
 from .textprep import WordLists
 
@@ -144,8 +145,8 @@ def assign_intents(
     min_label_frequency: int = 11,
 ) -> dict[str, frozenset[IntentClass]]:
     """Map issue_id -> intent classes. Issues matching no lexicon entry (or only
-    entries rarer than ``min_label_frequency``) are unrelated and omitted."""
-    validate_lexicon(lexicon, lists)
+    entries rarer than ``min_label_frequency``) are unrelated and omitted.
+    The lexicon is taken as valid: ``load_lexicon`` has checked its keys."""
     surfaces = _surfaces(corpus, lists)
     frequency = {entry.surface: entry.frequency for entry in _label_table(corpus, surfaces)}
     assigned: dict[str, frozenset[IntentClass]] = {}
@@ -161,3 +162,13 @@ def assign_intents(
         if intents:
             assigned[issue.issue_id] = frozenset(intents)
     return assigned
+
+
+def label_rows(issues: Iterable[RawIssue], intents: dict[str, frozenset[IntentClass]]) -> list[dict]:
+    """One {issue_id, repo_id, sorted intent values} row per intent-labeled issue, in issue order."""
+    rows = []
+    for issue in issues:
+        if issue.issue_id in intents:
+            values = sorted(i.value for i in intents[issue.issue_id])
+            rows.append({"issue_id": issue.issue_id, "repo_id": issue.repo_id, "intents": values})
+    return rows

@@ -442,3 +442,90 @@ def test_rerun_into_same_directory_replaces_artifacts(tmp_path):
     assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
     assert (out / "manifest.json").read_bytes() == first
     assert not list(out.glob("*.partial"))
+
+
+@pytest.mark.parametrize("text", ["5", json.dumps(["seed", "corpus_dir", "primary_csv", "label_map"])],
+                         ids=["a-number", "a-list-of-key-names"])
+def test_pipeline_config_that_is_not_an_object_is_a_validation_error(tmp_path, text):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(config_file), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_pipeline_validates_the_lexicon_once(tmp_path, monkeypatch):
+    from issueforge import labels
+
+    calls = []
+    original = labels.validate_lexicon
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(labels, "validate_lexicon", counting)
+    assert main(["pipeline", "--config", str(DEMO / "demo_config.json"), "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("extract", "{bad\n"),
+        ("extract", '{"id": 1}\n'),
+        ("extract", '{"issue_id": "i1", "intents": ["mystery"]}\n'),
+        ("preprocess", '{"issue_id": "i1", "repo_id": "r1", "title": "a crash", "text": "it crashes on start"}\n'),
+        ("preprocess", "[1, 2]\n"),
+    ],
+    ids=["labels-not-json", "labels-without-issue-id", "labels-unknown-intent", "extracted-without-intents",
+         "extracted-not-an-object"],
+)
+def test_malformed_stage_input_is_a_validation_error(tmp_path, command, text):
+    bad = tmp_path / "input.jsonl"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    if command == "extract":
+        argv = ["extract", "--in", str(DEMO), "--labels", str(bad), "--out", str(out)]
+    else:
+        argv = ["preprocess", "--in", str(bad), "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("augment", ["--method", "within-app"]),
+        ("augment", ["--method", "between-app", "--ratio", "1.5"]),
+        ("sweep", ["--method", "within-app"]),
+        ("sweep", ["--method", "within-context"]),
+    ],
+    ids=["augment-within-app-without-app", "augment-ratio-above-1", "sweep-within-app-without-app",
+         "sweep-within-context-without-app"],
+)
+def test_bad_augmentation_arguments_are_validation_errors(tmp_path, command, extra):
+    out = ["--out", str(tmp_path / "out.jsonl")] if command == "augment" else ["--out-dir", str(tmp_path / "sweep")]
+    argv = [command, "--primary", str(DEMO / "primary_demo.csv"), "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(tmp_path / "unread.jsonl"), *extra, *out]
+    assert main(argv) == EXIT_VALIDATION
+
+
+def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path):
+    config = json.loads((DEMO / "demo_config.json").read_text())
+    filtered = tmp_path / "filtered"
+    commands = [
+        ["filter", "--in", str(DEMO), "--out", str(filtered),
+         "--min-issues", str(config["min_labeled_issues"]), "--min-contributors", str(config["min_contributors"])],
+        ["labels", "--in", str(filtered), "--lexicon", str(default_data_dir() / "lexicon.tsv"),
+         "--min-freq", str(config["min_label_frequency"]), "--out", str(tmp_path / "labels.jsonl")],
+        ["extract", "--in", str(filtered), "--labels", str(tmp_path / "labels.jsonl"),
+         "--out", str(tmp_path / "extracted.jsonl")],
+        ["preprocess", "--in", str(tmp_path / "extracted.jsonl"), "--out", str(tmp_path / "docs.jsonl")],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_OK
+    assert (tmp_path / "docs.jsonl").read_bytes() == (pipeline_dir / "docs.jsonl").read_bytes()
+    for name in ("labels.jsonl", "extracted.jsonl"):
+        staged_lines = (tmp_path / name).read_bytes().splitlines()
+        assert sorted(staged_lines) == sorted((pipeline_dir / name).read_bytes().splitlines())

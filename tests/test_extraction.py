@@ -6,10 +6,7 @@ from issueforge.extraction import (
     ExtractionMode,
     GoldIssue,
     MissingGold,
-    TemplateGroup,
-    TemplateParseError,
     extract,
-    group_template,
     load_gold_fixture,
     load_patterns,
     match_target,
@@ -18,7 +15,7 @@ from issueforge.extraction import (
     split_with_preamble,
     verify_patterns,
 )
-from issueforge.ingestion import RawIssue, TemplateFile
+from issueforge.ingestion import RawIssue
 from issueforge.textprep import load_wordlists
 
 from title_examples import DESIGNATED_TITLES, NEGATIVE_TITLES
@@ -33,50 +30,6 @@ def make_issue(body: str, issue_id: str = "i1", title: str = "some issue") -> Ra
         label_names=("bug",),
         created_at="2023-01-01T00:00:00Z",
     )
-
-
-# --- template grouping -------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "path,expected",
-    [
-        (".github/ISSUE_TEMPLATE/crash_report.md", TemplateGroup.BUG),
-        (".github/ISSUE_TEMPLATE/bug_report.yml", TemplateGroup.BUG),
-        (".github/ISSUE_TEMPLATE/feature_request.yml", TemplateGroup.FEATURE),
-        (".github/ISSUE_TEMPLATE/usage_question.md", TemplateGroup.OTHER),
-        (".github/ISSUE_TEMPLATE/general_issue.md", TemplateGroup.ISSUE),
-        (".github/ISSUE_TEMPLATE/issue-template.md", TemplateGroup.ISSUE),
-        (".github/ISSUE_TEMPLATE/task.md", TemplateGroup.DELETED),
-        (".github/ISSUE_TEMPLATE/tech_debt.md", TemplateGroup.DELETED),
-    ],
-)
-def test_group_by_filename(path, expected):
-    tf = TemplateFile(repo_id="r1", path=path, raw_text="")
-    assert group_template(tf) is expected
-
-
-def test_group_by_front_matter():
-    tf = TemplateFile(
-        repo_id="r1",
-        path=".github/ISSUE_TEMPLATE/report.md",
-        raw_text="---\nname: Crash report\nabout: Something broke\n---\nbody",
-    )
-    assert group_template(tf) is TemplateGroup.BUG
-
-
-def test_group_by_yaml_description():
-    tf = TemplateFile(
-        repo_id="r1",
-        path=".github/ISSUE_TEMPLATE/form.yml",
-        raw_text="name: Ask us\ndescription: Support question form\nbody: []",
-    )
-    assert group_template(tf) is TemplateGroup.OTHER
-
-
-def test_malformed_template_raises():
-    tf = TemplateFile(repo_id="r1", path=".github/ISSUE_TEMPLATE/broken.yml", raw_text="a\x00b")
-    with pytest.raises(TemplateParseError):
-        group_template(tf)
 
 
 # --- title normalization --------------------------------------------------------------
@@ -314,6 +267,10 @@ def test_pattern_file_rejects_bad_lines(tmp_path):
     bad = tmp_path / "patterns.tsv"
     bad.write_text("only-one-field\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        load_patterns(bad)
+    # a flag outside B/F/O is reported with its file and line, like a wrong column count
+    bad.write_text("X1\t.*crash\tB\nX2\twhat broke\tBQ\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"patterns\.tsv:2: "):
         load_patterns(bad)
 
 

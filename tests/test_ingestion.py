@@ -12,8 +12,6 @@ from issueforge.ingestion import (
     RawIssue,
     RepoRecord,
     SchemaViolation,
-    TemplateFormat,
-    TemplateFile,
     filter_repos,
     load_corpus,
     write_corpus,
@@ -113,13 +111,6 @@ def test_dangling_issue_ref(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(MissingFile):
         load_corpus(tmp_path)
-
-
-def test_template_format_from_extension():
-    yaml_tf = TemplateFile(repo_id="r", path="a/b.yml", raw_text="")
-    md_tf = TemplateFile(repo_id="r", path="a/b.md", raw_text="")
-    assert yaml_tf.format is TemplateFormat.YAML
-    assert md_tf.format is TemplateFormat.MARKDOWN
 
 
 # --- filtering --------------------------------------------------------------------------
