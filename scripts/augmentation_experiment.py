@@ -38,7 +38,7 @@ def main() -> int:
     pool = build_pool(corpus, lists, patterns)
     label_map = augmentation.load_label_map(demo / "labelmap_demo.tsv")
     primary = augmentation.load_primary(demo / "primary_demo.csv", label_map, lists)
-    rankings = similarity.rank_similar(TARGET_APP, similarity.build_profiles(corpus, lists))
+    profiles = similarity.build_profiles(corpus, lists)
 
     specs = [
         AugmentationSpec(method=Method.WITHIN_APP, ratio=0.3, seed=seed, target_app=TARGET_APP),
@@ -49,7 +49,7 @@ def main() -> int:
         ),
         AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=seed),
     ]
-    report = classifier.run_experiment(primary, specs, pool, rankings=rankings, k=5, seed=seed)
+    report = classifier.run_experiment(primary, specs, pool, profiles=profiles, k=5, seed=seed)
 
     print(f"pool: {len(pool)} issue documents; primary: {len(primary.rows)} reviews; seed: {seed}")
     print(f"{'target':<8} {'model':<28} {'P':>7} {'R':>7} {'F1':>7} {'dR':>7} {'dF1':>7}")

@@ -9,7 +9,6 @@ volume ratio.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import random
@@ -17,18 +16,20 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .labels import IntentClass
-from .similarity import SimilarityRanking
+from .errors import IssueforgeError, ValidationError
+from .ingestion import SchemaViolation, parse_jsonl, write_jsonl
+from .labels import INTENT_VALUES, IntentClass
+from .similarity import RepoProfile, SimilarityRanking, rank_similar
 from .textprep import ProcessedDocument, Source, WordLists, admit, preprocess
 
 logger = logging.getLogger(__name__)
 
 
-class UnknownLabel(Exception):
+class UnknownLabel(ValidationError):
     pass
 
 
-class EmptyPool(Exception):
+class EmptyPool(IssueforgeError):
     pass
 
 
@@ -53,12 +54,12 @@ class AugmentationSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError(f"ratio must be in [0, 1], got {self.ratio}")
+            raise ValidationError(f"ratio must be in [0, 1], got {self.ratio}")
         if self.method is Method.BETWEEN_APP:
             if self.target_app is not None:
-                raise ValueError("target_app is only meaningful for within-app/within-context")
+                raise ValidationError("target_app is only meaningful for within-app/within-context")
         elif self.target_app is None:
-            raise ValueError(f"{self.method.value} requires a target_app")
+            raise ValidationError(f"{self.method.value} requires a target_app")
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def load_label_map(path: Path | str) -> dict[str, IntentClass | None]:
             try:
                 mapping[source_label] = IntentClass(target)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: unknown target class {target!r}")
+                raise ValidationError(f"{path}:{lineno}: unknown target class {target!r}")
     return mapping
 
 
@@ -130,9 +131,11 @@ def load_primary(
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "text" not in reader.fieldnames or "label" not in reader.fieldnames:
-            raise ValueError(f"{path}: expected a CSV header with 'text' and 'label' columns")
+            raise ValidationError(f"{path}: expected a CSV header with 'text' and 'label' columns")
         for index, record in enumerate(reader):
             label = record["label"]
+            if record["text"] is None:
+                raise ValidationError(f"{path}: row {index + 1}: no text column")
             if label not in label_map:
                 raise UnknownLabel(f"{path}: row {index + 1}: label {label!r} not in label map")
             intent = label_map[label]
@@ -228,9 +231,16 @@ def augment_from_pool(
     primary: PrimaryDataset,
     pool: list[ProcessedDocument],
     spec: AugmentationSpec,
-    rankings: SimilarityRanking | None = None,
+    profiles: dict[str, RepoProfile] | None = None,
 ) -> AugmentedDataset:
-    """Select the auxiliary rows for ``spec`` from ``pool`` and merge them with the primary rows."""
+    """Select the auxiliary rows for ``spec`` from ``pool`` and merge them with the primary rows.
+
+    A within-context spec ranks its own ``target_app`` against ``profiles``
+    (``similarity.build_profiles``); other methods ignore them.
+    """
+    rankings = None
+    if spec.method is Method.WITHIN_CONTEXT and profiles is not None:
+        rankings = rank_similar(spec.target_app, profiles)
     auxiliary, shortfall = select_auxiliary(pool, spec, len(primary.rows), rankings)
     dataset = augment(primary, auxiliary, spec)
     dataset.shortfall = shortfall
@@ -244,7 +254,7 @@ def sweep(
     seed: int,
     method: Method = Method.BETWEEN_APP,
     target_app: str | None = None,
-    rankings: SimilarityRanking | None = None,
+    profiles: dict[str, RepoProfile] | None = None,
     top_k_similar: int = 3,
     include_same_app: bool = False,
 ) -> list[AugmentedDataset]:
@@ -255,7 +265,7 @@ def sweep(
             method=method, ratio=ratio, seed=seed, target_app=target_app,
             top_k_similar=top_k_similar, include_same_app=include_same_app,
         )
-        datasets.append(augment_from_pool(primary, pool, spec, rankings))
+        datasets.append(augment_from_pool(primary, pool, spec, profiles))
     return datasets
 
 
@@ -276,6 +286,12 @@ def sweep_table(datasets: list[AugmentedDataset]) -> list[dict]:
 
 
 # --- issue documents and JSONL interchange ---------------------------------------
+
+_DOC_FIELDS = {"doc_id": str, "source": str, "tokens": list, "intents": list}
+_AUGMENTED_FIELDS = {"doc_id": str, "origin": str, "tokens": list, "intents": list}
+_SOURCES = frozenset(s.value for s in Source)
+_ORIGINS = frozenset({"primary", "auxiliary"})
+
 
 def docs_from_extracted(extracted_rows: list[dict], lists: WordLists) -> list[ProcessedDocument]:
     """Title and body documents for every extracted issue, admission-filtered, sorted by doc_id."""
@@ -300,70 +316,45 @@ def docs_from_extracted(extracted_rows: list[dict], lists: WordLists) -> list[Pr
 
 
 def write_docs(docs: list[ProcessedDocument], path: Path | str) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for doc in docs:
-            handle.write(
-                json.dumps(
-                    {
-                        "doc_id": doc.doc_id,
-                        "source": doc.source.value,
-                        "app_id": doc.app_id,
-                        "tokens": list(doc.tokens),
-                        "intents": sorted(i.value for i in doc.intents),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    return path
+    return write_jsonl(
+        ({"doc_id": d.doc_id, "source": d.source.value, "app_id": d.app_id, "tokens": list(d.tokens),
+          "intents": sorted(i.value for i in d.intents)} for d in docs),
+        path,
+    )
 
 
 def load_docs(path: Path | str) -> list[ProcessedDocument]:
+    """Documents of a pool JSONL file; a malformed line is a SchemaViolation naming it."""
+    path = Path(path)
     docs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
+    for lineno, row in parse_jsonl(path, _DOC_FIELDS, {"source": _SOURCES, "intents": INTENT_VALUES}):
+        app_id = row.get("app_id")
+        if app_id is not None and not isinstance(app_id, str):
+            raise SchemaViolation(path.name, lineno, "app_id", "expected str or null")
         docs.append(
             ProcessedDocument(
                 doc_id=row["doc_id"],
                 source=Source(row["source"]),
                 tokens=tuple(row["tokens"]),
                 intents=frozenset(IntentClass(i) for i in row["intents"]),
-                app_id=row.get("app_id"),
+                app_id=app_id,
             )
         )
     return docs
 
 
 def write_augmented(dataset: AugmentedDataset, path: Path | str) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for row in dataset.rows:
-            handle.write(
-                json.dumps(
-                    {
-                        "doc_id": row.doc.doc_id,
-                        "origin": row.origin,
-                        "tokens": list(row.doc.tokens),
-                        "intents": sorted(i.value for i in row.doc.intents),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    return path
+    return write_jsonl(
+        ({"doc_id": row.doc.doc_id, "origin": row.origin, "tokens": list(row.doc.tokens),
+          "intents": sorted(i.value for i in row.doc.intents)} for row in dataset.rows),
+        path,
+    )
 
 
 def load_augmented(path: Path | str) -> list[AugmentedRow]:
+    """Rows of an augmented JSONL file; a malformed line is a SchemaViolation naming it."""
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
+    for _, record in parse_jsonl(Path(path), _AUGMENTED_FIELDS, {"origin": _ORIGINS, "intents": INTENT_VALUES}):
         rows.append(
             AugmentedRow(
                 doc=ProcessedDocument(

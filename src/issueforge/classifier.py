@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -18,16 +17,17 @@ from typing import Sequence
 import numpy as np
 
 from .augmentation import AugmentedRow, AugmentationSpec, PrimaryDataset, augment_from_pool
+from .errors import IssueforgeError
 from .labels import IntentClass
-from .similarity import SimilarityRanking
+from .similarity import RepoProfile
 from .textprep import ProcessedDocument
 
 
-class DegenerateLabels(Exception):
+class DegenerateLabels(IssueforgeError):
     pass
 
 
-class TooFewRows(Exception):
+class TooFewRows(IssueforgeError):
     pass
 
 
@@ -265,7 +265,6 @@ def stratified_folds(
 class EvalReport:
     target: IntentClass
     folds: list[FoldMetrics]
-    runtime_seconds: float = 0.0
 
     @property
     def mean_precision(self) -> float:
@@ -300,19 +299,18 @@ def cross_validate(
 ) -> EvalReport:
     """Stratified k-fold evaluation; reported metrics are per-fold averages."""
     config = config or TrainConfig()
-    started = time.perf_counter()
     fold_metrics = []
     for train_idx, test_idx in stratified_folds(rows, target, k=k, seed=seed):
         model = train([rows[i] for i in train_idx], target, config)
         fold_metrics.append(evaluate(model, [rows[i] for i in test_idx], target))
-    return EvalReport(target=target, folds=fold_metrics, runtime_seconds=time.perf_counter() - started)
+    return EvalReport(target=target, folds=fold_metrics)
 
 
 def run_experiment(
     primary: PrimaryDataset,
     specs: Sequence[AugmentationSpec],
     pool: Sequence[ProcessedDocument],
-    rankings: SimilarityRanking | None = None,
+    profiles: dict[str, RepoProfile] | None = None,
     k: int = 5,
     seed: int = 0,
     config: TrainConfig | None = None,
@@ -320,12 +318,13 @@ def run_experiment(
     """Baseline vs augmented comparison for both targets.
 
     Returns a deterministic report: per (target, model) mean metrics and the
-    deltas against the baseline trained on the primary rows alone.
+    deltas against the baseline trained on the primary rows alone. Each
+    within-context spec ranks its own target app against ``profiles``.
     """
     comparison: list[dict] = []
     baseline_rows = as_rows(primary.rows)
     # sampling depends on spec.seed alone, so every target sees the same rows
-    datasets = [augment_from_pool(primary, list(pool), spec, rankings) for spec in specs]
+    datasets = [augment_from_pool(primary, list(pool), spec, profiles) for spec in specs]
     for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
         baseline = cross_validate(baseline_rows, target, k=k, seed=seed, config=config)
         comparison.append(

@@ -4,8 +4,8 @@ Subcommands mirror the stages (harvest, filter, labels, extract, preprocess,
 similar, augment, sweep, train-eval, experiment) plus ``pipeline``, which runs
 filter -> labels -> extract -> preprocess -> augment -> train-eval on one
 config and writes a content-hash manifest, and ``report``, which prints the
-data funnel and the comparison table. Exit codes: 0 ok, 2 validation error,
-3 stage failure.
+data funnel and the comparison table. Exit codes follow the error's type:
+0 ok, 2 ``ValidationError``, 3 any other ``IssueforgeError`` or a missing file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import augmentation, classifier, extraction, github, ingestion, labels as labels_mod, similarity, textprep
 from .augmentation import AugmentationSpec, Method
-from .labels import IntentClass
+from .errors import IssueforgeError, ValidationError
+from .labels import INTENT_VALUES, IntentClass
 
 logger = logging.getLogger("issueforge")
 
@@ -34,18 +35,14 @@ EXIT_STAGE_FAILURE = 3
 MAX_SWEEP_RATIOS = 1001
 
 
-class ValidationError(Exception):
-    pass
-
-
-class StageFailure(Exception):
+class StageFailure(IssueforgeError):
     def __init__(self, stage: str, cause: Exception):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-class MissingArtifact(Exception):
+class MissingArtifact(IssueforgeError):
     pass
 
 
@@ -181,26 +178,9 @@ def _dump_json(obj, path: Path) -> Path:
     return path
 
 
-def _write_jsonl(rows: list[dict], path: Path | str, ensure_ascii: bool) -> None:
-    """One sorted-key JSON object per line; labels.jsonl keeps ASCII escapes, extracted.jsonl does not."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n")
-
-
-_INTENT_VALUES = frozenset(i.value for i in IntentClass)
-
-
 def _read_stage_rows(path: str, required: dict[str, type]) -> list[dict]:
-    """Rows of a stage's JSONL input; a bad line or intent value is a ValidationError."""
-    try:
-        rows = ingestion.parse_jsonl(Path(path), required)
-    except ingestion.SchemaViolation as exc:
-        raise ValidationError(str(exc)) from exc
-    for lineno, row in rows:
-        if not all(isinstance(i, str) and i in _INTENT_VALUES for i in row["intents"]):
-            raise ValidationError(f"{path}:{lineno}: intents must be drawn from {sorted(_INTENT_VALUES)}")
-    return [row for _, row in rows]
+    """Rows of a stage's JSONL input; a bad line or intent value is a SchemaViolation."""
+    return [row for _, row in ingestion.parse_jsonl(Path(path), required, {"intents": INTENT_VALUES})]
 
 
 # --- pipeline -----------------------------------------------------------------------
@@ -241,14 +221,14 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         current_stage = "labels"
         intents = labels_mod.assign_intents(corpus, lexicon, lists, config.min_label_frequency)
         label_rows = labels_mod.label_rows(corpus.issues, intents)
-        _write_jsonl(label_rows, stage_path("labels.jsonl"), ensure_ascii=True)
+        ingestion.write_jsonl(label_rows, stage_path("labels.jsonl"), ensure_ascii=True)
         logger.info("pipeline: labels assigned intents to %d/%d issues", len(intents), len(corpus.issues))
 
         # stage 3: target-section extraction (intent-labeled issues only), as `extract --labels` does it
         current_stage = "extract"
         labeled = {row["issue_id"]: row["intents"] for row in label_rows}
         extracted_rows, modes, per_pattern = extraction.extract_rows(corpus.issues, patterns, lists, labeled)
-        _write_jsonl(extracted_rows, stage_path("extracted.jsonl"), ensure_ascii=False)
+        ingestion.write_jsonl(extracted_rows, stage_path("extracted.jsonl"))
         funnel_report = {
             "funnel": {
                 "issues_total": issues_total,
@@ -280,10 +260,8 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
             top_k_similar=config.top_k_similar,
             include_same_app=config.include_same_app,
         )
-        rankings = None
-        if method is Method.WITHIN_CONTEXT:
-            rankings = similarity.rank_similar(spec.target_app, similarity.build_profiles(corpus, lists))
-        dataset = augmentation.augment_from_pool(primary, docs, spec, rankings)
+        profiles = similarity.build_profiles(corpus, lists) if method is Method.WITHIN_CONTEXT else None
+        dataset = augmentation.augment_from_pool(primary, docs, spec, profiles)
         augmentation.write_augmented(dataset, stage_path("augmented.jsonl"))
 
         # stage 6: train and evaluate both binary targets
@@ -400,7 +378,7 @@ def _cmd_labels(args) -> int:
     corpus = ingestion.load_corpus(getattr(args, "in"))
     lexicon = labels_mod.load_lexicon(args.lexicon, lists)
     rows = labels_mod.label_rows(corpus.issues, labels_mod.assign_intents(corpus, lexicon, lists, args.min_freq))
-    _write_jsonl(rows, args.out, ensure_ascii=True)
+    ingestion.write_jsonl(rows, args.out, ensure_ascii=True)
     print(f"assigned intents to {len(rows)}/{len(corpus.issues)} issues")
     return EXIT_OK
 
@@ -414,7 +392,7 @@ def _cmd_extract(args) -> int:
         label_rows = _read_stage_rows(args.labels, {"issue_id": str, "intents": list})
         intents = {row["issue_id"]: row["intents"] for row in label_rows}
     rows, modes, per_pattern = extraction.extract_rows(corpus.issues, patterns, lists, intents)
-    _write_jsonl(rows, args.out, ensure_ascii=False)
+    ingestion.write_jsonl(rows, args.out)
     n_considered = len(corpus.issues) if intents is None else sum(i.issue_id in intents for i in corpus.issues)
     if args.report:
         _dump_json(
@@ -451,34 +429,30 @@ def _cmd_similar(args) -> int:
     return EXIT_OK
 
 
-def _rankings_for(args, method: Method, lists) -> similarity.SimilarityRanking | None:
-    """The ranking of --app within --corpus for within-context, else None; checks both flags."""
+def _profiles_for(args, method: Method, lists) -> dict[str, similarity.RepoProfile] | None:
+    """The repo profiles of --corpus for within-context, else None; checks --app and --corpus."""
     if method is not Method.BETWEEN_APP and not args.app:
         raise ValidationError(f"{method.value} augmentation requires --app")
     if method is not Method.WITHIN_CONTEXT:
         return None
     if not args.corpus:
         raise ValidationError("within-context augmentation requires --corpus for profiles")
-    corpus = ingestion.load_corpus(args.corpus)
-    return similarity.rank_similar(args.app, similarity.build_profiles(corpus, lists))
+    return similarity.build_profiles(ingestion.load_corpus(args.corpus), lists)
 
 
 def _cmd_augment(args) -> int:
     method = Method(args.method)
-    try:
-        spec = AugmentationSpec(
-            method=method, ratio=args.ratio, seed=args.seed,
-            target_app=args.app if method is not Method.BETWEEN_APP else None,
-            top_k_similar=args.top, include_same_app=args.include_same_app,
-        )
-    except ValueError as exc:  # a ratio outside [0, 1], or no --app for within-app/within-context
-        raise ValidationError(str(exc)) from exc
+    spec = AugmentationSpec(
+        method=method, ratio=args.ratio, seed=args.seed,
+        target_app=args.app if method is not Method.BETWEEN_APP else None,
+        top_k_similar=args.top, include_same_app=args.include_same_app,
+    )
     lists = textprep.load_wordlists(args.lists)
-    rankings = _rankings_for(args, method, lists)
+    profiles = _profiles_for(args, method, lists)
     label_map = augmentation.load_label_map(args.labelmap)
     primary = augmentation.load_primary(args.primary, label_map, lists)
     pool = augmentation.load_docs(args.pool)
-    dataset = augmentation.augment_from_pool(primary, pool, spec, rankings)
+    dataset = augmentation.augment_from_pool(primary, pool, spec, profiles)
     augmentation.write_augmented(dataset, args.out)
     counts = dataset.origin_counts()
     print(f"wrote {counts['primary']} primary + {counts['auxiliary']} auxiliary rows")
@@ -514,7 +488,7 @@ def _cmd_sweep(args) -> int:
     ratios = _parse_ratios(args.ratios)
     lists = textprep.load_wordlists(args.lists)
     method = Method(args.method)
-    rankings = _rankings_for(args, method, lists)
+    profiles = _profiles_for(args, method, lists)
     label_map = augmentation.load_label_map(args.labelmap)
     primary = augmentation.load_primary(args.primary, label_map, lists)
     pool = augmentation.load_docs(args.pool)
@@ -525,7 +499,7 @@ def _cmd_sweep(args) -> int:
         args.seed,
         method=method,
         target_app=args.app if method is not Method.BETWEEN_APP else None,
-        rankings=rankings,
+        profiles=profiles,
         top_k_similar=args.top,
         include_same_app=args.include_same_app,
     )
@@ -545,19 +519,18 @@ def _cmd_sweep(args) -> int:
                 row[f"{target.value}_recall"] = report.mean_recall
                 row[f"{target.value}_f1"] = report.mean_f1
         trend_rows.append(row)
-    columns = list(trend_rows[0].keys())
-    with (out_dir / "trend.tsv").open("w", encoding="utf-8") as handle:
-        handle.write("\t".join(columns) + "\n")
-        for row in trend_rows:
-            handle.write("\t".join(_format_cell(row[c]) for c in columns) + "\n")
+    _write_tsv(trend_rows, list(trend_rows[0]), out_dir / "trend.tsv")
     print(f"wrote {len(datasets)} datasets and trend.tsv to {out_dir}")
     return EXIT_OK
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+def _write_tsv(rows: list[dict], columns: list[str], path: Path | str) -> None:
+    """A header line, then one line per row; floats with six decimals."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write("\t".join(columns) + "\n")
+        for row in rows:
+            cells = (f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c]) for c in columns)
+            handle.write("\t".join(cells) + "\n")
 
 
 def _cmd_train_eval(args) -> int:
@@ -614,21 +587,14 @@ def _cmd_experiment(args) -> int:
     label_map = augmentation.load_label_map(raw["label_map"])
     primary = augmentation.load_primary(raw["primary_csv"], label_map, lists)
     pool = augmentation.load_docs(raw["pool"])
-    seed = raw.get("seed", 0)
-    rankings = None
+    profiles = None
     if any(spec.method is Method.WITHIN_CONTEXT for spec in specs):
-        corpus = ingestion.load_corpus(raw["corpus_dir"])
-        profiles = similarity.build_profiles(corpus, lists)
-        target_app = next(s.target_app for s in specs if s.method is Method.WITHIN_CONTEXT)
-        rankings = similarity.rank_similar(target_app, profiles)
+        profiles = similarity.build_profiles(ingestion.load_corpus(raw["corpus_dir"]), lists)
     report = classifier.run_experiment(
-        primary, specs, pool, rankings=rankings, k=raw.get("k", 5), seed=seed
+        primary, specs, pool, profiles=profiles, k=raw.get("k", 5), seed=raw.get("seed", 0)
     )
     columns = ["target", "model", "precision", "recall", "f1", "delta_precision", "delta_recall", "delta_f1"]
-    with Path(args.out).open("w", encoding="utf-8") as handle:
-        handle.write("\t".join(columns) + "\n")
-        for row in report["rows"]:
-            handle.write("\t".join(_format_cell(row[c]) for c in columns) + "\n")
+    _write_tsv(report["rows"], columns, args.out)
     print(f"wrote comparison for {len(report['rows'])} models to {args.out}")
     return EXIT_OK
 
@@ -762,23 +728,10 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(args.verbose)
     try:
         return args.func(args)
-    except (ValidationError, augmentation.UnknownLabel) as exc:
+    except ValidationError as exc:
         logger.error("validation error: %s", exc)
         return EXIT_VALIDATION
-    except StageFailure as exc:
-        logger.error("%s", exc)
-        return EXIT_STAGE_FAILURE
-    except (
-        ingestion.CorpusError,
-        similarity.EmptyProfile,
-        augmentation.EmptyPool,
-        classifier.TooFewRows,
-        classifier.DegenerateLabels,
-        MissingArtifact,
-        github.AuthFailure,
-        github.RateLimited,
-        FileNotFoundError,
-    ) as exc:
+    except (IssueforgeError, FileNotFoundError) as exc:
         logger.error("%s: %s", type(exc).__name__, exc)
         return EXIT_STAGE_FAILURE
 

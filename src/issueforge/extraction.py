@@ -17,12 +17,13 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from .errors import ValidationError
 from .ingestion import RawIssue
 from .stemmer import stem
 from .textprep import DIGITS, WordLists, strip_noise, tokenize
 
 
-class MissingGold(Exception):
+class MissingGold(ValidationError):
     pass
 
 
@@ -83,11 +84,14 @@ def load_patterns(path: Path | str | None = None) -> PatternSet:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ValueError(f"{origin}:{lineno}: expected name<TAB>regex<TAB>flags")
+            raise ValidationError(f"{origin}:{lineno}: expected name<TAB>regex<TAB>flags")
         name, regex, flags = parts
         if not set(flags.strip()) <= _PATTERN_FLAGS:
-            raise ValueError(f"{origin}:{lineno}: flags must be drawn from B, F and O, got {flags.strip()!r}")
-        patterns.append(TitlePattern(name=name.strip(), regex=re.compile(regex)))
+            raise ValidationError(f"{origin}:{lineno}: flags must be drawn from B, F and O, got {flags.strip()!r}")
+        try:
+            patterns.append(TitlePattern(name=name.strip(), regex=re.compile(regex)))
+        except re.error as exc:
+            raise ValidationError(f"{origin}:{lineno}: invalid regex: {exc}") from exc
     return PatternSet(patterns=tuple(patterns))
 
 

@@ -19,6 +19,7 @@ from typing import Callable
 
 import requests
 
+from .errors import IssueforgeError
 from .ingestion import Corpus, RawIssue, RepoRecord, TemplateFile, write_corpus
 
 logger = logging.getLogger(__name__)
@@ -28,15 +29,15 @@ TEMPLATE_DIR = ".github/ISSUE_TEMPLATE"
 TEMPLATE_EXTENSIONS = (".md", ".yml", ".yaml")
 
 
-class AuthFailure(Exception):
+class AuthFailure(IssueforgeError):
     pass
 
 
-class RateLimited(Exception):
+class RateLimited(IssueforgeError):
     pass
 
 
-class NotFound(Exception):
+class NotFound(IssueforgeError):
     pass
 
 

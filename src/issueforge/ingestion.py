@@ -9,17 +9,21 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
+
+from .errors import IssueforgeError, ValidationError
 
 logger = logging.getLogger(__name__)
 
 
-class CorpusError(Exception):
+class CorpusError(ValidationError):
     pass
 
 
-class MissingFile(CorpusError):
+class MissingFile(IssueforgeError):
     pass
 
 
@@ -91,8 +95,14 @@ _TEMPLATE_FIELDS = {
 }
 
 
-def parse_jsonl(path: Path, required: dict[str, type]) -> list[tuple[int, dict]]:
-    """(line number, object) for each non-blank line; SchemaViolation names the first bad line."""
+def parse_jsonl(
+    path: Path, required: dict[str, type], allowed: dict[str, frozenset[str]] | None = None
+) -> list[tuple[int, dict]]:
+    """(line number, object) for each non-blank line; SchemaViolation names the first bad line.
+
+    A ``list`` field must hold strings. ``allowed`` gives the permitted values
+    of a required ``str`` field, or of each element of a required ``list`` field.
+    """
     rows: list[tuple[int, dict]] = []
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -113,6 +123,11 @@ def parse_jsonl(path: Path, required: dict[str, type]) -> list[tuple[int, dict]]
                         raise SchemaViolation(path.name, lineno, name, "expected a non-negative integer")
                 elif not isinstance(value, type_):
                     raise SchemaViolation(path.name, lineno, name, f"expected {type_.__name__}")
+                elif type_ is list and not all(map(isinstance, value, repeat(str))):
+                    raise SchemaViolation(path.name, lineno, name, "expected a list of strings")
+            for name, values in (allowed or {}).items():
+                if not values.issuperset(obj[name] if isinstance(obj[name], list) else (obj[name],)):
+                    raise SchemaViolation(path.name, lineno, name, f"values must be drawn from {sorted(values)}")
             rows.append((lineno, obj))
     return rows
 
@@ -146,9 +161,6 @@ def load_corpus(path: Path | str) -> Corpus:
         if row["issue_id"] in seen_issue_ids:
             raise SchemaViolation(issues_file.name, lineno, "issue_id", "duplicate issue_id")
         seen_issue_ids.add(row["issue_id"])
-        labels = row["labels"]
-        if not all(isinstance(label, str) for label in labels):
-            raise SchemaViolation(issues_file.name, lineno, "labels", "expected a list of strings")
         if row["repo_id"] not in repos:
             raise DanglingRepoRef(
                 f"{issues_file.name}:{lineno}: issue {row['issue_id']!r} references unknown repo {row['repo_id']!r}"
@@ -159,7 +171,7 @@ def load_corpus(path: Path | str) -> Corpus:
                 repo_id=row["repo_id"],
                 title=row["title"],
                 body=row["body"],
-                label_names=tuple(labels),
+                label_names=tuple(row["labels"]),
                 created_at=row["created_at"],
             )
         )
@@ -184,47 +196,36 @@ def load_corpus(path: Path | str) -> Corpus:
     return Corpus(repos=repos, issues=issues, templates=templates)
 
 
+def write_jsonl(rows: Iterable[dict], path: Path | str, ensure_ascii: bool = False) -> Path:
+    """One sorted-key JSON object per line."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n")
+    return path
+
+
 def write_corpus(corpus: Corpus, path: Path | str) -> Path:
     """Write a corpus directory in the interchange schema, deterministically sorted."""
     base = Path(path)
     base.mkdir(parents=True, exist_ok=True)
-
-    def dump(obj: dict) -> str:
-        return json.dumps(obj, sort_keys=True, ensure_ascii=False)
-
-    with (base / "repos.jsonl").open("w", encoding="utf-8") as handle:
-        for record in sorted(corpus.repos.values(), key=lambda r: r.repo_id):
-            handle.write(
-                dump(
-                    {
-                        "repo_id": record.repo_id,
-                        "full_name": record.full_name,
-                        "contributors": record.contributors,
-                        "stars": record.stars,
-                        "readme_text": record.readme_text,
-                        "about_text": record.about_text,
-                    }
-                )
-                + "\n"
-            )
-    with (base / "issues.jsonl").open("w", encoding="utf-8") as handle:
-        for issue in sorted(corpus.issues, key=lambda i: (i.repo_id, i.issue_id)):
-            handle.write(
-                dump(
-                    {
-                        "issue_id": issue.issue_id,
-                        "repo_id": issue.repo_id,
-                        "title": issue.title,
-                        "body": issue.body,
-                        "labels": list(issue.label_names),
-                        "created_at": issue.created_at,
-                    }
-                )
-                + "\n"
-            )
-    with (base / "templates.jsonl").open("w", encoding="utf-8") as handle:
-        for template in sorted(corpus.templates, key=lambda t: (t.repo_id, t.path)):
-            handle.write(dump({"repo_id": template.repo_id, "path": template.path, "raw_text": template.raw_text}) + "\n")
+    repos = sorted(corpus.repos.values(), key=lambda r: r.repo_id)
+    write_jsonl(
+        ({"repo_id": r.repo_id, "full_name": r.full_name, "contributors": r.contributors, "stars": r.stars,
+          "readme_text": r.readme_text, "about_text": r.about_text} for r in repos),
+        base / "repos.jsonl",
+    )
+    issues = sorted(corpus.issues, key=lambda i: (i.repo_id, i.issue_id))
+    write_jsonl(
+        ({"issue_id": i.issue_id, "repo_id": i.repo_id, "title": i.title, "body": i.body,
+          "labels": list(i.label_names), "created_at": i.created_at} for i in issues),
+        base / "issues.jsonl",
+    )
+    templates = sorted(corpus.templates, key=lambda t: (t.repo_id, t.path))
+    write_jsonl(
+        ({"repo_id": t.repo_id, "path": t.path, "raw_text": t.raw_text} for t in templates),
+        base / "templates.jsonl",
+    )
     return base
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .errors import ValidationError
 from .ingestion import Corpus, RawIssue
 from .stemmer import stem
 from .textprep import WordLists
@@ -25,7 +26,10 @@ class IntentClass(str, Enum):
     OTHER = "other"
 
 
-class LexiconKeyNotNormalized(Exception):
+INTENT_VALUES = frozenset(i.value for i in IntentClass)
+
+
+class LexiconKeyNotNormalized(ValidationError):
     pass
 
 
@@ -120,9 +124,9 @@ def load_lexicon(path: Path | str, lists: WordLists) -> IntentLexicon:
         try:
             intent = IntentClass(class_name.strip())
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: unknown intent class {class_name.strip()!r}")
+            raise ValidationError(f"{path}:{lineno}: unknown intent class {class_name.strip()!r}")
         if surface in entries and entries[surface] is not intent:
-            raise ValueError(f"{path}:{lineno}: surface {surface!r} mapped to more than one class")
+            raise ValidationError(f"{path}:{lineno}: surface {surface!r} mapped to more than one class")
         entries[surface] = intent
     lexicon = IntentLexicon(entries=entries, provenance=str(path))
     validate_lexicon(lexicon, lists)
@@ -133,7 +137,7 @@ def validate_lexicon(lexicon: IntentLexicon, lists: WordLists) -> None:
     for surface in lexicon.entries:
         if normalize_label(surface, lists) != surface:
             raise LexiconKeyNotNormalized(
-                f"lexicon key {surface!r} is not in normalized surface form "
+                f"{lexicon.provenance}: lexicon key {surface!r} is not in normalized surface form "
                 f"(normalizes to {normalize_label(surface, lists)!r})"
             )
 

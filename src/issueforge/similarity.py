@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass
 
+from .errors import IssueforgeError
 from .extraction import normalize_title, split_with_preamble
 from .ingestion import Corpus, RepoRecord
 from .textprep import WordLists, preprocess
@@ -19,7 +20,7 @@ from .textprep import WordLists, preprocess
 logger = logging.getLogger(__name__)
 
 
-class EmptyProfile(Exception):
+class EmptyProfile(IssueforgeError):
     pass
 
 

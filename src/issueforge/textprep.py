@@ -14,6 +14,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from .errors import ValidationError
 from .stemmer import stem
 
 
@@ -62,7 +63,7 @@ def load_wordlists(directory: Path | str | None = None) -> WordLists:
     base = Path(directory) if directory is not None else default_data_dir()
     modifiers = _read_lines(base / "negative_modifiers.txt")
     if len(modifiers) != 44:
-        raise ValueError(f"negative modifier list must have 44 entries, found {len(modifiers)}")
+        raise ValidationError(f"{base / 'negative_modifiers.txt'}: must have 44 entries, found {len(modifiers)}")
     phrases = tuple(_read_lines(base / "special_phrases.txt"))
     stop = set()
     for word in _read_lines(base / "stopwords.txt"):

@@ -529,3 +529,121 @@ def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path):
     for name in ("labels.jsonl", "extracted.jsonl"):
         staged_lines = (tmp_path / name).read_bytes().splitlines()
         assert sorted(staged_lines) == sorted((pipeline_dir / name).read_bytes().splitlines())
+
+
+def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypatch):
+    from issueforge import classifier, ingestion, similarity, textprep
+
+    *_, docs = staged
+    apps = ("r-podkit", "r-mapgo")
+    profiles = similarity.build_profiles(ingestion.load_corpus(DEMO), textprep.load_wordlists())
+    nearest = {app: similarity.rank_similar(app, profiles).ranked[0][0] for app in apps}
+    assert nearest["r-podkit"] != nearest["r-mapgo"]
+
+    sampled = {}
+    original = classifier.augment_from_pool
+
+    def recording(primary, pool, spec, *args, **kwargs):
+        dataset = original(primary, pool, spec, *args, **kwargs)
+        sampled[spec.target_app] = {row.doc.app_id for row in dataset.rows if row.origin == "auxiliary"}
+        return dataset
+
+    monkeypatch.setattr(classifier, "augment_from_pool", recording)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "primary_csv": str(DEMO / "primary_demo.csv"), "label_map": str(DEMO / "labelmap_demo.tsv"),
+        "pool": str(docs), "corpus_dir": str(DEMO), "seed": 2,
+        "specs": [{"method": "within-context", "ratio": 0.3, "target_app": app, "top_k_similar": 1} for app in apps],
+    }))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "comparison.tsv")]) == EXIT_OK
+    assert sampled == {app: {nearest[app]} for app in apps}
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _short_modifier_lists(tmp_path: Path) -> Path:
+    lists = tmp_path / "lists"
+    lists.mkdir()
+    for name in ("stopwords.txt", "special_phrases.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, lists / name)
+    _write(lists / "negative_modifiers.txt", "not\nnever\nno\n")
+    return lists
+
+
+def _augment(tmp_path, labelmap=DEMO / "labelmap_demo.tsv", primary=DEMO / "primary_demo.csv", pool=None):
+    return ["augment", "--primary", str(primary), "--labelmap", str(labelmap),
+            "--pool", str(pool or tmp_path / "unread.jsonl"), "--method", "between-app",
+            "--out", str(tmp_path / "out.jsonl")]
+
+
+def _train_eval(tmp_path, augmented_text):
+    return ["train-eval", "--data", str(_write(tmp_path / "aug.jsonl", augmented_text)), "--target", "bug",
+            "--out", str(tmp_path / "out.json")]
+
+
+def _corpus_with_bad_repos_line(tmp_path):
+    _write(tmp_path / "issues.jsonl", "")
+    return _write(tmp_path / "repos.jsonl", "{bad\n").parent
+
+
+BAD_INPUT_FILES = {
+    "patterns-four-columns": lambda t: [
+        "extract", "--in", str(DEMO), "--patterns", str(_write(t / "p.tsv", "P1\tcrash\tB\textra\n")),
+        "--out", str(t / "out.jsonl")],
+    "labelmap-unknown-class": lambda t: _augment(t, labelmap=_write(t / "map.tsv", "bug\tbugz\n")),
+    "lexicon-unknown-class": lambda t: [
+        "labels", "--in", str(DEMO), "--lexicon", str(_write(t / "lex.tsv", "crash\tcrashy\n")),
+        "--out", str(t / "out.jsonl")],
+    "lexicon-key-not-normalized": lambda t: [
+        "labels", "--in", str(DEMO), "--lexicon", str(_write(t / "lex.tsv", "Crash\tbug\n")),
+        "--out", str(t / "out.jsonl")],
+    "lists-three-modifiers": lambda t: [
+        "preprocess", "--in", str(t / "unread.jsonl"), "--lists", str(_short_modifier_lists(t)),
+        "--out", str(t / "out.jsonl")],
+    "primary-without-text-label-header": lambda t: _augment(t, primary=_write(t / "p.csv", "body,kind\nx,bug\n")),
+    "pool-line-without-fields": lambda t: _augment(t, pool=_write(t / "pool.jsonl", '{"doc_id": 1}\n')),
+    "augmented-line-without-fields": lambda t: _train_eval(t, '{"doc_id": 1}\n'),
+    "patterns-invalid-regex": lambda t: [
+        "extract", "--in", str(DEMO), "--patterns", str(_write(t / "p.tsv", "P1\tcrash(\tB\n")),
+        "--out", str(t / "out.jsonl")],
+    "primary-row-without-text": lambda t: _augment(t, primary=_write(t / "p.csv", "label,text\nbug\n")),
+    "pool-unknown-source": lambda t: _augment(t, pool=_write(
+        t / "pool.jsonl", '{"doc_id": "d", "source": "forum", "tokens": ["a"], "intents": ["bug"]}\n')),
+    "pool-token-not-a-string": lambda t: _augment(t, pool=_write(
+        t / "pool.jsonl", '{"doc_id": "d", "source": "review", "tokens": ["a", 1], "intents": ["bug"]}\n')),
+    "augmented-unknown-origin": lambda t: _train_eval(
+        t, '{"doc_id": "d", "origin": "x", "tokens": ["a"], "intents": ["bug"]}\n'),
+    "repos-line-not-json": lambda t: ["filter", "--in", str(_corpus_with_bad_repos_line(t)), "--out", str(t / "out")],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_FILES.values(), ids=BAD_INPUT_FILES.keys())
+def test_bad_input_file_is_a_validation_error(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [r["level"] for r in records].count("error") == 1
+    assert "Traceback" not in err
+
+
+def test_missing_labelmap_file_is_a_stage_failure(tmp_path):
+    assert main(_augment(tmp_path, labelmap=tmp_path / "missing.tsv")) == EXIT_STAGE_FAILURE
+
+
+def test_every_package_exception_derives_from_issueforge_error():
+    import importlib
+    import pkgutil
+
+    import issueforge
+    from issueforge.errors import IssueforgeError
+
+    found = []
+    for info in pkgutil.iter_modules(issueforge.__path__):
+        module = importlib.import_module(f"issueforge.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    assert len(found) >= 18
+    assert [cls.__name__ for cls in found if not issubclass(cls, IssueforgeError)] == []
