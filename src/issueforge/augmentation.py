@@ -43,8 +43,18 @@ DROP = "drop"
 DEFAULT_RATIO = 0.3
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AugmentationSpec:
+    """One auxiliary-selection setting; every field is checked, a method string becomes a ``Method``."""
+
     method: Method
     ratio: float = DEFAULT_RATIO
     seed: int = 0
@@ -53,20 +63,29 @@ class AugmentationSpec:
     include_same_app: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValidationError(f"ratio must be in [0, 1], got {self.ratio}")
+        try:
+            object.__setattr__(self, "method", Method(self.method))
+        except ValueError:
+            raise ValidationError(f"unknown method {self.method!r}") from None
+        if not _is_real(self.ratio) or not 0.0 <= self.ratio <= 1.0:
+            raise ValidationError(f"ratio must be a number in [0, 1], got {self.ratio!r}")
+        if not _is_int(self.seed):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.top_k_similar) or self.top_k_similar < 1:
+            raise ValidationError(f"top_k_similar must be an integer >= 1, got {self.top_k_similar!r}")
+        if not isinstance(self.include_same_app, bool):
+            raise ValidationError(f"include_same_app must be true or false, got {self.include_same_app!r}")
         if self.method is Method.BETWEEN_APP:
             if self.target_app is not None:
                 raise ValidationError("target_app is only meaningful for within-app/within-context")
-        elif self.target_app is None:
-            raise ValidationError(f"{self.method.value} requires a target_app")
+        elif not (isinstance(self.target_app, str) and self.target_app):
+            raise ValidationError(f"{self.method.value} requires a target_app string, got {self.target_app!r}")
 
 
 @dataclass(frozen=True)
 class PrimaryDataset:
     name: str
     rows: tuple[ProcessedDocument, ...]
-    label_map: dict[str, IntentClass | None]
 
 
 @dataclass(frozen=True)
@@ -153,7 +172,7 @@ def load_primary(
                     app_id=(record.get("app_id") or None),
                 )
             )
-    return PrimaryDataset(name=dataset_name, rows=tuple(rows), label_map=dict(label_map))
+    return PrimaryDataset(name=dataset_name, rows=tuple(rows))
 
 
 def _round_half_up(x: float) -> int:

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .augmentation import AugmentedRow, AugmentationSpec, PrimaryDataset, augment_from_pool
-from .errors import IssueforgeError
+from .augmentation import AugmentedRow, AugmentationSpec, PrimaryDataset, _is_int, augment_from_pool
+from .errors import IssueforgeError, ValidationError
 from .labels import IntentClass
 from .similarity import RepoProfile
 from .textprep import ProcessedDocument
@@ -239,6 +239,8 @@ def stratified_folds(
     positive counts differ by at most one; auxiliary rows join every training
     split and never a test fold. Assignment depends on doc_ids, not row order.
     """
+    if not _is_int(k) or k < 2:
+        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
     primary = [(row.doc.doc_id, i) for i, row in enumerate(rows) if row.origin == "primary"]
     auxiliary = [i for i, row in enumerate(rows) if row.origin != "primary"]
     primary.sort()

@@ -5,7 +5,8 @@ similar, augment, sweep, train-eval, experiment) plus ``pipeline``, which runs
 filter -> labels -> extract -> preprocess -> augment -> train-eval on one
 config and writes a content-hash manifest, and ``report``, which prints the
 data funnel and the comparison table. Exit codes follow the error's type:
-0 ok, 2 ``ValidationError``, 3 any other ``IssueforgeError`` or a missing file.
+0 ok, 2 ``ValidationError`` or a file that is not UTF-8, 3 any other
+``IssueforgeError`` or a file that cannot be read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import augmentation, classifier, extraction, github, ingestion, labels as labels_mod, similarity, textprep
-from .augmentation import AugmentationSpec, Method
+from .augmentation import AugmentationSpec, Method, _is_int, _is_real
 from .errors import IssueforgeError, ValidationError
 from .labels import INTENT_VALUES, IntentClass
 
@@ -60,18 +61,64 @@ def configure_logging(verbose: bool = False) -> None:
     root.setLevel(logging.DEBUG if verbose else logging.INFO)
 
 
-# --- pipeline config -------------------------------------------------------------
+# --- JSON configs -----------------------------------------------------------------
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+class _JsonConfig:
+    """``from_file`` for a dataclass config held in one JSON object.
 
+    The required keys are the fields without a default. ``PATHS`` name the
+    path fields: each is resolved against the config file's directory and must
+    exist. ``INTS`` maps each integer field to its lower bound, or None.
+    """
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    PATHS: tuple[str, ...] = ()
+    INTS: dict[str, int | None] = {}
+
+    @classmethod
+    def from_file(cls, path: Path | str):
+        path = Path(path)
+        if not path.exists():
+            raise ValidationError(f"config file not found: {path}")
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValidationError(f"config {path} must be a JSON object")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(raw) - {f.name for f in fields})
+        if unknown:
+            raise ValidationError(f"unknown config keys: {unknown}")
+        no_default = dataclasses.MISSING
+        required = [f.name for f in fields if f.default is no_default and f.default_factory is no_default]
+        missing = [name for name in required if name not in raw]
+        if missing:
+            raise ValidationError(f"config missing required keys: {missing}")
+        config = cls(**raw)
+        for name, low in cls.INTS.items():
+            value = getattr(config, name)
+            if not _is_int(value) or low is not None and value < low:
+                bound = "" if low is None else f" >= {low}"
+                raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+        for name in cls.PATHS:
+            value = getattr(config, name)
+            if value is None and name not in required:
+                continue
+            if not isinstance(value, str):
+                raise ValidationError(f"{name} must be a path string, got {value!r}")
+            resolved = path.parent / value
+            if not resolved.exists():
+                raise ValidationError(f"{name} does not exist: {resolved}")
+            setattr(config, name, str(resolved))
+        config.validate()
+        return config
+
+    def validate(self) -> None:
+        """Checks beyond key names, integers and paths."""
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(_JsonConfig):
     seed: int
     corpus_dir: str
     primary_csv: str
@@ -92,77 +139,61 @@ class PipelineConfig:
     learning_rate: float = 0.1
     l2: float = 1e-4
 
-    @classmethod
-    def from_file(cls, path: Path | str) -> "PipelineConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ValidationError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        missing = [name for name in ("seed", "corpus_dir", "primary_csv", "label_map") if name not in raw]
-        if missing:
-            raise ValidationError(f"config missing required keys: {missing}")
-        config = cls(**raw)
-        config.validate(base=path.parent)
-        return config
+    PATHS = ("corpus_dir", "primary_csv", "label_map", "lexicon", "patterns", "word_lists_dir")
+    INTS = {"folds": 2, "epochs": 1, "min_labeled_issues": 0, "min_contributors": 0, "min_label_frequency": 0}
 
-    def validate(self, base: Path | None = None) -> None:
-        base = base or Path.cwd()
-
-        def resolve(value: str) -> Path:
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
-        if not _is_int(self.seed):
-            raise ValidationError("seed must be an integer")
-        optional = ("lexicon", "patterns", "word_lists_dir", "target_app")
-        for name in ("corpus_dir", "primary_csv", "label_map", *optional):
-            value = getattr(self, name)
-            if not isinstance(value, str) and not (value is None and name in optional):
-                raise ValidationError(f"{name} must be a string, got {value!r}")
-        for name, low in (("folds", 2), ("epochs", 1), ("top_k_similar", 1),
-                          ("min_labeled_issues", 0), ("min_contributors", 0), ("min_label_frequency", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not _is_real(self.ratio) or not 0.0 <= self.ratio <= 1.0:
-            raise ValidationError(f"ratio must be a number in [0, 1], got {self.ratio!r}")
+    def validate(self) -> None:
         if not _is_real(self.learning_rate) or not 0.0 < self.learning_rate < math.inf:
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not _is_real(self.l2) or not 0.0 <= self.l2 < math.inf:
             raise ValidationError(f"l2 must be finite and >= 0, got {self.l2!r}")
-        if not isinstance(self.include_same_app, bool):
-            raise ValidationError(f"include_same_app must be true or false, got {self.include_same_app!r}")
-        for name in ("corpus_dir", "primary_csv", "label_map"):
-            value = getattr(self, name)
-            resolved = resolve(value)
-            if not resolved.exists():
-                raise ValidationError(f"{name} does not exist: {resolved}")
-            setattr(self, name, str(resolved))
-        for name in ("lexicon", "patterns", "word_lists_dir"):
-            value = getattr(self, name)
-            if value is not None:
-                resolved = resolve(value)
-                if not resolved.exists():
-                    raise ValidationError(f"{name} does not exist: {resolved}")
-                setattr(self, name, str(resolved))
-        try:
-            Method(self.method)
-        except ValueError:
-            raise ValidationError(f"unknown method {self.method!r}")
-        if Method(self.method) is not Method.BETWEEN_APP and not self.target_app:
-            raise ValidationError(f"method {self.method!r} requires target_app")
+        if self.target_app is not None and not isinstance(self.target_app, str):
+            raise ValidationError(f"target_app must be a string, got {self.target_app!r}")
+        self.spec()
+
+    def spec(self) -> AugmentationSpec:
+        """The augmentation setting; a between-app config's target_app is ignored."""
+        return AugmentationSpec(
+            method=self.method, ratio=self.ratio, seed=self.seed,
+            target_app=None if self.method == Method.BETWEEN_APP else self.target_app,
+            top_k_similar=self.top_k_similar, include_same_app=self.include_same_app,
+        )
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+@dataclass
+class ExperimentConfig(_JsonConfig):
+    label_map: str
+    primary_csv: str
+    pool: str
+    corpus_dir: str | None = None
+    word_lists_dir: str | None = None
+    seed: int = 0
+    k: int = 5
+    specs: list = dataclasses.field(default_factory=list)
+
+    PATHS = ("label_map", "primary_csv", "pool", "corpus_dir", "word_lists_dir")
+    INTS = {"seed": None, "k": 2}
+
+    def validate(self) -> None:
+        self.augmentation_specs()
+
+    def augmentation_specs(self) -> list[AugmentationSpec]:
+        """One spec per ``specs`` entry, with the config's seed unless the entry sets one."""
+        if not isinstance(self.specs, list) or not all(isinstance(entry, dict) for entry in self.specs):
+            raise ValidationError("experiment specs must be a list of objects")
+        specs = []
+        for i, entry in enumerate(self.specs):
+            try:
+                spec = AugmentationSpec(**{"seed": self.seed, **entry})
+            except (TypeError, ValidationError) as exc:  # TypeError: a missing or unknown spec key
+                raise ValidationError(f"spec {i}: {exc}") from exc
+            if spec.method is Method.WITHIN_CONTEXT and self.corpus_dir is None:
+                raise ValidationError(f"spec {i}: within-context needs corpus_dir in the config")
+            specs.append(spec)
+        return specs
 
 
 def _sha256_file(path: Path) -> str:
@@ -251,16 +282,8 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         # stage 5: primary loading and augmentation
         current_stage = "augment"
         primary = augmentation.load_primary(config.primary_csv, label_map, lists)
-        method = Method(config.method)
-        spec = AugmentationSpec(
-            method=method,
-            ratio=config.ratio,
-            seed=config.seed,
-            target_app=config.target_app if method is not Method.BETWEEN_APP else None,
-            top_k_similar=config.top_k_similar,
-            include_same_app=config.include_same_app,
-        )
-        profiles = similarity.build_profiles(corpus, lists) if method is Method.WITHIN_CONTEXT else None
+        spec = config.spec()
+        profiles = similarity.build_profiles(corpus, lists) if spec.method is Method.WITHIN_CONTEXT else None
         dataset = augmentation.augment_from_pool(primary, docs, spec, profiles)
         augmentation.write_augmented(dataset, stage_path("augmented.jsonl"))
 
@@ -429,30 +452,24 @@ def _cmd_similar(args) -> int:
     return EXIT_OK
 
 
-def _profiles_for(args, method: Method, lists) -> dict[str, similarity.RepoProfile] | None:
-    """The repo profiles of --corpus for within-context, else None; checks --app and --corpus."""
-    if method is not Method.BETWEEN_APP and not args.app:
-        raise ValidationError(f"{method.value} augmentation requires --app")
-    if method is not Method.WITHIN_CONTEXT:
-        return None
-    if not args.corpus:
+def _augment_from_args(args, ratios: list[float]) -> list[augmentation.AugmentedDataset]:
+    """augment/sweep: check the spec arguments before any input is read, then augment once per ratio."""
+    app = None if args.method == Method.BETWEEN_APP else args.app
+    spec = AugmentationSpec(args.method, ratios[0], args.seed, app, args.top, args.include_same_app)
+    within_context = spec.method is Method.WITHIN_CONTEXT
+    if within_context and not args.corpus:
         raise ValidationError("within-context augmentation requires --corpus for profiles")
-    return similarity.build_profiles(ingestion.load_corpus(args.corpus), lists)
+    lists = textprep.load_wordlists(args.lists)
+    profiles = similarity.build_profiles(ingestion.load_corpus(args.corpus), lists) if within_context else None
+    primary = augmentation.load_primary(args.primary, augmentation.load_label_map(args.labelmap), lists)
+    pool = augmentation.load_docs(args.pool)
+    return augmentation.sweep(primary, pool, ratios, spec.seed, method=spec.method, target_app=spec.target_app,
+                              profiles=profiles, top_k_similar=spec.top_k_similar,
+                              include_same_app=spec.include_same_app)
 
 
 def _cmd_augment(args) -> int:
-    method = Method(args.method)
-    spec = AugmentationSpec(
-        method=method, ratio=args.ratio, seed=args.seed,
-        target_app=args.app if method is not Method.BETWEEN_APP else None,
-        top_k_similar=args.top, include_same_app=args.include_same_app,
-    )
-    lists = textprep.load_wordlists(args.lists)
-    profiles = _profiles_for(args, method, lists)
-    label_map = augmentation.load_label_map(args.labelmap)
-    primary = augmentation.load_primary(args.primary, label_map, lists)
-    pool = augmentation.load_docs(args.pool)
-    dataset = augmentation.augment_from_pool(primary, pool, spec, profiles)
+    [dataset] = _augment_from_args(args, [args.ratio])
     augmentation.write_augmented(dataset, args.out)
     counts = dataset.origin_counts()
     print(f"wrote {counts['primary']} primary + {counts['auxiliary']} auxiliary rows")
@@ -485,24 +502,7 @@ def _parse_ratios(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    ratios = _parse_ratios(args.ratios)
-    lists = textprep.load_wordlists(args.lists)
-    method = Method(args.method)
-    profiles = _profiles_for(args, method, lists)
-    label_map = augmentation.load_label_map(args.labelmap)
-    primary = augmentation.load_primary(args.primary, label_map, lists)
-    pool = augmentation.load_docs(args.pool)
-    datasets = augmentation.sweep(
-        primary,
-        pool,
-        ratios,
-        args.seed,
-        method=method,
-        target_app=args.app if method is not Method.BETWEEN_APP else None,
-        profiles=profiles,
-        top_k_similar=args.top,
-        include_same_app=args.include_same_app,
-    )
+    datasets = _augment_from_args(args, _parse_ratios(args.ratios))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = augmentation.sweep_table(datasets)
@@ -545,54 +545,17 @@ def _cmd_train_eval(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(path: str) -> tuple[dict, list[AugmentationSpec]]:
-    """Read an ``experiment`` config; every malformed part is a ValidationError."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"experiment config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("experiment config must be a JSON object")
-    missing = [name for name in ("label_map", "primary_csv", "pool") if not isinstance(raw.get(name), str)]
-    if missing:
-        raise ValidationError(f"experiment config needs a path string for each of {missing}")
-    entries = raw.get("specs", [])
-    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
-        raise ValidationError("experiment specs must be a list of objects")
-    seed, k = raw.get("seed", 0), raw.get("k", 5)
-    if not _is_int(seed) or not _is_int(k) or k < 2:
-        raise ValidationError(f"experiment seed must be an integer and k an integer >= 2, got {seed!r} and {k!r}")
-    specs = []
-    for i, entry in enumerate(entries):
-        try:
-            spec = AugmentationSpec(
-                method=Method(entry.get("method")),
-                ratio=entry.get("ratio", augmentation.DEFAULT_RATIO),
-                seed=entry.get("seed", seed),
-                target_app=entry.get("target_app"),
-                top_k_similar=entry.get("top_k_similar", 3),
-                include_same_app=entry.get("include_same_app", False),
-            )
-        except (TypeError, ValueError) as exc:  # TypeError: a ratio that is not a number
-            raise ValidationError(f"spec {i}: {exc}") from exc
-        if spec.method is Method.WITHIN_CONTEXT and "corpus_dir" not in raw:
-            raise ValidationError(f"spec {i}: within-context needs corpus_dir in the config")
-        specs.append(spec)
-    return raw, specs
-
-
 def _cmd_experiment(args) -> int:
-    raw, specs = _experiment_config(args.config)
-    lists = textprep.load_wordlists(raw.get("word_lists_dir"))
-    label_map = augmentation.load_label_map(raw["label_map"])
-    primary = augmentation.load_primary(raw["primary_csv"], label_map, lists)
-    pool = augmentation.load_docs(raw["pool"])
+    config = ExperimentConfig.from_file(args.config)
+    specs = config.augmentation_specs()
+    lists = textprep.load_wordlists(config.word_lists_dir)
+    label_map = augmentation.load_label_map(config.label_map)
+    primary = augmentation.load_primary(config.primary_csv, label_map, lists)
+    pool = augmentation.load_docs(config.pool)
     profiles = None
     if any(spec.method is Method.WITHIN_CONTEXT for spec in specs):
-        profiles = similarity.build_profiles(ingestion.load_corpus(raw["corpus_dir"]), lists)
-    report = classifier.run_experiment(
-        primary, specs, pool, profiles=profiles, k=raw.get("k", 5), seed=raw.get("seed", 0)
-    )
+        profiles = similarity.build_profiles(ingestion.load_corpus(config.corpus_dir), lists)
+    report = classifier.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
     columns = ["target", "model", "precision", "recall", "f1", "delta_precision", "delta_recall", "delta_f1"]
     _write_tsv(report["rows"], columns, args.out)
     print(f"wrote comparison for {len(report['rows'])} models to {args.out}")
@@ -728,10 +691,10 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(args.verbose)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 is malformed content
         logger.error("validation error: %s", exc)
         return EXIT_VALIDATION
-    except (IssueforgeError, FileNotFoundError) as exc:
+    except (IssueforgeError, OSError) as exc:  # OSError: a missing or unreadable file
         logger.error("%s: %s", type(exc).__name__, exc)
         return EXIT_STAGE_FAILURE
 

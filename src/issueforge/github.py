@@ -41,6 +41,10 @@ class NotFound(IssueforgeError):
     pass
 
 
+class RequestFailed(IssueforgeError):
+    pass
+
+
 class _RateGate:
     """Serializes request starts to at most ``per_hour`` per hour."""
 
@@ -85,7 +89,10 @@ class Client:
         backoff = 1.0
         for attempt in range(self.max_retries + 1):
             self.gate.wait()
-            response = self.session.get(url, params=params, headers=self.headers, timeout=30)
+            try:
+                response = self.session.get(url, params=params, headers=self.headers, timeout=30)
+            except requests.RequestException as exc:
+                raise RequestFailed(f"{url}: {exc}") from exc
             if response.status_code == 401:
                 raise AuthFailure(f"authentication failed for {url}")
             if response.status_code == 404:
@@ -99,12 +106,17 @@ class Client:
                 self.sleeper(delay)
                 backoff *= 2
                 continue
-            response.raise_for_status()
+            if not response.ok:  # any other 4xx or 5xx
+                raise RequestFailed(f"HTTP {response.status_code} for {url}")
             return response
         raise RateLimited(url)
 
     def get_json(self, path: str, params: dict | None = None):
-        return self.get(path, params=params).json()
+        response = self.get(path, params=params)
+        try:
+            return response.json()
+        except ValueError as exc:  # requests' JSONDecodeError, e.g. a proxy's HTML page
+            raise RequestFailed(f"{response.url}: response is not JSON") from exc
 
     def paginate(self, path: str, params: dict | None = None) -> list:
         """Fetch every page of a list endpoint until exhaustion."""

@@ -40,7 +40,6 @@ PROFILE_SECTION_TITLES = (
 @dataclass(frozen=True)
 class RepoProfile:
     repo_id: str
-    tokens: tuple[str, ...]
     vector: dict[str, float]
 
 
@@ -124,11 +123,7 @@ def build_profiles(corpus: Corpus, lists: WordLists) -> dict[str, RepoProfile]:
         token_lists.append(tokens)
     if not ids:
         return {}
-    vectors = tfidf(token_lists)
-    return {
-        repo_id: RepoProfile(repo_id=repo_id, tokens=tuple(tokens), vector=vector)
-        for repo_id, tokens, vector in zip(ids, token_lists, vectors)
-    }
+    return {repo_id: RepoProfile(repo_id=repo_id, vector=vector) for repo_id, vector in zip(ids, tfidf(token_lists))}
 
 
 def rank_similar(query_repo: str, profiles: dict[str, RepoProfile]) -> SimilarityRanking:

@@ -102,28 +102,23 @@ _FENCED_CODE = re.compile(r"```.*?(?:```|\Z)", re.DOTALL)
 _INLINE_CODE = re.compile(r"`[^`\n]*`")
 _HTML_TAG = re.compile(r"<[^>\n]+>")
 _CHECKLIST_LINE = re.compile(r"^[ \t]*[-*+][ \t]+\[[ xX]\][^\n]*\n?", re.MULTILINE)
-# Two line-level heuristics for stack traces / error dumps; override via the
-# ``line_filters`` argument when a corpus needs different ones.
-STACK_FRAME_LINE = re.compile(r"^[ \t]*at[ \t]+[\w$.<>/]+\([^)\n]*\)[^\n]*\n?", re.MULTILINE)
-ERROR_MESSAGE_LINE = re.compile(r"^[ \t]*[\w.$]*(?:Exception|Error)\b[^\n]*\n?", re.MULTILINE)
+# line-level heuristics for stack traces / error dumps
+_STACK_FRAME_LINE = re.compile(r"^[ \t]*at[ \t]+[\w$.<>/]+\([^)\n]*\)[^\n]*\n?", re.MULTILINE)
+_ERROR_MESSAGE_LINE = re.compile(r"^[ \t]*[\w.$]*(?:Exception|Error)\b[^\n]*\n?", re.MULTILINE)
 _UNDERSCORE_PHRASE = re.compile(r"(?<!\w)_[^_\n]+_(?!\w)")
 _URL = re.compile(r"https?://[^\s)\]>]+|\bwww\.[^\s)\]>]+")
 _MENTION = re.compile(r"(?<![\w@])@[A-Za-z0-9][A-Za-z0-9-]*")
 _ISSUE_REF = re.compile(r"(?<![\w&])#\d+\b")
 
 
-def strip_noise(
-    text: str,
-    lists: WordLists,
-    line_filters: tuple[re.Pattern, ...] = (STACK_FRAME_LINE, ERROR_MESSAGE_LINE),
-) -> str:
+def strip_noise(text: str, lists: WordLists) -> str:
     """Remove the enumerated noise constructs, leaving all other text intact."""
     text = _FENCED_CODE.sub("", text)
     text = _INLINE_CODE.sub("", text)
     text = _HTML_TAG.sub("", text)
     text = _CHECKLIST_LINE.sub("", text)
-    for pattern in line_filters:
-        text = pattern.sub("", text)
+    text = _STACK_FRAME_LINE.sub("", text)
+    text = _ERROR_MESSAGE_LINE.sub("", text)
     text = _UNDERSCORE_PHRASE.sub("", text)
     text = _URL.sub("", text)
     text = _MENTION.sub("", text)

@@ -23,6 +23,7 @@ from issueforge.augmentation import (
     write_augmented,
     write_docs,
 )
+from issueforge.errors import ValidationError
 from issueforge.labels import IntentClass
 from issueforge.similarity import SimilarityRanking
 from issueforge.textprep import ProcessedDocument, Source, default_data_dir
@@ -48,7 +49,7 @@ def primary_of(n: int) -> PrimaryDataset:
         )
         for i in range(n)
     )
-    return PrimaryDataset(name="pd", rows=rows, label_map={})
+    return PrimaryDataset(name="pd", rows=rows)
 
 
 # --- label maps and primary loading ------------------------------------------------------
@@ -266,3 +267,27 @@ def test_augmented_round_trip(tmp_path):
     assert {(r.doc.doc_id, r.origin) for r in rows} == {(r.doc.doc_id, r.origin) for r in dataset.rows}
     first_line = json.loads(path.read_text().splitlines()[0])
     assert set(first_line) == {"doc_id", "origin", "tokens", "intents"}
+
+
+BAD_SPEC_FIELDS = {
+    "method-unknown": {"method": "cross-app"},
+    "method-a-number": {"method": 5},
+    "ratio-a-bool": {"ratio": True},
+    "ratio-a-string": {"ratio": "0.3"},
+    "ratio-nan": {"ratio": float("nan")},
+    "seed-a-string": {"seed": "x"},
+    "seed-a-bool": {"seed": False},
+    "top-k-similar-0": {"top_k_similar": 0},
+    "top-k-similar-a-float": {"top_k_similar": 2.0},
+    "include-same-app-a-string": {"include_same_app": "no"},
+    "target-app-for-between-app": {"target_app": "a1"},
+    "target-app-missing": {"method": "within-context"},
+    "target-app-a-number": {"method": "within-app", "target_app": 5},
+}
+
+
+@pytest.mark.parametrize("changes", BAD_SPEC_FIELDS.values(), ids=BAD_SPEC_FIELDS.keys())
+def test_spec_checks_each_field(changes):
+    assert AugmentationSpec(method="within-app", target_app="a1").method is Method.WITHIN_APP
+    with pytest.raises(ValidationError):
+        AugmentationSpec(**{"method": "between-app", **changes})

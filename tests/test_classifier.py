@@ -360,7 +360,7 @@ def primary_dataset(n_pos: int = 15, n_neg: int = 15) -> PrimaryDataset:
                 intents=frozenset({IntentClass.FEATURE_REQUEST}),
             )
         )
-    return PrimaryDataset(name="toy", rows=tuple(rows), label_map={})
+    return PrimaryDataset(name="toy", rows=tuple(rows))
 
 
 def test_experiment_empty_spec_list_is_baseline_only():
@@ -394,6 +394,6 @@ def test_experiment_needs_feature_rows_too():
         )
     for i in range(10):
         rows.append(doc(f"o{i}", ("love", "great", "app"), False))
-    primary = PrimaryDataset(name="mixed", rows=tuple(rows), label_map={})
+    primary = PrimaryDataset(name="mixed", rows=tuple(rows))
     report = run_experiment(primary, [], [], k=5, seed=1)
     assert len(report["rows"]) == 2

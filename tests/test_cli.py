@@ -281,7 +281,7 @@ def _experiment_config(**changes):
     config = {
         "primary_csv": str(DEMO / "primary_demo.csv"),
         "label_map": str(DEMO / "labelmap_demo.tsv"),
-        "pool": "unread.jsonl",
+        "pool": str(default_data_dir() / "synthetic_recall" / "pool.jsonl"),
         "specs": [{"method": "between-app", "ratio": 0.3}],
     }
     config.update(changes)
@@ -647,3 +647,112 @@ def test_every_package_exception_derives_from_issueforge_error():
                   if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
     assert len(found) >= 18
     assert [cls.__name__ for cls in found if not issubclass(cls, IssueforgeError)] == []
+
+
+# --- inputs that exited 0, 1 or 3 before each config had one reader and each spec checked itself -----
+
+WITHIN_CONTEXT_SPEC = {"method": "within-context", "target_app": "r-podkit"}
+
+
+def _experiment(t, **changes):
+    config = _write(t / "exp.json", _experiment_config(**changes))
+    return ["experiment", "--config", str(config), "--out", str(t / "comparison.tsv")]
+
+
+def _within_context(command, t, inputs, *extra):
+    out = ["--out", str(t / "out.jsonl")] if command == "augment" else ["--out-dir", str(t / "sweep")]
+    return [command, "--primary", str(DEMO / "primary_demo.csv"), "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(inputs["docs"]), "--method", "within-context", "--app", "r-podkit",
+            "--corpus", str(inputs["corpus"]), *extra, *out]
+
+
+def _sweep_train(t, inputs, k):
+    return ["sweep", "--primary", str(DEMO / "primary_demo.csv"), "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(inputs["docs"]), "--ratios", "0.3", "--train", "--k", k, "--out-dir", str(t / "sweep")]
+
+
+def _train_eval_k(t, inputs, k):
+    return ["train-eval", "--data", str(inputs["augmented"]), "--target", "bug", "--k", k,
+            "--out", str(t / "out.json")]
+
+
+def _write_bytes(path: Path, data: bytes) -> Path:
+    path.write_bytes(data)
+    return path
+
+
+CHANGED_EXIT_CODES = {
+    "experiment-unknown-key": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, specs=None, spec=[{"method": "between-app", "ratio": 0.3}])),
+    "experiment-missing-pool": (EXIT_VALIDATION, lambda t, i: _experiment(t, pool="missing.jsonl")),
+    "experiment-top-k-similar-a-string": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, corpus_dir=str(DEMO), specs=[{**WITHIN_CONTEXT_SPEC, "top_k_similar": "x"}])),
+    "experiment-corpus-dir-a-number": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, corpus_dir=5, specs=[WITHIN_CONTEXT_SPEC])),
+    "experiment-word-lists-dir-a-number": (EXIT_VALIDATION, lambda t, i: _experiment(t, word_lists_dir=5)),
+    "experiment-include-same-app-a-string": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, specs=[{"method": "between-app", "include_same_app": "no"}])),
+    "experiment-ratio-a-bool": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, specs=[{"method": "between-app", "ratio": True}])),
+    "experiment-spec-seed-a-string": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, specs=[{"method": "between-app", "seed": "x"}])),
+    "experiment-spec-unknown-key": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, specs=[{"method": "between-app", "ratio": 0.3, "ratios": [0.5]}])),
+    "augment-top-negative": (EXIT_VALIDATION, lambda t, i: _within_context("augment", t, i, "--top", "-1")),
+    "augment-top-0": (EXIT_VALIDATION, lambda t, i: _within_context("augment", t, i, "--top", "0")),
+    "sweep-top-negative": (EXIT_VALIDATION, lambda t, i: _within_context("sweep", t, i, "--top", "-1")),
+    "sweep-top-0": (EXIT_VALIDATION, lambda t, i: _within_context("sweep", t, i, "--top", "0")),
+    "train-eval-k-0": (EXIT_VALIDATION, lambda t, i: _train_eval_k(t, i, "0")),
+    "train-eval-k-1": (EXIT_VALIDATION, lambda t, i: _train_eval_k(t, i, "1")),
+    "sweep-train-k-0": (EXIT_VALIDATION, lambda t, i: _sweep_train(t, i, "0")),
+    "labelmap-latin-1": (EXIT_VALIDATION, lambda t, i: _augment(
+        t, labelmap=_write_bytes(t / "map.tsv", "café\tbug\n".encode("latin-1")))),
+    "labelmap-a-directory": (EXIT_STAGE_FAILURE, lambda t, i: _augment(t, labelmap=t)),
+}
+
+
+@pytest.mark.parametrize("code,argv", CHANGED_EXIT_CODES.values(), ids=CHANGED_EXIT_CODES.keys())
+def test_changed_input_exit_code(staged, pipeline_dir, tmp_path, capsys, code, argv):
+    _, filtered, _, _, docs = staged
+    inputs = {"docs": docs, "corpus": filtered, "augmented": pipeline_dir / "augmented.jsonl"}
+    assert main(argv(tmp_path, inputs)) == code
+    err = capsys.readouterr().err
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [r["level"] for r in records].count("error") == 1
+    assert "Traceback" not in err
+
+
+def test_harvest_connection_error_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    import requests
+
+    def refuse(self, url, **kwargs):
+        raise requests.ConnectionError(f"connection refused: {url}")
+
+    monkeypatch.setattr(requests.Session, "get", refuse)
+    repos = _write(tmp_path / "repos.txt", "demo/x\n")
+    argv = ["harvest", "--repos", str(repos), "--out", str(tmp_path / "h"), "--base-url", "http://127.0.0.1:9"]
+    assert main(argv) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert [json.loads(line)["level"] for line in err.splitlines()].count("error") == 1
+    assert "Traceback" not in err
+
+
+def test_experiment_paths_resolve_against_the_config_file(staged, tmp_path, monkeypatch):
+    *_, docs = staged
+    inputs = tmp_path / "configs" / "inputs"
+    inputs.mkdir(parents=True)
+    for source in (DEMO / "primary_demo.csv", DEMO / "labelmap_demo.tsv", docs):
+        shutil.copy(source, inputs / source.name)
+    specs = [{"method": "between-app", "ratio": 0.3}, {"method": "within-app", "ratio": 0.3, "target_app": "r-podkit"}]
+    absolute = _write(tmp_path / "absolute.json", json.dumps(
+        {"primary_csv": str(DEMO / "primary_demo.csv"), "label_map": str(DEMO / "labelmap_demo.tsv"),
+         "pool": str(docs), "seed": 3, "specs": specs}))
+    relative = _write(tmp_path / "configs" / "exp.json", json.dumps(
+        {"primary_csv": "inputs/primary_demo.csv", "label_map": "inputs/labelmap_demo.tsv",
+         "pool": f"inputs/{docs.name}", "seed": 3, "specs": specs}))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["experiment", "--config", str(absolute), "--out", "absolute.tsv"]) == EXIT_OK
+    assert main(["experiment", "--config", "../configs/exp.json", "--out", "relative.tsv"]) == EXIT_OK
+    assert (elsewhere / "relative.tsv").read_bytes() == (elsewhere / "absolute.tsv").read_bytes()

@@ -5,8 +5,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+import requests
 
-from issueforge.github import AuthFailure, Client, RateLimited, fetch_remote
+from issueforge.github import AuthFailure, Client, RateLimited, RequestFailed, fetch_remote
 from issueforge.ingestion import load_corpus
 
 
@@ -221,3 +222,34 @@ def test_refetch_is_idempotent(forge_server, tmp_path):
     out2 = fetch_remote(["demo/stable"], tmp_path / "b", base_url=url, sleeper=lambda s: None)
     for name in ("repos.jsonl", "issues.jsonl", "templates.jsonl"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class _StubSession:
+    """Answers every GET with ``outcome``: an exception to raise or a response to return."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def get(self, url, **kwargs):
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+def _response(status: int, body: bytes = b"{}") -> requests.Response:
+    response = requests.Response()
+    response.status_code = status
+    response._content = body
+    return response
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [requests.ConnectionError("connection refused"), requests.Timeout("read timed out"), _response(503),
+     _response(200, b"<html>proxy error</html>")],
+    ids=["connection-error", "timeout", "server-error", "body-not-json"],
+)
+def test_failed_request_is_an_issueforge_error(outcome):
+    client = Client(base_url="http://forge.invalid", session=_StubSession(outcome), sleeper=lambda s: None)
+    with pytest.raises(RequestFailed):
+        client.get_json("/repos/demo/x")

@@ -130,7 +130,7 @@ def make_profiles(token_lists: dict[str, list[str]]) -> dict[str, RepoProfile]:
     ids = sorted(token_lists)
     vectors = tfidf([token_lists[i] for i in ids])
     return {
-        repo_id: RepoProfile(repo_id=repo_id, tokens=tuple(token_lists[repo_id]), vector=vec)
+        repo_id: RepoProfile(repo_id=repo_id, vector=vec)
         for repo_id, vec in zip(ids, vectors)
     }
 
