@@ -235,33 +235,9 @@ def demo_corpus() -> None:
     add_issue("r-lowact", "Old crash", "Crashes on start.", ["bug"])
     add_issue("r-lowact", "Stale", "", [])
 
-    templates = [
-        {
-            "repo_id": "r-podkit",
-            "path": ".github/ISSUE_TEMPLATE/bug_report.md",
-            "raw_text": "---\nname: Bug report\nabout: Create a report to help us improve\n---\n\n**Describe the bug**\n\n**To Reproduce**\n\n**Expected behavior**\n",
-        },
-        {
-            "repo_id": "r-podkit",
-            "path": ".github/ISSUE_TEMPLATE/feature_request.yml",
-            "raw_text": "name: Feature request\ndescription: Suggest an idea for this project\nbody:\n  - type: textarea\n    attributes:\n      label: What feature would you like to see?\n",
-        },
-        {
-            "repo_id": "r-notely",
-            "path": ".github/ISSUE_TEMPLATE/usage_question.md",
-            "raw_text": "---\nname: Usage question\nabout: Ask how to use the app\n---\n\n### Ask your question\n",
-        },
-        {
-            "repo_id": "r-mapgo",
-            "path": ".github/ISSUE_TEMPLATE/tech_debt.md",
-            "raw_text": "---\nname: Tech debt\nabout: Internal cleanup work\n---\n\n### Scope\n",
-        },
-    ]
-
     out = DATA / "demo_corpus"
     jsonl(repos, out / "repos.jsonl")
     jsonl(issues, out / "issues.jsonl")
-    jsonl(templates, out / "templates.jsonl")
 
     reviews = []
     review_bug = [

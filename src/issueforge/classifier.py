@@ -31,11 +31,10 @@ class TooFewRows(IssueforgeError):
     pass
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    learning_rate: float = 0.1
-    l2: float = 1e-4
+# full-batch gradient descent settings
+EPOCHS = 50
+LEARNING_RATE = 0.1
+L2 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,6 @@ class LinearModel:
     space: FeatureSpace
     weights: np.ndarray
     bias: float
-    config: TrainConfig
     target: IntentClass
     loss_history: list[float] = field(default_factory=list)
 
@@ -141,10 +139,8 @@ def labels_for(rows: Sequence[AugmentedRow], target: IntentClass) -> np.ndarray:
     return np.array([1.0 if target in row.doc.intents else 0.0 for row in rows], dtype=np.float64)
 
 
-def train(
-    rows: Sequence[AugmentedRow], target: IntentClass, config: TrainConfig = TrainConfig()
-) -> LinearModel:
-    """Full-batch gradient descent on logistic loss; deterministic for a config."""
+def train(rows: Sequence[AugmentedRow], target: IntentClass) -> LinearModel:
+    """Full-batch gradient descent on logistic loss; deterministic."""
     y = labels_for(rows, target)
     if y.sum() == 0 or y.sum() == len(y):
         raise DegenerateLabels(f"training set has a single class for target {target.value}")
@@ -153,16 +149,14 @@ def train(
     weights = np.zeros(len(space.vocabulary), dtype=np.float64)
     bias = 0.0
     history: list[float] = []
-    for _ in range(config.epochs):
-        loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, config.l2)
+    for _ in range(EPOCHS):
+        loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, L2)
         history.append(loss)
-        weights = weights - config.learning_rate * grad_w
-        bias = bias - config.learning_rate * grad_b
-    final_loss, _, _ = loss_and_grad(weights, bias, X, y, config.l2)
+        weights = weights - LEARNING_RATE * grad_w
+        bias = bias - LEARNING_RATE * grad_b
+    final_loss, _, _ = loss_and_grad(weights, bias, X, y, L2)
     history.append(final_loss)
-    return LinearModel(
-        space=space, weights=weights, bias=bias, config=config, target=target, loss_history=history
-    )
+    return LinearModel(space=space, weights=weights, bias=bias, target=target, loss_history=history)
 
 
 def predict_proba(model: LinearModel, rows: Sequence[AugmentedRow]) -> np.ndarray:
@@ -232,6 +226,11 @@ def as_rows(docs: Sequence[ProcessedDocument], origin: str = "primary") -> list[
     return [AugmentedRow(doc=doc, origin=origin) for doc in docs]
 
 
+def check_folds(k: int) -> None:
+    if not _is_int(k) or k < 2:
+        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
+
+
 def stratified_folds(
     rows: Sequence[AugmentedRow], target: IntentClass, k: int = 5, seed: int = 0
 ) -> list[tuple[list[int], list[int]]]:
@@ -239,8 +238,7 @@ def stratified_folds(
     positive counts differ by at most one; auxiliary rows join every training
     split and never a test fold. Assignment depends on doc_ids, not row order.
     """
-    if not _is_int(k) or k < 2:
-        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
+    check_folds(k)
     primary = [(row.doc.doc_id, i) for i, row in enumerate(rows) if row.origin == "primary"]
     auxiliary = [i for i, row in enumerate(rows) if row.origin != "primary"]
     primary.sort()
@@ -292,18 +290,11 @@ class EvalReport:
         }
 
 
-def cross_validate(
-    rows: Sequence[AugmentedRow],
-    target: IntentClass,
-    k: int = 5,
-    seed: int = 0,
-    config: TrainConfig | None = None,
-) -> EvalReport:
+def cross_validate(rows: Sequence[AugmentedRow], target: IntentClass, k: int = 5, seed: int = 0) -> EvalReport:
     """Stratified k-fold evaluation; reported metrics are per-fold averages."""
-    config = config or TrainConfig()
     fold_metrics = []
     for train_idx, test_idx in stratified_folds(rows, target, k=k, seed=seed):
-        model = train([rows[i] for i in train_idx], target, config)
+        model = train([rows[i] for i in train_idx], target)
         fold_metrics.append(evaluate(model, [rows[i] for i in test_idx], target))
     return EvalReport(target=target, folds=fold_metrics)
 
@@ -315,7 +306,6 @@ def run_experiment(
     profiles: dict[str, RepoProfile] | None = None,
     k: int = 5,
     seed: int = 0,
-    config: TrainConfig | None = None,
 ) -> dict:
     """Baseline vs augmented comparison for both targets.
 
@@ -328,7 +318,7 @@ def run_experiment(
     # sampling depends on spec.seed alone, so every target sees the same rows
     datasets = [augment_from_pool(primary, list(pool), spec, profiles) for spec in specs]
     for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-        baseline = cross_validate(baseline_rows, target, k=k, seed=seed, config=config)
+        baseline = cross_validate(baseline_rows, target, k=k, seed=seed)
         comparison.append(
             {
                 "target": target.value,
@@ -342,7 +332,7 @@ def run_experiment(
             }
         )
         for spec, dataset in zip(specs, datasets):
-            report = cross_validate(dataset.rows, target, k=k, seed=seed, config=config)
+            report = cross_validate(dataset.rows, target, k=k, seed=seed)
             model_name = f"{spec.method.value}@r={spec.ratio:g}"
             if spec.include_same_app:
                 model_name += "+same"

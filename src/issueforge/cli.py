@@ -16,14 +16,13 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import augmentation, classifier, extraction, github, ingestion, labels as labels_mod, similarity, textprep
-from .augmentation import AugmentationSpec, Method, _is_int, _is_real
+from .augmentation import AugmentationSpec, Method, _is_int
 from .errors import IssueforgeError, ValidationError
 from .labels import INTENT_VALUES, IntentClass
 
@@ -135,18 +134,11 @@ class PipelineConfig(_JsonConfig):
     top_k_similar: int = 3
     include_same_app: bool = False
     folds: int = 5
-    epochs: int = 50
-    learning_rate: float = 0.1
-    l2: float = 1e-4
 
     PATHS = ("corpus_dir", "primary_csv", "label_map", "lexicon", "patterns", "word_lists_dir")
-    INTS = {"folds": 2, "epochs": 1, "min_labeled_issues": 0, "min_contributors": 0, "min_label_frequency": 0}
+    INTS = {"folds": 2, "min_labeled_issues": 0, "min_contributors": 0, "min_label_frequency": 0}
 
     def validate(self) -> None:
-        if not _is_real(self.learning_rate) or not 0.0 < self.learning_rate < math.inf:
-            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if not _is_real(self.l2) or not 0.0 <= self.l2 < math.inf:
-            raise ValidationError(f"l2 must be finite and >= 0, got {self.l2!r}")
         if self.target_app is not None and not isinstance(self.target_app, str):
             raise ValidationError(f"target_app must be a string, got {self.target_app!r}")
         self.spec()
@@ -289,12 +281,9 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 
         # stage 6: train and evaluate both binary targets
         current_stage = "train-eval"
-        config_train = classifier.TrainConfig(epochs=config.epochs, learning_rate=config.learning_rate, l2=config.l2)
         report = {"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows)}
         for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-            eval_report = classifier.cross_validate(
-                dataset.rows, target, k=config.folds, seed=config.seed, config=config_train
-            )
+            eval_report = classifier.cross_validate(dataset.rows, target, k=config.folds, seed=config.seed)
             report[target.value] = eval_report.as_dict()
         _dump_json(report, stage_path("report.json"))
     except Exception as exc:
@@ -438,6 +427,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_similar(args) -> int:
+    if args.top < 1:
+        raise ValidationError(f"--top must be an integer >= 1, got {args.top}")
     lists = textprep.load_wordlists(args.lists)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     profiles = similarity.build_profiles(corpus, lists)
@@ -502,6 +493,8 @@ def _parse_ratios(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.train:
+        classifier.check_folds(args.k)
     datasets = _augment_from_args(args, _parse_ratios(args.ratios))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -581,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="debug-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("harvest", help="fetch repos/issues/templates into a corpus directory")
+    p = sub.add_parser("harvest", help="fetch repos and issues into a corpus directory")
     p.add_argument("--repos", required=True, help="file with one full_name per line")
     p.add_argument("--out", required=True)
     p.add_argument("--token-env", default=None, help="env var holding the API token")

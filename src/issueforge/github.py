@@ -1,5 +1,5 @@
-"""REST client that materializes repositories, issues, and issue templates
-into the corpus-directory schema.
+"""REST client that materializes repositories and issues into the
+corpus-directory schema.
 
 Pagination runs until exhaustion, pull requests are dropped, missing repos are
 logged and skipped, and throttling/backoff keeps within a requests-per-hour
@@ -20,13 +20,11 @@ from typing import Callable
 import requests
 
 from .errors import IssueforgeError
-from .ingestion import Corpus, RawIssue, RepoRecord, TemplateFile, write_corpus
+from .ingestion import Corpus, RawIssue, RepoRecord, write_corpus
 
 logger = logging.getLogger(__name__)
 
 PER_PAGE = 100
-TEMPLATE_DIR = ".github/ISSUE_TEMPLATE"
-TEMPLATE_EXTENSIONS = (".md", ".yml", ".yaml")
 
 
 class AuthFailure(IssueforgeError):
@@ -145,7 +143,7 @@ def _decode_content(payload: dict) -> str:
     return content
 
 
-def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawIssue], list[TemplateFile]] | None:
+def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawIssue]] | None:
     try:
         repo = client.get_json(f"/repos/{full_name}")
     except NotFound:
@@ -174,27 +172,6 @@ def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawI
             )
         )
 
-    templates: list[TemplateFile] = []
-    try:
-        listing = client.get_json(f"/repos/{full_name}/contents/{TEMPLATE_DIR}")
-    except NotFound:
-        listing = []
-    for entry in listing:
-        name = entry.get("name", "")
-        if entry.get("type") != "file" or not name.endswith(TEMPLATE_EXTENSIONS):
-            continue
-        try:
-            payload = client.get_json(f"/repos/{full_name}/contents/{TEMPLATE_DIR}/{name}")
-        except NotFound:
-            continue
-        templates.append(
-            TemplateFile(
-                repo_id=repo_id,
-                path=f"{TEMPLATE_DIR}/{name}",
-                raw_text=_decode_content(payload),
-            )
-        )
-
     record = RepoRecord(
         repo_id=repo_id,
         full_name=full_name,
@@ -203,7 +180,7 @@ def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawI
         readme_text=readme_text,
         about_text=repo.get("description"),
     )
-    return record, issues, templates
+    return record, issues
 
 
 def fetch_remote(
@@ -233,9 +210,8 @@ def fetch_remote(
     for result in results:
         if result is None:
             continue
-        record, issues, templates = result
+        record, issues = result
         corpus.repos[record.repo_id] = record
         corpus.issues.extend(issues)
-        corpus.templates.extend(templates)
     # write_corpus sorts by (repo_id, issue_id), keeping output deterministic
     return write_corpus(corpus, out_dir)

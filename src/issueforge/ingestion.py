@@ -1,7 +1,7 @@
-"""Corpus model and on-disk interchange for repositories, issues, and templates.
+"""Corpus model and on-disk interchange for repositories and issues.
 
-A corpus directory holds three JSON-lines files (``repos.jsonl``,
-``issues.jsonl``, optional ``templates.jsonl``). Every pipeline stage works
+A corpus directory holds two JSON-lines files, ``repos.jsonl`` and
+``issues.jsonl``; any other file in it is ignored. Every pipeline stage works
 from this layout so the whole system is testable offline.
 """
 
@@ -60,18 +60,10 @@ class RawIssue:
     created_at: str
 
 
-@dataclass(frozen=True)
-class TemplateFile:
-    repo_id: str
-    path: str
-    raw_text: str
-
-
 @dataclass
 class Corpus:
     repos: dict[str, RepoRecord] = field(default_factory=dict)
     issues: list[RawIssue] = field(default_factory=list)
-    templates: list[TemplateFile] = field(default_factory=list)
 
 
 _REPO_FIELDS = {
@@ -87,11 +79,6 @@ _ISSUE_FIELDS = {
     "body": str,
     "labels": list,
     "created_at": str,
-}
-_TEMPLATE_FIELDS = {
-    "repo_id": str,
-    "path": str,
-    "raw_text": str,
 }
 
 
@@ -137,7 +124,6 @@ def load_corpus(path: Path | str) -> Corpus:
     base = Path(path)
     repos_file = base / "repos.jsonl"
     issues_file = base / "issues.jsonl"
-    templates_file = base / "templates.jsonl"
     for required_file in (repos_file, issues_file):
         if not required_file.exists():
             raise MissingFile(str(required_file))
@@ -176,15 +162,6 @@ def load_corpus(path: Path | str) -> Corpus:
             )
         )
 
-    templates: list[TemplateFile] = []
-    if templates_file.exists():
-        for lineno, row in parse_jsonl(templates_file, _TEMPLATE_FIELDS):
-            if row["repo_id"] not in repos:
-                raise DanglingRepoRef(
-                    f"{templates_file.name}:{lineno}: template {row['path']!r} references unknown repo {row['repo_id']!r}"
-                )
-            templates.append(TemplateFile(repo_id=row["repo_id"], path=row["path"], raw_text=row["raw_text"]))
-
     counts: dict[str, int] = {}
     for issue in issues:
         if issue.label_names:
@@ -193,7 +170,7 @@ def load_corpus(path: Path | str) -> Corpus:
         repo_id: replace(record, labeled_issue_count=counts.get(repo_id, 0))
         for repo_id, record in repos.items()
     }
-    return Corpus(repos=repos, issues=issues, templates=templates)
+    return Corpus(repos=repos, issues=issues)
 
 
 def write_jsonl(rows: Iterable[dict], path: Path | str, ensure_ascii: bool = False) -> Path:
@@ -221,24 +198,18 @@ def write_corpus(corpus: Corpus, path: Path | str) -> Path:
           "labels": list(i.label_names), "created_at": i.created_at} for i in issues),
         base / "issues.jsonl",
     )
-    templates = sorted(corpus.templates, key=lambda t: (t.repo_id, t.path))
-    write_jsonl(
-        ({"repo_id": t.repo_id, "path": t.path, "raw_text": t.raw_text} for t in templates),
-        base / "templates.jsonl",
-    )
     return base
 
 
 def filter_repos(corpus: Corpus, min_labeled_issues: int = 30, min_contributors: int = 2) -> Corpus:
     """Keep repos with more than ``min_labeled_issues`` labeled issues and at
-    least ``min_contributors`` contributors, plus only their issues/templates."""
+    least ``min_contributors`` contributors, plus only their issues."""
     kept = {
         repo_id: record
         for repo_id, record in corpus.repos.items()
         if record.labeled_issue_count > min_labeled_issues and record.contributors >= min_contributors
     }
     issues = [issue for issue in corpus.issues if issue.repo_id in kept]
-    templates = [template for template in corpus.templates if template.repo_id in kept]
     logger.info(
         "filter_repos: kept %d/%d repos, dropped %d repos and %d issues",
         len(kept),
@@ -246,4 +217,4 @@ def filter_repos(corpus: Corpus, min_labeled_issues: int = 30, min_contributors:
         len(corpus.repos) - len(kept),
         len(corpus.issues) - len(issues),
     )
-    return Corpus(repos=kept, issues=issues, templates=templates)
+    return Corpus(repos=kept, issues=issues)

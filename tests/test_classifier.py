@@ -10,7 +10,6 @@ from issueforge.augmentation import AugmentationSpec, AugmentedRow, Method, Prim
 from issueforge.classifier import (
     DegenerateLabels,
     TooFewRows,
-    TrainConfig,
     as_rows,
     build_feature_space,
     cross_validate,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -46,7 +47,7 @@ def test_pipeline_writes_seven_artifacts(pipeline_dir):
 # sha256 of every demo artifact; an optimization must leave all of them unchanged
 DEMO_ARTIFACT_HASHES = {
     "augmented.jsonl": "58a3d9b19b4877f5cdf55c97d14933de46e30d77d21388242fe4abf2a1511c82",
-    "corpus": "1a53b95ca61e806d9cac656ea9c1988f31972f14a2cf99b45ea29b87602b0176",
+    "corpus": "a835c6bf16ca482640cc668c69c8d94f099d7a8bf7453103d4c5ab3c043f0489",
     "docs.jsonl": "7c85af09fc813ef25007de0c803bbba0a34c88883f0f9eda979a1e8ae543a09c",
     "extracted.jsonl": "ee8e9f864098029a664cb188792dead40aae4f8c9558002521da375b4e89e47d",
     "extraction_report.json": "8d73759d624fb464c87ad265facc6ed6dc1226d47b0676deb8d29b3553f4fd33",
@@ -58,6 +59,14 @@ DEMO_ARTIFACT_HASHES = {
 def test_demo_artifact_hashes_are_pinned(pipeline_dir):
     manifest = json.loads((pipeline_dir / "manifest.json").read_text())
     assert manifest["artifacts"] == DEMO_ARTIFACT_HASHES
+
+
+def test_demo_corpus_artifact_holds_repos_and_issues_only(pipeline_dir):
+    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (pipeline_dir / "corpus").iterdir()}
+    assert files == {
+        "repos.jsonl": "79fe2727e3162b7ecac91bea81352310fd6a744359afd2a128085436b2379599",
+        "issues.jsonl": "0bd1b2adcbf23f33f5816a67277793ee20eed1d23adce981d2ca6c9659845be0",
+    }
 
 
 def test_pipeline_is_deterministic(pipeline_dir, tmp_path):
@@ -329,24 +338,28 @@ BAD_PIPELINE_FIELDS = {
     "folds-1": {"folds": 1},
     "folds-a-string": {"folds": "5"},
     "folds-a-float": {"folds": 5.0},
-    "epochs-negative": {"epochs": -1},
-    "epochs-0": {"epochs": 0},
     "top-k-similar-0": {"top_k_similar": 0},
     "min-labeled-issues-negative": {"min_labeled_issues": -1},
     "min-contributors-a-string": {"min_contributors": "2"},
     "min-label-frequency-a-string": {"min_label_frequency": "x"},
     "min-label-frequency-a-bool": {"min_label_frequency": True},
-    "learning-rate-0": {"learning_rate": 0},
-    "learning-rate-infinite": {"learning_rate": float("inf")},
-    "learning-rate-a-string": {"learning_rate": "0.1"},
-    "l2-negative": {"l2": -1e-4},
-    "l2-nan": {"l2": float("nan")},
     "include-same-app-a-string": {"include_same_app": "yes"},
     "include-same-app-an-int": {"include_same_app": 1},
     "corpus-dir-a-number": {"corpus_dir": 5},
     "lexicon-a-number": {"lexicon": 5},
     "method-a-number": {"method": 5},
     "target-app-a-number": {"target_app": 5},
+    # training settings are no longer config keys, whatever their value
+    "epochs-negative": {"epochs": -1},
+    "epochs-0": {"epochs": 0},
+    "epochs-default": {"epochs": 50},
+    "learning-rate-0": {"learning_rate": 0},
+    "learning-rate-infinite": {"learning_rate": float("inf")},
+    "learning-rate-a-string": {"learning_rate": "0.1"},
+    "learning-rate-default": {"learning_rate": 0.1},
+    "l2-negative": {"l2": -1e-4},
+    "l2-nan": {"l2": float("nan")},
+    "l2-default": {"l2": 1e-4},
 }
 
 
@@ -720,6 +733,23 @@ def test_changed_input_exit_code(staged, pipeline_dir, tmp_path, capsys, code, a
     records = [json.loads(line) for line in err.splitlines()]
     assert [r["level"] for r in records].count("error") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("top", ["-1", "0"])
+def test_similar_top_below_1_is_a_validation_error(tmp_path, top):
+    out = tmp_path / "ranking.json"
+    argv = ["similar", "--in", str(DEMO), "--query", "r-podkit", "--top", top, "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_sweep_train_checks_k_before_writing(staged, tmp_path):
+    *_, docs = staged
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--primary", str(DEMO / "primary_demo.csv"), "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(docs), "--ratios", "0.1,0.3", "--train", "--k", "0", "--out-dir", str(out_dir)]
+    assert main(argv) == EXIT_VALIDATION
+    assert not list(out_dir.glob("augmented_r*.jsonl"))
 
 
 def test_harvest_connection_error_is_a_stage_failure(tmp_path, capsys, monkeypatch):

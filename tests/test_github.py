@@ -21,14 +21,12 @@ class FakeForge:
         self.requests_seen: list[str] = []
 
     def add_repo(self, full_name: str, repo_id: int, issues: list[dict], stars: int = 10,
-                 contributors: int = 3, readme: str = "# Hello\n\nAn app.", description: str = "An app.",
-                 templates: dict[str, str] | None = None):
+                 contributors: int = 3, readme: str = "# Hello\n\nAn app.", description: str = "An app."):
         self.repos[full_name] = {
             "meta": {"id": repo_id, "full_name": full_name, "stargazers_count": stars, "description": description},
             "issues": issues,
             "contributors": [{"login": f"user{i}"} for i in range(contributors)],
             "readme": readme,
-            "templates": templates or {},
         }
 
 
@@ -79,16 +77,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send({"content": content, "encoding": "base64"})
         elif rest == ["issues"]:
             self._send(self._page(repo["issues"], page, per_page))
-        elif rest[:2] == ["contents", ".github"] and len(rest) == 3:
-            listing = [{"name": name, "type": "file"} for name in sorted(repo["templates"])]
-            self._send(listing)
-        elif rest[:2] == ["contents", ".github"] and len(rest) == 4:
-            name = rest[3]
-            if name not in repo["templates"]:
-                self._send({"message": "not found"}, 404)
-                return
-            content = base64.b64encode(repo["templates"][name].encode()).decode()
-            self._send({"content": content, "encoding": "base64"})
         else:
             self._send({"message": "not found"}, 404)
 
@@ -171,16 +159,10 @@ def test_pull_requests_excluded(forge_server, tmp_path):
 
 def test_templates_and_readme_fetched(forge_server, tmp_path):
     forge, url = forge_server
-    forge.add_repo(
-        "demo/tpl",
-        4,
-        make_issues(1),
-        templates={"bug_report.md": "---\nname: Bug report\n---\n", "notes.txt": "skip me"},
-    )
+    forge.add_repo("demo/tpl", 4, make_issues(1))
     out = fetch_remote(["demo/tpl"], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
     corpus = load_corpus(out)
-    assert len(corpus.templates) == 1
-    assert corpus.templates[0].path.endswith("bug_report.md")
+    assert not [path for path in forge.requests_seen if "/contents/" in path]
     assert corpus.repos["4"].readme_text.startswith("# Hello")
     assert corpus.repos["4"].about_text == "An app."
 
@@ -220,7 +202,7 @@ def test_refetch_is_idempotent(forge_server, tmp_path):
     forge.add_repo("demo/stable", 8, make_issues(7))
     out1 = fetch_remote(["demo/stable"], tmp_path / "a", base_url=url, sleeper=lambda s: None)
     out2 = fetch_remote(["demo/stable"], tmp_path / "b", base_url=url, sleeper=lambda s: None)
-    for name in ("repos.jsonl", "issues.jsonl", "templates.jsonl"):
+    for name in ("repos.jsonl", "issues.jsonl"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

@@ -194,12 +194,20 @@ def test_write_load_round_trip(tmp_path, corpus_dir):
     assert sorted(reloaded.issues, key=lambda i: i.issue_id) == sorted(
         corpus.issues, key=lambda i: i.issue_id
     )
-    assert reloaded.templates == corpus.templates
     # writing again is byte-identical
     again = tmp_path / "copy2"
     write_corpus(reloaded, again)
-    for name in ("repos.jsonl", "issues.jsonl", "templates.jsonl"):
+    for name in ("repos.jsonl", "issues.jsonl"):
         assert (out / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_stray_templates_file_is_ignored(corpus_dir):
+    stray = corpus_dir / "templates.jsonl"
+    write_jsonl(stray, [{"repo_id": "ghost", "path": ".github/ISSUE_TEMPLATE/bug.md", "raw_text": "x"}])
+    corpus = load_corpus(corpus_dir)
+    assert len(corpus.repos) == 3 and len(corpus.issues) == 10
+    write_corpus(corpus, corpus_dir)
+    assert json.loads(stray.read_text())["repo_id"] == "ghost"
 
 
 def test_round_trip_preserves_odd_strings(tmp_path):
