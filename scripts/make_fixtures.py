@@ -588,7 +588,7 @@ def synthetic_recall() -> None:
         spec = augmentation.AugmentationSpec(method=augmentation.Method.BETWEEN_APP, ratio=0.3, seed=seed)
         auxiliary, _ = augmentation.select_auxiliary(pool, spec, len(primary.rows))
         dataset = augmentation.augment(primary, auxiliary, spec)
-        baseline = classifier.cross_validate(classifier.as_rows(primary.rows), IntentClass.BUG_REPORT, seed=seed)
+        baseline = classifier.cross_validate(primary.rows, IntentClass.BUG_REPORT, seed=seed)
         augmented = classifier.cross_validate(dataset.rows, IntentClass.BUG_REPORT, seed=seed)
         print(
             f"  seed={seed} baseline R={baseline.mean_recall:.2f} P={baseline.mean_precision:.2f}"

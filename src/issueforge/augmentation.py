@@ -12,7 +12,7 @@ import csv
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -88,29 +88,27 @@ class PrimaryDataset:
     rows: tuple[ProcessedDocument, ...]
 
 
-@dataclass(frozen=True)
-class AugmentedRow:
-    doc: ProcessedDocument
-    origin: str  # "primary" | "auxiliary"
+def is_primary(doc: ProcessedDocument) -> bool:
+    """A row is primary (a review, which test folds may hold) or auxiliary (an issue document, train-only)."""
+    return doc.source is Source.REVIEW
 
 
 @dataclass
 class AugmentedDataset:
-    rows: list[AugmentedRow]
+    rows: list[ProcessedDocument]
     spec: AugmentationSpec | None
     shortfall: int = 0
 
     def origin_counts(self) -> dict[str, int]:
-        counts = {"primary": 0, "auxiliary": 0}
-        for row in self.rows:
-            counts[row.origin] += 1
-        return counts
+        n_primary = sum(map(is_primary, self.rows))
+        return {"primary": n_primary, "auxiliary": len(self.rows) - n_primary}
 
     def intent_counts(self) -> dict[str, dict[str, int]]:
         counts: dict[str, dict[str, int]] = {"primary": {}, "auxiliary": {}}
-        for row in self.rows:
-            for intent in sorted(i.value for i in row.doc.intents):
-                counts[row.origin][intent] = counts[row.origin].get(intent, 0) + 1
+        for doc in self.rows:
+            by_intent = counts["primary" if is_primary(doc) else "auxiliary"]
+            for intent in sorted(i.value for i in doc.intents):
+                by_intent[intent] = by_intent.get(intent, 0) + 1
         return counts
 
 
@@ -209,6 +207,9 @@ def select_auxiliary(
     """Sample the auxiliary subset without replacement; deterministic in
     (pool order, seed). Returns (rows, shortfall)."""
     candidates = candidate_pool(pool, spec, rankings)
+    review = next((doc for doc in candidates if is_primary(doc)), None)
+    if review is not None:
+        raise ValidationError(f"pool document {review.doc_id!r} is a review; auxiliary rows must be issue documents")
     if not candidates:
         raise EmptyPool(f"no candidate documents for {spec.method.value}")
     n = auxiliary_size(spec.ratio, n_primary)
@@ -230,9 +231,8 @@ def augment(
     auxiliary: list[ProcessedDocument],
     spec: AugmentationSpec | None = None,
 ) -> AugmentedDataset:
-    """Merge primary and auxiliary rows with origin tags, deterministically shuffled."""
-    rows = [AugmentedRow(doc=doc, origin="primary") for doc in primary.rows]
-    rows += [AugmentedRow(doc=doc, origin="auxiliary") for doc in auxiliary]
+    """Merge primary and auxiliary rows, deterministically shuffled; ``is_primary`` tells them apart."""
+    rows = [*primary.rows, *auxiliary]
     seed = spec.seed if spec is not None else 0
     random.Random(seed).shuffle(rows)
     dataset = AugmentedDataset(rows=rows, spec=spec)
@@ -307,9 +307,7 @@ def sweep_table(datasets: list[AugmentedDataset]) -> list[dict]:
 # --- issue documents and JSONL interchange ---------------------------------------
 
 _DOC_FIELDS = {"doc_id": str, "source": str, "tokens": list, "intents": list}
-_AUGMENTED_FIELDS = {"doc_id": str, "origin": str, "tokens": list, "intents": list}
 _SOURCES = frozenset(s.value for s in Source)
-_ORIGINS = frozenset({"primary", "auxiliary"})
 
 
 def docs_from_extracted(extracted_rows: list[dict], lists: WordLists) -> list[ProcessedDocument]:
@@ -343,7 +341,7 @@ def write_docs(docs: list[ProcessedDocument], path: Path | str) -> Path:
 
 
 def load_docs(path: Path | str) -> list[ProcessedDocument]:
-    """Documents of a pool JSONL file; a malformed line is a SchemaViolation naming it."""
+    """Documents of a pool or augmented-dataset JSONL file; a malformed line is a SchemaViolation naming it."""
     path = Path(path)
     docs = []
     for lineno, row in parse_jsonl(path, _DOC_FIELDS, {"source": _SOURCES, "intents": INTENT_VALUES}):
@@ -361,28 +359,3 @@ def load_docs(path: Path | str) -> list[ProcessedDocument]:
         )
     return docs
 
-
-def write_augmented(dataset: AugmentedDataset, path: Path | str) -> Path:
-    return write_jsonl(
-        ({"doc_id": row.doc.doc_id, "origin": row.origin, "tokens": list(row.doc.tokens),
-          "intents": sorted(i.value for i in row.doc.intents)} for row in dataset.rows),
-        path,
-    )
-
-
-def load_augmented(path: Path | str) -> list[AugmentedRow]:
-    """Rows of an augmented JSONL file; a malformed line is a SchemaViolation naming it."""
-    rows = []
-    for _, record in parse_jsonl(Path(path), _AUGMENTED_FIELDS, {"origin": _ORIGINS, "intents": INTENT_VALUES}):
-        rows.append(
-            AugmentedRow(
-                doc=ProcessedDocument(
-                    doc_id=record["doc_id"],
-                    source=Source.REVIEW if record["origin"] == "primary" else Source.ISSUE_BODY,
-                    tokens=tuple(record["tokens"]),
-                    intents=frozenset(IntentClass(i) for i in record["intents"]),
-                ),
-                origin=record["origin"],
-            )
-        )
-    return rows

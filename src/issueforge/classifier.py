@@ -2,8 +2,9 @@
 
 A deterministic logistic-regression model over tf-idf features stands in as
 the measurement instrument: one classifier per target intent (bug report,
-feature request), trained by full-batch gradient descent. Auxiliary-origin
-rows only ever augment training splits; test folds hold review rows.
+feature request), trained by full-batch gradient descent. Rows are processed
+documents: auxiliary rows (issue documents) only ever augment training splits;
+test folds hold primary rows (reviews, ``augmentation.is_primary``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .augmentation import AugmentedRow, AugmentationSpec, PrimaryDataset, _is_int, augment_from_pool
+from .augmentation import AugmentationSpec, PrimaryDataset, _is_int, augment_from_pool, is_primary
 from .errors import IssueforgeError, ValidationError
 from .labels import IntentClass
 from .similarity import RepoProfile
@@ -47,11 +48,11 @@ class FeatureSpace:
         return {term: i for i, term in enumerate(self.vocabulary)}
 
 
-def build_feature_space(rows: Sequence[AugmentedRow]) -> FeatureSpace:
+def build_feature_space(rows: Sequence[ProcessedDocument]) -> FeatureSpace:
     """Vocabulary and idf weights derived from training rows only."""
     df: dict[str, int] = {}
     for row in rows:
-        for term in set(row.doc.tokens):
+        for term in set(row.tokens):
             df[term] = df.get(term, 0) + 1
     vocabulary = tuple(sorted(df))
     n_docs = max(len(rows), 1)
@@ -88,13 +89,13 @@ class TfidfMatrix:
         return np.bincount(self.row_ids, weights=products, minlength=self.shape[0]).astype(np.float64, copy=False)
 
 
-def vectorize(space: FeatureSpace, rows: Sequence[AugmentedRow]) -> TfidfMatrix:
+def vectorize(space: FeatureSpace, rows: Sequence[ProcessedDocument]) -> TfidfMatrix:
     """Term-count times idf features; terms outside the vocabulary are ignored."""
     index = space.index
     n_terms = len(space.vocabulary)
-    lengths = np.array([len(row.doc.tokens) for row in rows], dtype=np.intp)
+    lengths = np.array([len(row.tokens) for row in rows], dtype=np.intp)
     columns = np.fromiter(
-        (index.get(term, -1) for row in rows for term in row.doc.tokens), dtype=np.intp, count=int(lengths.sum())
+        (index.get(term, -1) for row in rows for term in row.tokens), dtype=np.intp, count=int(lengths.sum())
     )
     row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
     known = columns >= 0
@@ -135,11 +136,11 @@ def loss_and_grad(
     return loss, grad_w, grad_b
 
 
-def labels_for(rows: Sequence[AugmentedRow], target: IntentClass) -> np.ndarray:
-    return np.array([1.0 if target in row.doc.intents else 0.0 for row in rows], dtype=np.float64)
+def labels_for(rows: Sequence[ProcessedDocument], target: IntentClass) -> np.ndarray:
+    return np.array([1.0 if target in row.intents else 0.0 for row in rows], dtype=np.float64)
 
 
-def train(rows: Sequence[AugmentedRow], target: IntentClass) -> LinearModel:
+def train(rows: Sequence[ProcessedDocument], target: IntentClass) -> LinearModel:
     """Full-batch gradient descent on logistic loss; deterministic."""
     y = labels_for(rows, target)
     if y.sum() == 0 or y.sum() == len(y):
@@ -159,7 +160,7 @@ def train(rows: Sequence[AugmentedRow], target: IntentClass) -> LinearModel:
     return LinearModel(space=space, weights=weights, bias=bias, target=target, loss_history=history)
 
 
-def predict_proba(model: LinearModel, rows: Sequence[AugmentedRow]) -> np.ndarray:
+def predict_proba(model: LinearModel, rows: Sequence[ProcessedDocument]) -> np.ndarray:
     X = vectorize(model.space, rows)
     return _sigmoid(X @ model.weights + model.bias)
 
@@ -209,7 +210,7 @@ def metrics_from_counts(tp: int, fp: int, tn: int, fn: int) -> FoldMetrics:
     )
 
 
-def evaluate(model: LinearModel, rows: Sequence[AugmentedRow], target: IntentClass) -> FoldMetrics:
+def evaluate(model: LinearModel, rows: Sequence[ProcessedDocument], target: IntentClass) -> FoldMetrics:
     if not rows:
         raise ValueError("evaluate requires a non-empty test set")
     probabilities = predict_proba(model, rows)
@@ -222,28 +223,23 @@ def evaluate(model: LinearModel, rows: Sequence[AugmentedRow], target: IntentCla
     return metrics_from_counts(tp, fp, tn, fn)
 
 
-def as_rows(docs: Sequence[ProcessedDocument], origin: str = "primary") -> list[AugmentedRow]:
-    return [AugmentedRow(doc=doc, origin=origin) for doc in docs]
-
-
 def check_folds(k: int) -> None:
     if not _is_int(k) or k < 2:
         raise ValidationError(f"k must be an integer >= 2, got {k!r}")
 
 
 def stratified_folds(
-    rows: Sequence[AugmentedRow], target: IntentClass, k: int = 5, seed: int = 0
+    rows: Sequence[ProcessedDocument], target: IntentClass, k: int = 5, seed: int = 0
 ) -> list[tuple[list[int], list[int]]]:
     """k (train, test) index splits. Primary rows are distributed so per-fold
     positive counts differ by at most one; auxiliary rows join every training
     split and never a test fold. Assignment depends on doc_ids, not row order.
     """
     check_folds(k)
-    primary = [(row.doc.doc_id, i) for i, row in enumerate(rows) if row.origin == "primary"]
-    auxiliary = [i for i, row in enumerate(rows) if row.origin != "primary"]
-    primary.sort()
-    positives = [i for _, i in primary if target in rows[i].doc.intents]
-    negatives = [i for _, i in primary if target not in rows[i].doc.intents]
+    primary = sorted((row.doc_id, i) for i, row in enumerate(rows) if is_primary(row))
+    auxiliary = [i for i, row in enumerate(rows) if not is_primary(row)]
+    positives = [i for _, i in primary if target in rows[i].intents]
+    negatives = [i for _, i in primary if target not in rows[i].intents]
     if len(positives) < k or len(negatives) < k:
         raise TooFewRows(
             f"need at least {k} positive and {k} negative primary rows, "
@@ -290,7 +286,7 @@ class EvalReport:
         }
 
 
-def cross_validate(rows: Sequence[AugmentedRow], target: IntentClass, k: int = 5, seed: int = 0) -> EvalReport:
+def cross_validate(rows: Sequence[ProcessedDocument], target: IntentClass, k: int = 5, seed: int = 0) -> EvalReport:
     """Stratified k-fold evaluation; reported metrics are per-fold averages."""
     fold_metrics = []
     for train_idx, test_idx in stratified_folds(rows, target, k=k, seed=seed):
@@ -314,11 +310,10 @@ def run_experiment(
     within-context spec ranks its own target app against ``profiles``.
     """
     comparison: list[dict] = []
-    baseline_rows = as_rows(primary.rows)
     # sampling depends on spec.seed alone, so every target sees the same rows
     datasets = [augment_from_pool(primary, list(pool), spec, profiles) for spec in specs]
     for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-        baseline = cross_validate(baseline_rows, target, k=k, seed=seed)
+        baseline = cross_validate(primary.rows, target, k=k, seed=seed)
         comparison.append(
             {
                 "target": target.value,

@@ -78,10 +78,7 @@ class _JsonConfig:
         path = Path(path)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+        raw = _read_json(path)
         if not isinstance(raw, dict):
             raise ValidationError(f"config {path} must be a JSON object")
         fields = dataclasses.fields(cls)
@@ -196,9 +193,23 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _dump_json(obj, path: Path) -> Path:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
     return path
+
+
+def _check_at_least(low: int, **options: int) -> None:
+    """A ValidationError for the first option below ``low``; an option ``min_freq`` is the flag ``--min-freq``."""
+    for name, value in options.items():
+        if value < low:
+            raise ValidationError(f"--{name.replace('_', '-')} must be an integer >= {low}, got {value}")
 
 
 def _read_stage_rows(path: str, required: dict[str, type]) -> list[dict]:
@@ -277,7 +288,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         spec = config.spec()
         profiles = similarity.build_profiles(corpus, lists) if spec.method is Method.WITHIN_CONTEXT else None
         dataset = augmentation.augment_from_pool(primary, docs, spec, profiles)
-        augmentation.write_augmented(dataset, stage_path("augmented.jsonl"))
+        augmentation.write_docs(dataset.rows, stage_path("augmented.jsonl"))
 
         # stage 6: train and evaluate both binary targets
         current_stage = "train-eval"
@@ -320,7 +331,11 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 
 
 def print_report(artifact_dir: Path | str, stream=None) -> dict:
-    """Human-readable funnel and metric summary for a finished pipeline run."""
+    """Human-readable funnel and metric summary for a finished pipeline run.
+
+    A missing artifact is a MissingArtifact; a malformed one, or a report
+    without the funnel counts or a mean for both targets, is a ValidationError.
+    """
     stream = stream or sys.stdout
     out = Path(artifact_dir)
     extraction_report = out / "extraction_report.json"
@@ -329,37 +344,35 @@ def print_report(artifact_dir: Path | str, stream=None) -> dict:
     for required in (extraction_report, report_file, docs_file):
         if not required.exists():
             raise MissingArtifact(str(required))
-    funnel_data = json.loads(extraction_report.read_text(encoding="utf-8"))["funnel"]
-    admitted_issues = {
-        json.loads(line)["doc_id"].rsplit(":", 1)[0]
-        for line in docs_file.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    }
-    funnel = [
-        ("raw issues", funnel_data["issues_filtered_corpus"]),
-        ("intent-labeled", funnel_data["issues_intent_labeled"]),
-        ("extracted", funnel_data["issues_extracted"]),
-        ("admitted", len(admitted_issues)),
-    ]
+    admitted_issues = {doc.doc_id.rsplit(":", 1)[0] for doc in augmentation.load_docs(docs_file)}
+    funnel_data, metrics = _read_json(extraction_report), _read_json(report_file)
+    try:
+        funnel = [
+            ("raw issues", funnel_data["funnel"]["issues_filtered_corpus"]),
+            ("intent-labeled", funnel_data["funnel"]["issues_intent_labeled"]),
+            ("extracted", funnel_data["funnel"]["issues_extracted"]),
+            ("admitted", len(admitted_issues)),
+        ]
+        means = {t: [float(metrics[t]["mean"][m]) for m in ("precision", "recall", "f1")] for t in ("bug", "feature")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{out}: extraction_report.json needs the funnel counts and report.json a mean for bug and feature "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     print("Data funnel:", file=stream)
     for name, count in funnel:
         print(f"  {name:<16} {count}", file=stream)
-    metrics = json.loads(report_file.read_text(encoding="utf-8"))
     print("Mean metrics per target:", file=stream)
     print(f"  {'target':<10} {'precision':>9} {'recall':>9} {'f1':>9}", file=stream)
-    for target in ("bug", "feature"):
-        if target in metrics:
-            mean = metrics[target]["mean"]
-            print(
-                f"  {target:<10} {mean['precision']:>9.3f} {mean['recall']:>9.3f} {mean['f1']:>9.3f}",
-                file=stream,
-            )
+    for target, (precision, recall, f1) in means.items():
+        print(f"  {target:<10} {precision:>9.3f} {recall:>9.3f} {f1:>9.3f}", file=stream)
     return {"funnel": funnel, "metrics": metrics}
 
 
 # --- subcommand handlers ---------------------------------------------------------------
 
 def _cmd_harvest(args) -> int:
+    _check_at_least(1, parallel=args.parallel, rate_limit=args.rate_limit)
     repo_names = [
         line.strip()
         for line in Path(args.repos).read_text(encoding="utf-8").splitlines()
@@ -378,6 +391,7 @@ def _cmd_harvest(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    _check_at_least(0, min_issues=args.min_issues, min_contributors=args.min_contributors)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     filtered = ingestion.filter_repos(corpus, args.min_issues, args.min_contributors)
     ingestion.write_corpus(filtered, args.out)
@@ -386,6 +400,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_labels(args) -> int:
+    _check_at_least(0, min_freq=args.min_freq)
     lists = textprep.load_wordlists(args.lists)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     lexicon = labels_mod.load_lexicon(args.lexicon, lists)
@@ -427,8 +442,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_similar(args) -> int:
-    if args.top < 1:
-        raise ValidationError(f"--top must be an integer >= 1, got {args.top}")
+    _check_at_least(1, top=args.top)
     lists = textprep.load_wordlists(args.lists)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     profiles = similarity.build_profiles(corpus, lists)
@@ -461,7 +475,7 @@ def _augment_from_args(args, ratios: list[float]) -> list[augmentation.Augmented
 
 def _cmd_augment(args) -> int:
     [dataset] = _augment_from_args(args, [args.ratio])
-    augmentation.write_augmented(dataset, args.out)
+    augmentation.write_docs(dataset.rows, args.out)
     counts = dataset.origin_counts()
     print(f"wrote {counts['primary']} primary + {counts['auxiliary']} auxiliary rows")
     return EXIT_OK
@@ -502,7 +516,7 @@ def _cmd_sweep(args) -> int:
     trend_rows = []
     for dataset, info in zip(datasets, table):
         name = f"augmented_r{info['ratio']:g}.jsonl"
-        augmentation.write_augmented(dataset, out_dir / name)
+        augmentation.write_docs(dataset.rows, out_dir / name)
         row = dict(info)
         row["file"] = name
         if args.train:
@@ -527,7 +541,7 @@ def _write_tsv(rows: list[dict], columns: list[str], path: Path | str) -> None:
 
 
 def _cmd_train_eval(args) -> int:
-    rows = augmentation.load_augmented(args.data)
+    rows = augmentation.load_docs(args.data)
     target = IntentClass.BUG_REPORT if args.target == "bug" else IntentClass.FEATURE_REQUEST
     report = classifier.cross_validate(rows, target, k=args.k, seed=args.seed)
     _dump_json(report.as_dict(), Path(args.out))
@@ -621,33 +635,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lists", default=None)
     p.set_defaults(func=_cmd_similar)
 
-    p = sub.add_parser("augment", help="merge a primary dataset with auxiliary issue documents")
-    p.add_argument("--primary", required=True)
-    p.add_argument("--labelmap", required=True)
-    p.add_argument("--pool", required=True)
+    # the arguments augment and sweep share; --method differs only in its default
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--primary", required=True)
+    selection.add_argument("--labelmap", required=True)
+    selection.add_argument("--pool", required=True)
+    selection.add_argument("--app", default=None)
+    selection.add_argument("--top", type=int, default=3)
+    selection.add_argument("--seed", type=int, default=0)
+    selection.add_argument("--include-same-app", action="store_true")
+    selection.add_argument("--corpus", default=None, help="corpus dir (profiles for within-context)")
+    selection.add_argument("--lists", default=None)
+
+    p = sub.add_parser("augment", parents=[selection], help="merge a primary dataset with auxiliary issue documents")
     p.add_argument("--method", required=True, choices=[m.value for m in Method])
-    p.add_argument("--app", default=None)
     p.add_argument("--ratio", type=float, default=augmentation.DEFAULT_RATIO)
-    p.add_argument("--top", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--include-same-app", action="store_true")
-    p.add_argument("--corpus", default=None, help="corpus dir (profiles for within-context)")
-    p.add_argument("--lists", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("sweep", help="augment at a range of volume ratios")
-    p.add_argument("--primary", required=True)
-    p.add_argument("--labelmap", required=True)
-    p.add_argument("--pool", required=True)
-    p.add_argument("--ratios", default="0:1:0.1", help='"start:stop:step" or comma list')
+    p = sub.add_parser("sweep", parents=[selection], help="augment at a range of volume ratios")
     p.add_argument("--method", default=Method.BETWEEN_APP.value, choices=[m.value for m in Method])
-    p.add_argument("--app", default=None)
-    p.add_argument("--top", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--include-same-app", action="store_true")
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--lists", default=None)
+    p.add_argument("--ratios", default="0:1:0.1", help='"start:stop:step" or comma list')
     p.add_argument("--train", action="store_true", help="cross-validate each ratio for the trend table")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--out-dir", required=True)

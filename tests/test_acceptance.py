@@ -124,10 +124,10 @@ def _rows_for_stratification(rng, n, positives, n_aux):
     for i in range(n):
         intents = frozenset({BUG}) if i < positives else frozenset({IntentClass.OTHER})
         doc = ProcessedDocument(doc_id=f"p{i:04d}", source=Source.REVIEW, tokens=("a", "b", "c"), intents=intents)
-        rows.append(augmentation.AugmentedRow(doc=doc, origin="primary"))
+        rows.append(doc)
     for i in range(n_aux):
         doc = ProcessedDocument(doc_id=f"x{i:04d}", source=Source.ISSUE_BODY, tokens=("a", "b", "c"), intents=frozenset({BUG}))
-        rows.append(augmentation.AugmentedRow(doc=doc, origin="auxiliary"))
+        rows.append(doc)
     rng.shuffle(rows)
     return rows
 
@@ -141,7 +141,7 @@ def test_c06_stratification_properties():
             positives = rng.randint(k, n - k)
             n_aux = rng.randint(0, 15)
             rows = _rows_for_stratification(rng, n, positives, n_aux)
-            aux_idx = {i for i, row in enumerate(rows) if row.origin == "auxiliary"}
+            aux_idx = {i for i, row in enumerate(rows) if not augmentation.is_primary(row)}
             folds = classifier.stratified_folds(rows, BUG, k=k, seed=rng.randint(0, 999))
             all_test: list[int] = []
             pos_counts = []
@@ -149,7 +149,7 @@ def test_c06_stratification_properties():
                 assert aux_idx & set(test_idx) == set()
                 assert aux_idx <= set(train_idx)
                 assert set(train_idx) & set(test_idx) == set()
-                pos_counts.append(sum(1 for i in test_idx if BUG in rows[i].doc.intents))
+                pos_counts.append(sum(1 for i in test_idx if BUG in rows[i].intents))
                 all_test.extend(test_idx)
             primary_idx = [i for i in range(len(rows)) if i not in aux_idx]
             assert sorted(all_test) == primary_idx
@@ -200,7 +200,7 @@ def test_c09_augmentation_recall_gap(lists):
             spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=seed)
             auxiliary, _ = augmentation.select_auxiliary(pool, spec, len(primary.rows))
             dataset = augmentation.augment(primary, auxiliary, spec)
-            baseline = classifier.cross_validate(classifier.as_rows(primary.rows), BUG, seed=seed)
+            baseline = classifier.cross_validate(primary.rows, BUG, seed=seed)
             augmented = classifier.cross_validate(dataset.rows, BUG, seed=seed)
             gap = augmented.mean_recall - baseline.mean_recall
             assert gap >= 0.10, f"seed {seed}: recall gap {gap:.3f}"
@@ -228,7 +228,7 @@ def test_c10_volume_ratio_sweep_mechanics(lists):
         assert expected_sizes == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
         assert all(row["shortfall"] == 0 for row in table)
         for target in (BUG, FEATURE):
-            baseline = classifier.cross_validate(classifier.as_rows(primary.rows), target, seed=3)
+            baseline = classifier.cross_validate(primary.rows, target, seed=3)
             at_zero = classifier.cross_validate(datasets[0].rows, target, seed=3)
             assert at_zero.as_dict() == baseline.as_dict()
 

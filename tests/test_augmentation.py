@@ -13,14 +13,13 @@ from issueforge.augmentation import (
     augment,
     auxiliary_size,
     candidate_pool,
-    load_augmented,
+    is_primary,
     load_docs,
     load_label_map,
     load_primary,
     select_auxiliary,
     sweep,
     sweep_table,
-    write_augmented,
     write_docs,
 )
 from issueforge.errors import ValidationError
@@ -196,8 +195,8 @@ def test_within_context_without_same_app():
 def test_empty_auxiliary_keeps_primary_rows():
     primary = primary_of(10)
     dataset = augment(primary, [])
-    assert {row.doc.doc_id for row in dataset.rows} == {d.doc_id for d in primary.rows}
-    assert all(row.origin == "primary" for row in dataset.rows)
+    assert {row.doc_id for row in dataset.rows} == {d.doc_id for d in primary.rows}
+    assert all(is_primary(row) for row in dataset.rows)
 
 
 def test_counts_after_merge():
@@ -214,7 +213,7 @@ def test_merge_shuffle_is_deterministic():
     spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=5)
     a = augment(primary, auxiliary, spec)
     b = augment(primary, auxiliary, spec)
-    assert [r.doc.doc_id for r in a.rows] == [r.doc.doc_id for r in b.rows]
+    assert [r.doc_id for r in a.rows] == [r.doc_id for r in b.rows]
 
 
 # --- sweep ----------------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_sweep_is_seed_stable():
     first = sweep(primary, pool, [0.2, 0.5], seed=9)
     second = sweep(primary, pool, [0.2, 0.5], seed=9)
     for a, b in zip(first, second):
-        assert [r.doc.doc_id for r in a.rows] == [r.doc.doc_id for r in b.rows]
+        assert [r.doc_id for r in a.rows] == [r.doc_id for r in b.rows]
 
 
 @given(st.integers(min_value=1, max_value=80), st.floats(min_value=0.0, max_value=1.0))
@@ -262,11 +261,22 @@ def test_docs_round_trip(tmp_path):
 def test_augmented_round_trip(tmp_path):
     primary = primary_of(4)
     dataset = augment(primary, [doc("aux1")], AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=0))
-    path = write_augmented(dataset, tmp_path / "augmented.jsonl")
-    rows = load_augmented(path)
-    assert {(r.doc.doc_id, r.origin) for r in rows} == {(r.doc.doc_id, r.origin) for r in dataset.rows}
-    first_line = json.loads(path.read_text().splitlines()[0])
-    assert set(first_line) == {"doc_id", "origin", "tokens", "intents"}
+    path = write_docs(dataset.rows, tmp_path / "augmented.jsonl")
+    loaded = load_docs(path)
+    assert loaded == dataset.rows
+    assert [row.doc_id for row in loaded if not is_primary(row)] == ["aux1"]
+    for line in path.read_text().splitlines():
+        assert set(json.loads(line)) == {"doc_id", "source", "app_id", "tokens", "intents"}
+
+
+def test_review_in_the_pool_is_a_validation_error():
+    pool = [doc("d0"), doc("d1"), primary_of(1).rows[0]]
+    spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=0)
+    with pytest.raises(ValidationError, match="pd:row0000"):
+        select_auxiliary(pool, spec, 10)
+    # a review that is no candidate (it has no app) is never sampled, so it is not refused
+    within = AugmentationSpec(method=Method.WITHIN_APP, ratio=0.3, target_app="a1")
+    assert select_auxiliary(pool, within, 10) == ([doc("d0"), doc("d1")], 1)
 
 
 BAD_SPEC_FIELDS = {

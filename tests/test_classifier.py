@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issueforge.augmentation import AugmentationSpec, AugmentedRow, Method, PrimaryDataset
+from issueforge.augmentation import AugmentationSpec, Method, PrimaryDataset, is_primary
 from issueforge.classifier import (
     DegenerateLabels,
     TooFewRows,
-    as_rows,
     build_feature_space,
     cross_validate,
     evaluate,
@@ -34,22 +33,20 @@ def doc(doc_id: str, tokens: tuple[str, ...], positive: bool, source=Source.REVI
     return ProcessedDocument(doc_id=doc_id, source=source, tokens=tokens, intents=intents)
 
 
-def make_rows(n_pos: int, n_neg: int, n_aux: int = 0, seed: int = 0) -> list[AugmentedRow]:
+def make_rows(n_pos: int, n_neg: int, n_aux: int = 0, seed: int = 0) -> list[ProcessedDocument]:
     rng = random.Random(seed)
     pos_vocab = ["crash", "freeze", "error", "broken"]
     neg_vocab = ["love", "great", "nice", "perfect"]
     rows = []
     for i in range(n_pos):
         tokens = tuple(rng.sample(pos_vocab, 2) + ["app"])
-        rows.append(AugmentedRow(doc=doc(f"p{i:03d}", tokens, True), origin="primary"))
+        rows.append(doc(f"p{i:03d}", tokens, True))
     for i in range(n_neg):
         tokens = tuple(rng.sample(neg_vocab, 2) + ["app"])
-        rows.append(AugmentedRow(doc=doc(f"n{i:03d}", tokens, False), origin="primary"))
+        rows.append(doc(f"n{i:03d}", tokens, False))
     for i in range(n_aux):
         tokens = tuple(rng.sample(pos_vocab, 2) + ["issue"])
-        rows.append(
-            AugmentedRow(doc=doc(f"x{i:03d}", tokens, True, source=Source.ISSUE_BODY), origin="auxiliary")
-        )
+        rows.append(doc(f"x{i:03d}", tokens, True, source=Source.ISSUE_BODY))
     return rows
 
 
@@ -59,7 +56,7 @@ def test_exact_divisibility():
     rows = make_rows(5, 5)
     folds = stratified_folds(rows, BUG, k=5, seed=1)
     for _, test_idx in folds:
-        y = [1 if BUG in rows[i].doc.intents else 0 for i in test_idx]
+        y = [1 if BUG in rows[i].intents else 0 for i in test_idx]
         assert sum(y) == 1 and len(y) == 2
 
 
@@ -67,7 +64,7 @@ def test_seven_positives_pigeonhole():
     rows = make_rows(7, 10)
     folds = stratified_folds(rows, BUG, k=5, seed=3)
     counts = sorted(
-        sum(1 for i in test_idx if BUG in rows[i].doc.intents) for _, test_idx in folds
+        sum(1 for i in test_idx if BUG in rows[i].intents) for _, test_idx in folds
     )
     assert counts == [1, 1, 1, 2, 2]
 
@@ -82,7 +79,7 @@ def test_folds_partition_primary_rows():
 
 def test_auxiliary_rows_train_only():
     rows = make_rows(8, 8, n_aux=6)
-    aux_idx = {i for i, row in enumerate(rows) if row.origin == "auxiliary"}
+    aux_idx = {i for i, row in enumerate(rows) if not is_primary(row)}
     folds = stratified_folds(rows, BUG, k=5, seed=4)
     for train_idx, test_idx in folds:
         assert aux_idx & set(test_idx) == set()
@@ -102,8 +99,8 @@ def test_fold_assignment_is_row_order_invariant():
     random.Random(9).shuffle(shuffled)
     folds_a = stratified_folds(rows, BUG, k=5, seed=7)
     folds_b = stratified_folds(shuffled, BUG, k=5, seed=7)
-    ids_a = [sorted(rows[i].doc.doc_id for i in test_idx) for _, test_idx in folds_a]
-    ids_b = [sorted(shuffled[i].doc.doc_id for i in test_idx) for _, test_idx in folds_b]
+    ids_a = [sorted(rows[i].doc_id for i in test_idx) for _, test_idx in folds_a]
+    ids_b = [sorted(shuffled[i].doc_id for i in test_idx) for _, test_idx in folds_b]
     assert ids_a == ids_b
 
 
@@ -134,7 +131,7 @@ def _finite_difference_check(rng: random.Random, n_rows: int = 12, n_terms: int 
     rows = []
     for i in range(n_rows):
         tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
-        rows.append(AugmentedRow(doc=doc(f"r{i}", tokens, rng.random() < 0.5), origin="primary"))
+        rows.append(doc(f"r{i}", tokens, rng.random() < 0.5))
     y = labels_for(rows, BUG)
     if y.sum() in (0, len(y)):
         y[0] = 1.0 - y[0]
@@ -183,7 +180,7 @@ def _dense_oracle(space, rows) -> np.ndarray:
     """Term-count matrix times idf, built cell by cell."""
     matrix = np.zeros((len(rows), len(space.vocabulary)))
     for i, row in enumerate(rows):
-        for term in row.doc.tokens:
+        for term in row.tokens:
             if term in space.vocabulary:
                 matrix[i, space.vocabulary.index(term)] += 1.0
     return matrix * space.idf
@@ -195,12 +192,12 @@ def _densify(X) -> np.ndarray:
     return dense
 
 
-def _random_rows(rng: random.Random, n_rows: int, vocab: list[str], max_len: int) -> list[AugmentedRow]:
+def _random_rows(rng: random.Random, n_rows: int, vocab: list[str], max_len: int) -> list[ProcessedDocument]:
     rows = []
     for i in range(n_rows):
         # lengths from 0 give rows with no term; a small vocabulary gives repeats
         tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(0, max_len)))
-        rows.append(AugmentedRow(doc=doc(f"r{i}", tokens, rng.random() < 0.5), origin="primary"))
+        rows.append(doc(f"r{i}", tokens, rng.random() < 0.5))
     return rows
 
 
@@ -211,7 +208,7 @@ def test_vectorize_matches_dense_oracle():
         train_rows = _random_rows(rng, rng.randint(1, 12), vocab, 8)
         space = build_feature_space(train_rows)
         test_rows = _random_rows(rng, rng.randint(0, 12), vocab + ["unseen1", "unseen2"], 8)
-        test_rows.append(AugmentedRow(doc=doc("oov", ("unseen1", "unseen2", "unseen1"), True), origin="primary"))
+        test_rows.append(doc("oov", ("unseen1", "unseen2", "unseen1"), True))
         for rows in (train_rows, test_rows, []):
             X = vectorize(space, rows)
             oracle = _dense_oracle(space, rows)
@@ -241,7 +238,7 @@ def test_sparse_products_match_dense():
         np.testing.assert_allclose(sparse_grad_w, dense_grad_w, rtol=1e-12, atol=1e-12)
         assert sparse_grad_b == pytest.approx(dense_grad_b, rel=1e-12, abs=1e-12)
     # a matrix with no stored entry still yields float zeros
-    empty = vectorize(space, [AugmentedRow(doc=doc("oov", ("unseen",), True), origin="primary")])
+    empty = vectorize(space, [doc("oov", ("unseen",), True)])
     assert empty.nnz == 0
     for product in (empty @ w, empty.T @ np.ones(1)):
         assert product.dtype == np.float64 and not product.any()
@@ -251,7 +248,7 @@ def test_feature_memory_is_linear_in_nonzeros():
     rng = random.Random(13)
     vocab = [f"t{j}" for j in range(15_000)]
     rows = [
-        AugmentedRow(doc=doc(f"r{i}", tuple(rng.choice(vocab) for _ in range(30)), i % 2 == 0), origin="primary")
+        doc(f"r{i}", tuple(rng.choice(vocab) for _ in range(30)), i % 2 == 0)
         for i in range(1_000)
     ]
     space = build_feature_space(rows)
@@ -313,9 +310,7 @@ def test_no_test_fold_leakage():
     model_before = train([rows[i] for i in train_idx], BUG)
     mutated = list(rows)
     victim = test_idx[0]
-    mutated[victim] = AugmentedRow(
-        doc=doc("mutant", ("totally", "different", "words"), True), origin="primary"
-    )
+    mutated[victim] = doc("mutant", ("totally", "different", "words"), True)
     model_after = train([mutated[i] for i in train_idx], BUG)
     assert np.array_equal(model_before.weights, model_after.weights)
     assert model_before.bias == model_after.bias
@@ -325,8 +320,8 @@ def test_no_test_fold_leakage():
 def test_vocabulary_from_training_rows_only():
     rows = make_rows(6, 6)
     space = build_feature_space(rows[:8])
-    test_terms = {t for row in rows[8:] for t in row.doc.tokens}
-    assert not any(t in space.vocabulary for t in test_terms - {t for r in rows[:8] for t in r.doc.tokens})
+    test_terms = {t for row in rows[8:] for t in row.tokens}
+    assert not any(t in space.vocabulary for t in test_terms - {t for r in rows[:8] for t in r.tokens})
 
 
 def test_cross_validate_reports_mean_of_folds():
@@ -349,7 +344,7 @@ def test_evaluate_requires_rows():
 # --- experiment -------------------------------------------------------------------------------
 
 def primary_dataset(n_pos: int = 15, n_neg: int = 15) -> PrimaryDataset:
-    rows = [row.doc for row in make_rows(n_pos, n_neg)]
+    rows = make_rows(n_pos, n_neg)
     for i in range(max(n_pos // 2, 5)):
         rows.append(
             ProcessedDocument(

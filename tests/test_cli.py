@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -46,7 +47,7 @@ def test_pipeline_writes_seven_artifacts(pipeline_dir):
 
 # sha256 of every demo artifact; an optimization must leave all of them unchanged
 DEMO_ARTIFACT_HASHES = {
-    "augmented.jsonl": "58a3d9b19b4877f5cdf55c97d14933de46e30d77d21388242fe4abf2a1511c82",
+    "augmented.jsonl": "46febf7142cd4db48db949e80eb9b2e7fac2deb5946cc296a91f07eb5b573fb4",
     "corpus": "a835c6bf16ca482640cc668c69c8d94f099d7a8bf7453103d4c5ab3c043f0489",
     "docs.jsonl": "7c85af09fc813ef25007de0c803bbba0a34c88883f0f9eda979a1e8ae543a09c",
     "extracted.jsonl": "ee8e9f864098029a664cb188792dead40aae4f8c9558002521da375b4e89e47d",
@@ -59,6 +60,19 @@ DEMO_ARTIFACT_HASHES = {
 def test_demo_artifact_hashes_are_pinned(pipeline_dir):
     manifest = json.loads((pipeline_dir / "manifest.json").read_text())
     assert manifest["artifacts"] == DEMO_ARTIFACT_HASHES
+
+
+def test_demo_augmented_rows_keep_their_order_and_origin(pipeline_dir):
+    # the augmented dataset was once written as {doc_id, origin, tokens, intents}, origin "primary" for a review;
+    # mapped back to that form, the demo file hashes as it did then
+    lines = []
+    for line in (pipeline_dir / "augmented.jsonl").read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        origin = "primary" if row["source"] == "review" else "auxiliary"
+        old_row = {"doc_id": row["doc_id"], "origin": origin, "tokens": row["tokens"], "intents": row["intents"]}
+        lines.append(json.dumps(old_row, sort_keys=True, ensure_ascii=False) + "\n")
+    digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "58a3d9b19b4877f5cdf55c97d14933de46e30d77d21388242fe4abf2a1511c82"
 
 
 def test_demo_corpus_artifact_holds_repos_and_issues_only(pipeline_dir):
@@ -121,6 +135,28 @@ def test_report_missing_artifact(tmp_path):
     with pytest.raises(MissingArtifact):
         print_report(tmp_path)
     assert main(["report", str(tmp_path)]) == EXIT_STAGE_FAILURE
+
+
+DAMAGED_RUN_FILES = {
+    "docs-line-not-json": ("docs.jsonl", "{bad\n"),
+    "extraction-report-not-json": ("extraction_report.json", "{bad"),
+    "extraction-report-without-funnel": ("extraction_report.json", '{"modes": {}, "per_pattern": {}}'),
+    "report-not-json": ("report.json", "{bad"),
+    "report-without-feature-mean": (
+        "report.json", '{"bug": {"mean": {"precision": 1.0, "recall": 1.0, "f1": 1.0}}, "feature": {"folds": []}}'),
+}
+
+
+@pytest.mark.parametrize("name,text", DAMAGED_RUN_FILES.values(), ids=DAMAGED_RUN_FILES.keys())
+def test_report_on_a_damaged_run_is_a_validation_error(pipeline_dir, tmp_path, capsys, name, text):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    (run / name).write_text(text, encoding="utf-8")
+    assert main(["report", str(run)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert [json.loads(line)["level"] for line in captured.err.splitlines()].count("error") == 1
+    assert "Traceback" not in captured.err
+    assert "Mean metrics" not in captured.out
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -233,7 +269,7 @@ def test_staged_augment_and_train(staged, tmp_path):
     )
     assert code == EXIT_OK
     rows = [json.loads(line) for line in augmented.read_text().splitlines()]
-    assert sum(1 for r in rows if r["origin"] == "auxiliary") >= 1
+    assert sum(1 for r in rows if r["source"] != "review") >= 1
     report_file = tmp_path / "report.json"
     code = main(
         ["train-eval", "--data", str(augmented), "--target", "bug", "--k", "5", "--seed", "3", "--out", str(report_file)]
@@ -389,7 +425,7 @@ def test_within_context_pipeline(tmp_path):
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(config_file), "--out", str(out)]) == EXIT_OK
     rows = [json.loads(line) for line in (out / "augmented.jsonl").read_text().splitlines()]
-    assert any(row["origin"] == "auxiliary" for row in rows)
+    assert any(row["source"] != "review" for row in rows)
 
 
 def test_extract_without_labels_covers_all_issues(tmp_path):
@@ -524,6 +560,26 @@ def test_bad_augmentation_arguments_are_validation_errors(tmp_path, command, ext
     assert main(argv) == EXIT_VALIDATION
 
 
+def test_review_in_the_pool_is_a_validation_error(staged, tmp_path):
+    *_, docs = staged
+    review = '{"app_id": null, "doc_id": "r:1", "intents": ["bug"], "source": "review", "tokens": ["app", "crash"]}\n'
+    pool = _write(tmp_path / "pool.jsonl", docs.read_text(encoding="utf-8") + review)
+    assert main(_augment(tmp_path, pool=pool)) == EXIT_VALIDATION
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_augment_and_sweep_help_list_their_flags(capsys):
+    flags = {}
+    for command in ("augment", "sweep"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags[command] = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    shared = {"--help", "--primary", "--labelmap", "--pool", "--method", "--app", "--top", "--seed",
+              "--include-same-app", "--corpus", "--lists"}
+    assert flags["augment"] == shared | {"--ratio", "--out"}
+    assert flags["sweep"] == shared | {"--ratios", "--train", "--k", "--out-dir"}
+
+
 def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path):
     config = json.loads((DEMO / "demo_config.json").read_text())
     filtered = tmp_path / "filtered"
@@ -545,7 +601,7 @@ def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path):
 
 
 def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypatch):
-    from issueforge import classifier, ingestion, similarity, textprep
+    from issueforge import augmentation, classifier, ingestion, similarity, textprep
 
     *_, docs = staged
     apps = ("r-podkit", "r-mapgo")
@@ -558,7 +614,7 @@ def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypa
 
     def recording(primary, pool, spec, *args, **kwargs):
         dataset = original(primary, pool, spec, *args, **kwargs)
-        sampled[spec.target_app] = {row.doc.app_id for row in dataset.rows if row.origin == "auxiliary"}
+        sampled[spec.target_app] = {row.app_id for row in dataset.rows if not augmentation.is_primary(row)}
         return dataset
 
     monkeypatch.setattr(classifier, "augment_from_pool", recording)
@@ -627,8 +683,8 @@ BAD_INPUT_FILES = {
         t / "pool.jsonl", '{"doc_id": "d", "source": "forum", "tokens": ["a"], "intents": ["bug"]}\n')),
     "pool-token-not-a-string": lambda t: _augment(t, pool=_write(
         t / "pool.jsonl", '{"doc_id": "d", "source": "review", "tokens": ["a", 1], "intents": ["bug"]}\n')),
-    "augmented-unknown-origin": lambda t: _train_eval(
-        t, '{"doc_id": "d", "origin": "x", "tokens": ["a"], "intents": ["bug"]}\n'),
+    "augmented-unknown-source": lambda t: _train_eval(
+        t, '{"doc_id": "d", "source": "x", "tokens": ["a"], "intents": ["bug"]}\n'),
     "repos-line-not-json": lambda t: ["filter", "--in", str(_corpus_with_bad_repos_line(t)), "--out", str(t / "out")],
 }
 
@@ -689,6 +745,11 @@ def _train_eval_k(t, inputs, k):
             "--out", str(t / "out.json")]
 
 
+def _harvest(t, *extra):
+    repos = _write(t / "repos.txt", "demo/x\n")
+    return ["harvest", "--repos", str(repos), "--out", str(t / "h"), "--base-url", "http://127.0.0.1:9", *extra]
+
+
 def _write_bytes(path: Path, data: bytes) -> Path:
     path.write_bytes(data)
     return path
@@ -721,6 +782,16 @@ CHANGED_EXIT_CODES = {
     "labelmap-latin-1": (EXIT_VALIDATION, lambda t, i: _augment(
         t, labelmap=_write_bytes(t / "map.tsv", "café\tbug\n".encode("latin-1")))),
     "labelmap-a-directory": (EXIT_STAGE_FAILURE, lambda t, i: _augment(t, labelmap=t)),
+    "filter-min-issues-negative": (EXIT_VALIDATION, lambda t, i: [
+        "filter", "--in", str(DEMO), "--out", str(t / "out"), "--min-issues", "-5"]),
+    "filter-min-contributors-negative": (EXIT_VALIDATION, lambda t, i: [
+        "filter", "--in", str(DEMO), "--out", str(t / "out"), "--min-contributors", "-1"]),
+    "labels-min-freq-negative": (EXIT_VALIDATION, lambda t, i: [
+        "labels", "--in", str(DEMO), "--lexicon", str(default_data_dir() / "lexicon.tsv"), "--min-freq", "-1",
+        "--out", str(t / "out.jsonl")]),
+    # a request to the closed port would fail with exit 3, so exit 2 means none was sent
+    "harvest-parallel-0": (EXIT_VALIDATION, lambda t, i: _harvest(t, "--parallel", "0")),
+    "harvest-rate-limit-0": (EXIT_VALIDATION, lambda t, i: _harvest(t, "--rate-limit", "0")),
 }
 
 
