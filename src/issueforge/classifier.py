@@ -5,15 +5,20 @@ the measurement instrument: one classifier per target intent (bug report,
 feature request), trained by full-batch gradient descent. Rows are processed
 documents: auxiliary rows (issue documents) only ever augment training splits;
 test folds hold primary rows (reviews, ``augmentation.is_primary``).
+
+A cross-validation counts its rows' terms once (``count_terms``). Each fold
+selects its train and test rows from that count by index, takes df, its
+vocabulary and idf from the selected training entries, and remaps term ids
+onto its columns; no fold counts a token again.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from itertools import compress
 
 import numpy as np
 
@@ -38,26 +43,97 @@ LEARNING_RATE = 0.1
 L2 = 1e-4
 
 
+@dataclass(frozen=True, eq=False)
+class CountedRows(Sequence[ProcessedDocument]):
+    """Rows together with their term counts, taken in one pass over the tokens.
+
+    ``vocabulary`` is sorted; entry k says row ``row_ids[k]`` holds term
+    ``term_ids[k]`` ``counts[k]`` times, one entry per distinct (row, term)
+    pair, in row-major order. It is a sequence of its rows, and ``take``
+    selects rows by index without counting again.
+    """
+
+    rows: tuple[ProcessedDocument, ...]
+    vocabulary: tuple[str, ...]
+    row_ids: np.ndarray
+    term_ids: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def take(self, indices: Sequence[int]) -> CountedRows:
+        """The rows at ``indices``, in that order, renumbered from 0."""
+        # row i's entries are starts[i]:starts[i + 1]
+        starts = np.searchsorted(self.row_ids, np.arange(len(self.rows) + 1))
+        picked = np.asarray(indices, dtype=np.intp)
+        first = starts[picked]
+        lengths = starts[picked + 1] - first
+        # entry positions: each picked row's run of entries, runs laid end to end
+        entries = np.arange(int(lengths.sum())) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+        return CountedRows(
+            rows=tuple(self.rows[i] for i in indices),
+            vocabulary=self.vocabulary,
+            row_ids=np.repeat(np.arange(len(picked), dtype=np.intp), lengths),
+            term_ids=self.term_ids[entries],
+            counts=self.counts[entries],
+        )
+
+
+def count_terms(rows: Sequence[ProcessedDocument], vocabulary: tuple[str, ...] | None = None) -> CountedRows:
+    """Each row's term counts over ``vocabulary`` (sorted; by default every
+    term of ``rows``), terms outside it dropped. Rows already counted, over
+    ``vocabulary`` when one is given, are returned as they are."""
+    if isinstance(rows, CountedRows) and (vocabulary is None or rows.vocabulary == vocabulary):
+        return rows
+    rows = tuple(rows)
+    if vocabulary is None:
+        vocabulary = tuple(sorted({term for row in rows for term in row.tokens}))
+    index = {term: i for i, term in enumerate(vocabulary)}
+    n_terms = len(vocabulary)
+    lengths = np.array([len(row.tokens) for row in rows], dtype=np.intp)
+    ids = np.fromiter(
+        (index.get(term, -1) for row in rows for term in row.tokens), dtype=np.intp, count=int(lengths.sum())
+    )
+    row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+    known = ids >= 0
+    keys, counts = np.unique(row_of[known] * n_terms + ids[known], return_counts=True)
+    row_ids, term_ids = np.divmod(keys, n_terms)
+    return CountedRows(rows=rows, vocabulary=vocabulary, row_ids=row_ids, term_ids=term_ids, counts=counts)
+
+
 @dataclass(frozen=True)
 class FeatureSpace:
+    """A training split's vocabulary and idf weights. ``columns`` maps the
+    counted vocabulary ``terms`` onto it: the column of ``terms[j]``, or -1
+    when no training row holds that term."""
+
     vocabulary: tuple[str, ...]
     idf: np.ndarray
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {term: i for i, term in enumerate(self.vocabulary)}
+    terms: tuple[str, ...]
+    columns: np.ndarray
 
 
 def build_feature_space(rows: Sequence[ProcessedDocument]) -> FeatureSpace:
     """Vocabulary and idf weights derived from training rows only."""
-    df: dict[str, int] = {}
-    for row in rows:
-        for term in set(row.tokens):
-            df[term] = df.get(term, 0) + 1
-    vocabulary = tuple(sorted(df))
-    n_docs = max(len(rows), 1)
-    idf = np.array([math.log(n_docs / df[t]) + 1.0 for t in vocabulary], dtype=np.float64)
-    return FeatureSpace(vocabulary=vocabulary, idf=idf)
+    counted = count_terms(rows)
+    # one entry per distinct (row, term), so a term's entry count is its document frequency
+    df = np.bincount(counted.term_ids, minlength=len(counted.vocabulary))
+    present = df > 0
+    vocabulary = tuple(compress(counted.vocabulary, present.tolist()))
+    n_docs = max(len(counted), 1)
+    # math.log, not np.log, so every weight rounds as it always has; terms
+    # share few distinct df values, so each value's log is taken once
+    distinct, which = np.unique(df[present], return_inverse=True)
+    idf = np.array([math.log(n_docs / d) + 1.0 for d in distinct.tolist()], dtype=np.float64)[which]
+    columns = np.where(present, np.cumsum(present) - 1, -1)
+    return FeatureSpace(vocabulary=vocabulary, idf=idf, terms=counted.vocabulary, columns=columns)
 
 
 @dataclass(frozen=True)
@@ -91,17 +167,12 @@ class TfidfMatrix:
 
 def vectorize(space: FeatureSpace, rows: Sequence[ProcessedDocument]) -> TfidfMatrix:
     """Term-count times idf features; terms outside the vocabulary are ignored."""
-    index = space.index
-    n_terms = len(space.vocabulary)
-    lengths = np.array([len(row.tokens) for row in rows], dtype=np.intp)
-    columns = np.fromiter(
-        (index.get(term, -1) for row in rows for term in row.tokens), dtype=np.intp, count=int(lengths.sum())
-    )
-    row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+    counted = count_terms(rows, space.terms)
+    columns = space.columns[counted.term_ids]
     known = columns >= 0
-    keys, counts = np.unique(row_of[known] * n_terms + columns[known], return_counts=True)
-    row_ids, col_ids = np.divmod(keys, n_terms)
-    return TfidfMatrix(row_ids, col_ids, counts * space.idf[col_ids], (len(rows), n_terms))
+    col_ids = columns[known]
+    values = counted.counts[known] * space.idf[col_ids]
+    return TfidfMatrix(counted.row_ids[known], col_ids, values, (len(counted), len(space.vocabulary)))
 
 
 @dataclass
@@ -142,11 +213,12 @@ def labels_for(rows: Sequence[ProcessedDocument], target: IntentClass) -> np.nda
 
 def train(rows: Sequence[ProcessedDocument], target: IntentClass) -> LinearModel:
     """Full-batch gradient descent on logistic loss; deterministic."""
-    y = labels_for(rows, target)
+    counted = count_terms(rows)
+    y = labels_for(counted, target)
     if y.sum() == 0 or y.sum() == len(y):
         raise DegenerateLabels(f"training set has a single class for target {target.value}")
-    space = build_feature_space(rows)
-    X = vectorize(space, rows)
+    space = build_feature_space(counted)
+    X = vectorize(space, counted)
     weights = np.zeros(len(space.vocabulary), dtype=np.float64)
     bias = 0.0
     history: list[float] = []
@@ -287,11 +359,15 @@ class EvalReport:
 
 
 def cross_validate(rows: Sequence[ProcessedDocument], target: IntentClass, k: int = 5, seed: int = 0) -> EvalReport:
-    """Stratified k-fold evaluation; reported metrics are per-fold averages."""
+    """Stratified k-fold evaluation; reported metrics are per-fold averages.
+
+    The rows' terms are counted once, and each fold selects its rows from that count.
+    """
+    counted = count_terms(rows)
     fold_metrics = []
     for train_idx, test_idx in stratified_folds(rows, target, k=k, seed=seed):
-        model = train([rows[i] for i in train_idx], target)
-        fold_metrics.append(evaluate(model, [rows[i] for i in test_idx], target))
+        model = train(counted.take(train_idx), target)
+        fold_metrics.append(evaluate(model, counted.take(test_idx), target))
     return EvalReport(target=target, folds=fold_metrics)
 
 

@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -482,7 +483,8 @@ def _cmd_augment(args) -> int:
 
 
 def _parse_ratios(text: str) -> list[float]:
-    """Either "start:stop:step" or a comma-separated list, every ratio in [0, 1]."""
+    """Either "start:stop:step" or a comma-separated list, every ratio in [0, 1] and no two
+    written to the same ``augmented_r*.jsonl`` file."""
     step_form = ":" in text
     try:
         if step_form:
@@ -503,7 +505,14 @@ def _parse_ratios(text: str) -> list[float]:
             value += step
     if not ratios or not all(0.0 <= ratio <= 1.0 for ratio in ratios):
         raise ValidationError(f"--ratios {text!r} must give at least one ratio, each in [0, 1]")
+    shared = sorted(name for name, n in Counter(_sweep_file(ratio) for ratio in ratios).items() if n > 1)
+    if shared:
+        raise ValidationError(f"--ratios {text!r} gives ratios that share a file name: {', '.join(shared)}")
     return ratios
+
+
+def _sweep_file(ratio: float) -> str:
+    return f"augmented_r{ratio:g}.jsonl"
 
 
 def _cmd_sweep(args) -> int:
@@ -515,7 +524,7 @@ def _cmd_sweep(args) -> int:
     table = augmentation.sweep_table(datasets)
     trend_rows = []
     for dataset, info in zip(datasets, table):
-        name = f"augmented_r{info['ratio']:g}.jsonl"
+        name = _sweep_file(info["ratio"])
         augmentation.write_docs(dataset.rows, out_dir / name)
         row = dict(info)
         row["file"] = name

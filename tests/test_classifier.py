@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -6,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from issueforge import classifier
 from issueforge.augmentation import AugmentationSpec, Method, PrimaryDataset, is_primary
 from issueforge.classifier import (
+    EPOCHS,
+    L2,
+    LEARNING_RATE,
     DegenerateLabels,
+    TfidfMatrix,
     TooFewRows,
+    _sigmoid,
     build_feature_space,
+    count_terms,
     cross_validate,
     evaluate,
     labels_for,
@@ -256,6 +264,144 @@ def test_feature_memory_is_linear_in_nonzeros():
     X = vectorize(space, rows)
     assert X.shape == (1_000, len(space.vocabulary))
     assert X.row_ids.nbytes + X.col_ids.nbytes + X.values.nbytes < 64 * X.nnz
+
+
+# --- counting once per cross-validation ------------------------------------------------
+
+def _oracle_feature_space(rows) -> tuple[tuple[str, ...], np.ndarray]:
+    """Vocabulary and idf counted from the training rows' own tokens."""
+    df: dict[str, int] = {}
+    for row in rows:
+        for term in set(row.tokens):
+            df[term] = df.get(term, 0) + 1
+    vocabulary = tuple(sorted(df))
+    n_docs = max(len(rows), 1)
+    return vocabulary, np.array([math.log(n_docs / df[t]) + 1.0 for t in vocabulary], dtype=np.float64)
+
+
+def _oracle_vectorize(vocabulary, idf, rows) -> TfidfMatrix:
+    """Tf-idf entries counted from the rows' own tokens over a fold's vocabulary."""
+    index = {term: i for i, term in enumerate(vocabulary)}
+    n_terms = len(vocabulary)
+    lengths = np.array([len(row.tokens) for row in rows], dtype=np.intp)
+    columns = np.fromiter(
+        (index.get(term, -1) for row in rows for term in row.tokens), dtype=np.intp, count=int(lengths.sum())
+    )
+    row_of = np.repeat(np.arange(len(rows), dtype=np.intp), lengths)
+    known = columns >= 0
+    keys, counts = np.unique(row_of[known] * n_terms + columns[known], return_counts=True)
+    row_ids, col_ids = np.divmod(keys, n_terms)
+    return TfidfMatrix(row_ids, col_ids, counts * idf[col_ids], (len(rows), n_terms))
+
+
+def _oracle_fit(X, y) -> tuple[np.ndarray, float, list[float]]:
+    weights = np.zeros(X.shape[1], dtype=np.float64)
+    bias = 0.0
+    history = []
+    for _ in range(EPOCHS):
+        loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, L2)
+        history.append(loss)
+        weights = weights - LEARNING_RATE * grad_w
+        bias = bias - LEARNING_RATE * grad_b
+    history.append(loss_and_grad(weights, bias, X, y, L2)[0])
+    return weights, bias, history
+
+
+def _assert_same_matrix(X, oracle):
+    assert X.shape == oracle.shape
+    for name in ("row_ids", "col_ids", "values"):
+        assert np.array_equal(getattr(X, name), getattr(oracle, name)), name
+
+
+def _assert_fit_matches_oracle(model, train_rows) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, float]:
+    vocabulary, idf = _oracle_feature_space(train_rows)
+    assert np.array_equal(np.array(model.space.vocabulary, dtype=object), np.array(vocabulary, dtype=object))
+    assert np.array_equal(model.space.idf, idf)
+    weights, bias, history = _oracle_fit(_oracle_vectorize(vocabulary, idf, train_rows), labels_for(train_rows, BUG))
+    assert np.array_equal(model.weights, weights)
+    assert model.bias == bias
+    assert model.loss_history == history
+    return vocabulary, idf, weights, bias
+
+
+WORDS = ("crash", "freeze", "love", "great", "app", "add")
+
+
+@st.composite
+def _datasets(draw) -> list[ProcessedDocument]:
+    """At least three positive and three negative primary rows, some auxiliary ones."""
+    labels = [True, False] * 3 + draw(st.lists(st.booleans(), max_size=8))
+    n_aux = draw(st.integers(0, 3))
+    rows = []
+    for i, positive in enumerate(labels + [True] * n_aux):
+        tokens = draw(st.lists(st.sampled_from(WORDS), max_size=6))
+        if i == 0:
+            tokens = []  # a row with no term
+        elif i == 1:
+            tokens = tokens + ["crash", "crash", "only1"]  # a repeated term, and one no other row holds
+        elif draw(st.booleans()):
+            tokens.append(f"only{i}")
+        source = Source.REVIEW if i < len(labels) else Source.ISSUE_BODY
+        rows.append(doc(f"r{i:02d}", tuple(tokens), positive, source=source))
+    return rows
+
+
+def _recording(fn, calls: list):
+    def record(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    return record
+
+
+@given(_datasets(), st.integers(2, 3), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_counting_once_per_cross_validation_is_exact(rows, k, seed):
+    fits, matrices = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifier, "train", _recording(classifier.train, fits))
+        patch.setattr(classifier, "vectorize", _recording(classifier.vectorize, matrices))
+        report = cross_validate(rows, BUG, k=k, seed=seed)
+    folds = stratified_folds(rows, BUG, k=k, seed=seed)
+    # per fold: the training rows' matrix inside train, then the test rows' in predict_proba
+    assert len(fits) == len(folds) == len(report.folds) and len(matrices) == 2 * len(folds)
+    for f, (train_idx, test_idx) in enumerate(folds):
+        train_rows, test_rows = [rows[i] for i in train_idx], [rows[i] for i in test_idx]
+        vocabulary, idf, weights, bias = _assert_fit_matches_oracle(fits[f][1], train_rows)
+        _assert_same_matrix(matrices[2 * f][1], _oracle_vectorize(vocabulary, idf, train_rows))
+        X_test = _oracle_vectorize(vocabulary, idf, test_rows)
+        _assert_same_matrix(matrices[2 * f + 1][1], X_test)
+        predicted = _sigmoid(X_test @ weights + bias) >= 0.5
+        y = labels_for(test_rows, BUG) == 1
+        counts = [int(np.sum(p & t)) for p, t in ((predicted, y), (predicted, ~y), (~predicted, ~y), (~predicted, y))]
+        assert report.folds[f] == metrics_from_counts(*counts)
+    # row r01 alone holds "only1": the fold that tests it lacks a term of its test rows and of the dataset
+    assert any("only1" not in model.space.vocabulary for _, model in fits)
+    # train on a plain row list counts its own rows through the same path
+    _assert_fit_matches_oracle(train(rows, BUG), rows)
+
+
+@given(_datasets(), st.lists(st.integers(0, 100), max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_take_equals_counting_the_picked_rows(rows, picks):
+    counted = count_terms(rows)
+    indices = [i % len(rows) for i in picks]  # any order, repeats allowed
+    taken = counted.take(indices)
+    direct = count_terms([rows[i] for i in indices], counted.vocabulary)
+    assert list(taken) == [rows[i] for i in indices]
+    assert taken.vocabulary == counted.vocabulary
+    for name in ("row_ids", "term_ids", "counts"):
+        assert np.array_equal(getattr(taken, name), getattr(direct, name)), name
+
+
+def test_rows_counted_over_another_vocabulary_are_counted_again():
+    rows = make_rows(6, 6)
+    space = build_feature_space(count_terms(rows[:8]))
+    test_rows = rows[8:] + [doc("oov", ("unseen", "crash", "app"), True)]
+    oracle = _oracle_vectorize(space.vocabulary, space.idf, test_rows)
+    _assert_same_matrix(vectorize(space, count_terms(test_rows)), oracle)
+    _assert_same_matrix(vectorize(space, test_rows), oracle)
 
 
 # --- metrics ----------------------------------------------------------------------------

@@ -300,6 +300,29 @@ def test_staged_sweep_command(staged, tmp_path):
     assert len(list(out_dir.glob("augmented_r*.jsonl"))) == 3
 
 
+# trend.tsv of the sweep below, from before each cross-validation counted its rows' terms once
+SYNTHETIC_SWEEP_TREND_SHA256 = "d5c0fa201a68f39910c1424c905aaa2d1d3ea838e7e230b42c849ea6b51021fa"
+
+
+def test_sweep_train_trend_is_pinned(tmp_path):
+    data = default_data_dir() / "synthetic_recall"
+    out_dir = tmp_path / "sweep"
+    code = main(
+        [
+            "sweep",
+            "--primary", str(data / "primary.csv"),
+            "--labelmap", str(data / "labelmap.tsv"),
+            "--pool", str(data / "pool.jsonl"),
+            "--ratios", "0,0.3,0.7",
+            "--train",
+            "--seed", "0",
+            "--out-dir", str(out_dir),
+        ]
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256((out_dir / "trend.tsv").read_bytes()).hexdigest() == SYNTHETIC_SWEEP_TREND_SHA256
+
+
 def test_experiment_command(staged, tmp_path):
     *_, docs = staged
     exp_config = tmp_path / "exp.json"
@@ -459,7 +482,9 @@ def test_parse_ratios_step_form():
 @pytest.mark.parametrize(
     "text",
     ["0:1:0", "0:1:-0.1", "0:1:1e-300", "0:1", "0:1:0.1:2", "0::0.1", "a:1:0.1", "0:1.5:0.1", "1:0:0.1",
-     "0,1.5", "-0.1,0.5", "0,x", "", ",", "nan", "0:nan:0.1", "0:1:nan"],
+     "0,1.5", "-0.1,0.5", "0,x", "", ",", "nan", "0:nan:0.1", "0:1:nan",
+     # ratios written to one augmented_r*.jsonl file
+     "0.3,0.30000000001,0.3", "0.3,0.3", "0.1:0.1000001:0.00000001"],
 )
 def test_parse_ratios_rejects_bad_input(text):
     from issueforge.cli import _parse_ratios
@@ -480,6 +505,22 @@ def test_sweep_with_zero_step_is_a_validation_error(tmp_path):
         ]
     )
     assert code == EXIT_VALIDATION
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_ratios_sharing_a_file_name_are_a_validation_error(tmp_path, capsys):
+    code = main(
+        [
+            "sweep",
+            "--primary", str(tmp_path / "unread.csv"),
+            "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(tmp_path / "unread.jsonl"),
+            "--ratios", "0.3,0.30000000001,0.3",
+            "--out-dir", str(tmp_path / "sweep"),
+        ]
+    )
+    assert code == EXIT_VALIDATION
+    assert "augmented_r0.3.jsonl" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
 
 
