@@ -140,7 +140,7 @@ def load_primary(
     """Load a review CSV (header: text,label[,app_id]), adapt labels, preprocess.
 
     Unmapped labels fail fast; rows whose label maps to drop, or that come out
-    shorter than the admission minimum, are removed.
+    shorter than the admission minimum, are removed. No row left is a ``ValidationError``.
     """
     path = Path(path)
     dataset_name = name or path.stem
@@ -170,6 +170,8 @@ def load_primary(
                     app_id=(record.get("app_id") or None),
                 )
             )
+    if not rows:
+        raise ValidationError(f"{path}: no review row admitted")
     return PrimaryDataset(name=dataset_name, rows=tuple(rows))
 
 

@@ -386,10 +386,14 @@ def run_experiment(
     within-context spec ranks its own target app against ``profiles``.
     """
     comparison: list[dict] = []
-    # sampling depends on spec.seed alone, so every target sees the same rows
-    datasets = [augment_from_pool(primary, list(pool), spec, profiles) for spec in specs]
-    for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-        baseline = cross_validate(primary.rows, target, k=k, seed=seed)
+    targets = (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST)
+    # sampling depends on spec.seed alone, so every target sees the same rows;
+    # each dataset's terms are counted once for both, one dataset at a time
+    datasets = [primary.rows] + [augment_from_pool(primary, list(pool), spec, profiles).rows for spec in specs]
+    reports = [{target: cross_validate(counted, target, k=k, seed=seed) for target in targets}
+               for counted in map(count_terms, datasets)]
+    for target in targets:
+        baseline = reports[0][target]
         comparison.append(
             {
                 "target": target.value,
@@ -402,8 +406,8 @@ def run_experiment(
                 "delta_f1": 0.0,
             }
         )
-        for spec, dataset in zip(specs, datasets):
-            report = cross_validate(dataset.rows, target, k=k, seed=seed)
+        for spec, by_target in zip(specs, reports[1:]):
+            report = by_target[target]
             model_name = f"{spec.method.value}@r={spec.ratio:g}"
             if spec.include_same_app:
                 model_name += "+same"

@@ -294,8 +294,9 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         # stage 6: train and evaluate both binary targets
         current_stage = "train-eval"
         report = {"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows)}
+        rows = classifier.count_terms(dataset.rows)  # once for both targets
         for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-            eval_report = classifier.cross_validate(dataset.rows, target, k=config.folds, seed=config.seed)
+            eval_report = classifier.cross_validate(rows, target, k=config.folds, seed=config.seed)
             report[target.value] = eval_report.as_dict()
         _dump_json(report, stage_path("report.json"))
     except Exception as exc:
@@ -529,8 +530,9 @@ def _cmd_sweep(args) -> int:
         row = dict(info)
         row["file"] = name
         if args.train:
+            rows = classifier.count_terms(dataset.rows)  # once for both targets
             for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-                report = classifier.cross_validate(dataset.rows, target, k=args.k, seed=args.seed)
+                report = classifier.cross_validate(rows, target, k=args.k, seed=args.seed)
                 row[f"{target.value}_precision"] = report.mean_precision
                 row[f"{target.value}_recall"] = report.mean_recall
                 row[f"{target.value}_f1"] = report.mean_f1

@@ -56,8 +56,8 @@ def normalize_label(raw: str, lists: WordLists) -> str:
     text = _APOSTROPHES.sub("", text)
     text = text.encode("ascii", errors="ignore").decode("ascii")
     text = _NON_LETTER.sub(" ", text)
-    tokens = [tok for tok in text.split() if len(tok) > 1]
-    tokens = [stem(tok) for tok in tokens]
+    # short tokens go after stemming, so a stem of one letter ("oed" -> "o") goes too
+    tokens = [tok for tok in map(stem, text.split()) if len(tok) > 1]
     tokens = ["not" if tok in lists.negative_modifiers else tok for tok in tokens]
     tokens = _collapse_negations(tokens, lists.negative_modifiers)
     return " ".join(tokens)

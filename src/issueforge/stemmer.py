@@ -2,11 +2,13 @@
 
 Implements the Snowball English stemming algorithm from scratch so that label
 surfaces, section titles, and fallback lemmatization all share one token
-normalizer. One pass looks up the step 2-4 suffixes in tables, longest first,
-and finds the R1/R2 regions and the vowel and short-syllable tests with
-precompiled regular expressions. ``stem`` iterates that pass to a fixed point,
-which makes every downstream normalization idempotent by construction, and
-remembers the result for each distinct token.
+normalizer. One pass dispatches on the word's last letter: step 0 runs only on
+a word holding an apostrophe, step 1a only on a final s (or ied), step 1b only
+on a final d, g or y, and steps 2-4 look up only the suffix lengths that end in
+that letter, longest first. It finds the R1/R2 regions and the vowel and
+short-syllable tests with precompiled regular expressions. ``stem`` iterates
+that pass to a fixed point, which makes every downstream normalization
+idempotent by construction, and remembers the result for each distinct token.
 """
 
 from __future__ import annotations
@@ -122,9 +124,17 @@ _STEP4_SUFFIXES = [
 _STEP2 = dict(_STEP2_RULES)
 _STEP3 = dict(_STEP3_RULES)
 _STEP4 = frozenset(_STEP4_SUFFIXES)
-_STEP2_LENGTHS = sorted({len(suf) for suf in _STEP2}, reverse=True)
-_STEP3_LENGTHS = sorted({len(suf) for suf in _STEP3}, reverse=True)
-_STEP4_LENGTHS = sorted({len(suf) for suf in _STEP4}, reverse=True)
+
+
+def _lengths_by_last_letter(suffixes) -> dict[str, tuple[int, ...]]:
+    """Each final letter's suffix lengths, longest first: only these can match a word ending in it."""
+    lasts = {suf[-1] for suf in suffixes}
+    return {last: tuple(sorted({len(suf) for suf in suffixes if suf[-1] == last}, reverse=True)) for last in lasts}
+
+
+_STEP2_LENGTHS = _lengths_by_last_letter(_STEP2)
+_STEP3_LENGTHS = _lengths_by_last_letter(_STEP3)
+_STEP4_LENGTHS = _lengths_by_last_letter(_STEP4)
 
 # After consonant y is marked as Y, a lowercase y is always a vowel and Y never is.
 _Y_AFTER_VOWEL = re.compile(r"([aeiouy])y")
@@ -169,20 +179,21 @@ def _stem_once(word: str) -> str:
     r2 = match.end() if match else len(lower)
 
     # Step 0
-    for suf in ("'s'", "'s", "'"):
-        if word.endswith(suf):
-            word = word[: -len(suf)]
-            break
+    if "'" in word:
+        for suf in ("'s'", "'s", "'"):
+            if word.endswith(suf):
+                word = word[: -len(suf)]
+                break
 
-    # Step 1a
-    if word.endswith("sses"):
-        word = word[:-2]
-    elif word.endswith(("ied", "ies")):
-        word = word[:-2] if len(word) > 4 else word[:-1]
-    elif word.endswith(("us", "ss")):
-        pass
-    elif word.endswith("s"):
-        if not VOWELS.isdisjoint(word[:-2]):
+    # Step 1a: every suffix ends in s, or is ied
+    if word.endswith(("s", "ied")):
+        if word.endswith("sses"):
+            word = word[:-2]
+        elif word.endswith(("ied", "ies")):
+            word = word[:-2] if len(word) > 4 else word[:-1]
+        elif word.endswith(("us", "ss")):
+            pass
+        elif not VOWELS.isdisjoint(word[:-2]):
             word = word[:-1]
 
     if word.lower() in _STOP_AFTER_1A:
@@ -193,7 +204,7 @@ def _stem_once(word: str) -> str:
         suf = "eedly" if word.endswith("eedly") else "eed"
         if len(word) - len(suf) >= r1:
             word = word[: -len(suf)] + "ee"
-    else:
+    elif word.endswith(("d", "g", "y")):  # the last letter of every other suffix
         for suf in ("ingly", "edly", "ing", "ed"):
             if word.endswith(suf):
                 stemmed = word[: -len(suf)]
@@ -214,7 +225,7 @@ def _stem_once(word: str) -> str:
     # Steps 2-4 stop at the longest listed suffix, even when its region test fails.
     # Step 2
     n = len(word)
-    for k in _STEP2_LENGTHS:
+    for k in _STEP2_LENGTHS.get(word[-1:], ()):
         if k <= n and word[-k:] in _STEP2:
             if n - k >= r1:
                 word = word[:-k] + _STEP2[word[-k:]]
@@ -229,7 +240,7 @@ def _stem_once(word: str) -> str:
 
     # Step 3
     n = len(word)
-    for k in _STEP3_LENGTHS:
+    for k in _STEP3_LENGTHS.get(word[-1:], ()):
         if k <= n and word[-k:] in _STEP3:
             if n - k >= r1:
                 word = word[:-k] + _STEP3[word[-k:]]
@@ -240,7 +251,7 @@ def _stem_once(word: str) -> str:
 
     # Step 4
     n = len(word)
-    for k in _STEP4_LENGTHS:
+    for k in _STEP4_LENGTHS.get(word[-1:], ()):
         if k <= n and word[-k:] in _STEP4:
             if n - k >= r2:
                 if word[-k:] == "ion":

@@ -112,17 +112,27 @@ _ISSUE_REF = re.compile(r"(?<![\w&])#\d+\b")
 
 
 def strip_noise(text: str, lists: WordLists) -> str:
-    """Remove the enumerated noise constructs, leaving all other text intact."""
-    text = _FENCED_CODE.sub("", text)
-    text = _INLINE_CODE.sub("", text)
-    text = _HTML_TAG.sub("", text)
-    text = _CHECKLIST_LINE.sub("", text)
-    text = _STACK_FRAME_LINE.sub("", text)
-    text = _ERROR_MESSAGE_LINE.sub("", text)
-    text = _UNDERSCORE_PHRASE.sub("", text)
-    text = _URL.sub("", text)
-    text = _MENTION.sub("", text)
-    text = _ISSUE_REF.sub("", text)
+    """Remove the enumerated noise constructs, leaving all other text intact. A construct is
+    scanned for only when the text holds a literal that every match of it contains."""
+    if "`" in text:
+        text = _FENCED_CODE.sub("", text)
+        text = _INLINE_CODE.sub("", text)
+    if "<" in text:
+        text = _HTML_TAG.sub("", text)
+    if "[" in text:
+        text = _CHECKLIST_LINE.sub("", text)
+    if "(" in text:
+        text = _STACK_FRAME_LINE.sub("", text)
+    if "Error" in text or "Exception" in text:
+        text = _ERROR_MESSAGE_LINE.sub("", text)
+    if "_" in text:
+        text = _UNDERSCORE_PHRASE.sub("", text)
+    if "http" in text or "www." in text:
+        text = _URL.sub("", text)
+    if "@" in text:
+        text = _MENTION.sub("", text)
+    if "#" in text:
+        text = _ISSUE_REF.sub("", text)
     for pattern in _phrase_patterns(lists.special_phrases):
         text = pattern.sub("", text)
     return text

@@ -13,6 +13,7 @@ from issueforge.classifier import (
     EPOCHS,
     L2,
     LEARNING_RATE,
+    CountedRows,
     DegenerateLabels,
     TfidfMatrix,
     TooFewRows,
@@ -516,6 +517,33 @@ def test_experiment_deterministic():
     a = run_experiment(primary, specs, pool, k=5, seed=4)
     b = run_experiment(primary, specs, pool, k=5, seed=4)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_experiment_counts_each_dataset_once_for_both_targets(monkeypatch):
+    primary = primary_dataset()
+    pool = [doc(f"x{i}", ("crash", "error", f"issue{i % 3}"), True, source=Source.ISSUE_BODY) for i in range(20)]
+    specs = [AugmentationSpec(method=Method.BETWEEN_APP, ratio=ratio, seed=4) for ratio in (0.2, 0.4, 0.6)]
+    count_terms, cross_validate = classifier.count_terms, classifier.cross_validate
+    countings, reports = [], []
+
+    def counting(rows, *args):
+        if not isinstance(rows, CountedRows):
+            countings.append(len(rows))
+        return count_terms(rows, *args)
+
+    def recording(rows, target, **kwargs):
+        report = cross_validate(rows, target, **kwargs)
+        reports.append((rows, target, kwargs, report))
+        return report
+
+    monkeypatch.setattr(classifier, "count_terms", counting)
+    monkeypatch.setattr(classifier, "cross_validate", recording)
+    run_experiment(primary, specs, pool, k=5, seed=4)
+    # baseline + 3 datasets, each counted once though cross-validated for both targets
+    assert len(reports) == 8 and len(countings) == 4
+    for rows, target, kwargs, report in reports:
+        assert isinstance(rows, CountedRows)
+        assert report.folds == cross_validate(list(rows), target, **kwargs).folds
 
 
 def test_experiment_needs_feature_rows_too():

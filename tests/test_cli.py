@@ -609,6 +609,23 @@ def test_review_in_the_pool_is_a_validation_error(staged, tmp_path):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["augment", "sweep", "experiment"])
+@pytest.mark.parametrize("csv_text", ["text,label\n", "text,label\ncrash,bug\n"], ids=["header-only", "too-short"])
+def test_primary_with_no_admitted_row_is_a_validation_error(tmp_path, capsys, command, csv_text):
+    primary = _write(tmp_path / "primary.csv", csv_text)
+    if command == "experiment":
+        argv, written = _experiment(tmp_path, primary_csv=str(primary)), tmp_path / "comparison.tsv"
+    elif command == "augment":
+        argv, written = _augment(tmp_path, primary=primary), tmp_path / "out.jsonl"
+    else:
+        written = tmp_path / "sweep"
+        argv = ["sweep", "--primary", str(primary), "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+                "--pool", str(tmp_path / "unread.jsonl"), "--ratios", "0.3", "--train", "--out-dir", str(written)]
+    assert main(argv) == EXIT_VALIDATION
+    assert "no review row admitted" in capsys.readouterr().err
+    assert not written.exists()
+
+
 def test_augment_and_sweep_help_list_their_flags(capsys):
     flags = {}
     for command in ("augment", "sweep"):

@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from issueforge.ingestion import Corpus, RawIssue, RepoRecord, load_corpus
@@ -70,6 +70,7 @@ LABELISH = st.text(alphabet=string.ascii_letters + string.digits + " :-_'/.!", m
 
 
 @given(LABELISH)
+@example("OED")  # stems to the one letter "o", which must go like any short token
 @settings(max_examples=300)
 def test_normalize_idempotent(raw):
     lists = load_wordlists()

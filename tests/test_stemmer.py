@@ -364,6 +364,10 @@ RULE_SUFFIXES = sorted(
 @example("ab\ne")  # a short syllable must end at the end of the word, not before a newline
 @example("sayYing")  # mixed case: the regions come from the lowercase word
 @example("ayyy")  # a y right after a marked Y is a vowel, not a consonant
+@example("OED")  # upper-case tails: no lower-case suffix may match them
+@example("SSES")
+@example("IED")
+@example("tied")  # step 1a takes ied to ie here, where step 1b would take ed
 @settings(max_examples=1000)
 def test_pass_matches_reference_on_odd_text(word):
     _assert_matches_reference(word)
@@ -377,3 +381,22 @@ def test_pass_matches_reference_on_odd_text(word):
 @settings(max_examples=1000)
 def test_pass_matches_reference_on_every_rule_suffix(prefix, stem_text, suffixes):
     _assert_matches_reference(prefix + stem_text + "".join(suffixes))
+
+
+# The shape of the benchmark's wide-vocabulary words (perfbench/gen.py): two
+# syllables, onset + vowel + coda, then an optional English suffix.
+ONSETS = ["b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s", "t", "v", "w", "z",
+          "br", "ch", "cl", "dr", "fl", "gr", "pl", "pr", "sh", "sl", "st", "str", "th", "tr"]
+SYLLABLE_VOWELS = ["a", "e", "i", "o", "u", "ai", "ea", "ee", "io", "ou", "oo", "y"]
+CODAS = ["", "n", "r", "s", "t", "l", "m", "nd", "ng", "rt", "st", "ck", "x"]
+WIDE_SUFFIXES = ["", "s", "ed", "ing", "er", "ly", "ness", "ation", "ment", "ful", "ive", "able", "ize", "ity",
+                 "ous", "al", "ies"]
+SYLLABLE = st.tuples(*map(st.sampled_from, (ONSETS, SYLLABLE_VOWELS, CODAS))).map("".join)
+
+
+@given(SYLLABLE, SYLLABLE, st.sampled_from(WIDE_SUFFIXES), st.integers(0, 4))
+@settings(max_examples=2000)
+def test_pass_matches_reference_on_wide_words(first, second, suffix, upper_tail):
+    word = first + second + suffix
+    _assert_matches_reference(word)
+    _assert_matches_reference(word[: len(word) - upper_tail] + word[len(word) - upper_tail :].upper())

@@ -4,9 +4,10 @@ import shutil
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from issueforge import textprep
 from issueforge.textprep import (
     FUSED_HAVE_TO,
     RETAINED_MODALS,
@@ -85,10 +86,19 @@ def test_strip_noise_identity_on_clean_text(text):
     assert strip_noise(text, lists) == text
 
 
+# The ten construct patterns in the order strip_noise applies them.
+CONSTRUCTS = (
+    textprep._FENCED_CODE, textprep._INLINE_CODE, textprep._HTML_TAG, textprep._CHECKLIST_LINE,
+    textprep._STACK_FRAME_LINE, textprep._ERROR_MESSAGE_LINE, textprep._UNDERSCORE_PHRASE, textprep._URL,
+    textprep._MENTION, textprep._ISSUE_REF,
+)
+
+
 def _strip_noise_oracle(text, lists):
-    """strip_noise as it was before the phrase patterns were compiled once:
-    everything but the phrases, then one re.sub per phrase in list order."""
-    text = strip_noise(text, dataclasses.replace(lists, special_phrases=()))
+    """strip_noise without its literal pre-checks or compiled phrase patterns:
+    every construct scan, then one re.sub per phrase in list order."""
+    for pattern in CONSTRUCTS:
+        text = pattern.sub("", text)
     for phrase in lists.special_phrases:
         text = re.sub(r"\b" + re.escape(phrase) + r"\b", "", text, flags=re.IGNORECASE)
     return text
@@ -119,6 +129,21 @@ def _any_case(phrase_strategy):
 def _mixed_text(phrases):
     filler = st.text(alphabet=string.ascii_letters + " \n.,#@_`", max_size=8)
     return st.lists(st.one_of(_any_case(st.sampled_from(phrases)), filler), max_size=12).map("".join)
+
+
+# Each construct's literal, pieces that join into one once the text between
+# them is removed, and the line and word boundaries the patterns test.
+TRIGGERS = ["`", "```", "<b>", "</b>", "- [ ] ", "* [x] ", "at x.y(z)", "(", "FooError", "Exception", "Err", "or",
+            "_a_", "_", "http://", "https://x.y", "ht", "tp://", "www.", "ww", "@u", "@", "#1", "#", "\n", " "]
+
+
+@given(st.lists(st.one_of(st.sampled_from(TRIGGERS), st.text(alphabet=string.ascii_letters + " \n.", max_size=6)),
+                max_size=16).map("".join))
+@example("ht<b>tp://x.y z")  # a URL that only the tag removal makes
+@example("Err`x`or: boom\nok")  # an error line that only the inline-code removal makes
+@settings(max_examples=500)
+def test_literal_prechecks_skip_only_scans_that_remove_nothing(lists, text):
+    assert strip_noise(text, lists) == _strip_noise_oracle(text, lists)
 
 
 def test_overlapping_phrases_are_removed_in_list_order(overlapping_lists):
