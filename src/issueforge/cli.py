@@ -221,14 +221,18 @@ def _read_stage_rows(path: str, required: dict[str, type]) -> list[dict]:
 # --- pipeline -----------------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
-    """Run all stages, writing outputs as .partial until the whole run succeeds."""
+    """Run all stages, writing outputs as .partial until the whole run succeeds.
+
+    Every input but the corpus is loaded and checked before the first stage, so a
+    bad one fails the run with its own error and nothing written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lists = textprep.load_wordlists(config.word_lists_dir)
     patterns = extraction.load_patterns(config.patterns)
     lexicon_path = config.lexicon or str(Path(textprep.default_data_dir()) / "lexicon.tsv")
     lexicon = labels_mod.load_lexicon(lexicon_path, lists)
     label_map = augmentation.load_label_map(config.label_map)
+    primary = augmentation.load_primary(config.primary_csv, label_map, lists)
+    out.mkdir(parents=True, exist_ok=True)
 
     partial: dict[str, Path] = {}
 
@@ -283,9 +287,8 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         augmentation.write_docs(docs, stage_path("docs.jsonl"))
         logger.info("pipeline: admitted %d documents", len(docs))
 
-        # stage 5: primary loading and augmentation
+        # stage 5: augmentation
         current_stage = "augment"
-        primary = augmentation.load_primary(config.primary_csv, label_map, lists)
         spec = config.spec()
         profiles = similarity.build_profiles(corpus, lists) if spec.method is Method.WITHIN_CONTEXT else None
         dataset = augmentation.augment_from_pool(primary, docs, spec, profiles)

@@ -5,6 +5,12 @@ or form-style field labels); titles are normalized (lowercase, stopwords
 removed except what/about/should, stemmed) and matched against an ordered set
 of 19 regex patterns. The first section whose title matches any pattern is
 the target. Unstructured bodies contribute only if they are one paragraph.
+
+Issue templates make a handful of titles recur across thousands of bodies, so
+the per-title work is done once: a raw title's normalized form is memoized per
+stopword set, and a normalized title's first matching pattern per
+``PatternSet``. ``extract`` normalizes titles in body order only up to the
+first match. Lines that cannot be a fence or a title are skipped unparsed.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ class TitlePattern:
 @dataclass(frozen=True)
 class PatternSet:
     patterns: tuple[TitlePattern, ...]
+    # normalized title -> name of the first pattern that matches it, or None (see _first_match)
+    _matches: dict[str, str | None] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.patterns)
@@ -138,12 +146,19 @@ def _title_of_line(line: str) -> str | None:
     return None
 
 
-def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySection]]:
-    """Split a body into (preamble, titled sections); fence interiors are opaque."""
+# First non-space characters of a fence, an ATX heading or a bold line. A field
+# label ends in ":" plus whitespace, so a line that does neither is none of them.
+_MARKUP_STARTS = frozenset("#*_`~")
+
+
+def _titled_lines(body: str) -> tuple[list[str], list[tuple[int, str]]]:
+    """The body's lines, and (line index, raw title) of each titled line; fence interiors are opaque."""
     lines = body.splitlines()
     in_fence = False
     titles: list[tuple[int, str]] = []
     for idx, line in enumerate(lines):
+        if line.lstrip()[:1] not in _MARKUP_STARTS and not line.rstrip().endswith(":"):
+            continue
         if _FENCE.match(line):
             in_fence = not in_fence
             continue
@@ -152,6 +167,30 @@ def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySect
         title = _title_of_line(line)
         if title is not None:
             titles.append((idx, title))
+    return lines, titles
+
+
+# Both memos cache pure functions, so they are exact; each is emptied when it
+# reaches this size, which bounds their memory on bodies with few repeated titles.
+_MEMO_LIMIT = 1 << 16
+
+# raw title -> normalized title, per stopword set (all that normalize_title reads of the word lists)
+_NORMALIZED: dict[frozenset[str], dict[str, str]] = {}
+
+
+def _normalized(raw_title: str, lists: WordLists) -> str:
+    memo = _NORMALIZED.get(lists.stopwords)
+    if memo is None or len(memo) >= _MEMO_LIMIT:
+        memo = _NORMALIZED[lists.stopwords] = {}
+    normalized = memo.get(raw_title)
+    if normalized is None:
+        normalized = memo[raw_title] = normalize_title(raw_title, lists)
+    return normalized
+
+
+def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySection]]:
+    """Split a body into (preamble, titled sections); fence interiors are opaque."""
+    lines, titles = _titled_lines(body)
     if not titles:
         return body, []
     preamble = "\n".join(lines[: titles[0][0]])
@@ -162,7 +201,7 @@ def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySect
         sections.append(
             BodySection(
                 raw_title=raw_title,
-                normalized_title=normalize_title(raw_title, lists),
+                normalized_title=_normalized(raw_title, lists),
                 content=content,
                 order=order,
             )
@@ -170,21 +209,16 @@ def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySect
     return preamble, sections
 
 
-def split_sections(body: str, lists: WordLists) -> list[BodySection]:
-    return split_with_preamble(body, lists)[1]
-
-
 # --- target matching ------------------------------------------------------------
 
-def match_target(
-    sections: list[BodySection], patterns: PatternSet
-) -> tuple[BodySection, str] | None:
-    """First section (in body order) whose normalized title matches any pattern."""
-    for section in sections:
-        for pattern in patterns:
-            if pattern.regex.search(section.normalized_title):
-                return section, pattern.name
-    return None
+def _first_match(normalized_title: str, patterns: PatternSet) -> str | None:
+    """Name of the first pattern (in set order) that matches a normalized title, or None."""
+    memo = patterns._matches
+    if normalized_title not in memo:
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        memo[normalized_title] = next((p.name for p in patterns if p.regex.search(normalized_title)), None)
+    return memo[normalized_title]
 
 
 def _paragraphs(text: str) -> list[str]:
@@ -204,13 +238,16 @@ def _paragraphs(text: str) -> list[str]:
 def extract(issue: RawIssue, patterns: PatternSet, lists: WordLists) -> ExtractedSection | None:
     """Target text for one issue: matched section content, or the whole body
     when it is an unstructured single paragraph. None when nothing qualifies."""
-    sections = split_sections(issue.body, lists)
-    if sections:
-        matched = match_target(sections, patterns)
-        if matched is None:
+    lines, titles = _titled_lines(issue.body)
+    if titles:
+        for order, (start, raw_title) in enumerate(titles):
+            name = _first_match(_normalized(raw_title, lists), patterns)
+            if name is not None:
+                break
+        else:
             return None
-        section, name = matched
-        text = section.content.strip()
+        end = titles[order + 1][0] if order + 1 < len(titles) else len(lines)
+        text = "\n".join(lines[start + 1 : end]).strip()
         if not text:
             return None
         return ExtractedSection(

@@ -174,11 +174,12 @@ def load_corpus(path: Path | str) -> Corpus:
 
 
 def write_jsonl(rows: Iterable[dict], path: Path | str, ensure_ascii: bool = False) -> Path:
-    """One sorted-key JSON object per line."""
+    """One sorted-key JSON object per line, as ``json.dumps(row, sort_keys=True, ensure_ascii=...)`` writes it."""
     path = Path(path)
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=ensure_ascii).encode
     with path.open("w", encoding="utf-8") as handle:
         for row in rows:
-            handle.write(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n")
+            handle.write(encode(row) + "\n")
     return path
 
 

@@ -4,6 +4,10 @@ The pipeline turns raw text into lowercase lemma tokens: noise constructs are
 stripped (issue text only), negative modifiers collapse to "not", stopwords are
 dropped except the intent-bearing modals, and remaining tokens are lemmatized
 against a bundled lookup table with a stemmer fallback.
+
+Most issue text holds few noise constructs and no special phrase, so
+``strip_noise`` runs a scan only where a cheap substring test says it can
+match; its output equals running every scan.
 """
 
 from __future__ import annotations
@@ -113,7 +117,8 @@ _ISSUE_REF = re.compile(r"(?<![\w&])#\d+\b")
 
 def strip_noise(text: str, lists: WordLists) -> str:
     """Remove the enumerated noise constructs, leaving all other text intact. A construct is
-    scanned for only when the text holds a literal that every match of it contains."""
+    scanned for only when the text holds a literal that every match of it contains, and a
+    special phrase on ASCII text only when the text's lowercase holds the phrase's."""
     if "`" in text:
         text = _FENCED_CODE.sub("", text)
         text = _INLINE_CODE.sub("", text)
@@ -133,22 +138,36 @@ def strip_noise(text: str, lists: WordLists) -> str:
         text = _MENTION.sub("", text)
     if "#" in text:
         text = _ISSUE_REF.sub("", text)
-    for pattern in _phrase_patterns(lists.special_phrases):
-        text = pattern.sub("", text)
+    lowered = text.lower() if text.isascii() else None
+    for pattern, needle in _phrase_patterns(lists.special_phrases):
+        if lowered is not None and needle is not None and needle not in lowered:
+            continue
+        text, removed = pattern.subn("", text)
+        if removed and lowered is not None:
+            lowered = text.lower()
     return text
 
 
-# Compiled whole-word patterns per special-phrase list. Each phrase keeps its
-# own pattern, applied in list order: one alternation would remove different
-# text when phrases overlap.
-_PHRASE_PATTERNS: dict[tuple[str, ...], tuple[re.Pattern, ...]] = {}
+# Compiled whole-word patterns per special-phrase list, each with the phrase's
+# lowercase form when the phrase is ASCII (None otherwise). Each phrase keeps
+# its own pattern, applied in list order: one alternation would remove different
+# text when phrases overlap. On ASCII text an ASCII phrase matches only where
+# its lowercase form occurs in the text's lowercase, so strip_noise scans for it
+# only there. IGNORECASE also matches some non-ASCII letters to ASCII ones ("ſ"
+# to "s", "İ" and "ı" to "i", the Kelvin sign to "k"), so non-ASCII text and
+# non-ASCII phrases are always scanned.
+_PHRASE_PATTERNS: dict[tuple[str, ...], tuple[tuple[re.Pattern, str | None], ...]] = {}
 
 
-def _phrase_patterns(phrases: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+def _phrase_patterns(phrases: tuple[str, ...]) -> tuple[tuple[re.Pattern, str | None], ...]:
     patterns = _PHRASE_PATTERNS.get(phrases)
     if patterns is None:
         patterns = _PHRASE_PATTERNS[phrases] = tuple(
-            re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE) for phrase in phrases
+            (
+                re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE),
+                phrase.lower() if phrase.isascii() else None,
+            )
+            for phrase in phrases
         )
     return patterns
 

@@ -105,13 +105,12 @@ def test_missing_lexicon_fails_validation_before_work(tmp_path):
 
 
 def test_stage_failure_keeps_partials(tmp_path):
-    # an unmapped review label aborts the augment stage mid-pipeline
-    broken_csv = tmp_path / "broken.csv"
-    broken_csv.write_text("text,label\nsome words in a review,mystery\n", encoding="utf-8")
+    # a filter that keeps no repository leaves the augment stage no candidate document, mid-pipeline
     config = json.loads((DEMO / "demo_config.json").read_text())
     config["corpus_dir"] = str(DEMO)
-    config["primary_csv"] = str(broken_csv)
+    config["primary_csv"] = str(DEMO / "primary_demo.csv")
     config["label_map"] = str(DEMO / "labelmap_demo.tsv")
+    config["min_labeled_issues"] = 1000
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -121,6 +120,23 @@ def test_stage_failure_keeps_partials(tmp_path):
     assert "labels.jsonl.partial" in partials
     assert "docs.jsonl.partial" in partials
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "csv_text", ["text,label\n", "text,label\nsome words in a review,mystery\n"], ids=["header-only", "unmapped-label"]
+)
+def test_bad_primary_fails_the_pipeline_before_any_stage(tmp_path, capsys, csv_text):
+    primary = tmp_path / "primary.csv"
+    primary.write_text(csv_text, encoding="utf-8")
+    config = json.loads((DEMO / "demo_config.json").read_text())
+    config.update(corpus_dir=str(DEMO), primary_csv=str(primary), label_map=str(DEMO / "labelmap_demo.tsv"))
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(config_file), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "primary.csv" in err and "StageFailure" not in err and "filter kept" not in err
+    assert not out.exists()
 
 
 def test_report_funnel_monotone(pipeline_dir, capsys):

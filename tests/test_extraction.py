@@ -1,22 +1,25 @@
+import shutil
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from issueforge import extraction
 from issueforge.extraction import (
+    BodySection,
+    ExtractedSection,
     ExtractionMode,
     GoldIssue,
     MissingGold,
     extract,
     load_gold_fixture,
     load_patterns,
-    match_target,
     normalize_title,
-    split_sections,
     split_with_preamble,
     verify_patterns,
 )
 from issueforge.ingestion import RawIssue
-from issueforge.textprep import load_wordlists
+from issueforge.textprep import default_data_dir, load_wordlists, strip_noise
 
 from title_examples import DESIGNATED_TITLES, NEGATIVE_TITLES
 
@@ -30,6 +33,63 @@ def make_issue(body: str, issue_id: str = "i1", title: str = "some issue") -> Ra
         label_names=("bug",),
         created_at="2023-01-01T00:00:00Z",
     )
+
+
+# --- oracle: the per-line splitter and the section matcher, without pre-check or memos ---
+
+def _oracle_split(body, lists):
+    """(preamble, sections): every line parsed, every title normalized afresh."""
+    lines = body.splitlines()
+    in_fence = False
+    titles = []
+    for idx, line in enumerate(lines):
+        if extraction._FENCE.match(line):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        title = extraction._title_of_line(line)
+        if title is not None:
+            titles.append((idx, title))
+    if not titles:
+        return body, []
+    preamble = "\n".join(lines[: titles[0][0]])
+    sections = []
+    for order, (start, raw_title) in enumerate(titles):
+        end = titles[order + 1][0] if order + 1 < len(titles) else len(lines)
+        content = "\n".join(lines[start + 1 : end]).strip("\n")
+        sections.append(BodySection(raw_title, normalize_title(raw_title, lists), content, order))
+    return preamble, sections
+
+
+def split_sections(body, lists):
+    return _oracle_split(body, lists)[1]
+
+
+def match_target(sections, patterns):
+    """First section (in body order) whose normalized title matches any pattern."""
+    for section in sections:
+        for pattern in patterns:
+            if pattern.regex.search(section.normalized_title):
+                return section, pattern.name
+    return None
+
+
+def _oracle_extract(issue, patterns, lists):
+    sections = split_sections(issue.body, lists)
+    if sections:
+        matched = match_target(sections, patterns)
+        if matched is None:
+            return None
+        section, name = matched
+        text = section.content.strip()
+        if not text:
+            return None
+        return ExtractedSection(issue.issue_id, text, ExtractionMode.SECTION_MATCH, name)
+    paragraphs = extraction._paragraphs(strip_noise(issue.body, lists))
+    if len(paragraphs) != 1 or not paragraphs[0].strip():
+        return None
+    return ExtractedSection(issue.issue_id, paragraphs[0].strip(), ExtractionMode.SINGLE_PARAGRAPH)
 
 
 # --- title normalization --------------------------------------------------------------
@@ -291,3 +351,62 @@ def test_extract_is_pure(body):
     if first is not None:
         assert first.text
         assert (first.matched_pattern is not None) == (first.mode is ExtractionMode.SECTION_MATCH)
+
+
+# Lines that are, or nearly are, fences and titles of every kind the splitter knows,
+# with matching and non-matching titles; joined by every line break splitlines() knows.
+BODY_LINES = [
+    "```", "~~~", "  ```", "\t~~~ js", "``", "~~", " ```python", "text ``` inline",
+    "# Actual behaviour", "### Steps to reproduce", "#Actual behaviour", "####### Summary", "  ## Summary",
+    "# ", "## Expected behavior ##", "**Describe the bug**", "__Expected result__:", " **Environment** : ",
+    "**", "*emphasis* only", "_Originally posted by x_",
+    "Actual result:", "Steps to reproduce:  ", "Android 13:\t", "Logs:", "1234:", ":",
+    "a very long sentence that goes on and on and on until it ends with:",
+    "- list item ending:", "* Actual behaviour:", "1. Summary:", "> quoted:", "- [ ] box:",
+    "App hangs on launch.", "core text", "", "   ", "\u00a0# nbsp heading", "\u00a0Summary:\u00a0",
+]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+MIXED_BODIES = st.lists(st.tuples(st.sampled_from(BODY_LINES), st.sampled_from(LINE_BREAKS)), max_size=14).map(
+    lambda parts: "".join(line + brk for line, brk in parts)
+)
+
+
+@given(MIXED_BODIES)
+@example("### Environment\r\nAndroid 13\r\n~~~\r\n### Summary\r\n~~~\r\nActual result:\x85hangs")
+@example("  ```\u2028# Actual behaviour\u2028```\u2028**Describe the bug**\x0bcrash")
+@settings(max_examples=400)
+def test_extract_and_split_equal_the_per_line_oracle(body):
+    issue = make_issue(body)
+    assert extract(issue, _PATTERNS, _LISTS) == _oracle_extract(issue, _PATTERNS, _LISTS)
+    assert split_with_preamble(body, _LISTS) == _oracle_split(body, _LISTS)
+
+
+def test_pattern_memo_is_per_pattern_set(tmp_path, lists):
+    custom = tmp_path / "patterns.tsv"
+    custom.write_text("X1\tissu\tB\nX2\twhat broke\tBF\n", encoding="utf-8")
+    custom_patterns = load_patterns(custom)
+    bundled = load_patterns()
+    issue = make_issue("### Summary\nsummary text\n### Actual behaviour\nactual text\n### Issue\nissue text")
+    # alternate the two sets, so a memo shared between them answers for the other set
+    for _ in range(2):
+        for patterns in (custom_patterns, bundled):
+            assert extract(issue, patterns, lists) == _oracle_extract(issue, patterns, lists)
+    # the sets pick different sections: only the bundled set matches "summari"
+    custom_result, bundled_result = extract(issue, custom_patterns, lists), extract(issue, bundled, lists)
+    assert (custom_result.text, custom_result.matched_pattern) == ("issue text", "X1")
+    assert (bundled_result.text, bundled_result.matched_pattern) == ("summary text", "P19")
+    # an equal set built afresh gives the same answer
+    assert extract(issue, load_patterns(custom), lists).matched_pattern == "X1"
+
+
+def test_title_memo_is_per_stopword_set(tmp_path, lists):
+    for name in ("negative_modifiers.txt", "special_phrases.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, tmp_path / name)
+    (tmp_path / "stopwords.txt").write_text("the\n", encoding="utf-8")
+    few_stopwords = load_wordlists(tmp_path)
+    body = "### Steps to reproduce the bug\nsteps\n### What is the actual result\nresult"
+    for _ in range(2):
+        for word_lists in (few_stopwords, lists):
+            assert split_with_preamble(body, word_lists) == _oracle_split(body, word_lists)
+    assert split_with_preamble(body, few_stopwords)[1][0].normalized_title == "step to reproduc bug"
+    assert split_with_preamble(body, lists)[1][0].normalized_title == "step reproduc bug"

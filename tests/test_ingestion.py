@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from issueforge import ingestion
 from issueforge.ingestion import (
     Corpus,
     DanglingRepoRef,
@@ -221,3 +222,21 @@ def test_round_trip_preserves_odd_strings(tmp_path):
     assert reloaded.issues[0].title == strange
     assert reloaded.issues[0].body == strange
     assert reloaded.repos["r1"].readme_text == strange
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+ODD_TEXT = 'éü \U0001f41b \u2028 "q" \\ \t\x00'
+
+
+@pytest.mark.parametrize("ensure_ascii", [True, False])
+@given(rows=st.lists(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4), max_size=4))
+@settings(max_examples=100)
+def test_write_jsonl_equals_per_row_dumps(tmp_path_factory, ensure_ascii, rows):
+    rows = [*rows, {"z": ODD_TEXT, "a": [ODD_TEXT, 1.5, None], ODD_TEXT: {"b": True}}]
+    path = ingestion.write_jsonl(rows, tmp_path_factory.getbasetemp() / "rows.jsonl", ensure_ascii=ensure_ascii)
+    expected = "".join(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -118,16 +118,22 @@ def overlapping_lists(tmp_path_factory):
     return load_wordlists(directory)
 
 
+# Non-ASCII letters that IGNORECASE matches to an ASCII one: long s, dotless i,
+# dotted capital I and the Kelvin sign.
+LOOKALIKES = {"s": "ſ", "i": "ıİ", "k": "\u212a"}
+
+
 def _any_case(phrase_strategy):
+    """A phrase with each letter in either case, or as a non-ASCII letter that matches it."""
     return phrase_strategy.flatmap(
-        lambda phrase: st.lists(st.booleans(), min_size=len(phrase), max_size=len(phrase)).map(
-            lambda upper: "".join(c.upper() if u else c for c, u in zip(phrase, upper))
-        )
+        lambda phrase: st.tuples(
+            *(st.sampled_from([c.lower(), c.upper(), *LOOKALIKES.get(c.lower(), "")]) for c in phrase)
+        ).map("".join)
     )
 
 
 def _mixed_text(phrases):
-    filler = st.text(alphabet=string.ascii_letters + " \n.,#@_`", max_size=8)
+    filler = st.text(alphabet=string.ascii_letters + " \n.,#@_`" + "".join(LOOKALIKES.values()), max_size=8)
     return st.lists(st.one_of(_any_case(st.sampled_from(phrases)), filler), max_size=12).map("".join)
 
 
@@ -181,6 +187,28 @@ def test_strip_noise_equals_per_phrase_loop_for_other_lists(lists, overlapping_l
 def test_phrase_removal_equals_per_phrase_loop(lists, phrases, text):
     phrase_lists = dataclasses.replace(lists, special_phrases=phrases)
     assert strip_noise(text, phrase_lists) == _strip_noise_oracle(text, phrase_lists)
+
+
+@pytest.mark.parametrize(
+    "phrases,text",
+    [(BUNDLED_PHRASES, "poſted by x"), (BUNDLED_PHRASES, "orİginal issue by x"), (("kept by",), "\u212aept by x")],
+)
+def test_non_ascii_text_is_scanned_for_ascii_phrases(lists, phrases, text):
+    # the phrase's lowercase form is not in the text's, yet IGNORECASE matches it
+    phrase_lists = dataclasses.replace(lists, special_phrases=phrases)
+    assert strip_noise(text, phrase_lists) == _strip_noise_oracle(text, phrase_lists) == " x"
+
+
+def test_non_ascii_phrase_is_scanned_for_on_ascii_text(lists):
+    phrase_lists = dataclasses.replace(lists, special_phrases=("ſtarted by",))
+    assert strip_noise("started by x", phrase_lists) == _strip_noise_oracle("started by x", phrase_lists) == " x"
+
+
+def test_phrase_removal_rescans_the_changed_text(lists):
+    # "created by" only forms once "foo." is removed from between its words
+    phrase_lists = dataclasses.replace(lists, special_phrases=("foo.", "created by"))
+    text = "created foo.by x"
+    assert strip_noise(text, phrase_lists) == _strip_noise_oracle(text, phrase_lists) == " x"
 
 
 def test_empty_phrase_list_removes_no_phrase(lists):
