@@ -17,7 +17,9 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,13 +36,6 @@ EXIT_VALIDATION = 2
 EXIT_STAGE_FAILURE = 3
 
 MAX_SWEEP_RATIOS = 1001
-
-
-class StageFailure(IssueforgeError):
-    def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
-        super().__init__(f"stage {stage!r} failed: {cause}")
 
 
 class MissingArtifact(IssueforgeError):
@@ -194,6 +189,17 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _sha256_artifact(path: Path) -> str:
+    """sha256 of a file; of a directory, over each file's name and sha256 in name order."""
+    if not path.is_dir():
+        return _sha256_file(path)
+    digest = hashlib.sha256()
+    for child in sorted(path.iterdir()):
+        digest.update(child.name.encode())
+        digest.update(bytes.fromhex(_sha256_file(child)))
+    return digest.hexdigest()
+
+
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -221,10 +227,13 @@ def _read_stage_rows(path: str, required: dict[str, type]) -> list[dict]:
 # --- pipeline -----------------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
-    """Run all stages, writing outputs as .partial until the whole run succeeds.
+    """Run all stages in a staging directory under ``out_dir``, then commit the run.
 
     Every input but the corpus is loaded and checked before the first stage, so a
-    bad one fails the run with its own error and nothing written."""
+    bad one fails the run with its own error and nothing written. A stage's error
+    reaches the caller unwrapped, and the staging directory is removed with it.
+    The commit unlinks the old manifest first and moves the new one in last, so a
+    run cut short leaves no manifest beside artifacts it does not describe."""
     out = Path(out_dir)
     lists = textprep.load_wordlists(config.word_lists_dir)
     patterns = extraction.load_patterns(config.patterns)
@@ -234,15 +243,9 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     primary = augmentation.load_primary(config.primary_csv, label_map, lists)
     out.mkdir(parents=True, exist_ok=True)
 
-    partial: dict[str, Path] = {}
+    with tempfile.TemporaryDirectory(dir=out, prefix=".staging-") as staging_dir:
+        staging = Path(staging_dir)
 
-    def stage_path(name: str) -> Path:
-        path = out / f"{name}.partial"
-        partial[name] = path
-        return path
-
-    current_stage = "filter"
-    try:
         # stage 1: repository filtering
         corpus = ingestion.load_corpus(config.corpus_dir)
         issues_total = len(corpus.issues)
@@ -251,23 +254,19 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
             min_labeled_issues=config.min_labeled_issues,
             min_contributors=config.min_contributors,
         )
-        corpus_dir = out / "corpus.partial"
-        ingestion.write_corpus(corpus, corpus_dir)
-        partial["corpus"] = corpus_dir
+        ingestion.write_corpus(corpus, staging / "corpus")
         logger.info("pipeline: filter kept %d repos / %d issues", len(corpus.repos), len(corpus.issues))
 
         # stage 2: label normalization and intent assignment
-        current_stage = "labels"
         intents = labels_mod.assign_intents(corpus, lexicon, lists, config.min_label_frequency)
         label_rows = labels_mod.label_rows(corpus.issues, intents)
-        ingestion.write_jsonl(label_rows, stage_path("labels.jsonl"), ensure_ascii=True)
+        ingestion.write_jsonl(label_rows, staging / "labels.jsonl", ensure_ascii=True)
         logger.info("pipeline: labels assigned intents to %d/%d issues", len(intents), len(corpus.issues))
 
         # stage 3: target-section extraction (intent-labeled issues only), as `extract --labels` does it
-        current_stage = "extract"
         labeled = {row["issue_id"]: row["intents"] for row in label_rows}
         extracted_rows, modes, per_pattern = extraction.extract_rows(corpus.issues, patterns, lists, labeled)
-        ingestion.write_jsonl(extracted_rows, stage_path("extracted.jsonl"))
+        ingestion.write_jsonl(extracted_rows, staging / "extracted.jsonl")
         funnel_report = {
             "funnel": {
                 "issues_total": issues_total,
@@ -278,59 +277,38 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
             "modes": modes,
             "per_pattern": per_pattern,
         }
-        _dump_json(funnel_report, stage_path("extraction_report.json"))
+        _dump_json(funnel_report, staging / "extraction_report.json")
         logger.info("pipeline: extracted target text from %d issues", len(extracted_rows))
 
         # stage 4: preprocessing into the document pool
-        current_stage = "preprocess"
         docs = augmentation.docs_from_extracted(extracted_rows, lists)
-        augmentation.write_docs(docs, stage_path("docs.jsonl"))
+        augmentation.write_docs(docs, staging / "docs.jsonl")
         logger.info("pipeline: admitted %d documents", len(docs))
 
         # stage 5: augmentation
-        current_stage = "augment"
         spec = config.spec()
         profiles = similarity.build_profiles(corpus, lists) if spec.method is Method.WITHIN_CONTEXT else None
         dataset = augmentation.augment_from_pool(primary, docs, spec, profiles)
-        augmentation.write_docs(dataset.rows, stage_path("augmented.jsonl"))
+        augmentation.write_docs(dataset.rows, staging / "augmented.jsonl")
 
         # stage 6: train and evaluate both binary targets
-        current_stage = "train-eval"
         report = {"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows)}
         rows = classifier.count_terms(dataset.rows)  # once for both targets
         for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
             eval_report = classifier.cross_validate(rows, target, k=config.folds, seed=config.seed)
             report[target.value] = eval_report.as_dict()
-        _dump_json(report, stage_path("report.json"))
-    except Exception as exc:
-        raise StageFailure(current_stage, exc) from exc
+        _dump_json(report, staging / "report.json")
 
-    # commit: drop the .partial suffix on every artifact, then write the manifest
-    final_paths: dict[str, Path] = {}
-    for name, path in partial.items():
-        final = out / name
-        if final.exists():
-            if final.is_dir():
-                for child in final.iterdir():
-                    child.unlink()
-                final.rmdir()
-            else:
-                final.unlink()
-        path.rename(final)
-        final_paths[name] = final
-
-    artifacts = {}
-    for name, path in sorted(final_paths.items()):
-        if path.is_dir():
-            digest = hashlib.sha256()
-            for child in sorted(path.iterdir()):
-                digest.update(child.name.encode())
-                digest.update(bytes.fromhex(_sha256_file(child)))
-            artifacts[name] = digest.hexdigest()
-        else:
-            artifacts[name] = _sha256_file(path)
-    manifest = {"artifacts": artifacts, "config": config.as_dict(), "seed": config.seed}
-    _dump_json(manifest, out / "manifest.json")
+        # commit; os.replace cannot move a directory onto a non-empty one, so an old corpus/ is removed first
+        artifacts = {path.name: _sha256_artifact(path) for path in sorted(staging.iterdir())}
+        _dump_json({"artifacts": artifacts, "config": config.as_dict(), "seed": config.seed},
+                   staging / "manifest.json")
+        (out / "manifest.json").unlink(missing_ok=True)
+        for name in artifacts:
+            if (out / name).is_dir():
+                shutil.rmtree(out / name)
+            os.replace(staging / name, out / name)
+        os.replace(staging / "manifest.json", out / "manifest.json")
     logger.info("pipeline: wrote %d artifacts to %s", len(artifacts), out)
     return out
 

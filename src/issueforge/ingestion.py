@@ -132,6 +132,9 @@ def load_corpus(path: Path | str) -> Corpus:
     for lineno, row in parse_jsonl(repos_file, _REPO_FIELDS):
         if row["repo_id"] in repos:
             raise SchemaViolation(repos_file.name, lineno, "repo_id", "duplicate repo_id")
+        for name in ("readme_text", "about_text"):
+            if row.get(name) is not None and not isinstance(row[name], str):
+                raise SchemaViolation(repos_file.name, lineno, name, "expected str or null")
         repos[row["repo_id"]] = RepoRecord(
             repo_id=row["repo_id"],
             full_name=row["full_name"],

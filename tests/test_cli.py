@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -42,7 +43,7 @@ def test_pipeline_writes_seven_artifacts(pipeline_dir):
         "augmented.jsonl",
         "report.json",
     }
-    assert not list(pipeline_dir.glob("*.partial"))
+    assert {path.name for path in pipeline_dir.iterdir()} == set(manifest["artifacts"]) | {"manifest.json"}
 
 
 # sha256 of every demo artifact; an optimization must leave all of them unchanged
@@ -104,22 +105,88 @@ def test_missing_lexicon_fails_validation_before_work(tmp_path):
     assert not out.exists()
 
 
-def test_stage_failure_keeps_partials(tmp_path):
-    # a filter that keeps no repository leaves the augment stage no candidate document, mid-pipeline
+def _pipeline_config(tmp_path, corpus_dir=DEMO, **changes) -> str:
+    """The demo config with absolute paths and ``changes`` applied, written under ``tmp_path``."""
     config = json.loads((DEMO / "demo_config.json").read_text())
-    config["corpus_dir"] = str(DEMO)
-    config["primary_csv"] = str(DEMO / "primary_demo.csv")
-    config["label_map"] = str(DEMO / "labelmap_demo.tsv")
-    config["min_labeled_issues"] = 1000
+    config.update(corpus_dir=str(corpus_dir), primary_csv=str(DEMO / "primary_demo.csv"),
+                  label_map=str(DEMO / "labelmap_demo.tsv"), **changes)
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(config))
+    return str(config_file)
+
+
+def _tree(root: Path) -> dict:
+    """Every entry under ``root``, hidden ones included: relative path -> bytes, or None for a directory."""
+    return {str(path.relative_to(root)): None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
+def test_failed_run_leaves_the_previous_run_intact(tmp_path):
     out = tmp_path / "out"
-    code = main(["pipeline", "--config", str(config_file), "--out", str(out)])
-    assert code == EXIT_STAGE_FAILURE
-    partials = {p.name for p in out.glob("*.partial")}
-    assert "labels.jsonl.partial" in partials
-    assert "docs.jsonl.partial" in partials
+    assert main(["pipeline", "--config", str(DEMO / "demo_config.json"), "--out", str(out)]) == EXIT_OK
+    before = _tree(out)
+    # a filter that keeps no repository leaves the augment stage no candidate document, mid-pipeline
+    config = _pipeline_config(tmp_path, min_labeled_issues=1000)
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_STAGE_FAILURE
+    assert _tree(out) == before
+    assert not list(out.glob("*.partial")) and not list(out.glob(".staging-*"))
+
+
+def test_interrupted_commit_leaves_no_manifest_and_a_rerun_completes_it(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    config = str(DEMO / "demo_config.json")
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
+    moves = []
+    replace = os.replace
+
+    def third_move_fails(src, dst):
+        moves.append(dst)
+        if len(moves) == 3:
+            raise OSError(f"no space left while moving {src}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", third_move_fails)
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_STAGE_FAILURE
+    monkeypatch.undo()
+    assert len(moves) == 3
     assert not (out / "manifest.json").exists()
+    assert not list(out.glob(".staging-*"))
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == DEMO_ARTIFACT_HASHES
+
+
+def test_old_corpus_with_a_subdirectory_is_replaced(tmp_path):
+    out = tmp_path / "out"
+    config = str(DEMO / "demo_config.json")
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
+    (out / "corpus" / "old" / "deeper").mkdir(parents=True)
+    (out / "corpus" / "old" / "notes.txt").write_text("left by hand\n")
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert {path.name for path in (out / "corpus").iterdir()} == {"repos.jsonl", "issues.jsonl"}
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == DEMO_ARTIFACT_HASHES
+
+
+def test_pipeline_into_the_working_directory(tmp_path, monkeypatch):
+    # the benchmark runs `pipeline --out .` from inside the run directory
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    assert main(["pipeline", "--config", str(DEMO / "demo_config.json"), "--out", "."]) == EXIT_OK
+    artifacts = json.loads((run / "manifest.json").read_text())["artifacts"]
+    assert artifacts == DEMO_ARTIFACT_HASHES
+    assert {path.name for path in run.iterdir()} == set(artifacts) | {"manifest.json"}
+
+
+def test_malformed_corpus_line_fails_the_pipeline_as_a_validation_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(DEMO / "repos.jsonl", corpus / "repos.jsonl")
+    issues = (DEMO / "issues.jsonl").read_text(encoding="utf-8")
+    bad_line = issues.count("\n") + 1
+    (corpus / "issues.jsonl").write_text(issues + '{"issue_id": "x"\n', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", _pipeline_config(tmp_path, corpus), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"issues.jsonl:{bad_line}:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -547,7 +614,7 @@ def test_rerun_into_same_directory_replaces_artifacts(tmp_path):
     first = (out / "manifest.json").read_bytes()
     assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
     assert (out / "manifest.json").read_bytes() == first
-    assert not list(out.glob("*.partial"))
+    assert not list(out.glob(".staging-*"))
 
 
 @pytest.mark.parametrize("text", ["5", json.dumps(["seed", "corpus_dir", "primary_csv", "label_map"])],
@@ -732,6 +799,12 @@ def _corpus_with_bad_repos_line(tmp_path):
     return _write(tmp_path / "repos.jsonl", "{bad\n").parent
 
 
+def _corpus_with_repo_field(tmp_path, **field):
+    _write(tmp_path / "issues.jsonl", "")
+    repo = {"repo_id": "r1", "full_name": "o/r1", "contributors": 2, "stars": 0, **field}
+    return _write(tmp_path / "repos.jsonl", json.dumps(repo) + "\n").parent
+
+
 BAD_INPUT_FILES = {
     "patterns-four-columns": lambda t: [
         "extract", "--in", str(DEMO), "--patterns", str(_write(t / "p.tsv", "P1\tcrash\tB\textra\n")),
@@ -760,6 +833,11 @@ BAD_INPUT_FILES = {
     "augmented-unknown-source": lambda t: _train_eval(
         t, '{"doc_id": "d", "source": "x", "tokens": ["a"], "intents": ["bug"]}\n'),
     "repos-line-not-json": lambda t: ["filter", "--in", str(_corpus_with_bad_repos_line(t)), "--out", str(t / "out")],
+    "readme-text-a-number": lambda t: [
+        "similar", "--in", str(_corpus_with_repo_field(t, readme_text=5)), "--query", "r1", "--out", str(t / "r.json")],
+    "about-text-a-list": lambda t: [
+        "similar", "--in", str(_corpus_with_repo_field(t, about_text=["a"])), "--query", "r1",
+        "--out", str(t / "r.json")],
 }
 
 
