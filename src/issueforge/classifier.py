@@ -42,6 +42,10 @@ EPOCHS = 50
 LEARNING_RATE = 0.1
 L2 = 1e-4
 
+# the paper's two binary classifiers, and the metrics each cross-validation reports per fold and on average
+TARGETS = (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST)
+METRICS = ("precision", "recall", "f1")
+
 
 @dataclass(frozen=True, eq=False)
 class CountedRows(Sequence[ProcessedDocument]):
@@ -335,27 +339,16 @@ class EvalReport:
     folds: list[FoldMetrics]
 
     @property
-    def mean_precision(self) -> float:
-        return sum(f.precision for f in self.folds) / len(self.folds)
+    def means(self) -> dict[str, float]:
+        """Each of ``METRICS`` averaged over the folds."""
+        return {name: sum(getattr(f, name) for f in self.folds) / len(self.folds) for name in METRICS}
 
-    @property
-    def mean_recall(self) -> float:
-        return sum(f.recall for f in self.folds) / len(self.folds)
-
-    @property
-    def mean_f1(self) -> float:
-        return sum(f.f1 for f in self.folds) / len(self.folds)
+    mean_precision = property(lambda self: self.means["precision"])
+    mean_recall = property(lambda self: self.means["recall"])
+    mean_f1 = property(lambda self: self.means["f1"])
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target.value,
-            "folds": [f.as_dict() for f in self.folds],
-            "mean": {
-                "precision": self.mean_precision,
-                "recall": self.mean_recall,
-                "f1": self.mean_f1,
-            },
-        }
+        return {"target": self.target.value, "folds": [f.as_dict() for f in self.folds], "mean": self.means}
 
 
 def cross_validate(rows: Sequence[ProcessedDocument], target: IntentClass, k: int = 5, seed: int = 0) -> EvalReport:
@@ -369,6 +362,14 @@ def cross_validate(rows: Sequence[ProcessedDocument], target: IntentClass, k: in
         model = train(counted.take(train_idx), target)
         fold_metrics.append(evaluate(model, counted.take(test_idx), target))
     return EvalReport(target=target, folds=fold_metrics)
+
+
+def cross_validate_targets(
+    rows: Sequence[ProcessedDocument], k: int = 5, seed: int = 0
+) -> dict[IntentClass, EvalReport]:
+    """``cross_validate`` for each of ``TARGETS``; the rows' terms are counted once for all of them."""
+    counted = count_terms(rows)
+    return {target: cross_validate(counted, target, k=k, seed=seed) for target in TARGETS}
 
 
 def run_experiment(
@@ -385,42 +386,17 @@ def run_experiment(
     deltas against the baseline trained on the primary rows alone. Each
     within-context spec ranks its own target app against ``profiles``.
     """
-    comparison: list[dict] = []
-    targets = (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST)
-    # sampling depends on spec.seed alone, so every target sees the same rows;
-    # each dataset's terms are counted once for both, one dataset at a time
+    # sampling depends on spec.seed alone, so every target sees the same rows
     datasets = [primary.rows] + [augment_from_pool(primary, list(pool), spec, profiles).rows for spec in specs]
-    reports = [{target: cross_validate(counted, target, k=k, seed=seed) for target in targets}
-               for counted in map(count_terms, datasets)]
-    for target in targets:
-        baseline = reports[0][target]
-        comparison.append(
-            {
-                "target": target.value,
-                "model": "baseline",
-                "precision": baseline.mean_precision,
-                "recall": baseline.mean_recall,
-                "f1": baseline.mean_f1,
-                "delta_precision": 0.0,
-                "delta_recall": 0.0,
-                "delta_f1": 0.0,
-            }
-        )
-        for spec, by_target in zip(specs, reports[1:]):
-            report = by_target[target]
-            model_name = f"{spec.method.value}@r={spec.ratio:g}"
-            if spec.include_same_app:
-                model_name += "+same"
-            comparison.append(
-                {
-                    "target": target.value,
-                    "model": model_name,
-                    "precision": report.mean_precision,
-                    "recall": report.mean_recall,
-                    "f1": report.mean_f1,
-                    "delta_precision": report.mean_precision - baseline.mean_precision,
-                    "delta_recall": report.mean_recall - baseline.mean_recall,
-                    "delta_f1": report.mean_f1 - baseline.mean_f1,
-                }
-            )
+    reports = [cross_validate_targets(rows, k=k, seed=seed) for rows in datasets]
+    models = ["baseline"] + [f"{spec.method.value}@r={spec.ratio:g}" + ("+same" if spec.include_same_app else "")
+                             for spec in specs]
+    comparison = []
+    for target in TARGETS:
+        # the baseline row's deltas are its means less themselves, exactly 0.0
+        baseline = reports[0][target].means
+        for model, by_target in zip(models, reports):
+            means = by_target[target].means
+            deltas = {f"delta_{name}": means[name] - baseline[name] for name in METRICS}
+            comparison.append({"target": target.value, "model": model, **means, **deltas})
     return {"primary": primary.name, "k": k, "seed": seed, "rows": comparison}

@@ -62,8 +62,10 @@ class _JsonConfig:
     """``from_file`` for a dataclass config held in one JSON object.
 
     The required keys are the fields without a default. ``PATHS`` name the
-    path fields: each is resolved against the config file's directory and must
-    exist. ``INTS`` maps each integer field to its lower bound, or None.
+    path fields: each is resolved against the config file's directory, must
+    exist, and is kept as an absolute path, so the manifest of a run does not
+    depend on the working directory. ``INTS`` maps each integer field to its
+    lower bound, or None.
     """
 
     PATHS: tuple[str, ...] = ()
@@ -101,7 +103,7 @@ class _JsonConfig:
             resolved = path.parent / value
             if not resolved.exists():
                 raise ValidationError(f"{name} does not exist: {resolved}")
-            setattr(config, name, str(resolved))
+            setattr(config, name, os.path.abspath(resolved))
         config.validate()
         return config
 
@@ -292,12 +294,9 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         augmentation.write_docs(dataset.rows, staging / "augmented.jsonl")
 
         # stage 6: train and evaluate both binary targets
-        report = {"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows)}
-        rows = classifier.count_terms(dataset.rows)  # once for both targets
-        for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-            eval_report = classifier.cross_validate(rows, target, k=config.folds, seed=config.seed)
-            report[target.value] = eval_report.as_dict()
-        _dump_json(report, staging / "report.json")
+        reports = classifier.cross_validate_targets(dataset.rows, k=config.folds, seed=config.seed)
+        _dump_json({"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows),
+                    **{target.value: report.as_dict() for target, report in reports.items()}}, staging / "report.json")
 
         # commit; os.replace cannot move a directory onto a non-empty one, so an old corpus/ is removed first
         artifacts = {path.name: _sha256_artifact(path) for path in sorted(staging.iterdir())}
@@ -316,15 +315,16 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 def print_report(artifact_dir: Path | str, stream=None) -> dict:
     """Human-readable funnel and metric summary for a finished pipeline run.
 
-    A missing artifact is a MissingArtifact; a malformed one, or a report
-    without the funnel counts or a mean for both targets, is a ValidationError.
+    A missing artifact is a MissingArtifact, the manifest included: a run whose
+    commit was cut short has none. A malformed artifact, or a report without the
+    funnel counts or a mean for both targets, is a ValidationError.
     """
     stream = stream or sys.stdout
     out = Path(artifact_dir)
     extraction_report = out / "extraction_report.json"
     report_file = out / "report.json"
     docs_file = out / "docs.jsonl"
-    for required in (extraction_report, report_file, docs_file):
+    for required in (extraction_report, report_file, docs_file, out / "manifest.json"):
         if not required.exists():
             raise MissingArtifact(str(required))
     admitted_issues = {doc.doc_id.rsplit(":", 1)[0] for doc in augmentation.load_docs(docs_file)}
@@ -336,7 +336,7 @@ def print_report(artifact_dir: Path | str, stream=None) -> dict:
             ("extracted", funnel_data["funnel"]["issues_extracted"]),
             ("admitted", len(admitted_issues)),
         ]
-        means = {t: [float(metrics[t]["mean"][m]) for m in ("precision", "recall", "f1")] for t in ("bug", "feature")}
+        means = {t.value: [float(metrics[t.value]["mean"][m]) for m in classifier.METRICS] for t in classifier.TARGETS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"{out}: extraction_report.json needs the funnel counts and report.json a mean for bug and feature "
@@ -511,12 +511,9 @@ def _cmd_sweep(args) -> int:
         row = dict(info)
         row["file"] = name
         if args.train:
-            rows = classifier.count_terms(dataset.rows)  # once for both targets
-            for target in (IntentClass.BUG_REPORT, IntentClass.FEATURE_REQUEST):
-                report = classifier.cross_validate(rows, target, k=args.k, seed=args.seed)
-                row[f"{target.value}_precision"] = report.mean_precision
-                row[f"{target.value}_recall"] = report.mean_recall
-                row[f"{target.value}_f1"] = report.mean_f1
+            reports = classifier.cross_validate_targets(dataset.rows, k=args.k, seed=args.seed)
+            row.update({f"{target.value}_{name}": mean
+                        for target, report in reports.items() for name, mean in report.means.items()})
         trend_rows.append(row)
     _write_tsv(trend_rows, list(trend_rows[0]), out_dir / "trend.tsv")
     print(f"wrote {len(datasets)} datasets and trend.tsv to {out_dir}")
@@ -534,13 +531,9 @@ def _write_tsv(rows: list[dict], columns: list[str], path: Path | str) -> None:
 
 def _cmd_train_eval(args) -> int:
     rows = augmentation.load_docs(args.data)
-    target = IntentClass.BUG_REPORT if args.target == "bug" else IntentClass.FEATURE_REQUEST
-    report = classifier.cross_validate(rows, target, k=args.k, seed=args.seed)
+    report = classifier.cross_validate(rows, IntentClass(args.target), k=args.k, seed=args.seed)
     _dump_json(report.as_dict(), Path(args.out))
-    print(
-        f"{args.target}: precision={report.mean_precision:.3f} "
-        f"recall={report.mean_recall:.3f} f1={report.mean_f1:.3f}"
-    )
+    print(f"{args.target}: " + " ".join(f"{name}={mean:.3f}" for name, mean in report.means.items()))
     return EXIT_OK
 
 
@@ -555,8 +548,7 @@ def _cmd_experiment(args) -> int:
     if any(spec.method is Method.WITHIN_CONTEXT for spec in specs):
         profiles = similarity.build_profiles(ingestion.load_corpus(config.corpus_dir), lists)
     report = classifier.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
-    columns = ["target", "model", "precision", "recall", "f1", "delta_precision", "delta_recall", "delta_f1"]
-    _write_tsv(report["rows"], columns, args.out)
+    _write_tsv(report["rows"], list(report["rows"][0]), args.out)
     print(f"wrote comparison for {len(report['rows'])} models to {args.out}")
     return EXIT_OK
 
@@ -655,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-eval", help="stratified cross-validation of one binary target")
     p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True, choices=["bug", "feature"])
+    p.add_argument("--target", required=True, choices=[t.value for t in classifier.TARGETS])
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

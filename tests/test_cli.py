@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from issueforge import classifier
 from issueforge.cli import (
     EXIT_OK,
     EXIT_STAGE_FAILURE,
@@ -61,6 +62,37 @@ DEMO_ARTIFACT_HASHES = {
 def test_demo_artifact_hashes_are_pinned(pipeline_dir):
     manifest = json.loads((pipeline_dir / "manifest.json").read_text())
     assert manifest["artifacts"] == DEMO_ARTIFACT_HASHES
+
+
+# sha256 of json.dumps(run_experiment(...), sort_keys=True) for the README/CI demo experiment at full
+# precision; comparison.tsv rounds every metric to six decimals
+DEMO_EXPERIMENT_SHA256 = "a0de894af2be651142660858caeb0a5da979934d8a37cc60832e4db94a5c8706"
+
+
+def test_demo_experiment_is_pinned_at_full_precision(pipeline_dir, tmp_path, monkeypatch):
+    config = _write(tmp_path / "exp.json", json.dumps({
+        "label_map": str(DEMO / "labelmap_demo.tsv"), "primary_csv": str(DEMO / "primary_demo.csv"),
+        "pool": str(pipeline_dir / "docs.jsonl"), "corpus_dir": str(pipeline_dir / "corpus"), "seed": 7,
+        "specs": [{"method": "within-app", "target_app": "r-podkit"},
+                  {"method": "within-context", "target_app": "r-podkit", "top_k_similar": 2},
+                  {"method": "within-context", "target_app": "r-podkit", "top_k_similar": 2, "include_same_app": True},
+                  {"method": "between-app"}]}))
+    run_experiment, reports = classifier.run_experiment, []
+    monkeypatch.setattr(classifier, "run_experiment", lambda *args, **kwargs: reports.append(
+        run_experiment(*args, **kwargs)) or reports[-1])
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "comparison.tsv")]) == EXIT_OK
+    [report] = reports
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == DEMO_EXPERIMENT_SHA256
+
+
+@pytest.mark.parametrize("target", ["bug", "feature"])
+def test_train_eval_writes_the_pipeline_report_of_its_target(pipeline_dir, tmp_path, target):
+    # the demo config cross-validates with 5 folds and seed 7
+    out = tmp_path / "train_eval.json"
+    argv = ["train-eval", "--data", str(pipeline_dir / "augmented.jsonl"), "--target", target, "--k", "5",
+            "--seed", "7", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(out.read_text()) == json.loads((pipeline_dir / "report.json").read_text())[target]
 
 
 def test_demo_augmented_rows_keep_their_order_and_origin(pipeline_dir):
@@ -150,8 +182,10 @@ def test_interrupted_commit_leaves_no_manifest_and_a_rerun_completes_it(tmp_path
     assert len(moves) == 3
     assert not (out / "manifest.json").exists()
     assert not list(out.glob(".staging-*"))
+    assert main(["report", str(out)]) == EXIT_STAGE_FAILURE
     assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["artifacts"] == DEMO_ARTIFACT_HASHES
+    assert main(["report", str(out)]) == EXIT_OK
 
 
 def test_old_corpus_with_a_subdirectory_is_replaced(tmp_path):
@@ -174,6 +208,18 @@ def test_pipeline_into_the_working_directory(tmp_path, monkeypatch):
     artifacts = json.loads((run / "manifest.json").read_text())["artifacts"]
     assert artifacts == DEMO_ARTIFACT_HASHES
     assert {path.name for path in run.iterdir()} == set(artifacts) | {"manifest.json"}
+
+
+def test_manifest_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
+    # one config file, named relative to two working directories
+    manifests = []
+    for cwd, config in ((DEMO.parent, "demo_corpus/demo_config.json"), (DEMO, "demo_config.json")):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / cwd.name
+        assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["artifacts"] == DEMO_ARTIFACT_HASHES
 
 
 def test_malformed_corpus_line_fails_the_pipeline_as_a_validation_error(tmp_path, capsys):
