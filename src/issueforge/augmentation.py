@@ -12,15 +12,17 @@ import csv
 import logging
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import IssueforgeError, ValidationError
+from . import classifier
+from .errors import IssueforgeError, ValidationError, check_int
 from .ingestion import SchemaViolation, parse_jsonl, write_jsonl
 from .labels import INTENT_VALUES, IntentClass
-from .similarity import RepoProfile, SimilarityRanking, rank_similar
-from .textprep import ProcessedDocument, Source, WordLists, admit, preprocess
+from .similarity import rank_similar
+from .textprep import ProcessedDocument, Source, WordLists, admit, is_primary, preprocess
 
 logger = logging.getLogger(__name__)
 
@@ -41,10 +43,6 @@ class Method(str, Enum):
 
 DROP = "drop"
 DEFAULT_RATIO = 0.3
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -69,10 +67,8 @@ class AugmentationSpec:
             raise ValidationError(f"unknown method {self.method!r}") from None
         if not _is_real(self.ratio) or not 0.0 <= self.ratio <= 1.0:
             raise ValidationError(f"ratio must be a number in [0, 1], got {self.ratio!r}")
-        if not _is_int(self.seed):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        if not _is_int(self.top_k_similar) or self.top_k_similar < 1:
-            raise ValidationError(f"top_k_similar must be an integer >= 1, got {self.top_k_similar!r}")
+        check_int("seed", self.seed)
+        check_int("top_k_similar", self.top_k_similar, 1)
         if not isinstance(self.include_same_app, bool):
             raise ValidationError(f"include_same_app must be true or false, got {self.include_same_app!r}")
         if self.method is Method.BETWEEN_APP:
@@ -86,11 +82,6 @@ class AugmentationSpec:
 class PrimaryDataset:
     name: str
     rows: tuple[ProcessedDocument, ...]
-
-
-def is_primary(doc: ProcessedDocument) -> bool:
-    """A row is primary (a review, which test folds may hold) or auxiliary (an issue document, train-only)."""
-    return doc.source is Source.REVIEW
 
 
 @dataclass
@@ -186,15 +177,15 @@ def auxiliary_size(ratio: float, n_primary: int) -> int:
 def candidate_pool(
     pool: list[ProcessedDocument],
     spec: AugmentationSpec,
-    rankings: SimilarityRanking | None = None,
+    ranking: tuple[tuple[str, float], ...] | None = None,
 ) -> list[ProcessedDocument]:
     if spec.method is Method.BETWEEN_APP:
         return list(pool)
     if spec.method is Method.WITHIN_APP:
         return [doc for doc in pool if doc.app_id == spec.target_app]
-    if rankings is None:
+    if ranking is None:
         raise ValueError("within-context selection requires a similarity ranking")
-    similar = {repo_id for repo_id, _ in rankings.ranked[: spec.top_k_similar]}
+    similar = {repo_id for repo_id, _ in ranking[: spec.top_k_similar]}
     if spec.include_same_app:
         similar.add(spec.target_app)
     return [doc for doc in pool if doc.app_id in similar]
@@ -204,11 +195,11 @@ def select_auxiliary(
     pool: list[ProcessedDocument],
     spec: AugmentationSpec,
     n_primary: int,
-    rankings: SimilarityRanking | None = None,
+    ranking: tuple[tuple[str, float], ...] | None = None,
 ) -> tuple[list[ProcessedDocument], int]:
     """Sample the auxiliary subset without replacement; deterministic in
     (pool order, seed). Returns (rows, shortfall)."""
-    candidates = candidate_pool(pool, spec, rankings)
+    candidates = candidate_pool(pool, spec, ranking)
     review = next((doc for doc in candidates if is_primary(doc)), None)
     if review is not None:
         raise ValidationError(f"pool document {review.doc_id!r} is a review; auxiliary rows must be issue documents")
@@ -252,17 +243,17 @@ def augment_from_pool(
     primary: PrimaryDataset,
     pool: list[ProcessedDocument],
     spec: AugmentationSpec,
-    profiles: dict[str, RepoProfile] | None = None,
+    profiles: dict[str, dict[str, float]] | None = None,
 ) -> AugmentedDataset:
     """Select the auxiliary rows for ``spec`` from ``pool`` and merge them with the primary rows.
 
     A within-context spec ranks its own ``target_app`` against ``profiles``
     (``similarity.build_profiles``); other methods ignore them.
     """
-    rankings = None
+    ranking = None
     if spec.method is Method.WITHIN_CONTEXT and profiles is not None:
-        rankings = rank_similar(spec.target_app, profiles)
-    auxiliary, shortfall = select_auxiliary(pool, spec, len(primary.rows), rankings)
+        ranking = rank_similar(spec.target_app, profiles)
+    auxiliary, shortfall = select_auxiliary(pool, spec, len(primary.rows), ranking)
     dataset = augment(primary, auxiliary, spec)
     dataset.shortfall = shortfall
     return dataset
@@ -275,7 +266,7 @@ def sweep(
     seed: int,
     method: Method = Method.BETWEEN_APP,
     target_app: str | None = None,
-    profiles: dict[str, RepoProfile] | None = None,
+    profiles: dict[str, dict[str, float]] | None = None,
     top_k_similar: int = 3,
     include_same_app: bool = False,
 ) -> list[AugmentedDataset]:
@@ -304,6 +295,36 @@ def sweep_table(datasets: list[AugmentedDataset]) -> list[dict]:
             }
         )
     return table
+
+
+def run_experiment(
+    primary: PrimaryDataset,
+    specs: Sequence[AugmentationSpec],
+    pool: Sequence[ProcessedDocument],
+    profiles: dict[str, dict[str, float]] | None = None,
+    k: int = 5,
+    seed: int = 0,
+) -> dict:
+    """Baseline vs augmented comparison for both targets.
+
+    Returns a deterministic report: per (target, model) mean metrics and the
+    deltas against the baseline trained on the primary rows alone. Each
+    within-context spec ranks its own target app against ``profiles``.
+    """
+    # sampling depends on spec.seed alone, so every target sees the same rows
+    datasets = [primary.rows] + [augment_from_pool(primary, list(pool), spec, profiles).rows for spec in specs]
+    reports = [classifier.cross_validate_targets(rows, k=k, seed=seed) for rows in datasets]
+    models = ["baseline"] + [f"{spec.method.value}@r={spec.ratio:g}" + ("+same" if spec.include_same_app else "")
+                             for spec in specs]
+    comparison = []
+    for target in classifier.TARGETS:
+        # the baseline row's deltas are its means less themselves, exactly 0.0
+        baseline = reports[0][target].means
+        for model, by_target in zip(models, reports):
+            means = by_target[target].means
+            deltas = {f"delta_{name}": means[name] - baseline[name] for name in classifier.METRICS}
+            comparison.append({"target": target.value, "model": model, **means, **deltas})
+    return {"primary": primary.name, "k": k, "seed": seed, "rows": comparison}
 
 
 # --- issue documents and JSONL interchange ---------------------------------------

@@ -4,7 +4,7 @@ A deterministic logistic-regression model over tf-idf features stands in as
 the measurement instrument: one classifier per target intent (bug report,
 feature request), trained by full-batch gradient descent. Rows are processed
 documents: auxiliary rows (issue documents) only ever augment training splits;
-test folds hold primary rows (reviews, ``augmentation.is_primary``).
+test folds hold primary rows (reviews, ``textprep.is_primary``).
 
 A cross-validation counts its rows' terms once (``count_terms``). Each fold
 selects its train and test rows from that count by index, takes df, its
@@ -22,11 +22,9 @@ from itertools import compress
 
 import numpy as np
 
-from .augmentation import AugmentationSpec, PrimaryDataset, _is_int, augment_from_pool, is_primary
-from .errors import IssueforgeError, ValidationError
+from .errors import IssueforgeError, check_int
 from .labels import IntentClass
-from .similarity import RepoProfile
-from .textprep import ProcessedDocument
+from .textprep import ProcessedDocument, is_primary
 
 
 class DegenerateLabels(IssueforgeError):
@@ -300,8 +298,7 @@ def evaluate(model: LinearModel, rows: Sequence[ProcessedDocument], target: Inte
 
 
 def check_folds(k: int) -> None:
-    if not _is_int(k) or k < 2:
-        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
+    check_int("k", k, 2)
 
 
 def stratified_folds(
@@ -370,33 +367,3 @@ def cross_validate_targets(
     """``cross_validate`` for each of ``TARGETS``; the rows' terms are counted once for all of them."""
     counted = count_terms(rows)
     return {target: cross_validate(counted, target, k=k, seed=seed) for target in TARGETS}
-
-
-def run_experiment(
-    primary: PrimaryDataset,
-    specs: Sequence[AugmentationSpec],
-    pool: Sequence[ProcessedDocument],
-    profiles: dict[str, RepoProfile] | None = None,
-    k: int = 5,
-    seed: int = 0,
-) -> dict:
-    """Baseline vs augmented comparison for both targets.
-
-    Returns a deterministic report: per (target, model) mean metrics and the
-    deltas against the baseline trained on the primary rows alone. Each
-    within-context spec ranks its own target app against ``profiles``.
-    """
-    # sampling depends on spec.seed alone, so every target sees the same rows
-    datasets = [primary.rows] + [augment_from_pool(primary, list(pool), spec, profiles).rows for spec in specs]
-    reports = [cross_validate_targets(rows, k=k, seed=seed) for rows in datasets]
-    models = ["baseline"] + [f"{spec.method.value}@r={spec.ratio:g}" + ("+same" if spec.include_same_app else "")
-                             for spec in specs]
-    comparison = []
-    for target in TARGETS:
-        # the baseline row's deltas are its means less themselves, exactly 0.0
-        baseline = reports[0][target].means
-        for model, by_target in zip(models, reports):
-            means = by_target[target].means
-            deltas = {f"delta_{name}": means[name] - baseline[name] for name in METRICS}
-            comparison.append({"target": target.value, "model": model, **means, **deltas})
-    return {"primary": primary.name, "k": k, "seed": seed, "rows": comparison}

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import augmentation, classifier, extraction, github, ingestion, labels as labels_mod, similarity, textprep
-from .augmentation import AugmentationSpec, Method, _is_int
-from .errors import IssueforgeError, ValidationError
+from .augmentation import AugmentationSpec, Method
+from .errors import IssueforgeError, ValidationError, check_int
 from .labels import INTENT_VALUES, IntentClass
 
 logger = logging.getLogger("issueforge")
@@ -90,10 +90,7 @@ class _JsonConfig:
             raise ValidationError(f"config missing required keys: {missing}")
         config = cls(**raw)
         for name, low in cls.INTS.items():
-            value = getattr(config, name)
-            if not _is_int(value) or low is not None and value < low:
-                bound = "" if low is None else f" >= {low}"
-                raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+            check_int(name, getattr(config, name), low)
         for name in cls.PATHS:
             value = getattr(config, name)
             if value is None and name not in required:
@@ -214,13 +211,6 @@ def _dump_json(obj, path: Path) -> Path:
     return path
 
 
-def _check_at_least(low: int, **options: int) -> None:
-    """A ValidationError for the first option below ``low``; an option ``min_freq`` is the flag ``--min-freq``."""
-    for name, value in options.items():
-        if value < low:
-            raise ValidationError(f"--{name.replace('_', '-')} must be an integer >= {low}, got {value}")
-
-
 def _read_stage_rows(path: str, required: dict[str, type]) -> list[dict]:
     """Rows of a stage's JSONL input; a bad line or intent value is a SchemaViolation."""
     return [row for _, row in ingestion.parse_jsonl(Path(path), required, {"intents": INTENT_VALUES})]
@@ -331,7 +321,8 @@ def print_report(artifact_dir: Path | str, stream=None) -> dict:
     funnel_data, metrics = _read_json(extraction_report), _read_json(report_file)
     try:
         funnel = [
-            ("raw issues", funnel_data["funnel"]["issues_filtered_corpus"]),
+            ("raw issues", funnel_data["funnel"]["issues_total"]),
+            ("filtered", funnel_data["funnel"]["issues_filtered_corpus"]),
             ("intent-labeled", funnel_data["funnel"]["issues_intent_labeled"]),
             ("extracted", funnel_data["funnel"]["issues_extracted"]),
             ("admitted", len(admitted_issues)),
@@ -355,7 +346,8 @@ def print_report(artifact_dir: Path | str, stream=None) -> dict:
 # --- subcommand handlers ---------------------------------------------------------------
 
 def _cmd_harvest(args) -> int:
-    _check_at_least(1, parallel=args.parallel, rate_limit=args.rate_limit)
+    check_int("--parallel", args.parallel, 1)
+    check_int("--rate-limit", args.rate_limit, 1)
     repo_names = [
         line.strip()
         for line in Path(args.repos).read_text(encoding="utf-8").splitlines()
@@ -374,7 +366,8 @@ def _cmd_harvest(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    _check_at_least(0, min_issues=args.min_issues, min_contributors=args.min_contributors)
+    check_int("--min-issues", args.min_issues, 0)
+    check_int("--min-contributors", args.min_contributors, 0)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     filtered = ingestion.filter_repos(corpus, args.min_issues, args.min_contributors)
     ingestion.write_corpus(filtered, args.out)
@@ -383,7 +376,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_labels(args) -> int:
-    _check_at_least(0, min_freq=args.min_freq)
+    check_int("--min-freq", args.min_freq, 0)
     lists = textprep.load_wordlists(args.lists)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     lexicon = labels_mod.load_lexicon(args.lexicon, lists)
@@ -425,15 +418,15 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_similar(args) -> int:
-    _check_at_least(1, top=args.top)
+    check_int("--top", args.top, 1)
     lists = textprep.load_wordlists(args.lists)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     profiles = similarity.build_profiles(corpus, lists)
     ranking = similarity.rank_similar(args.query, profiles)
     payload = {
-        "query_repo": ranking.query_repo,
-        "ranked": [[repo_id, score] for repo_id, score in ranking.ranked],
-        "top": [repo_id for repo_id, _ in ranking.ranked[: args.top]],
+        "query_repo": args.query,
+        "ranked": [[repo_id, score] for repo_id, score in ranking],
+        "top": [repo_id for repo_id, _ in ranking[: args.top]],
     }
     _dump_json(payload, Path(args.out))
     print(f"top {args.top} similar to {args.query}: {payload['top']}")
@@ -547,7 +540,7 @@ def _cmd_experiment(args) -> int:
     profiles = None
     if any(spec.method is Method.WITHIN_CONTEXT for spec in specs):
         profiles = similarity.build_profiles(ingestion.load_corpus(config.corpus_dir), lists)
-    report = classifier.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
+    report = augmentation.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
     _write_tsv(report["rows"], list(report["rows"][0]), args.out)
     print(f"wrote comparison for {len(report['rows'])} models to {args.out}")
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""The package's two base exceptions; the CLI picks its exit code from them.
+"""The package's two base exceptions, from which the CLI picks its exit code, and its integer check.
 
 Every exception the package raises derives from ``IssueforgeError``.
 ``ValidationError`` (exit 2) is malformed or out-of-range content: an
@@ -14,3 +14,10 @@ class IssueforgeError(Exception):
 
 class ValidationError(IssueforgeError, ValueError):
     """Malformed or out-of-range input; the CLI exits 2."""
+
+
+def check_int(name: str, value, low: int | None = None) -> None:
+    """A ValidationError unless ``value`` is an integer (not a bool), and at least ``low`` when one is given."""
+    if not isinstance(value, int) or isinstance(value, bool) or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")

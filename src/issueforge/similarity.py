@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 from .errors import IssueforgeError
 from .extraction import normalize_title, split_with_preamble
@@ -35,18 +34,6 @@ PROFILE_SECTION_TITLES = (
     "summary",
     "todo",
 )
-
-
-@dataclass(frozen=True)
-class RepoProfile:
-    repo_id: str
-    vector: dict[str, float]
-
-
-@dataclass(frozen=True)
-class SimilarityRanking:
-    query_repo: str
-    ranked: tuple[tuple[str, float], ...]
 
 
 def profile_text(repo: RepoRecord, lists: WordLists) -> str:
@@ -109,8 +96,8 @@ def cosine(u: dict[str, float], v: dict[str, float]) -> float:
     return dot / (norm_u * norm_v)
 
 
-def build_profiles(corpus: Corpus, lists: WordLists) -> dict[str, RepoProfile]:
-    """Profiles for every repo with usable text; empty ones are logged and skipped."""
+def build_profiles(corpus: Corpus, lists: WordLists) -> dict[str, dict[str, float]]:
+    """Each repo's profile tf-idf vector, for every repo with usable text; empty ones are logged and skipped."""
     token_lists: list[list[str]] = []
     ids: list[str] = []
     for repo_id in sorted(corpus.repos):
@@ -121,20 +108,14 @@ def build_profiles(corpus: Corpus, lists: WordLists) -> dict[str, RepoProfile]:
             continue
         ids.append(repo_id)
         token_lists.append(tokens)
-    if not ids:
-        return {}
-    return {repo_id: RepoProfile(repo_id=repo_id, vector=vector) for repo_id, vector in zip(ids, tfidf(token_lists))}
+    return dict(zip(ids, tfidf(token_lists))) if ids else {}
 
 
-def rank_similar(query_repo: str, profiles: dict[str, RepoProfile]) -> SimilarityRanking:
-    """Full descending cosine ranking of all other non-empty profiles."""
+def rank_similar(query_repo: str, profiles: dict[str, dict[str, float]]) -> tuple[tuple[str, float], ...]:
+    """(repo, cosine) for all other non-empty profiles, in descending cosine order."""
     query = profiles.get(query_repo)
-    if query is None or not query.vector:
+    if not query:
         raise EmptyProfile(f"query repo {query_repo!r} has no profile")
-    scored = [
-        (repo_id, cosine(query.vector, profile.vector))
-        for repo_id, profile in profiles.items()
-        if repo_id != query_repo and profile.vector
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return SimilarityRanking(query_repo=query_repo, ranked=tuple(scored))
+    scored = [(repo_id, cosine(query, vector))
+              for repo_id, vector in profiles.items() if repo_id != query_repo and vector]
+    return tuple(sorted(scored, key=lambda pair: (-pair[1], pair[0])))

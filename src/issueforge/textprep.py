@@ -39,6 +39,11 @@ class ProcessedDocument:
     app_id: str | None = None
 
 
+def is_primary(doc: ProcessedDocument) -> bool:
+    """A row is primary (a review, which test folds may hold) or auxiliary (an issue document, train-only)."""
+    return doc.source is Source.REVIEW
+
+
 # Modals kept despite being (near-)stopwords: they signal request/report intent.
 RETAINED_MODALS = frozenset({"could", "would", "should"})
 FUSED_HAVE_TO = "have-to"
@@ -209,7 +214,9 @@ def preprocess(text: str, lists: WordLists, *, filter_noise: bool = True) -> lis
     """Run the full token pipeline. Reviews skip the noise filter (``filter_noise=False``)."""
     if filter_noise:
         text = strip_noise(text, lists)
-    tokens = _fuse_have_to(tokenize(text))
+    tokens = tokenize(text)
+    if "have" in tokens:
+        tokens = _fuse_have_to(tokens)
     out: list[str] = []
     for tok in tokens:
         if tok == FUSED_HAVE_TO:

@@ -24,7 +24,6 @@ from issueforge.augmentation import (
 )
 from issueforge.errors import ValidationError
 from issueforge.labels import IntentClass
-from issueforge.similarity import SimilarityRanking
 from issueforge.textprep import ProcessedDocument, Source, default_data_dir
 
 
@@ -166,7 +165,7 @@ def test_spec_validation():
 
 def test_pool_nesting_invariant():
     pool = [doc(f"d{i}", app_id=f"a{i % 4}") for i in range(40)]
-    ranking = SimilarityRanking(query_repo="a0", ranked=(("a1", 0.9), ("a2", 0.5), ("a3", 0.1)))
+    ranking = (("a1", 0.9), ("a2", 0.5), ("a3", 0.1))
     within = candidate_pool(pool, AugmentationSpec(method=Method.WITHIN_APP, ratio=0.3, target_app="a0"))
     context = candidate_pool(
         pool,
@@ -184,7 +183,7 @@ def test_pool_nesting_invariant():
 
 def test_within_context_without_same_app():
     pool = [doc(f"d{i}", app_id=f"a{i % 3}") for i in range(9)]
-    ranking = SimilarityRanking(query_repo="a0", ranked=(("a1", 0.9), ("a2", 0.2)))
+    ranking = (("a1", 0.9), ("a2", 0.2))
     spec = AugmentationSpec(method=Method.WITHIN_CONTEXT, ratio=0.3, target_app="a0", top_k_similar=1)
     selected = candidate_pool(pool, spec, ranking)
     assert {d.app_id for d in selected} == {"a1"}

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from issueforge import classifier
-from issueforge.augmentation import AugmentationSpec, Method, PrimaryDataset, is_primary
+from issueforge.augmentation import AugmentationSpec, Method, PrimaryDataset, is_primary, run_experiment
 from issueforge.classifier import (
     EPOCHS,
     L2,
@@ -26,7 +30,6 @@ from issueforge.classifier import (
     loss_and_grad,
     metrics_from_counts,
     predict_proba,
-    run_experiment,
     stratified_folds,
     train,
     vectorize,
@@ -565,3 +568,13 @@ def test_experiment_needs_feature_rows_too():
     primary = PrimaryDataset(name="mixed", rows=tuple(rows))
     report = run_experiment(primary, [], [], k=5, seed=1)
     assert len(report["rows"]) == 2
+
+
+def test_classifier_imports_no_selection_module():
+    # the classifier measures rows; which rows an augmentation selects is not its business
+    src = str(Path(classifier.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, issueforge.classifier; print(sorted(m for m in sys.modules if m.startswith('issueforge.')))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert "issueforge.classifier" in loaded
+    assert "issueforge.augmentation" not in loaded and "issueforge.similarity" not in loaded

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from issueforge import classifier
+from issueforge import augmentation
+from issueforge.classifier import stratified_folds
 from issueforge.cli import (
     EXIT_OK,
     EXIT_STAGE_FAILURE,
@@ -15,10 +16,12 @@ from issueforge.cli import (
     MissingArtifact,
     PipelineConfig,
     ValidationError,
+    build_parser,
     main,
     print_report,
     run_pipeline,
 )
+from issueforge.labels import IntentClass
 from issueforge.textprep import default_data_dir
 
 DEMO = default_data_dir() / "demo_corpus"
@@ -77,8 +80,8 @@ def test_demo_experiment_is_pinned_at_full_precision(pipeline_dir, tmp_path, mon
                   {"method": "within-context", "target_app": "r-podkit", "top_k_similar": 2},
                   {"method": "within-context", "target_app": "r-podkit", "top_k_similar": 2, "include_same_app": True},
                   {"method": "between-app"}]}))
-    run_experiment, reports = classifier.run_experiment, []
-    monkeypatch.setattr(classifier, "run_experiment", lambda *args, **kwargs: reports.append(
+    run_experiment, reports = augmentation.run_experiment, []
+    monkeypatch.setattr(augmentation, "run_experiment", lambda *args, **kwargs: reports.append(
         run_experiment(*args, **kwargs)) or reports[-1])
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "comparison.tsv")]) == EXIT_OK
     [report] = reports
@@ -594,7 +597,8 @@ def test_demo_funnel_counts_by_hand(pipeline_dir):
     # not extract, 1 extracted issue whose documents are all under 3 tokens
     summary = print_report(pipeline_dir)
     assert summary["funnel"] == [
-        ("raw issues", 38),
+        ("raw issues", 40),
+        ("filtered", 38),
         ("intent-labeled", 34),
         ("extracted", 31),
         ("admitted", 30),
@@ -788,23 +792,23 @@ def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path):
 
 
 def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypatch):
-    from issueforge import augmentation, classifier, ingestion, similarity, textprep
+    from issueforge import ingestion, similarity, textprep
 
     *_, docs = staged
     apps = ("r-podkit", "r-mapgo")
     profiles = similarity.build_profiles(ingestion.load_corpus(DEMO), textprep.load_wordlists())
-    nearest = {app: similarity.rank_similar(app, profiles).ranked[0][0] for app in apps}
+    nearest = {app: similarity.rank_similar(app, profiles)[0][0] for app in apps}
     assert nearest["r-podkit"] != nearest["r-mapgo"]
 
     sampled = {}
-    original = classifier.augment_from_pool
+    original = augmentation.augment_from_pool
 
     def recording(primary, pool, spec, *args, **kwargs):
         dataset = original(primary, pool, spec, *args, **kwargs)
         sampled[spec.target_app] = {row.app_id for row in dataset.rows if not augmentation.is_primary(row)}
         return dataset
 
-    monkeypatch.setattr(classifier, "augment_from_pool", recording)
+    monkeypatch.setattr(augmentation, "augment_from_pool", recording)
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({
         "primary_csv": str(DEMO / "primary_demo.csv"), "label_map": str(DEMO / "labelmap_demo.tsv"),
@@ -1011,6 +1015,46 @@ def test_similar_top_below_1_is_a_validation_error(tmp_path, top):
     assert main(argv) == EXIT_VALIDATION
     assert not out.exists()
 
+
+
+def test_similar_output_is_pinned(tmp_path):
+    out = tmp_path / "similar.json"
+    assert main(["similar", "--in", str(DEMO), "--query", "r-podkit", "--top", "2", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bcefb7bd761f8ecf4b4b86d3c43f209f72bcf97cfcb2f2e045232dc6b71cbaf4")
+
+
+def _pipeline_config_with_boolean_folds(tmp_path: Path):
+    config = json.loads((DEMO / "demo_config.json").read_text())
+    config.update({name: str(DEMO / config[name]) for name in ("corpus_dir", "primary_csv", "label_map")}, folds=True)
+    return PipelineConfig.from_file(_write(tmp_path / "config.json", json.dumps(config)))
+
+
+# one rule, "an integer, not a bool, at least n", phrased the same wherever an integer is checked
+INTEGER_RULE_MESSAGES = {
+    "spec-seed-bool": (lambda t: augmentation.AugmentationSpec("between-app", seed=True),
+                       "seed must be an integer, got True"),
+    "spec-top-k-similar-0": (lambda t: augmentation.AugmentationSpec("between-app", top_k_similar=0),
+                             "top_k_similar must be an integer >= 1, got 0"),
+    "stratified-folds-k-1": (lambda t: stratified_folds([], IntentClass.BUG_REPORT, k=1),
+                             "k must be an integer >= 2, got 1"),
+    "pipeline-config-folds-true": (_pipeline_config_with_boolean_folds, "folds must be an integer >= 2, got True"),
+    "filter-min-issues-negative": (
+        lambda t: _run_handler(["filter", "--in", str(DEMO), "--out", str(t / "out"), "--min-issues", "-1"]),
+        "--min-issues must be an integer >= 0, got -1"),
+}
+
+
+def _run_handler(argv: list[str]):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("call,message", INTEGER_RULE_MESSAGES.values(), ids=INTEGER_RULE_MESSAGES.keys())
+def test_integer_rule_message(tmp_path, call, message):
+    with pytest.raises(ValidationError) as raised:
+        call(tmp_path)
+    assert str(raised.value) == message
 
 def test_sweep_train_checks_k_before_writing(staged, tmp_path):
     *_, docs = staged

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from issueforge.ingestion import Corpus, RepoRecord
 from issueforge.similarity import (
     EmptyProfile,
-    RepoProfile,
     build_profile_tokens,
     build_profiles,
     cosine,
@@ -126,33 +125,29 @@ def test_tfidf_requires_a_nonempty_document():
 
 # --- cosine and ranking ---------------------------------------------------------------
 
-def make_profiles(token_lists: dict[str, list[str]]) -> dict[str, RepoProfile]:
+def make_profiles(token_lists: dict[str, list[str]]) -> dict[str, dict[str, float]]:
     ids = sorted(token_lists)
-    vectors = tfidf([token_lists[i] for i in ids])
-    return {
-        repo_id: RepoProfile(repo_id=repo_id, vector=vec)
-        for repo_id, vec in zip(ids, vectors)
-    }
+    return dict(zip(ids, tfidf([token_lists[i] for i in ids])))
 
 
 def test_identical_profiles_score_one():
     profiles = make_profiles({"a": ["x", "y"], "b": ["x", "y"], "c": ["z", "w"]})
     ranking = rank_similar("a", profiles)
-    assert ranking.ranked[0] == ("b", pytest.approx(1.0, abs=1e-12))
+    assert ranking[0] == ("b", pytest.approx(1.0, abs=1e-12))
 
 
 def test_disjoint_profiles_score_zero():
     profiles = make_profiles({"a": ["x", "y"], "b": ["z", "w"]})
     ranking = rank_similar("a", profiles)
-    assert ranking.ranked[0][1] == 0.0
+    assert ranking[0][1] == 0.0
 
 
 def test_query_excluded_and_all_others_present():
     profiles = make_profiles({k: [k, "shared"] for k in "abcd"})
     ranking = rank_similar("a", profiles)
-    assert [r for r, _ in ranking.ranked] != []
-    assert "a" not in {r for r, _ in ranking.ranked}
-    assert {r for r, _ in ranking.ranked} == {"b", "c", "d"}
+    assert [r for r, _ in ranking] != []
+    assert "a" not in {r for r, _ in ranking}
+    assert {r for r, _ in ranking} == {"b", "c", "d"}
 
 
 def test_four_repo_ranking_matches_oracle():
@@ -169,8 +164,8 @@ def test_four_repo_ranking_matches_oracle():
         ((other, oracle_cosine(exp_vectors["a"], exp_vectors[other])) for other in "bcd"),
         key=lambda pair: (-pair[1], pair[0]),
     )
-    assert [r for r, _ in ranking.ranked] == [r for r, _ in expected]
-    for (_, got), (_, want) in zip(ranking.ranked, expected):
+    assert [r for r, _ in ranking] == [r for r, _ in expected]
+    for (_, got), (_, want) in zip(ranking, expected):
         assert got == pytest.approx(want, abs=1e-9)
 
 
