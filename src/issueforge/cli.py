@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -218,6 +219,20 @@ def _read_stage_rows(path: str, required: dict[str, type]) -> list[dict]:
 
 # --- pipeline -----------------------------------------------------------------------
 
+def _remove_dead_staging(out: Path) -> None:
+    """Remove the staging directories of killed runs: each ``.staging-<pid>-*`` whose pid is not alive."""
+    for entry in out.glob(".staging-*"):
+        match = re.match(r"\.staging-([0-9]{1,9})-", entry.name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            shutil.rmtree(entry, ignore_errors=True)
+        except PermissionError:  # alive, under another user
+            pass
+
+
 def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     """Run all stages in a staging directory under ``out_dir``, then commit the run.
 
@@ -225,7 +240,8 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     bad one fails the run with its own error and nothing written. A stage's error
     reaches the caller unwrapped, and the staging directory is removed with it.
     The commit unlinks the old manifest first and moves the new one in last, so a
-    run cut short leaves no manifest beside artifacts it does not describe."""
+    run cut short leaves no manifest beside artifacts it does not describe. The staging
+    directory's name holds the run's pid, so a later run removes it once that pid is gone."""
     out = Path(out_dir)
     lists = textprep.load_wordlists(config.word_lists_dir)
     patterns = extraction.load_patterns(config.patterns)
@@ -234,8 +250,9 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     label_map = augmentation.load_label_map(config.label_map)
     primary = augmentation.load_primary(config.primary_csv, label_map, lists)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_dead_staging(out)
 
-    with tempfile.TemporaryDirectory(dir=out, prefix=".staging-") as staging_dir:
+    with tempfile.TemporaryDirectory(dir=out, prefix=f".staging-{os.getpid()}-") as staging_dir:
         staging = Path(staging_dir)
 
         # stage 1: repository filtering

@@ -26,7 +26,7 @@ from pathlib import Path
 from .errors import ValidationError
 from .ingestion import RawIssue
 from .stemmer import stem
-from .textprep import DIGITS, WordLists, strip_noise, tokenize
+from .textprep import DIGITS, MEMO_LIMIT, WordLists, strip_noise, tokenize
 
 
 class MissingGold(ValidationError):
@@ -55,7 +55,7 @@ class TitlePattern:
 @dataclass(frozen=True)
 class PatternSet:
     patterns: tuple[TitlePattern, ...]
-    # normalized title -> name of the first pattern that matches it, or None (see _first_match)
+    # normalized title -> name of the first pattern that matches it, or None (see _first_match and MEMO_LIMIT)
     _matches: dict[str, str | None] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
@@ -170,17 +170,14 @@ def _titled_lines(body: str) -> tuple[list[str], list[tuple[int, str]]]:
     return lines, titles
 
 
-# Both memos cache pure functions, so they are exact; each is emptied when it
-# reaches this size, which bounds their memory on bodies with few repeated titles.
-_MEMO_LIMIT = 1 << 16
-
-# raw title -> normalized title, per stopword set (all that normalize_title reads of the word lists)
+# raw title -> normalized title, per stopword set (all that normalize_title reads of the word lists),
+# emptied at MEMO_LIMIT entries as every mining memo is
 _NORMALIZED: dict[frozenset[str], dict[str, str]] = {}
 
 
 def _normalized(raw_title: str, lists: WordLists) -> str:
     memo = _NORMALIZED.get(lists.stopwords)
-    if memo is None or len(memo) >= _MEMO_LIMIT:
+    if memo is None or len(memo) >= MEMO_LIMIT:
         memo = _NORMALIZED[lists.stopwords] = {}
     normalized = memo.get(raw_title)
     if normalized is None:
@@ -215,7 +212,7 @@ def _first_match(normalized_title: str, patterns: PatternSet) -> str | None:
     """Name of the first pattern (in set order) that matches a normalized title, or None."""
     memo = patterns._matches
     if normalized_title not in memo:
-        if len(memo) >= _MEMO_LIMIT:
+        if len(memo) >= MEMO_LIMIT:
             memo.clear()
         memo[normalized_title] = next((p.name for p in patterns if p.regex.search(normalized_title)), None)
     return memo[normalized_title]

@@ -8,7 +8,10 @@ on a final d, g or y, and steps 2-4 look up only the suffix lengths that end in
 that letter, longest first. It finds the R1/R2 regions and the vowel and
 short-syllable tests with precompiled regular expressions. ``stem`` iterates
 that pass to a fixed point, which makes every downstream normalization
-idempotent by construction, and remembers the result for each distinct token.
+idempotent by construction. A word that is lowercase, does not start with an
+apostrophe and ends in no suffix that any step tests for is left as it is by
+every step, so ``stem`` runs no pass on such a word, and no confirming pass on
+such a pass output. Callers memoize per distinct input; ``stem`` keeps no state.
 """
 
 from __future__ import annotations
@@ -135,6 +138,23 @@ def _lengths_by_last_letter(suffixes) -> dict[str, tuple[int, ...]]:
 _STEP2_LENGTHS = _lengths_by_last_letter(_STEP2)
 _STEP3_LENGTHS = _lengths_by_last_letter(_STEP3)
 _STEP4_LENGTHS = _lengths_by_last_letter(_STEP4)
+
+# Every ending that some step tests for, by last letter: steps 0 and 1a-1c, the
+# step 2-4 tables with ogi, li and ative, and step 5's e and ll.
+_STEP_ENDINGS = {"'s'", "'s", "'", "sses", "ied", "ies", "us", "ss", "s", "eedly", "eed", "ingly", "edly", "ing", "ed",
+                 "y", *_STEP2, "ogi", "li", *_STEP3, "ative", *_STEP4, "e", "ll"}
+_STEP_ENDINGS_BY_LAST_LETTER = {
+    last: tuple(sorted(suf for suf in _STEP_ENDINGS if suf[-1] == last)) for last in {suf[-1] for suf in _STEP_ENDINGS}
+}
+
+
+def _no_step_acts_on(word: str) -> bool:
+    """True only if a pass provably leaves the word as it is: no step tests for an ending it has."""
+    return word.islower() and word[0] != "'" and not word.endswith(_STEP_ENDINGS_BY_LAST_LETTER.get(word[-1], ()))
+
+
+# A whole-word exception or stop word skips the steps, so the test above must never pass it.
+assert not any(map(_no_step_acts_on, [*_EXCEPTIONS, *_STOP_AFTER_1A]))
 
 # After consonant y is marked as Y, a lowercase y is always a vowel and Y never is.
 _Y_AFTER_VOWEL = re.compile(r"([aeiouy])y")
@@ -276,6 +296,8 @@ def _stem_once(word: str) -> str:
 def _stem_fixed_point(word: str) -> str:
     current = word
     for _ in range(4):
+        if _no_step_acts_on(current):
+            return current
         nxt = _stem_once(current)
         if nxt == current:
             return current
@@ -283,14 +305,6 @@ def _stem_fixed_point(word: str) -> str:
     return current
 
 
-# One entry per distinct token ever stemmed: the stem of a word never changes,
-# and token vocabularies repeat heavily across documents.
-_STEMS: dict[str, str] = {}
-
-
 def stem(word: str) -> str:
     """Stem a lowercase token, iterating to a fixed point (at most 4 passes)."""
-    stemmed = _STEMS.get(word)
-    if stemmed is None:
-        stemmed = _STEMS[word] = _stem_fixed_point(word)
-    return stemmed
+    return _stem_fixed_point(word)

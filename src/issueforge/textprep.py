@@ -7,13 +7,14 @@ against a bundled lookup table with a stemmer fallback.
 
 Most issue text holds few noise constructs and no special phrase, so
 ``strip_noise`` runs a scan only where a cheap substring test says it can
-match; its output equals running every scan.
+match; its output equals running every scan. ``preprocess`` normalizes each
+distinct token once per ``WordLists``, in a memo that lives on the word lists.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -50,6 +51,10 @@ FUSED_HAVE_TO = "have-to"
 
 MIN_DOC_TOKENS = 3
 
+# Every memo of a pure function in the mining layers is exact, and is emptied when
+# it reaches this size, which bounds its memory on a wide vocabulary.
+MEMO_LIMIT = 1 << 16
+
 
 @dataclass(frozen=True)
 class WordLists:
@@ -57,6 +62,8 @@ class WordLists:
     special_phrases: tuple[str, ...]
     stopwords: frozenset[str]
     lemmas: dict[str, str]
+    # token -> what preprocess emits for it, or None when it drops it (see _normalize_token)
+    _tokens: dict[str, str | None] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -193,14 +200,11 @@ def tokenize(text: str) -> list[str]:
 
 def _fuse_have_to(tokens: list[str]) -> list[str]:
     fused: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "have" and i + 1 < len(tokens) and tokens[i + 1] == "to":
-            fused.append(FUSED_HAVE_TO)
-            i += 2
+    for tok in tokens:
+        if tok == "to" and fused and fused[-1] == "have":
+            fused[-1] = FUSED_HAVE_TO
         else:
-            fused.append(tokens[i])
-            i += 1
+            fused.append(tok)
     return fused
 
 
@@ -210,6 +214,26 @@ def lemmatize(token: str, lists: WordLists) -> str:
     return stem(token)
 
 
+def _normalize_token(tok: str, lists: WordLists) -> str | None:
+    """The token preprocess emits for one input token, or None when it drops the token."""
+    if tok == FUSED_HAVE_TO:
+        return tok
+    if not tok.isalpha():
+        tok = DIGITS.sub("", tok)
+        if not tok:
+            return None
+    if tok in lists.negative_modifiers:
+        return "not"
+    if tok in RETAINED_MODALS:
+        return tok
+    if tok in lists.stopwords:
+        return None
+    lemma = lemmatize(tok, lists)
+    if lemma in lists.stopwords and lemma != "not":
+        return None
+    return lemma
+
+
 def preprocess(text: str, lists: WordLists, *, filter_noise: bool = True) -> list[str]:
     """Run the full token pipeline. Reviews skip the noise filter (``filter_noise=False``)."""
     if filter_noise:
@@ -217,27 +241,16 @@ def preprocess(text: str, lists: WordLists, *, filter_noise: bool = True) -> lis
     tokens = tokenize(text)
     if "have" in tokens:
         tokens = _fuse_have_to(tokens)
+    memo = lists._tokens
     out: list[str] = []
     for tok in tokens:
-        if tok == FUSED_HAVE_TO:
-            out.append(tok)
-            continue
-        if not tok.isalpha():
-            tok = DIGITS.sub("", tok)
-            if not tok:
-                continue
-        if tok in lists.negative_modifiers:
-            out.append("not")
-            continue
-        if tok in RETAINED_MODALS:
-            out.append(tok)
-            continue
-        if tok in lists.stopwords:
-            continue
-        lemma = lemmatize(tok, lists)
-        if lemma in lists.stopwords and lemma != "not":
-            continue
-        out.append(lemma)
+        if tok not in memo:
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[tok] = _normalize_token(tok, lists)
+        lemma = memo[tok]
+        if lemma is not None:
+            out.append(lemma)
     return out
 
 

@@ -3,11 +3,13 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from issueforge import augmentation
+from issueforge import augmentation, cli
 from issueforge.classifier import stratified_folds
 from issueforge.cli import (
     EXIT_OK,
@@ -655,6 +657,49 @@ def test_sweep_ratios_sharing_a_file_name_are_a_validation_error(tmp_path, capsy
     assert code == EXIT_VALIDATION
     assert "augmented_r0.3.jsonl" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+# Runs the demo pipeline and stops for good in its last stage, with every other
+# artifact staged, so that a test can SIGKILL it mid-run.
+HANGING_PIPELINE = """
+import sys, time
+from issueforge import classifier, cli
+def hang(*args, **kwargs):
+    print("staged", flush=True)
+    time.sleep(600)
+classifier.cross_validate_targets = hang
+cli.run_pipeline(cli.PipelineConfig.from_file(sys.argv[1]), sys.argv[2])
+"""
+
+
+def test_rerun_removes_the_staging_directory_of_a_killed_run(tmp_path):
+    out = tmp_path / "out"
+    config = str(DEMO / "demo_config.json")
+    package_root = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen([sys.executable, "-c", HANGING_PIPELINE, config, str(out)],
+                             stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert child.stdout.readline() == "staged\n"
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    left = [path.name for path in out.glob(".staging-*")]
+    assert left and all(name.startswith(f".staging-{child.pid}-") for name in left)
+    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert not list(out.glob(".staging-*"))
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == DEMO_ARTIFACT_HASHES
+
+
+def test_only_staging_directories_of_dead_pids_are_removed(tmp_path):
+    finished = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"], capture_output=True, text=True)
+    dead, alive = int(finished.stdout), os.getpid()
+    names = [f".staging-{dead}-x", f".staging-{alive}-x", ".staging-abc-x", ".staging-1234567890-x", ".staging-x"]
+    for name in names:
+        (tmp_path / name).mkdir()
+    cli._remove_dead_staging(tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names[1:])
 
 
 def test_rerun_into_same_directory_replaces_artifacts(tmp_path):

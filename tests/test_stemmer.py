@@ -1,4 +1,5 @@
 import inspect
+import random
 import string
 
 import pytest
@@ -16,7 +17,7 @@ from issueforge.stemmer import (
     _STOP_AFTER_1A,
     stem,
 )
-from issueforge.textprep import default_data_dir
+from issueforge.textprep import default_data_dir, preprocess
 
 # (word, stem) pairs covering each suffix-stripping step plus the surfaces the
 # shipped pattern set and lexicon depend on
@@ -125,7 +126,7 @@ def test_output_never_longer(word):
     assert len(stem(word)) <= len(word)
 
 
-# --- the per-token cache --------------------------------------------------------
+# --- stem keeps no state: its callers memoize per distinct input ------------------
 
 def _bundled_and_test_words() -> list[str]:
     words = {word for pair in KNOWN for word in pair}
@@ -148,11 +149,12 @@ def test_cached_stem_equals_uncached(word):
     assert stem(word) == stemmer._stem_fixed_point(word)
 
 
-def test_second_call_returns_the_same_value():
+def test_second_call_returns_the_same_value(lists):
+    # preprocess remembers each distinct token's lemma on the word lists
     word = "unreproducibilities"
-    first = stem(word)
-    assert stemmer._STEMS[word] == first
-    assert stem(word) == first
+    first = preprocess(word, lists)
+    assert lists._tokens[word] == stem(word) == first[0]
+    assert preprocess(word, lists) == first
 
 
 def test_stem_is_a_plain_function():
@@ -400,3 +402,49 @@ def test_pass_matches_reference_on_wide_words(first, second, suffix, upper_tail)
     word = first + second + suffix
     _assert_matches_reference(word)
     _assert_matches_reference(word[: len(word) - upper_tail] + word[len(word) - upper_tail :].upper())
+
+
+# --- a pass is skipped only where it is a no-op -------------------------------------
+# _stem_fixed_point runs no pass on a word, first or confirming, for which
+# _no_step_acts_on holds; the reference runs every pass and confirms. The
+# wide-word and odd-text tests above compare the fixed points too.
+
+@given(st.text(alphabet=string.ascii_lowercase + string.ascii_uppercase + "'", min_size=1, max_size=15))
+@example("PROCEEDer")  # the first pass leaves PROCEED, which the confirm pass lowercases as a stop word
+@settings(max_examples=1000)
+def test_fixed_point_matches_reference_on_mixed_case_text(word):
+    assert stemmer._stem_fixed_point(word) == _reference_fixed_point(word), repr(word)
+
+
+@given(st.text(alphabet=string.ascii_lowercase + "'", min_size=1, max_size=15))
+@settings(max_examples=1000)
+def test_no_step_acts_on_a_word_the_test_passes(word):
+    if stemmer._no_step_acts_on(word):
+        assert stemmer._stem_once(word) == _reference_stem_once(word) == word
+
+
+def _wide_words(count: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    parts = (ONSETS, SYLLABLE_VOWELS, CODAS, ONSETS, SYLLABLE_VOWELS, CODAS, WIDE_SUFFIXES)
+    return ["".join(map(rng.choice, parts)) for _ in range(count)]
+
+
+def test_every_skipped_pass_matches_reference():
+    skipped_first = skipped_confirm = 0
+    for word in _bundled_and_test_words() + _wide_words(20_000, seed=0):
+        once = stemmer._stem_once(word)
+        if stemmer._no_step_acts_on(word):
+            skipped_first += 1
+            assert stemmer._stem_fixed_point(word) == word == once == _reference_fixed_point(word), word
+        elif once != word and stemmer._no_step_acts_on(once):
+            skipped_confirm += 1
+            assert stemmer._stem_fixed_point(word) == once == _reference_fixed_point(word), word
+    assert skipped_first > 1_000 and skipped_confirm > 5_000
+
+
+def test_exceptions_and_stop_words_end_in_a_step_ending():
+    # the import-time assertion: a whole-word special case never passes the skip test
+    for word in [*_EXCEPTIONS, *_STOP_AFTER_1A]:
+        assert word.endswith(stemmer._STEP_ENDINGS_BY_LAST_LETTER[word[-1]]), word
+        assert not stemmer._no_step_acts_on(word), word
+    assert set(RULE_SUFFIXES) - {"at", "bl", "iz", "bb", "tt", "Y"} <= stemmer._STEP_ENDINGS

@@ -276,6 +276,89 @@ def test_modifier_occurrences_map_to_not_positionally(lists):
     assert tokens == ["not", "open", "not", "save", "not", "work"]
 
 
+# --- the per-token memo against the per-token loop ----------------------------------
+# The oracle is the earlier preprocess and have-to fusion, kept verbatim: every
+# token walks the whole chain, with nothing remembered between tokens or calls.
+
+def _fuse_have_to_oracle(tokens):
+    fused = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i] == "have" and i + 1 < len(tokens) and tokens[i + 1] == "to":
+            fused.append(FUSED_HAVE_TO)
+            i += 2
+        else:
+            fused.append(tokens[i])
+            i += 1
+    return fused
+
+
+def _preprocess_oracle(text, lists, *, filter_noise=True):
+    if filter_noise:
+        text = strip_noise(text, lists)
+    tokens = tokenize(text)
+    if "have" in tokens:
+        tokens = _fuse_have_to_oracle(tokens)
+    out = []
+    for tok in tokens:
+        if tok == FUSED_HAVE_TO:
+            out.append(tok)
+            continue
+        if not tok.isalpha():
+            tok = textprep.DIGITS.sub("", tok)
+            if not tok:
+                continue
+        if tok in lists.negative_modifiers:
+            out.append("not")
+            continue
+        if tok in RETAINED_MODALS:
+            out.append(tok)
+            continue
+        if tok in lists.stopwords:
+            continue
+        lemma = textprep.lemmatize(tok, lists)
+        if lemma in lists.stopwords and lemma != "not":
+            continue
+        out.append(lemma)
+    return out
+
+
+# Stopwords, negative modifiers, modals, lemma-table forms, have/to, digits, and
+# words whose lemma or stem is a stopword ("has" -> "have"), among free text.
+MEMO_WORDS = ["app", "crashes", "Features", "don't", "doesnt", "never", "could", "should", "the", "what", "have",
+              "to", "has", "is", "being", "23", "v2", "x86", "rotating", "nots", "ours", "theirs"]
+FREE_WORD = st.text(alphabet=string.ascii_letters + "0123456789'", min_size=1, max_size=8)
+MEMO_TEXT = st.lists(st.one_of(st.sampled_from(MEMO_WORDS), FREE_WORD), max_size=30).map(" ".join)
+
+
+@given(MEMO_TEXT, st.booleans())
+@example("have have to to have", False)
+@settings(max_examples=300)
+def test_memoized_preprocess_equals_per_token_loop(lists, text, filter_noise):
+    expected = _preprocess_oracle(text, lists, filter_noise=filter_noise)
+    assert preprocess(text, lists, filter_noise=filter_noise) == expected
+    assert preprocess(text, lists, filter_noise=filter_noise) == expected  # every token now a memo hit
+
+
+@given(MEMO_TEXT)
+@settings(max_examples=100)
+def test_token_memos_of_different_word_lists_are_isolated(lists, text):
+    # "app" and "crashes" become stopwords here and "the" and "has" stop being ones
+    other = dataclasses.replace(lists, stopwords=(lists.stopwords - {"the", "has"}) | {"app", "crash", "crashes"})
+    assert other._tokens is not lists._tokens
+    for word_lists in (lists, other, lists, other):
+        assert preprocess(text, word_lists) == _preprocess_oracle(text, word_lists)
+
+
+def test_token_memo_is_emptied_at_the_limit(lists, monkeypatch):
+    monkeypatch.setattr(textprep, "MEMO_LIMIT", 2)
+    fresh = dataclasses.replace(lists)
+    text = "app crashes the 23 rotating screens could never have to update app"
+    for _ in range(2):
+        assert preprocess(text, fresh) == _preprocess_oracle(text, fresh)
+        assert len(fresh._tokens) <= 2
+
+
 # --- admit --------------------------------------------------------------------------
 
 def test_admit_too_short(lists):
