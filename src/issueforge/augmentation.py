@@ -87,7 +87,7 @@ class PrimaryDataset:
 @dataclass
 class AugmentedDataset:
     rows: list[ProcessedDocument]
-    spec: AugmentationSpec | None
+    spec: AugmentationSpec
     shortfall: int = 0
 
     def origin_counts(self) -> dict[str, int]:
@@ -126,7 +126,6 @@ def load_primary(
     path: Path | str,
     label_map: dict[str, IntentClass | None],
     lists: WordLists,
-    name: str | None = None,
 ) -> PrimaryDataset:
     """Load a review CSV (header: text,label[,app_id]), adapt labels, preprocess.
 
@@ -134,7 +133,6 @@ def load_primary(
     shorter than the admission minimum, are removed. No row left is a ``ValidationError``.
     """
     path = Path(path)
-    dataset_name = name or path.stem
     rows: list[ProcessedDocument] = []
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -154,7 +152,7 @@ def load_primary(
                 continue
             rows.append(
                 ProcessedDocument(
-                    doc_id=f"{dataset_name}:row{index + 1:05d}",
+                    doc_id=f"{path.stem}:row{index + 1:05d}",
                     source=Source.REVIEW,
                     tokens=tuple(tokens),
                     intents=frozenset({intent}),
@@ -163,7 +161,7 @@ def load_primary(
             )
     if not rows:
         raise ValidationError(f"{path}: no review row admitted")
-    return PrimaryDataset(name=dataset_name, rows=tuple(rows))
+    return PrimaryDataset(name=path.stem, rows=tuple(rows))
 
 
 def _round_half_up(x: float) -> int:
@@ -222,12 +220,11 @@ def select_auxiliary(
 def augment(
     primary: PrimaryDataset,
     auxiliary: list[ProcessedDocument],
-    spec: AugmentationSpec | None = None,
+    spec: AugmentationSpec,
 ) -> AugmentedDataset:
     """Merge primary and auxiliary rows, deterministically shuffled; ``is_primary`` tells them apart."""
     rows = [*primary.rows, *auxiliary]
-    seed = spec.seed if spec is not None else 0
-    random.Random(seed).shuffle(rows)
+    random.Random(spec.seed).shuffle(rows)
     dataset = AugmentedDataset(rows=rows, spec=spec)
     counts = dataset.origin_counts()
     logger.info(
@@ -288,7 +285,7 @@ def sweep_table(datasets: list[AugmentedDataset]) -> list[dict]:
         counts = dataset.origin_counts()
         table.append(
             {
-                "ratio": dataset.spec.ratio if dataset.spec else 0.0,
+                "ratio": dataset.spec.ratio,
                 "n_primary": counts["primary"],
                 "n_auxiliary": counts["auxiliary"],
                 "shortfall": dataset.shortfall,

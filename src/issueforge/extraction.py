@@ -7,10 +7,11 @@ of 19 regex patterns. The first section whose title matches any pattern is
 the target. Unstructured bodies contribute only if they are one paragraph.
 
 Issue templates make a handful of titles recur across thousands of bodies, so
-the per-title work is done once: a raw title's normalized form is memoized per
-stopword set, and a normalized title's first matching pattern per
-``PatternSet``. ``extract`` normalizes titles in body order only up to the
-first match. Lines that cannot be a fence or a title are skipped unparsed.
+the per-title work is done once: each ``PatternSet`` memoizes, per stopword set
+(all that ``normalize_title`` reads of the word lists) and raw title, the name
+of the first pattern that matches the normalized title. ``extract`` looks titles
+up in body order only up to the first match. Lines that cannot be a fence or a
+title are skipped unparsed.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class TitlePattern:
 @dataclass(frozen=True)
 class PatternSet:
     patterns: tuple[TitlePattern, ...]
-    # normalized title -> name of the first pattern that matches it, or None (see _first_match and MEMO_LIMIT)
-    _matches: dict[str, str | None] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (stopwords, raw title) -> name of the first pattern that matches the normalized title, or None
+    _matches: dict[tuple, str | None] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.patterns)
@@ -170,21 +171,6 @@ def _titled_lines(body: str) -> tuple[list[str], list[tuple[int, str]]]:
     return lines, titles
 
 
-# raw title -> normalized title, per stopword set (all that normalize_title reads of the word lists),
-# emptied at MEMO_LIMIT entries as every mining memo is
-_NORMALIZED: dict[frozenset[str], dict[str, str]] = {}
-
-
-def _normalized(raw_title: str, lists: WordLists) -> str:
-    memo = _NORMALIZED.get(lists.stopwords)
-    if memo is None or len(memo) >= MEMO_LIMIT:
-        memo = _NORMALIZED[lists.stopwords] = {}
-    normalized = memo.get(raw_title)
-    if normalized is None:
-        normalized = memo[raw_title] = normalize_title(raw_title, lists)
-    return normalized
-
-
 def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySection]]:
     """Split a body into (preamble, titled sections); fence interiors are opaque."""
     lines, titles = _titled_lines(body)
@@ -198,7 +184,7 @@ def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySect
         sections.append(
             BodySection(
                 raw_title=raw_title,
-                normalized_title=_normalized(raw_title, lists),
+                normalized_title=normalize_title(raw_title, lists),
                 content=content,
                 order=order,
             )
@@ -208,14 +194,16 @@ def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySect
 
 # --- target matching ------------------------------------------------------------
 
-def _first_match(normalized_title: str, patterns: PatternSet) -> str | None:
-    """Name of the first pattern (in set order) that matches a normalized title, or None."""
+def _first_match(raw_title: str, patterns: PatternSet, lists: WordLists) -> str | None:
+    """Name of the first pattern (in set order) that matches a title once normalized, or None."""
     memo = patterns._matches
-    if normalized_title not in memo:
+    key = (lists.stopwords, raw_title)
+    if key not in memo:
         if len(memo) >= MEMO_LIMIT:
             memo.clear()
-        memo[normalized_title] = next((p.name for p in patterns if p.regex.search(normalized_title)), None)
-    return memo[normalized_title]
+        normalized = normalize_title(raw_title, lists)
+        memo[key] = next((p.name for p in patterns if p.regex.search(normalized)), None)
+    return memo[key]
 
 
 def _paragraphs(text: str) -> list[str]:
@@ -238,7 +226,7 @@ def extract(issue: RawIssue, patterns: PatternSet, lists: WordLists) -> Extracte
     lines, titles = _titled_lines(issue.body)
     if titles:
         for order, (start, raw_title) in enumerate(titles):
-            name = _first_match(_normalized(raw_title, lists), patterns)
+            name = _first_match(raw_title, patterns, lists)
             if name is not None:
                 break
         else:

@@ -98,8 +98,9 @@ class Client:
             if response.status_code in (403, 429):
                 if attempt == self.max_retries:
                     raise RateLimited(f"rate limited after {attempt} retries: {url}")
-                retry_after = response.headers.get("Retry-After")
-                delay = float(retry_after) if retry_after else backoff
+                # Retry-After may also be an HTTP date; only a number of seconds is used
+                retry_after = response.headers.get("Retry-After", "")
+                delay = float(retry_after) if retry_after.isdecimal() else backoff
                 logger.warning("rate limited on %s, retrying in %.1fs", url, delay)
                 self.sleeper(delay)
                 backoff *= 2
@@ -124,6 +125,8 @@ class Client:
             page_params = dict(params or {})
             page_params.update({"per_page": PER_PAGE, "page": page})
             batch = self.get_json(path, params=page_params)
+            if not isinstance(batch, list):
+                raise RequestFailed(f"{self.base_url}{path}: expected a JSON list")
             if not batch:
                 break
             items.extend(batch)
@@ -149,19 +152,17 @@ def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawI
     except NotFound:
         logger.warning("repo not found, skipped: %s", full_name)
         return None
-    repo_id = str(repo["id"])
-
     contributors = client.paginate(f"/repos/{full_name}/contributors")
     try:
-        readme_text = _decode_content(client.get_json(f"/repos/{full_name}/readme"))
+        readme = client.get_json(f"/repos/{full_name}/readme")
     except NotFound:
-        readme_text = None
+        readme = None
+    items = client.paginate(f"/repos/{full_name}/issues", params={"state": "all"})
 
-    issues: list[RawIssue] = []
-    for item in client.paginate(f"/repos/{full_name}/issues", params={"state": "all"}):
-        if "pull_request" in item:
-            continue
-        issues.append(
+    # a payload of the wrong shape, or without a field read here, fails the request
+    try:
+        repo_id = str(repo["id"])
+        issues = [
             RawIssue(
                 issue_id=str(item["id"]),
                 repo_id=repo_id,
@@ -170,16 +171,19 @@ def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawI
                 label_names=tuple(label["name"] for label in item.get("labels", [])),
                 created_at=item.get("created_at") or "",
             )
+            for item in items
+            if "pull_request" not in item
+        ]
+        record = RepoRecord(
+            repo_id=repo_id,
+            full_name=full_name,
+            contributors=len(contributors),
+            stars=int(repo.get("stargazers_count", 0)),
+            readme_text=None if readme is None else _decode_content(readme),
+            about_text=repo.get("description"),
         )
-
-    record = RepoRecord(
-        repo_id=repo_id,
-        full_name=full_name,
-        contributors=len(contributors),
-        stars=int(repo.get("stargazers_count", 0)),
-        readme_text=readme_text,
-        about_text=repo.get("description"),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise RequestFailed(f"{client.base_url}/repos/{full_name}: unexpected payload: {exc!r}") from exc
     return record, issues
 
 

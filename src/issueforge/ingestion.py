@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -45,7 +46,6 @@ class RepoRecord:
     full_name: str
     contributors: int
     stars: int
-    labeled_issue_count: int = 0
     readme_text: str | None = None
     about_text: str | None = None
 
@@ -164,15 +164,6 @@ def load_corpus(path: Path | str) -> Corpus:
                 created_at=row["created_at"],
             )
         )
-
-    counts: dict[str, int] = {}
-    for issue in issues:
-        if issue.label_names:
-            counts[issue.repo_id] = counts.get(issue.repo_id, 0) + 1
-    repos = {
-        repo_id: replace(record, labeled_issue_count=counts.get(repo_id, 0))
-        for repo_id, record in repos.items()
-    }
     return Corpus(repos=repos, issues=issues)
 
 
@@ -208,10 +199,11 @@ def write_corpus(corpus: Corpus, path: Path | str) -> Path:
 def filter_repos(corpus: Corpus, min_labeled_issues: int = 30, min_contributors: int = 2) -> Corpus:
     """Keep repos with more than ``min_labeled_issues`` labeled issues and at
     least ``min_contributors`` contributors, plus only their issues."""
+    labeled = Counter(issue.repo_id for issue in corpus.issues if issue.label_names)
     kept = {
         repo_id: record
         for repo_id, record in corpus.repos.items()
-        if record.labeled_issue_count > min_labeled_issues and record.contributors >= min_contributors
+        if labeled[repo_id] > min_labeled_issues and record.contributors >= min_contributors
     }
     issues = [issue for issue in corpus.issues if issue.repo_id in kept]
     logger.info(

@@ -4,11 +4,15 @@ Raw label strings are reduced to a canonical lowercase stemmed surface form
 ("Type: Enhancement" -> "type enhanc"), then mapped to intent classes through
 a curated lexicon. Negated phrases collapse to a single "not" token so that
 variants like "can't reproduce" and "could not reproduce" unify.
+
+A surface's frequency is the number of issues that carry it, each counted once
+however many of its labels share the surface (see ``assign_intents``).
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -31,13 +35,6 @@ INTENT_VALUES = frozenset(i.value for i in IntentClass)
 
 class LexiconKeyNotNormalized(ValidationError):
     pass
-
-
-@dataclass(frozen=True)
-class NormalizedLabel:
-    surface: str
-    originals: frozenset[str]
-    frequency: int
 
 
 @dataclass(frozen=True)
@@ -89,29 +86,6 @@ def _surfaces(corpus: Corpus, lists: WordLists) -> dict[str, str]:
     return surfaces
 
 
-def _label_table(corpus: Corpus, surfaces: dict[str, str]) -> list[NormalizedLabel]:
-    originals: dict[str, set[str]] = {}
-    issue_sets: dict[str, set[str]] = {}
-    for issue in corpus.issues:
-        for raw in issue.label_names:
-            surface = surfaces[raw]
-            if not surface:
-                continue
-            originals.setdefault(surface, set()).add(raw)
-            issue_sets.setdefault(surface, set()).add(issue.issue_id)
-    table = [
-        NormalizedLabel(surface=surface, originals=frozenset(originals[surface]), frequency=len(ids))
-        for surface, ids in issue_sets.items()
-    ]
-    table.sort(key=lambda entry: (-entry.frequency, entry.surface))
-    return table
-
-
-def build_label_table(corpus: Corpus, lists: WordLists) -> list[NormalizedLabel]:
-    """Group label originals by surface form; frequency counts distinct issues."""
-    return _label_table(corpus, _surfaces(corpus, lists))
-
-
 def load_lexicon(path: Path | str, lists: WordLists) -> IntentLexicon:
     """Read a "surface<TAB>class" lexicon file and validate every key's form."""
     entries: dict[str, IntentClass] = {}
@@ -152,7 +126,9 @@ def assign_intents(
     entries rarer than ``min_label_frequency``) are unrelated and omitted.
     The lexicon is taken as valid: ``load_lexicon`` has checked its keys."""
     surfaces = _surfaces(corpus, lists)
-    frequency = {entry.surface: entry.frequency for entry in _label_table(corpus, surfaces)}
+    # load_corpus rejects a duplicate issue_id, so counting issues counts distinct ids
+    frequency = Counter(surface for issue in corpus.issues
+                        for surface in {surfaces[raw] for raw in issue.label_names} if surface)
     assigned: dict[str, frozenset[IntentClass]] = {}
     for issue in corpus.issues:
         intents = set()
@@ -160,7 +136,7 @@ def assign_intents(
             surface = surfaces[raw]
             if not surface or surface not in lexicon.entries:
                 continue
-            if frequency.get(surface, 0) < min_label_frequency:
+            if frequency[surface] < min_label_frequency:
                 continue
             intents.add(lexicon.entries[surface])
         if intents:

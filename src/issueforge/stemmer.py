@@ -293,18 +293,13 @@ def _stem_once(word: str) -> str:
     return word.replace("Y", "y")
 
 
-def _stem_fixed_point(word: str) -> str:
-    current = word
-    for _ in range(4):
-        if _no_step_acts_on(current):
-            return current
-        nxt = _stem_once(current)
-        if nxt == current:
-            return current
-        current = nxt
-    return current
-
-
 def stem(word: str) -> str:
     """Stem a lowercase token, iterating to a fixed point (at most 4 passes)."""
-    return _stem_fixed_point(word)
+    for _ in range(4):
+        if _no_step_acts_on(word):
+            return word
+        nxt = _stem_once(word)
+        if nxt == word:
+            return word
+        word = nxt
+    return word

@@ -7,7 +7,8 @@ against a bundled lookup table with a stemmer fallback.
 
 Most issue text holds few noise constructs and no special phrase, so
 ``strip_noise`` runs a scan only where a cheap substring test says it can
-match; its output equals running every scan. ``preprocess`` normalizes each
+match; its output equals running every scan. The special-phrase patterns are
+compiled when a ``WordLists`` is built, and ``preprocess`` normalizes each
 distinct token once per ``WordLists``, in a memo that lives on the word lists.
 """
 
@@ -64,6 +65,18 @@ class WordLists:
     lemmas: dict[str, str]
     # token -> what preprocess emits for it, or None when it drops it (see _normalize_token)
     _tokens: dict[str, str | None] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Each special phrase as a whole-word pattern, with its lowercase form when ASCII (else None), applied
+    # in list order: one alternation would remove different text when phrases overlap. On ASCII text an
+    # ASCII phrase matches only where its lowercase occurs in the text's lowercase, so strip_noise scans
+    # for it only there. IGNORECASE also matches some non-ASCII letters to ASCII ones ("ſ" to "s", "İ" and
+    # "ı" to "i", the Kelvin sign to "k"), so non-ASCII text and non-ASCII phrases are always scanned.
+    _phrases: tuple[tuple[re.Pattern, str | None], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_phrases", tuple(
+            (re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE), phrase.lower() if phrase.isascii() else None)
+            for phrase in self.special_phrases
+        ))
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -151,37 +164,13 @@ def strip_noise(text: str, lists: WordLists) -> str:
     if "#" in text:
         text = _ISSUE_REF.sub("", text)
     lowered = text.lower() if text.isascii() else None
-    for pattern, needle in _phrase_patterns(lists.special_phrases):
+    for pattern, needle in lists._phrases:
         if lowered is not None and needle is not None and needle not in lowered:
             continue
         text, removed = pattern.subn("", text)
         if removed and lowered is not None:
             lowered = text.lower()
     return text
-
-
-# Compiled whole-word patterns per special-phrase list, each with the phrase's
-# lowercase form when the phrase is ASCII (None otherwise). Each phrase keeps
-# its own pattern, applied in list order: one alternation would remove different
-# text when phrases overlap. On ASCII text an ASCII phrase matches only where
-# its lowercase form occurs in the text's lowercase, so strip_noise scans for it
-# only there. IGNORECASE also matches some non-ASCII letters to ASCII ones ("ſ"
-# to "s", "İ" and "ı" to "i", the Kelvin sign to "k"), so non-ASCII text and
-# non-ASCII phrases are always scanned.
-_PHRASE_PATTERNS: dict[tuple[str, ...], tuple[tuple[re.Pattern, str | None], ...]] = {}
-
-
-def _phrase_patterns(phrases: tuple[str, ...]) -> tuple[tuple[re.Pattern, str | None], ...]:
-    patterns = _PHRASE_PATTERNS.get(phrases)
-    if patterns is None:
-        patterns = _PHRASE_PATTERNS[phrases] = tuple(
-            (
-                re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE),
-                phrase.lower() if phrase.isascii() else None,
-            )
-            for phrase in phrases
-        )
-    return patterns
 
 
 # --- tokenization and normalization -----------------------------------------

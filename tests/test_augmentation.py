@@ -193,7 +193,7 @@ def test_within_context_without_same_app():
 
 def test_empty_auxiliary_keeps_primary_rows():
     primary = primary_of(10)
-    dataset = augment(primary, [])
+    dataset = augment(primary, [], AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.0, seed=0))
     assert {row.doc_id for row in dataset.rows} == {d.doc_id for d in primary.rows}
     assert all(is_primary(row) for row in dataset.rows)
 

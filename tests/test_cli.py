@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,9 +6,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from issueforge import augmentation, cli
 from issueforge.classifier import stratified_folds
@@ -566,6 +570,59 @@ def test_bad_pipeline_config_is_a_validation_error(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(config_file), "--out", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
+
+
+# --- configs drawn from the real keys ----------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=4,
+)
+# values a key may validly hold, so that some drawn configs run to the end
+VALID_CHOICES = {
+    "method": [method.value for method in augmentation.Method], "target_app": ["r-podkit", "app-0"],
+    "ratio": [0.0, 0.5, 1.0], "folds": [2, 3], "k": [2, 3], "seed": [0, 7], "top_k_similar": [1, 2],
+    "include_same_app": [True, False], "corpus_dir": [str(DEMO)], "min_label_frequency": [0, 1],
+}
+CONFIG_KEYS = {
+    "pipeline": [field.name for field in dataclasses.fields(PipelineConfig)],
+    "experiment": [field.name for field in dataclasses.fields(cli.ExperimentConfig)],
+}
+SPEC_KEYS = [field.name for field in dataclasses.fields(augmentation.AugmentationSpec)]
+DROP_KEY = object()
+
+
+def _value(key: str):
+    valid = SPEC_LISTS if key == "specs" else st.sampled_from(VALID_CHOICES.get(key, [None]))
+    return JSON_VALUES | valid
+
+
+SPEC_LISTS = st.lists(st.fixed_dictionaries({}, optional={key: _value(key) for key in SPEC_KEYS}), max_size=2)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "experiment"])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_config_drawn_from_the_real_keys_gets_a_documented_exit_code(command, data):
+    if command == "pipeline":
+        config = json.loads((DEMO / "demo_config.json").read_text())
+        config.update(corpus_dir=str(DEMO), primary_csv=str(DEMO / "primary_demo.csv"),
+                      label_map=str(DEMO / "labelmap_demo.tsv"))
+    else:
+        config = json.loads(_experiment_config())
+    for key in data.draw(st.sets(st.sampled_from(CONFIG_KEYS[command]), max_size=3), label="changed keys"):
+        value = data.draw(st.just(DROP_KEY) | _value(key), label=key)
+        if value is DROP_KEY:
+            config.pop(key, None)
+        else:
+            config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config_file = Path(tmp) / "config.json"
+        config_file.write_text(json.dumps(config))
+        out = Path(tmp) / ("run" if command == "pipeline" else "comparison.tsv")
+        code = main([command, "--config", str(config_file), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_STAGE_FAILURE)
 
 
 def test_within_context_pipeline(tmp_path):

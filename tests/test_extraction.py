@@ -410,3 +410,10 @@ def test_title_memo_is_per_stopword_set(tmp_path, lists):
             assert split_with_preamble(body, word_lists) == _oracle_split(body, word_lists)
     assert split_with_preamble(body, few_stopwords)[1][0].normalized_title == "step to reproduc bug"
     assert split_with_preamble(body, lists)[1][0].normalized_title == "step reproduc bug"
+    # one pattern set memoizes a raw title once per stopword set: "Your issue" normalizes to
+    # "issu" (P19) where "your" is a stopword, and to "your issu" (no pattern) where it is not
+    issue, patterns = make_issue("### Your issue\nissue text\n### What is the actual result\nresult text"), load_patterns()
+    for _ in range(2):
+        assert extract(issue, patterns, lists).matched_pattern == "P19"
+        assert extract(issue, patterns, few_stopwords).matched_pattern == "P1"
+    assert len(patterns._matches) == 3

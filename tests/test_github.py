@@ -235,3 +235,60 @@ def test_failed_request_is_an_issueforge_error(outcome):
     client = Client(base_url="http://forge.invalid", session=_StubSession(outcome), sleeper=lambda s: None)
     with pytest.raises(RequestFailed):
         client.get_json("/repos/demo/x")
+
+
+def test_retry_after_that_is_a_date_falls_back_to_the_backoff():
+    response = _response(429)
+    response.headers["Retry-After"] = "Wed, 21 Oct 2015 07:28:00 GMT"  # the HTTP-date form
+    sleeps: list[float] = []
+    client = Client(base_url="http://forge.invalid", rate_limit=0, max_retries=2,
+                    session=_StubSession(response), sleeper=sleeps.append)
+    with pytest.raises(RateLimited):
+        client.get_json("/repos/demo/x")
+    assert sleeps == [1.0, 2.0]
+
+
+class _RoutedSession:
+    """Answers a GET of ``http://forge.invalid<path>`` with 200 and the JSON body given for the path."""
+
+    def __init__(self, bodies: dict[str, object]):
+        self.bodies = bodies
+
+    def get(self, url, **kwargs):
+        return _response(200, json.dumps(self.bodies[url.removeprefix("http://forge.invalid")]).encode())
+
+
+def _repo_answers(repo=None, contributors=None, issues=None) -> dict[str, object]:
+    return {
+        "/repos/demo/x": {"id": 1} if repo is None else repo,
+        "/repos/demo/x/contributors": [] if contributors is None else contributors,
+        "/repos/demo/x/readme": {"content": ""},
+        "/repos/demo/x/issues": [] if issues is None else issues,
+    }
+
+
+@pytest.mark.parametrize(
+    "answers",
+    [
+        _repo_answers(repo={"full_name": "demo/x"}),
+        _repo_answers(repo=[{"id": 1}]),
+        _repo_answers(repo={"id": 1, "stargazers_count": "many"}),
+        _repo_answers(contributors={"message": "x"}),
+        _repo_answers(issues=[{"title": "no id"}]),
+        _repo_answers(issues=[{"id": 2, "labels": ["bug"]}]),
+    ],
+    ids=["repo-without-id", "repo-a-list", "stars-not-a-number", "contributors-an-object", "issue-without-id",
+         "label-not-an-object"],
+)
+def test_malformed_payload_is_a_failed_request_naming_the_url(tmp_path, answers):
+    with pytest.raises(RequestFailed, match="forge.invalid/repos/demo/x"):
+        fetch_remote(["demo/x"], tmp_path / "corpus", base_url="http://forge.invalid",
+                     session=_RoutedSession(answers), sleeper=lambda s: None)
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_well_formed_answers_harvest_the_repo(tmp_path):
+    answers = _repo_answers(issues=[{"id": 2, "title": "t", "labels": [{"name": "bug"}]}])
+    corpus = load_corpus(fetch_remote(["demo/x"], tmp_path / "corpus", base_url="http://forge.invalid",
+                                      session=_RoutedSession(answers), sleeper=lambda s: None))
+    assert list(corpus.repos) == ["1"] and [issue.label_names for issue in corpus.issues] == [("bug",)]

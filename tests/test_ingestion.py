@@ -68,9 +68,9 @@ def test_fixture_counts_and_links(corpus_dir):
     assert len(corpus.repos) == 3
     assert len(corpus.issues) == 10
     assert all(issue.repo_id in corpus.repos for issue in corpus.issues)
-    # 10 issues round-robin over 3 repos: 4 for r1, 3 for r2, 3 for r3
-    assert corpus.repos["r1"].labeled_issue_count == 4
-    assert corpus.repos["r2"].labeled_issue_count == 3
+    # 10 labeled issues round-robin over 3 repos: 4 for r1, 3 for r2, 3 for r3
+    assert set(filter_repos(corpus, min_labeled_issues=3).repos) == {"r1"}
+    assert set(filter_repos(corpus, min_labeled_issues=2).repos) == {"r1", "r2", "r3"}
 
 
 def test_empty_issue_file(tmp_path):
@@ -99,7 +99,8 @@ def test_unlabeled_issues_not_counted(tmp_path):
         [issue_row("i1", "r1", labels=[]), issue_row("i2", "r1", labels=["bug"])],
     )
     corpus = load_corpus(tmp_path)
-    assert corpus.repos["r1"].labeled_issue_count == 1
+    assert set(filter_repos(corpus, min_labeled_issues=0).repos) == {"r1"}
+    assert filter_repos(corpus, min_labeled_issues=1).repos == {}
 
 
 def test_dangling_issue_ref(tmp_path):
@@ -117,7 +118,7 @@ def test_missing_file(tmp_path):
 # --- filtering --------------------------------------------------------------------------
 
 def synthetic_corpus(spec: list[tuple[str, int, int]]) -> Corpus:
-    """spec: (repo_id, labeled_issue_count, contributors)."""
+    """spec: (repo_id, number of labeled issues, contributors)."""
     repos = {}
     issues = []
     for repo_id, n_labeled, contributors in spec:
@@ -126,7 +127,6 @@ def synthetic_corpus(spec: list[tuple[str, int, int]]) -> Corpus:
             full_name=f"demo/{repo_id}",
             contributors=contributors,
             stars=0,
-            labeled_issue_count=n_labeled,
         )
         for index in range(n_labeled):
             issues.append(
@@ -147,6 +147,14 @@ def test_threshold_boundaries():
     kept = filter_repos(corpus)
     assert set(kept.repos) == {"c"}  # 30 labeled issues is not enough; 1 contributor is not enough
     assert all(issue.repo_id == "c" for issue in kept.issues)
+
+
+def test_filter_counts_the_labeled_issues_of_a_record_built_in_memory():
+    # harvest builds its records this way, without loading a corpus directory
+    record = RepoRecord(repo_id="a", full_name="demo/a", contributors=2, stars=0)
+    issues = [RawIssue(f"a-{i}", "a", "t", "", ("bug",) if i < 31 else (), "2023-01-01T00:00:00Z") for i in range(40)]
+    kept = filter_repos(Corpus(repos={"a": record}, issues=issues))
+    assert set(kept.repos) == {"a"} and len(kept.issues) == 40
 
 
 def test_filter_to_empty_is_legal():

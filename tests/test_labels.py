@@ -10,7 +10,6 @@ from issueforge.labels import (
     IntentLexicon,
     LexiconKeyNotNormalized,
     assign_intents,
-    build_label_table,
     load_lexicon,
     normalize_label,
     validate_lexicon,
@@ -91,39 +90,25 @@ def test_normalized_form_invariants(raw):
             assert tok not in lists.negative_modifiers
 
 
-# --- build_label_table ---------------------------------------------------------
+# --- label frequency ---------------------------------------------------------------
 
-def test_case_variants_group(lists):
-    corpus = make_corpus([["Bug"], ["bug"]])
-    table = build_label_table(corpus, lists)
-    assert len(table) == 1
-    assert table[0].surface == "bug"
-    assert table[0].frequency == 2
-    assert table[0].originals == frozenset({"Bug", "bug"})
-
-
-def test_empty_corpus(lists):
-    assert build_label_table(make_corpus([[], []]), lists) == []
-
-
-def test_five_issue_table_by_hand(lists):
-    # hand enumeration: bug appears on i0,i1,i2 (3); type enhanc on i3 (1);
-    # question on i4 (1); P1 drops out entirely
-    corpus = make_corpus(
-        [["Bug", "P1"], ["bug"], ["BUG!"], ["Type: Enhancement"], ["question"]]
-    )
-    table = build_label_table(corpus, lists)
-    assert [(entry.surface, entry.frequency) for entry in table] == [
-        ("bug", 3),
-        ("question", 1),
-        ("type enhanc", 1),
-    ]
-
-
-def test_same_issue_counted_once(lists):
-    corpus = make_corpus([["Bug", "bug", "BUG"]])
-    table = build_label_table(corpus, lists)
-    assert table[0].frequency == 1
+@pytest.mark.parametrize(
+    "issue_labels,bug_issues,frequency",
+    [
+        ([["Bug"], ["bug"]], ["i0", "i1"], 2),
+        ([["Bug", "bug", "BUG"]], ["i0"], 1),
+        ([["Bug", "P1"], ["bug"], ["BUG!"], ["Type: Enhancement"], ["P1"]], ["i0", "i1", "i2"], 3),
+        ([[], []], [], 0),
+    ],
+    ids=["case-variants-on-two-issues", "case-variants-on-one-issue", "five-issues-by-hand", "no-labels"],
+)
+def test_label_frequency_counts_each_issue_once(lists, issue_labels, bug_issues, frequency):
+    # "P1" normalizes to the empty surface, which is never counted, even where the lexicon names it
+    lexicon = load_lexicon_from_entries({"bug": IntentClass.BUG_REPORT, "": IntentClass.FEATURE_REQUEST})
+    corpus = make_corpus(issue_labels)
+    assigned = assign_intents(corpus, lexicon, lists, min_label_frequency=frequency)
+    assert assigned == {issue_id: frozenset({IntentClass.BUG_REPORT}) for issue_id in bug_issues}
+    assert assign_intents(corpus, lexicon, lists, min_label_frequency=frequency + 1) == {}
 
 
 # --- assign_intents --------------------------------------------------------------
@@ -247,10 +232,6 @@ def _assign_oracle(corpus, lexicon, lists, min_label_frequency):
     return assigned
 
 
-def _as_tuples(table):
-    return [(entry.surface, entry.originals, entry.frequency) for entry in table]
-
-
 @pytest.fixture(scope="module")
 def bundled_lexicon(lists):
     return load_lexicon(default_data_dir() / "lexicon.tsv", lists)
@@ -259,7 +240,6 @@ def bundled_lexicon(lists):
 @pytest.mark.parametrize("min_freq", [1, 2, 3, 11])
 def test_demo_corpus_matches_oracle(lists, bundled_lexicon, min_freq):
     corpus = load_corpus(default_data_dir() / "demo_corpus")
-    assert _as_tuples(build_label_table(corpus, lists)) == _table_oracle(corpus, lists)
     assigned = assign_intents(corpus, bundled_lexicon, lists, min_label_frequency=min_freq)
     assert assigned == _assign_oracle(corpus, bundled_lexicon, lists, min_freq)
     if min_freq == 1:
@@ -280,6 +260,5 @@ ORACLE_POOL = LABEL_POOL + SIX_NEGATED_VARIANTS + ["Bug", "BUG 🐛", "Type: Enh
 @settings(max_examples=60, deadline=None)
 def test_label_lists_match_oracle(lists, bundled_lexicon, issue_labels, min_freq):
     corpus = make_corpus(issue_labels)
-    assert _as_tuples(build_label_table(corpus, lists)) == _table_oracle(corpus, lists)
     assigned = assign_intents(corpus, bundled_lexicon, lists, min_label_frequency=min_freq)
     assert assigned == _assign_oracle(corpus, bundled_lexicon, lists, min_freq)

@@ -136,19 +136,6 @@ def _bundled_and_test_words() -> list[str]:
     return sorted(words)
 
 
-def test_cached_stem_equals_uncached_on_bundled_words():
-    words = _bundled_and_test_words()
-    assert len(words) > 500
-    for word in words:
-        assert stem(word) == stemmer._stem_fixed_point(word), word
-
-
-@given(st.text(alphabet=string.ascii_lowercase + "'", min_size=1, max_size=15))
-@settings(max_examples=500)
-def test_cached_stem_equals_uncached(word):
-    assert stem(word) == stemmer._stem_fixed_point(word)
-
-
 def test_second_call_returns_the_same_value(lists):
     # preprocess remembers each distinct token's lemma on the word lists
     word = "unreproducibilities"
@@ -343,11 +330,13 @@ def _reference_fixed_point(word: str) -> str:
 
 def _assert_matches_reference(word: str) -> None:
     assert stemmer._stem_once(word) == _reference_stem_once(word), repr(word)
-    assert stemmer._stem_fixed_point(word) == _reference_fixed_point(word), repr(word)
+    assert stemmer.stem(word) == _reference_fixed_point(word), repr(word)
 
 
 def test_pass_matches_reference_on_bundled_words():
-    for word in _bundled_and_test_words():
+    words = _bundled_and_test_words()
+    assert len(words) > 500
+    for word in words:
         _assert_matches_reference(word)
 
 
@@ -405,7 +394,7 @@ def test_pass_matches_reference_on_wide_words(first, second, suffix, upper_tail)
 
 
 # --- a pass is skipped only where it is a no-op -------------------------------------
-# _stem_fixed_point runs no pass on a word, first or confirming, for which
+# stem runs no pass on a word, first or confirming, for which
 # _no_step_acts_on holds; the reference runs every pass and confirms. The
 # wide-word and odd-text tests above compare the fixed points too.
 
@@ -413,7 +402,7 @@ def test_pass_matches_reference_on_wide_words(first, second, suffix, upper_tail)
 @example("PROCEEDer")  # the first pass leaves PROCEED, which the confirm pass lowercases as a stop word
 @settings(max_examples=1000)
 def test_fixed_point_matches_reference_on_mixed_case_text(word):
-    assert stemmer._stem_fixed_point(word) == _reference_fixed_point(word), repr(word)
+    assert stemmer.stem(word) == _reference_fixed_point(word), repr(word)
 
 
 @given(st.text(alphabet=string.ascii_lowercase + "'", min_size=1, max_size=15))
@@ -435,10 +424,10 @@ def test_every_skipped_pass_matches_reference():
         once = stemmer._stem_once(word)
         if stemmer._no_step_acts_on(word):
             skipped_first += 1
-            assert stemmer._stem_fixed_point(word) == word == once == _reference_fixed_point(word), word
+            assert stemmer.stem(word) == word == once == _reference_fixed_point(word), word
         elif once != word and stemmer._no_step_acts_on(once):
             skipped_confirm += 1
-            assert stemmer._stem_fixed_point(word) == once == _reference_fixed_point(word), word
+            assert stemmer.stem(word) == once == _reference_fixed_point(word), word
     assert skipped_first > 1_000 and skipped_confirm > 5_000
 
 
