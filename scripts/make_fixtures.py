@@ -591,12 +591,12 @@ def synthetic_recall() -> None:
         baseline = classifier.cross_validate(primary.rows, IntentClass.BUG_REPORT, seed=seed)
         augmented = classifier.cross_validate(dataset.rows, IntentClass.BUG_REPORT, seed=seed)
         print(
-            f"  seed={seed} baseline R={baseline.mean_recall:.2f} P={baseline.mean_precision:.2f}"
-            f" | augmented R={augmented.mean_recall:.2f} P={augmented.mean_precision:.2f}"
+            f"  seed={seed} baseline R={baseline.means['recall']:.2f} P={baseline.means['precision']:.2f}"
+            f" | augmented R={augmented.means['recall']:.2f} P={augmented.means['precision']:.2f}"
         )
-        assert 0.05 < baseline.mean_recall < 0.95, "baseline must be a working, non-saturated model"
-        assert augmented.mean_precision > 0.5, "augmented model must not be an all-positive predictor"
-        gaps.append(augmented.mean_recall - baseline.mean_recall)
+        assert 0.05 < baseline.means["recall"] < 0.95, "baseline must be a working, non-saturated model"
+        assert augmented.means["precision"] > 0.5, "augmented model must not be an all-positive predictor"
+        gaps.append(augmented.means["recall"] - baseline.means["recall"])
     print("synthetic recall gaps by seed:", [f"{g:.3f}" for g in gaps])
     assert min(gaps) >= 0.15, gaps
 

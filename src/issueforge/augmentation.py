@@ -13,7 +13,7 @@ import logging
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -259,23 +259,12 @@ def augment_from_pool(
 def sweep(
     primary: PrimaryDataset,
     pool: list[ProcessedDocument],
-    r_values: list[float],
-    seed: int,
-    method: Method = Method.BETWEEN_APP,
-    target_app: str | None = None,
+    spec: AugmentationSpec,
+    ratios: list[float],
     profiles: dict[str, dict[str, float]] | None = None,
-    top_k_similar: int = 3,
-    include_same_app: bool = False,
 ) -> list[AugmentedDataset]:
-    """One augmented dataset per volume ratio, sharing the primary rows."""
-    datasets = []
-    for ratio in r_values:
-        spec = AugmentationSpec(
-            method=method, ratio=ratio, seed=seed, target_app=target_app,
-            top_k_similar=top_k_similar, include_same_app=include_same_app,
-        )
-        datasets.append(augment_from_pool(primary, pool, spec, profiles))
-    return datasets
+    """One augmented dataset per volume ratio: ``spec`` at that ratio, sharing the primary rows."""
+    return [augment_from_pool(primary, pool, replace(spec, ratio=ratio), profiles) for ratio in ratios]
 
 
 def sweep_table(datasets: list[AugmentedDataset]) -> list[dict]:

@@ -340,10 +340,6 @@ class EvalReport:
         """Each of ``METRICS`` averaged over the folds."""
         return {name: sum(getattr(f, name) for f in self.folds) / len(self.folds) for name in METRICS}
 
-    mean_precision = property(lambda self: self.means["precision"])
-    mean_recall = property(lambda self: self.means["recall"])
-    mean_f1 = property(lambda self: self.means["f1"])
-
     def as_dict(self) -> dict:
         return {"target": self.target.value, "folds": [f.as_dict() for f in self.folds], "mean": self.means}
 

@@ -189,17 +189,6 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _sha256_artifact(path: Path) -> str:
-    """sha256 of a file; of a directory, over each file's name and sha256 in name order."""
-    if not path.is_dir():
-        return _sha256_file(path)
-    digest = hashlib.sha256()
-    for child in sorted(path.iterdir()):
-        digest.update(child.name.encode())
-        digest.update(bytes.fromhex(_sha256_file(child)))
-    return digest.hexdigest()
-
-
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -240,8 +229,10 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     bad one fails the run with its own error and nothing written. A stage's error
     reaches the caller unwrapped, and the staging directory is removed with it.
     The commit unlinks the old manifest first and moves the new one in last, so a
-    run cut short leaves no manifest beside artifacts it does not describe. The staging
-    directory's name holds the run's pid, so a later run removes it once that pid is gone."""
+    run cut short leaves no manifest beside artifacts it does not describe. Every
+    artifact is a file, the filtered ``repos.jsonl`` among them; an older version's
+    ``corpus/`` in ``out_dir`` is neither listed nor removed. The staging directory's
+    name holds the run's pid, so a later run removes it once that pid is gone."""
     out = Path(out_dir)
     lists = textprep.load_wordlists(config.word_lists_dir)
     patterns = extraction.load_patterns(config.patterns)
@@ -263,7 +254,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
             min_labeled_issues=config.min_labeled_issues,
             min_contributors=config.min_contributors,
         )
-        ingestion.write_corpus(corpus, staging / "corpus")
+        ingestion.write_repos(corpus.repos, staging / "repos.jsonl")
         logger.info("pipeline: filter kept %d repos / %d issues", len(corpus.repos), len(corpus.issues))
 
         # stage 2: label normalization and intent assignment
@@ -296,7 +287,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 
         # stage 5: augmentation
         spec = config.spec()
-        profiles = similarity.build_profiles(corpus, lists) if spec.method is Method.WITHIN_CONTEXT else None
+        profiles = similarity.build_profiles(corpus.repos, lists) if spec.method is Method.WITHIN_CONTEXT else None
         dataset = augmentation.augment_from_pool(primary, docs, spec, profiles)
         augmentation.write_docs(dataset.rows, staging / "augmented.jsonl")
 
@@ -305,14 +296,12 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         _dump_json({"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows),
                     **{target.value: report.as_dict() for target, report in reports.items()}}, staging / "report.json")
 
-        # commit; os.replace cannot move a directory onto a non-empty one, so an old corpus/ is removed first
-        artifacts = {path.name: _sha256_artifact(path) for path in sorted(staging.iterdir())}
+        # commit: every artifact is a file, and os.replace moves it over the old one of the same name
+        artifacts = {path.name: _sha256_file(path) for path in sorted(staging.iterdir())}
         _dump_json({"artifacts": artifacts, "config": config.as_dict(), "seed": config.seed},
                    staging / "manifest.json")
         (out / "manifest.json").unlink(missing_ok=True)
         for name in artifacts:
-            if (out / name).is_dir():
-                shutil.rmtree(out / name)
             os.replace(staging / name, out / name)
         os.replace(staging / "manifest.json", out / "manifest.json")
     logger.info("pipeline: wrote %d artifacts to %s", len(artifacts), out)
@@ -437,8 +426,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_similar(args) -> int:
     check_int("--top", args.top, 1)
     lists = textprep.load_wordlists(args.lists)
-    corpus = ingestion.load_corpus(getattr(args, "in"))
-    profiles = similarity.build_profiles(corpus, lists)
+    profiles = similarity.build_profiles(ingestion.load_repos(getattr(args, "in")), lists)
     ranking = similarity.rank_similar(args.query, profiles)
     payload = {
         "query_repo": args.query,
@@ -458,12 +446,10 @@ def _augment_from_args(args, ratios: list[float]) -> list[augmentation.Augmented
     if within_context and not args.corpus:
         raise ValidationError("within-context augmentation requires --corpus for profiles")
     lists = textprep.load_wordlists(args.lists)
-    profiles = similarity.build_profiles(ingestion.load_corpus(args.corpus), lists) if within_context else None
+    profiles = similarity.build_profiles(ingestion.load_repos(args.corpus), lists) if within_context else None
     primary = augmentation.load_primary(args.primary, augmentation.load_label_map(args.labelmap), lists)
     pool = augmentation.load_docs(args.pool)
-    return augmentation.sweep(primary, pool, ratios, spec.seed, method=spec.method, target_app=spec.target_app,
-                              profiles=profiles, top_k_similar=spec.top_k_similar,
-                              include_same_app=spec.include_same_app)
+    return augmentation.sweep(primary, pool, spec, ratios, profiles)
 
 
 def _cmd_augment(args) -> int:
@@ -556,7 +542,7 @@ def _cmd_experiment(args) -> int:
     pool = augmentation.load_docs(config.pool)
     profiles = None
     if any(spec.method is Method.WITHIN_CONTEXT for spec in specs):
-        profiles = similarity.build_profiles(ingestion.load_corpus(config.corpus_dir), lists)
+        profiles = similarity.build_profiles(ingestion.load_repos(config.corpus_dir), lists)
     report = augmentation.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
     _write_tsv(report["rows"], list(report["rows"][0]), args.out)
     print(f"wrote comparison for {len(report['rows'])} models to {args.out}")
@@ -638,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     selection.add_argument("--top", type=int, default=3)
     selection.add_argument("--seed", type=int, default=0)
     selection.add_argument("--include-same-app", action="store_true")
-    selection.add_argument("--corpus", default=None, help="corpus dir (profiles for within-context)")
+    selection.add_argument("--corpus", default=None, help="dir holding repos.jsonl (profiles for within-context)")
     selection.add_argument("--lists", default=None)
 
     p = sub.add_parser("augment", parents=[selection], help="merge a primary dataset with auxiliary issue documents")

@@ -25,6 +25,7 @@ from .ingestion import Corpus, RawIssue, RepoRecord, write_corpus
 logger = logging.getLogger(__name__)
 
 PER_PAGE = 100
+MAX_RETRY_AFTER_S = 3600  # a longer Retry-After fails the request instead of sleeping
 
 
 class AuthFailure(IssueforgeError):
@@ -101,6 +102,8 @@ class Client:
                 # Retry-After may also be an HTTP date; only a number of seconds is used
                 retry_after = response.headers.get("Retry-After", "")
                 delay = float(retry_after) if retry_after.isdecimal() else backoff
+                if delay > MAX_RETRY_AFTER_S:
+                    raise RateLimited(f"{url}: Retry-After asks for {retry_after} s, over {MAX_RETRY_AFTER_S} s")
                 logger.warning("rate limited on %s, retrying in %.1fs", url, delay)
                 self.sleeper(delay)
                 backoff *= 2

@@ -2,7 +2,10 @@
 
 A corpus directory holds two JSON-lines files, ``repos.jsonl`` and
 ``issues.jsonl``; any other file in it is ignored. Every pipeline stage works
-from this layout so the whole system is testable offline.
+from this layout so the whole system is testable offline. The profile readers
+(``similar``, ``augment``/``sweep --corpus``, ``experiment``) need the repository
+records alone: ``load_repos`` reads ``repos.jsonl`` from any directory that
+holds one, a corpus, a ``filter`` output or a ``pipeline`` run.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import json
 import logging
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -119,15 +122,11 @@ def parse_jsonl(
     return rows
 
 
-def load_corpus(path: Path | str) -> Corpus:
-    """Load and cross-link a corpus directory; every issue must resolve to a repo."""
-    base = Path(path)
-    repos_file = base / "repos.jsonl"
-    issues_file = base / "issues.jsonl"
-    for required_file in (repos_file, issues_file):
-        if not required_file.exists():
-            raise MissingFile(str(required_file))
-
+def load_repos(path: Path | str) -> dict[str, RepoRecord]:
+    """``repo_id`` -> record for each line of ``<path>/repos.jsonl``; no other file is read."""
+    repos_file = Path(path) / "repos.jsonl"
+    if not repos_file.exists():
+        raise MissingFile(str(repos_file))
     repos: dict[str, RepoRecord] = {}
     for lineno, row in parse_jsonl(repos_file, _REPO_FIELDS):
         if row["repo_id"] in repos:
@@ -143,6 +142,17 @@ def load_corpus(path: Path | str) -> Corpus:
             readme_text=row.get("readme_text"),
             about_text=row.get("about_text"),
         )
+    return repos
+
+
+def load_corpus(path: Path | str) -> Corpus:
+    """Load and cross-link a corpus directory; every issue must resolve to a repo."""
+    base = Path(path)
+    issues_file = base / "issues.jsonl"
+    for required_file in (base / "repos.jsonl", issues_file):
+        if not required_file.exists():
+            raise MissingFile(str(required_file))
+    repos = load_repos(base)
 
     issues: list[RawIssue] = []
     seen_issue_ids: set[str] = set()
@@ -177,16 +187,16 @@ def write_jsonl(rows: Iterable[dict], path: Path | str, ensure_ascii: bool = Fal
     return path
 
 
+def write_repos(repos: dict[str, RepoRecord], path: Path | str) -> Path:
+    """Write the records as a ``repos.jsonl`` file, sorted by ``repo_id``."""
+    return write_jsonl((asdict(repos[repo_id]) for repo_id in sorted(repos)), path)
+
+
 def write_corpus(corpus: Corpus, path: Path | str) -> Path:
     """Write a corpus directory in the interchange schema, deterministically sorted."""
     base = Path(path)
     base.mkdir(parents=True, exist_ok=True)
-    repos = sorted(corpus.repos.values(), key=lambda r: r.repo_id)
-    write_jsonl(
-        ({"repo_id": r.repo_id, "full_name": r.full_name, "contributors": r.contributors, "stars": r.stars,
-          "readme_text": r.readme_text, "about_text": r.about_text} for r in repos),
-        base / "repos.jsonl",
-    )
+    write_repos(corpus.repos, base / "repos.jsonl")
     issues = sorted(corpus.issues, key=lambda i: (i.repo_id, i.issue_id))
     write_jsonl(
         ({"issue_id": i.issue_id, "repo_id": i.repo_id, "title": i.title, "body": i.body,

@@ -13,7 +13,7 @@ import math
 
 from .errors import IssueforgeError
 from .extraction import normalize_title, split_with_preamble
-from .ingestion import Corpus, RepoRecord
+from .ingestion import RepoRecord
 from .textprep import WordLists, preprocess
 
 logger = logging.getLogger(__name__)
@@ -96,13 +96,13 @@ def cosine(u: dict[str, float], v: dict[str, float]) -> float:
     return dot / (norm_u * norm_v)
 
 
-def build_profiles(corpus: Corpus, lists: WordLists) -> dict[str, dict[str, float]]:
+def build_profiles(repos: dict[str, RepoRecord], lists: WordLists) -> dict[str, dict[str, float]]:
     """Each repo's profile tf-idf vector, for every repo with usable text; empty ones are logged and skipped."""
     token_lists: list[list[str]] = []
     ids: list[str] = []
-    for repo_id in sorted(corpus.repos):
+    for repo_id in sorted(repos):
         try:
-            tokens = build_profile_tokens(corpus.repos[repo_id], lists)
+            tokens = build_profile_tokens(repos[repo_id], lists)
         except EmptyProfile:
             logger.info("similarity: repo %s has an empty profile, excluded", repo_id)
             continue

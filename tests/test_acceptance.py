@@ -202,7 +202,7 @@ def test_c09_augmentation_recall_gap(lists):
             dataset = augmentation.augment(primary, auxiliary, spec)
             baseline = classifier.cross_validate(primary.rows, BUG, seed=seed)
             augmented = classifier.cross_validate(dataset.rows, BUG, seed=seed)
-            gap = augmented.mean_recall - baseline.mean_recall
+            gap = augmented.means["recall"] - baseline.means["recall"]
             assert gap >= 0.10, f"seed {seed}: recall gap {gap:.3f}"
 
 
@@ -220,7 +220,7 @@ def test_c10_volume_ratio_sweep_mechanics(lists):
             for i in range(120)
         ]
         ratios = [round(i / 10, 1) for i in range(11)]
-        datasets = augmentation.sweep(primary, pool, ratios, seed=3)
+        datasets = augmentation.sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=3), ratios)
         assert len(datasets) == 11
         table = augmentation.sweep_table(datasets)
         expected_sizes = [augmentation.auxiliary_size(r, len(primary.rows)) for r in ratios]

@@ -220,7 +220,7 @@ def test_merge_shuffle_is_deterministic():
 def test_sweep_zero_only():
     primary = primary_of(10)
     pool = [doc(f"d{i}") for i in range(10)]
-    [dataset] = sweep(primary, pool, [0.0], seed=1)
+    [dataset] = sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=1), [0.0])
     assert dataset.origin_counts() == {"primary": 10, "auxiliary": 0}
 
 
@@ -228,7 +228,7 @@ def test_sweep_sizes_follow_rounding():
     primary = primary_of(37)
     pool = [doc(f"d{i}") for i in range(100)]
     ratios = [i / 10 for i in range(11)]
-    datasets = sweep(primary, pool, ratios, seed=2)
+    datasets = sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=2), ratios)
     table = sweep_table(datasets)
     assert [row["n_auxiliary"] for row in table] == [auxiliary_size(r, 37) for r in ratios]
     assert len(datasets) == 11
@@ -237,8 +237,8 @@ def test_sweep_sizes_follow_rounding():
 def test_sweep_is_seed_stable():
     primary = primary_of(20)
     pool = [doc(f"d{i}") for i in range(40)]
-    first = sweep(primary, pool, [0.2, 0.5], seed=9)
-    second = sweep(primary, pool, [0.2, 0.5], seed=9)
+    first = sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=9), [0.2, 0.5])
+    second = sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=9), [0.2, 0.5])
     for a, b in zip(first, second):
         assert [r.doc_id for r in a.rows] == [r.doc_id for r in b.rows]
 

@@ -478,7 +478,7 @@ def test_cross_validate_reports_mean_of_folds():
     rows = make_rows(25, 25)
     report = cross_validate(rows, BUG, k=5, seed=0)
     assert len(report.folds) == 5
-    assert report.mean_f1 == pytest.approx(sum(f.f1 for f in report.folds) / 5)
+    assert report.means["f1"] == pytest.approx(sum(f.f1 for f in report.folds) / 5)
     payload = report.as_dict()
     assert set(payload) == {"target", "folds", "mean"}
     assert set(payload["folds"][0]) == {"tp", "fp", "tn", "fn", "precision", "recall", "f1"}

@@ -45,7 +45,7 @@ def test_pipeline_writes_seven_artifacts(pipeline_dir):
     manifest = json.loads((pipeline_dir / "manifest.json").read_text())
     assert len(manifest["artifacts"]) == 7
     assert set(manifest["artifacts"]) == {
-        "corpus",
+        "repos.jsonl",
         "labels.jsonl",
         "extracted.jsonl",
         "extraction_report.json",
@@ -59,12 +59,12 @@ def test_pipeline_writes_seven_artifacts(pipeline_dir):
 # sha256 of every demo artifact; an optimization must leave all of them unchanged
 DEMO_ARTIFACT_HASHES = {
     "augmented.jsonl": "46febf7142cd4db48db949e80eb9b2e7fac2deb5946cc296a91f07eb5b573fb4",
-    "corpus": "a835c6bf16ca482640cc668c69c8d94f099d7a8bf7453103d4c5ab3c043f0489",
     "docs.jsonl": "7c85af09fc813ef25007de0c803bbba0a34c88883f0f9eda979a1e8ae543a09c",
     "extracted.jsonl": "ee8e9f864098029a664cb188792dead40aae4f8c9558002521da375b4e89e47d",
     "extraction_report.json": "8d73759d624fb464c87ad265facc6ed6dc1226d47b0676deb8d29b3553f4fd33",
     "labels.jsonl": "b8b88884fbbdca4315a60f08b4729732bf081e8dd9a4612ab01599f5926f3486",
     "report.json": "d207c714452d6e156268050d7d5564438c44990bcd61f8be102c9f131f9ca7e4",
+    "repos.jsonl": "79fe2727e3162b7ecac91bea81352310fd6a744359afd2a128085436b2379599",
 }
 
 
@@ -81,7 +81,7 @@ DEMO_EXPERIMENT_SHA256 = "a0de894af2be651142660858caeb0a5da979934d8a37cc60832e4d
 def test_demo_experiment_is_pinned_at_full_precision(pipeline_dir, tmp_path, monkeypatch):
     config = _write(tmp_path / "exp.json", json.dumps({
         "label_map": str(DEMO / "labelmap_demo.tsv"), "primary_csv": str(DEMO / "primary_demo.csv"),
-        "pool": str(pipeline_dir / "docs.jsonl"), "corpus_dir": str(pipeline_dir / "corpus"), "seed": 7,
+        "pool": str(pipeline_dir / "docs.jsonl"), "corpus_dir": str(pipeline_dir), "seed": 7,
         "specs": [{"method": "within-app", "target_app": "r-podkit"},
                   {"method": "within-context", "target_app": "r-podkit", "top_k_similar": 2},
                   {"method": "within-context", "target_app": "r-podkit", "top_k_similar": 2, "include_same_app": True},
@@ -115,14 +115,6 @@ def test_demo_augmented_rows_keep_their_order_and_origin(pipeline_dir):
         lines.append(json.dumps(old_row, sort_keys=True, ensure_ascii=False) + "\n")
     digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
     assert digest == "58a3d9b19b4877f5cdf55c97d14933de46e30d77d21388242fe4abf2a1511c82"
-
-
-def test_demo_corpus_artifact_holds_repos_and_issues_only(pipeline_dir):
-    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (pipeline_dir / "corpus").iterdir()}
-    assert files == {
-        "repos.jsonl": "79fe2727e3162b7ecac91bea81352310fd6a744359afd2a128085436b2379599",
-        "issues.jsonl": "0bd1b2adcbf23f33f5816a67277793ee20eed1d23adce981d2ca6c9659845be0",
-    }
 
 
 def test_pipeline_is_deterministic(pipeline_dir, tmp_path):
@@ -197,15 +189,15 @@ def test_interrupted_commit_leaves_no_manifest_and_a_rerun_completes_it(tmp_path
     assert main(["report", str(out)]) == EXIT_OK
 
 
-def test_old_corpus_with_a_subdirectory_is_replaced(tmp_path):
+def test_old_corpus_directory_in_out_is_left_alone(tmp_path):
+    # a run keeps repos.jsonl, not corpus/; an older version's corpus/ is neither listed nor removed
     out = tmp_path / "out"
-    config = str(DEMO / "demo_config.json")
-    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
-    (out / "corpus" / "old" / "deeper").mkdir(parents=True)
-    (out / "corpus" / "old" / "notes.txt").write_text("left by hand\n")
-    assert main(["pipeline", "--config", config, "--out", str(out)]) == EXIT_OK
-    assert {path.name for path in (out / "corpus").iterdir()} == {"repos.jsonl", "issues.jsonl"}
+    (out / "corpus").mkdir(parents=True)
+    for name in ("repos.jsonl", "issues.jsonl"):
+        shutil.copy(DEMO / name, out / "corpus" / name)
+    assert main(["pipeline", "--config", str(DEMO / "demo_config.json"), "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["artifacts"] == DEMO_ARTIFACT_HASHES
+    assert sorted(path.name for path in (out / "corpus").iterdir()) == ["issues.jsonl", "repos.jsonl"]
 
 
 def test_pipeline_into_the_working_directory(tmp_path, monkeypatch):
@@ -898,7 +890,7 @@ def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypa
 
     *_, docs = staged
     apps = ("r-podkit", "r-mapgo")
-    profiles = similarity.build_profiles(ingestion.load_corpus(DEMO), textprep.load_wordlists())
+    profiles = similarity.build_profiles(ingestion.load_repos(DEMO), textprep.load_wordlists())
     nearest = {app: similarity.rank_similar(app, profiles)[0][0] for app in apps}
     assert nearest["r-podkit"] != nearest["r-mapgo"]
 
@@ -1119,11 +1111,54 @@ def test_similar_top_below_1_is_a_validation_error(tmp_path, top):
 
 
 
+DEMO_SIMILAR_SHA256 = "bcefb7bd761f8ecf4b4b86d3c43f209f72bcf97cfcb2f2e045232dc6b71cbaf4"
+
+
 def test_similar_output_is_pinned(tmp_path):
     out = tmp_path / "similar.json"
     assert main(["similar", "--in", str(DEMO), "--query", "r-podkit", "--top", "2", "--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "bcefb7bd761f8ecf4b4b86d3c43f209f72bcf97cfcb2f2e045232dc6b71cbaf4")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_SIMILAR_SHA256
+
+
+def _repos_only(root: Path) -> Path:
+    root.mkdir()
+    shutil.copy(DEMO / "repos.jsonl", root / "repos.jsonl")
+    return root
+
+
+def _repos_and_malformed_issues(root: Path) -> Path:
+    _repos_only(root)
+    _write(root / "issues.jsonl", (DEMO / "issues.jsonl").read_text(encoding="utf-8") + '{"issue_id": "x"\n')
+    return root
+
+
+PROFILE_DIRECTORIES = {"repos-only": _repos_only, "malformed-issues": _repos_and_malformed_issues}
+
+
+def _profile_reader_outputs(profile_dir: Path, docs: Path, out: Path) -> dict[str, bytes]:
+    """similar, within-context augment and experiment, each reading its profiles from ``profile_dir``."""
+    out.mkdir()
+    spec = {"method": "within-context", "target_app": "r-podkit", "top_k_similar": 2}
+    config = _write(out / "exp.json", _experiment_config(pool=str(docs), corpus_dir=str(profile_dir), specs=[spec]))
+    commands = {
+        "similar.json": ["similar", "--in", str(profile_dir), "--query", "r-podkit", "--top", "2"],
+        "augmented.jsonl": ["augment", "--primary", str(DEMO / "primary_demo.csv"),
+                            "--labelmap", str(DEMO / "labelmap_demo.tsv"), "--pool", str(docs),
+                            "--corpus", str(profile_dir), "--method", "within-context", "--app", "r-podkit",
+                            "--top", "2"],
+        "comparison.tsv": ["experiment", "--config", str(config)],
+    }
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(out / name)]) == EXIT_OK
+    return {name: (out / name).read_bytes() for name in commands}
+
+
+@pytest.mark.parametrize("make_dir", PROFILE_DIRECTORIES.values(), ids=PROFILE_DIRECTORIES.keys())
+def test_profile_readers_read_repos_jsonl_alone(pipeline_dir, tmp_path, make_dir):
+    docs = pipeline_dir / "docs.jsonl"
+    outputs = _profile_reader_outputs(make_dir(tmp_path / "profiles"), docs, tmp_path / "out")
+    assert hashlib.sha256(outputs["similar.json"]).hexdigest() == DEMO_SIMILAR_SHA256
+    assert outputs == _profile_reader_outputs(DEMO, docs, tmp_path / "out_demo")
 
 
 def _pipeline_config_with_boolean_folds(tmp_path: Path):

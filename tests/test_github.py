@@ -7,7 +7,7 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 import requests
 
-from issueforge.github import AuthFailure, Client, RateLimited, RequestFailed, fetch_remote
+from issueforge.github import MAX_RETRY_AFTER_S, AuthFailure, Client, RateLimited, RequestFailed, fetch_remote
 from issueforge.ingestion import load_corpus
 
 
@@ -246,6 +246,30 @@ def test_retry_after_that_is_a_date_falls_back_to_the_backoff():
     with pytest.raises(RateLimited):
         client.get_json("/repos/demo/x")
     assert sleeps == [1.0, 2.0]
+
+
+def _client_answering_retry_after(value: str, sleeps: list[float]) -> Client:
+    response = _response(429)
+    response.headers["Retry-After"] = value
+    return Client(base_url="http://forge.invalid", rate_limit=0, max_retries=1,
+                  session=_StubSession(response), sleeper=sleeps.append)
+
+
+@pytest.mark.parametrize("value", ["99999999999999999999", "86400"])
+def test_retry_after_above_the_bound_fails_without_sleeping(value):
+    # time.sleep(1e20) raises OverflowError, and a day's sleep would hang the harvest
+    sleeps: list[float] = []
+    with pytest.raises(RateLimited, match=rf"http://forge.invalid/repos/demo/x: Retry-After asks for {value} s"):
+        _client_answering_retry_after(value, sleeps).get_json("/repos/demo/x")
+    assert sleeps == []
+
+
+def test_retry_after_at_the_bound_is_slept():
+    sleeps: list[float] = []
+    with pytest.raises(RateLimited, match="rate limited after 1 retries"):
+        _client_answering_retry_after(str(MAX_RETRY_AFTER_S), sleeps).get_json("/repos/demo/x")
+    assert MAX_RETRY_AFTER_S == 3600
+    assert sleeps == [3600.0]
 
 
 class _RoutedSession:

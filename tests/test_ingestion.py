@@ -15,7 +15,9 @@ from issueforge.ingestion import (
     SchemaViolation,
     filter_repos,
     load_corpus,
+    load_repos,
     write_corpus,
+    write_repos,
 )
 
 
@@ -113,6 +115,32 @@ def test_dangling_issue_ref(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(MissingFile):
         load_corpus(tmp_path)
+    with pytest.raises(MissingFile, match="repos.jsonl"):
+        load_repos(tmp_path)
+
+
+def test_load_repos_reads_repos_jsonl_alone(tmp_path):
+    write_jsonl(tmp_path / "repos.jsonl", [repo_row("r2", about_text="Maps."), repo_row("r1")])
+    (tmp_path / "issues.jsonl").write_text("{not json\n", encoding="utf-8")
+    repos = load_repos(tmp_path)
+    assert list(repos) == ["r2", "r1"] and repos["r2"].about_text == "Maps."
+    (tmp_path / "copy").mkdir()
+    written = write_repos(repos, tmp_path / "copy" / "repos.jsonl")
+    assert load_repos(written.parent) == repos
+    # sorted by repo_id, keys sorted, as write_corpus writes them
+    assert [json.loads(line)["repo_id"] for line in written.read_text(encoding="utf-8").splitlines()] == ["r1", "r2"]
+
+
+@pytest.mark.parametrize("rows,field,message", [
+    ([repo_row("r1"), repo_row("r1")], "repo_id", "duplicate repo_id"),
+    ([repo_row("r1", readme_text=5)], "readme_text", "expected str or null"),
+    ([repo_row("r1", about_text=["a"])], "about_text", "expected str or null"),
+])
+def test_load_repos_checks_each_record(tmp_path, rows, field, message):
+    write_jsonl(tmp_path / "repos.jsonl", rows)
+    with pytest.raises(SchemaViolation, match=message) as err:
+        load_repos(tmp_path)
+    assert (err.value.line_number, err.value.field) == (len(rows), field)
 
 
 # --- filtering --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issueforge.ingestion import Corpus, RepoRecord
+from issueforge.ingestion import RepoRecord
 from issueforge.similarity import (
     EmptyProfile,
     build_profile_tokens,
@@ -176,13 +176,7 @@ def test_missing_query_raises():
 
 
 def test_build_profiles_skips_empty(lists):
-    corpus = Corpus(
-        repos={
-            "a": repo("a", README, "Podcast app."),
-            "b": repo("b", None, None),
-        }
-    )
-    profiles = build_profiles(corpus, lists)
+    profiles = build_profiles({"a": repo("a", README, "Podcast app."), "b": repo("b", None, None)}, lists)
     assert set(profiles) == {"a"}
 
 
