@@ -586,8 +586,7 @@ def synthetic_recall() -> None:
     gaps = []
     for seed in range(5):
         spec = augmentation.AugmentationSpec(method=augmentation.Method.BETWEEN_APP, ratio=0.3, seed=seed)
-        auxiliary, _ = augmentation.select_auxiliary(pool, spec, len(primary.rows))
-        dataset = augmentation.augment(primary, auxiliary, spec)
+        dataset = augmentation.augment(primary, pool, spec)
         baseline = classifier.cross_validate(primary.rows, IntentClass.BUG_REPORT, seed=seed)
         augmented = classifier.cross_validate(dataset.rows, IntentClass.BUG_REPORT, seed=seed)
         print(

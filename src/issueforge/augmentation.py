@@ -1,9 +1,10 @@
 """Primary-dataset loading, auxiliary selection, and dataset augmentation.
 
-Reviews come in as CSV with a per-dataset label map; the auxiliary pool is
-drawn from processed issue documents by one of three methods (same app,
-similar apps, or anywhere) and merged with the primary rows at a configured
-volume ratio.
+Reviews come in as CSV with a per-dataset label map. One function, ``augment``,
+draws the auxiliary rows from processed issue documents by one of three methods
+(same app, similar apps, or anywhere) at a configured volume ratio and merges
+them with the primary rows; the pipeline, the ``augment`` and ``sweep``
+commands and ``run_experiment`` all call it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -84,23 +85,18 @@ class PrimaryDataset:
     rows: tuple[ProcessedDocument, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentedDataset:
-    rows: list[ProcessedDocument]
+    """Primary and auxiliary rows, shuffled; ``shortfall`` is how many auxiliary rows the pool lacked."""
+
+    rows: tuple[ProcessedDocument, ...]
     spec: AugmentationSpec
-    shortfall: int = 0
+    n_auxiliary: int
+    shortfall: int
 
-    def origin_counts(self) -> dict[str, int]:
-        n_primary = sum(map(is_primary, self.rows))
-        return {"primary": n_primary, "auxiliary": len(self.rows) - n_primary}
-
-    def intent_counts(self) -> dict[str, dict[str, int]]:
-        counts: dict[str, dict[str, int]] = {"primary": {}, "auxiliary": {}}
-        for doc in self.rows:
-            by_intent = counts["primary" if is_primary(doc) else "auxiliary"]
-            for intent in sorted(i.value for i in doc.intents):
-                by_intent[intent] = by_intent.get(intent, 0) + 1
-        return counts
+    @property
+    def n_primary(self) -> int:
+        return len(self.rows) - self.n_auxiliary
 
 
 def load_label_map(path: Path | str) -> dict[str, IntentClass | None]:
@@ -164,123 +160,49 @@ def load_primary(
     return PrimaryDataset(name=path.stem, rows=tuple(rows))
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def auxiliary_size(ratio: float, n_primary: int) -> int:
-    return _round_half_up(ratio * n_primary)
-
-
-def candidate_pool(
-    pool: list[ProcessedDocument],
+def augment(
+    primary: PrimaryDataset,
+    pool: Sequence[ProcessedDocument],
     spec: AugmentationSpec,
-    ranking: tuple[tuple[str, float], ...] | None = None,
-) -> list[ProcessedDocument]:
+    profiles: dict[str, dict[str, float]] | None = None,
+) -> AugmentedDataset:
+    """Select ``spec``'s auxiliary rows from ``pool`` and merge them with the primary rows.
+
+    The candidates are the whole pool (between-app), the target app's documents
+    (within-app), or those of the ``top_k_similar`` apps that rank nearest the
+    target against ``profiles`` (within-context; ``similarity.build_profiles``),
+    plus the target's own with ``include_same_app``. Of them, round-half-up(ratio
+    × primary rows) are sampled without replacement, deterministically in (pool
+    order, seed); a pool with too few gives all it has and records the shortfall.
+    """
     if spec.method is Method.BETWEEN_APP:
-        return list(pool)
-    if spec.method is Method.WITHIN_APP:
-        return [doc for doc in pool if doc.app_id == spec.target_app]
-    if ranking is None:
-        raise ValueError("within-context selection requires a similarity ranking")
-    similar = {repo_id for repo_id, _ in ranking[: spec.top_k_similar]}
-    if spec.include_same_app:
-        similar.add(spec.target_app)
-    return [doc for doc in pool if doc.app_id in similar]
-
-
-def select_auxiliary(
-    pool: list[ProcessedDocument],
-    spec: AugmentationSpec,
-    n_primary: int,
-    ranking: tuple[tuple[str, float], ...] | None = None,
-) -> tuple[list[ProcessedDocument], int]:
-    """Sample the auxiliary subset without replacement; deterministic in
-    (pool order, seed). Returns (rows, shortfall)."""
-    candidates = candidate_pool(pool, spec, ranking)
+        candidates = pool
+    elif spec.method is Method.WITHIN_APP:
+        candidates = [doc for doc in pool if doc.app_id == spec.target_app]
+    else:
+        if profiles is None:
+            raise ValueError("within-context selection requires similarity profiles")
+        similar = {repo_id for repo_id, _ in rank_similar(spec.target_app, profiles)[: spec.top_k_similar]}
+        if spec.include_same_app:
+            similar.add(spec.target_app)
+        candidates = [doc for doc in pool if doc.app_id in similar]
     review = next((doc for doc in candidates if is_primary(doc)), None)
     if review is not None:
         raise ValidationError(f"pool document {review.doc_id!r} is a review; auxiliary rows must be issue documents")
     if not candidates:
         raise EmptyPool(f"no candidate documents for {spec.method.value}")
-    n = auxiliary_size(spec.ratio, n_primary)
-    if n == 0:
-        return [], 0
+    n = math.floor(spec.ratio * len(primary.rows) + 0.5)
+    shortfall = max(n - len(candidates), 0)
     if n >= len(candidates):
-        shortfall = n - len(candidates)
+        auxiliary = candidates
         if shortfall:
-            logger.warning(
-                "auxiliary shortfall: wanted %d rows, pool has %d; taking all", n, len(candidates)
-            )
-        return list(candidates), shortfall
-    rng = random.Random(spec.seed)
-    return rng.sample(candidates, n), 0
-
-
-def augment(
-    primary: PrimaryDataset,
-    auxiliary: list[ProcessedDocument],
-    spec: AugmentationSpec,
-) -> AugmentedDataset:
-    """Merge primary and auxiliary rows, deterministically shuffled; ``is_primary`` tells them apart."""
+            logger.warning("auxiliary shortfall: wanted %d rows, pool has %d; taking all", n, len(candidates))
+    else:
+        auxiliary = random.Random(spec.seed).sample(candidates, n)
     rows = [*primary.rows, *auxiliary]
     random.Random(spec.seed).shuffle(rows)
-    dataset = AugmentedDataset(rows=rows, spec=spec)
-    counts = dataset.origin_counts()
-    logger.info(
-        "augment: %d primary + %d auxiliary rows (intents %s)",
-        counts["primary"],
-        counts["auxiliary"],
-        dataset.intent_counts(),
-    )
-    return dataset
-
-
-def augment_from_pool(
-    primary: PrimaryDataset,
-    pool: list[ProcessedDocument],
-    spec: AugmentationSpec,
-    profiles: dict[str, dict[str, float]] | None = None,
-) -> AugmentedDataset:
-    """Select the auxiliary rows for ``spec`` from ``pool`` and merge them with the primary rows.
-
-    A within-context spec ranks its own ``target_app`` against ``profiles``
-    (``similarity.build_profiles``); other methods ignore them.
-    """
-    ranking = None
-    if spec.method is Method.WITHIN_CONTEXT and profiles is not None:
-        ranking = rank_similar(spec.target_app, profiles)
-    auxiliary, shortfall = select_auxiliary(pool, spec, len(primary.rows), ranking)
-    dataset = augment(primary, auxiliary, spec)
-    dataset.shortfall = shortfall
-    return dataset
-
-
-def sweep(
-    primary: PrimaryDataset,
-    pool: list[ProcessedDocument],
-    spec: AugmentationSpec,
-    ratios: list[float],
-    profiles: dict[str, dict[str, float]] | None = None,
-) -> list[AugmentedDataset]:
-    """One augmented dataset per volume ratio: ``spec`` at that ratio, sharing the primary rows."""
-    return [augment_from_pool(primary, pool, replace(spec, ratio=ratio), profiles) for ratio in ratios]
-
-
-def sweep_table(datasets: list[AugmentedDataset]) -> list[dict]:
-    """Size scaffold for the volume-ratio trend table (metrics filled in later)."""
-    table = []
-    for dataset in datasets:
-        counts = dataset.origin_counts()
-        table.append(
-            {
-                "ratio": dataset.spec.ratio,
-                "n_primary": counts["primary"],
-                "n_auxiliary": counts["auxiliary"],
-                "shortfall": dataset.shortfall,
-            }
-        )
-    return table
+    logger.info("augment: %d primary + %d auxiliary rows", len(primary.rows), len(auxiliary))
+    return AugmentedDataset(tuple(rows), spec, len(auxiliary), shortfall)
 
 
 def run_experiment(
@@ -298,7 +220,7 @@ def run_experiment(
     within-context spec ranks its own target app against ``profiles``.
     """
     # sampling depends on spec.seed alone, so every target sees the same rows
-    datasets = [primary.rows] + [augment_from_pool(primary, list(pool), spec, profiles).rows for spec in specs]
+    datasets = [primary.rows] + [augment(primary, pool, spec, profiles).rows for spec in specs]
     reports = [classifier.cross_validate_targets(rows, k=k, seed=seed) for rows in datasets]
     models = ["baseline"] + [f"{spec.method.value}@r={spec.ratio:g}" + ("+same" if spec.include_same_app else "")
                              for spec in specs]

@@ -144,9 +144,6 @@ class PipelineConfig(_JsonConfig):
             top_k_similar=self.top_k_similar, include_same_app=self.include_same_app,
         )
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class ExperimentConfig(_JsonConfig):
@@ -288,7 +285,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         # stage 5: augmentation
         spec = config.spec()
         profiles = similarity.build_profiles(corpus.repos, lists) if spec.method is Method.WITHIN_CONTEXT else None
-        dataset = augmentation.augment_from_pool(primary, docs, spec, profiles)
+        dataset = augmentation.augment(primary, docs, spec, profiles)
         augmentation.write_docs(dataset.rows, staging / "augmented.jsonl")
 
         # stage 6: train and evaluate both binary targets
@@ -298,7 +295,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 
         # commit: every artifact is a file, and os.replace moves it over the old one of the same name
         artifacts = {path.name: _sha256_file(path) for path in sorted(staging.iterdir())}
-        _dump_json({"artifacts": artifacts, "config": config.as_dict(), "seed": config.seed},
+        _dump_json({"artifacts": artifacts, "config": dataclasses.asdict(config), "seed": config.seed},
                    staging / "manifest.json")
         (out / "manifest.json").unlink(missing_ok=True)
         for name in artifacts:
@@ -449,14 +446,13 @@ def _augment_from_args(args, ratios: list[float]) -> list[augmentation.Augmented
     profiles = similarity.build_profiles(ingestion.load_repos(args.corpus), lists) if within_context else None
     primary = augmentation.load_primary(args.primary, augmentation.load_label_map(args.labelmap), lists)
     pool = augmentation.load_docs(args.pool)
-    return augmentation.sweep(primary, pool, spec, ratios, profiles)
+    return [augmentation.augment(primary, pool, dataclasses.replace(spec, ratio=ratio), profiles) for ratio in ratios]
 
 
 def _cmd_augment(args) -> int:
     [dataset] = _augment_from_args(args, [args.ratio])
     augmentation.write_docs(dataset.rows, args.out)
-    counts = dataset.origin_counts()
-    print(f"wrote {counts['primary']} primary + {counts['auxiliary']} auxiliary rows")
+    print(f"wrote {dataset.n_primary} primary + {dataset.n_auxiliary} auxiliary rows")
     return EXIT_OK
 
 
@@ -497,20 +493,19 @@ def _cmd_sweep(args) -> int:
     if args.train:
         classifier.check_folds(args.k)
     datasets = _augment_from_args(args, _parse_ratios(args.ratios))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = augmentation.sweep_table(datasets)
     trend_rows = []
-    for dataset, info in zip(datasets, table):
-        name = _sweep_file(info["ratio"])
-        augmentation.write_docs(dataset.rows, out_dir / name)
-        row = dict(info)
-        row["file"] = name
+    for dataset in datasets:  # every ratio is cross-validated before anything is written
+        row = {"ratio": dataset.spec.ratio, "n_primary": dataset.n_primary, "n_auxiliary": dataset.n_auxiliary,
+               "shortfall": dataset.shortfall, "file": _sweep_file(dataset.spec.ratio)}
         if args.train:
             reports = classifier.cross_validate_targets(dataset.rows, k=args.k, seed=args.seed)
             row.update({f"{target.value}_{name}": mean
                         for target, report in reports.items() for name, mean in report.means.items()})
         trend_rows.append(row)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for dataset, row in zip(datasets, trend_rows):
+        augmentation.write_docs(dataset.rows, out_dir / row["file"])
     _write_tsv(trend_rows, list(trend_rows[0]), out_dir / "trend.tsv")
     print(f"wrote {len(datasets)} datasets and trend.tsv to {out_dir}")
     return EXIT_OK

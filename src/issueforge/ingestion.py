@@ -23,15 +23,11 @@ from .errors import IssueforgeError, ValidationError
 logger = logging.getLogger(__name__)
 
 
-class CorpusError(ValidationError):
-    pass
-
-
 class MissingFile(IssueforgeError):
     pass
 
 
-class SchemaViolation(CorpusError):
+class SchemaViolation(ValidationError):
     def __init__(self, filename: str, line_number: int, field_name: str, message: str):
         self.filename = filename
         self.line_number = line_number
@@ -39,7 +35,7 @@ class SchemaViolation(CorpusError):
         super().__init__(f"{filename}:{line_number}: field {field_name!r}: {message}")
 
 
-class DanglingRepoRef(CorpusError):
+class DanglingRepoRef(ValidationError):
     pass
 
 

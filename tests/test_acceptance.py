@@ -198,8 +198,7 @@ def test_c09_augmentation_recall_gap(lists):
         primary, pool = _load_synthetic(lists)
         for seed in range(5):
             spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=seed)
-            auxiliary, _ = augmentation.select_auxiliary(pool, spec, len(primary.rows))
-            dataset = augmentation.augment(primary, auxiliary, spec)
+            dataset = augmentation.augment(primary, pool, spec)
             baseline = classifier.cross_validate(primary.rows, BUG, seed=seed)
             augmented = classifier.cross_validate(dataset.rows, BUG, seed=seed)
             gap = augmented.means["recall"] - baseline.means["recall"]
@@ -220,13 +219,13 @@ def test_c10_volume_ratio_sweep_mechanics(lists):
             for i in range(120)
         ]
         ratios = [round(i / 10, 1) for i in range(11)]
-        datasets = augmentation.sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=3), ratios)
+        datasets = [augmentation.augment(primary, pool, AugmentationSpec(Method.BETWEEN_APP, r, seed=3))
+                    for r in ratios]
         assert len(datasets) == 11
-        table = augmentation.sweep_table(datasets)
-        expected_sizes = [augmentation.auxiliary_size(r, len(primary.rows)) for r in ratios]
-        assert [row["n_auxiliary"] for row in table] == expected_sizes
+        expected_sizes = [math.floor(r * len(primary.rows) + 0.5) for r in ratios]
+        assert [dataset.n_auxiliary for dataset in datasets] == expected_sizes
         assert expected_sizes == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-        assert all(row["shortfall"] == 0 for row in table)
+        assert all(dataset.shortfall == 0 for dataset in datasets)
         for target in (BUG, FEATURE):
             baseline = classifier.cross_validate(primary.rows, target, seed=3)
             at_zero = classifier.cross_validate(datasets[0].rows, target, seed=3)

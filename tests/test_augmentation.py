@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +12,10 @@ from issueforge.augmentation import (
     PrimaryDataset,
     UnknownLabel,
     augment,
-    auxiliary_size,
-    candidate_pool,
     is_primary,
     load_docs,
     load_label_map,
     load_primary,
-    select_auxiliary,
-    sweep,
-    sweep_table,
     write_docs,
 )
 from issueforge.errors import ValidationError
@@ -114,43 +110,45 @@ def test_load_primary_app_id_column(tmp_path, lists):
     assert dataset.rows[0].app_id == "app-7"
 
 
-# --- auxiliary selection -------------------------------------------------------------------
+# --- auxiliary selection and merging ---------------------------------------------------------
+
+def auxiliary_ids(dataset) -> list[str]:
+    return [row.doc_id for row in dataset.rows if not is_primary(row)]
+
 
 def test_zero_ratio_selects_nothing():
     pool = [doc(f"d{i}") for i in range(10)]
-    spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.0, seed=1)
-    rows, shortfall = select_auxiliary(pool, spec, 100)
-    assert rows == [] and shortfall == 0
+    dataset = augment(primary_of(100), pool, AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.0, seed=1))
+    assert dataset.n_auxiliary == dataset.shortfall == 0 and dataset.n_primary == 100
 
 
 def test_within_app_empty_pool_raises():
     pool = [doc("d1", app_id="other-app")]
     spec = AugmentationSpec(method=Method.WITHIN_APP, ratio=0.3, seed=1, target_app="a1")
     with pytest.raises(EmptyPool):
-        select_auxiliary(pool, spec, 100)
+        augment(primary_of(100), pool, spec)
 
 
 def test_between_app_sample_is_deterministic():
     pool = [doc(f"d{i}") for i in range(200)]
     spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=7)
-    first, _ = select_auxiliary(pool, spec, 100)
-    second, _ = select_auxiliary(pool, spec, 100)
-    assert len(first) == 30
-    assert [d.doc_id for d in first] == [d.doc_id for d in second]
+    first = augment(primary_of(100), pool, spec)
+    second = augment(primary_of(100), pool, spec)
+    assert first.n_auxiliary == len(auxiliary_ids(first)) == 30
+    assert first == second
 
 
 def test_shortfall_takes_all():
     pool = [doc(f"d{i}") for i in range(5)]
-    spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.5, seed=3)
-    rows, shortfall = select_auxiliary(pool, spec, 100)
-    assert len(rows) == 5 and shortfall == 45
+    dataset = augment(primary_of(100), pool, AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.5, seed=3))
+    assert dataset.n_auxiliary == 5 and dataset.shortfall == 45
+    assert sorted(auxiliary_ids(dataset)) == [d.doc_id for d in pool]
 
 
 def test_sample_has_no_duplicates():
     pool = [doc(f"d{i}") for i in range(50)]
-    spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.8, seed=11)
-    rows, _ = select_auxiliary(pool, spec, 50)
-    ids = [d.doc_id for d in rows]
+    dataset = augment(primary_of(50), pool, AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.8, seed=11))
+    ids = auxiliary_ids(dataset)
     assert len(ids) == len(set(ids)) == 40
 
 
@@ -164,89 +162,77 @@ def test_spec_validation():
 
 
 def test_pool_nesting_invariant():
+    # a ratio of 1 with as many primary rows as pool documents takes every candidate
     pool = [doc(f"d{i}", app_id=f"a{i % 4}") for i in range(40)]
-    ranking = (("a1", 0.9), ("a2", 0.5), ("a3", 0.1))
-    within = candidate_pool(pool, AugmentationSpec(method=Method.WITHIN_APP, ratio=0.3, target_app="a0"))
-    context = candidate_pool(
-        pool,
-        AugmentationSpec(
-            method=Method.WITHIN_CONTEXT, ratio=0.3, target_app="a0", top_k_similar=2, include_same_app=True
-        ),
-        ranking,
-    )
-    between = candidate_pool(pool, AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3))
-    within_ids = {d.doc_id for d in within}
-    context_ids = {d.doc_id for d in context}
-    between_ids = {d.doc_id for d in between}
-    assert within_ids <= context_ids <= between_ids
+    profiles = {"a0": {"x": 1.0}, "a1": {"x": 1.0}, "a2": {"x": 1.0, "y": 1.0}, "a3": {"y": 1.0}}
+    specs = [
+        AugmentationSpec(method=Method.WITHIN_APP, ratio=1.0, target_app="a0"),
+        AugmentationSpec(method=Method.WITHIN_CONTEXT, ratio=1.0, target_app="a0", top_k_similar=2,
+                         include_same_app=True),
+        AugmentationSpec(method=Method.BETWEEN_APP, ratio=1.0),
+    ]
+    within, context, between = (set(auxiliary_ids(augment(primary_of(40), pool, spec, profiles))) for spec in specs)
+    assert within < context < between
+    assert {doc.app_id for doc in pool if doc.doc_id in context} == {"a0", "a1", "a2"}
 
 
 def test_within_context_without_same_app():
     pool = [doc(f"d{i}", app_id=f"a{i % 3}") for i in range(9)]
-    ranking = (("a1", 0.9), ("a2", 0.2))
-    spec = AugmentationSpec(method=Method.WITHIN_CONTEXT, ratio=0.3, target_app="a0", top_k_similar=1)
-    selected = candidate_pool(pool, spec, ranking)
-    assert {d.app_id for d in selected} == {"a1"}
+    profiles = {"a0": {"x": 1.0}, "a1": {"x": 1.0}, "a2": {"y": 1.0}}
+    spec = AugmentationSpec(method=Method.WITHIN_CONTEXT, ratio=1.0, target_app="a0", top_k_similar=1)
+    dataset = augment(primary_of(10), pool, spec, profiles)
+    assert {row.app_id for row in dataset.rows if not is_primary(row)} == {"a1"}
+    assert dataset.n_auxiliary == 3 and dataset.shortfall == 7
 
 
-# --- merging --------------------------------------------------------------------------------
+def test_within_context_without_profiles_is_a_value_error():
+    spec = AugmentationSpec(method=Method.WITHIN_CONTEXT, ratio=0.3, target_app="a1")
+    with pytest.raises(ValueError, match="profiles"):
+        augment(primary_of(10), [doc("d0")], spec)
+
 
 def test_empty_auxiliary_keeps_primary_rows():
     primary = primary_of(10)
-    dataset = augment(primary, [], AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.0, seed=0))
+    dataset = augment(primary, [doc("d0")], AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.0, seed=0))
     assert {row.doc_id for row in dataset.rows} == {d.doc_id for d in primary.rows}
     assert all(is_primary(row) for row in dataset.rows)
 
 
 def test_counts_after_merge():
     primary = primary_of(100)
-    auxiliary = [doc(f"d{i}") for i in range(30)]
-    dataset = augment(primary, auxiliary, AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=1))
+    pool = [doc(f"d{i}") for i in range(30)]
+    dataset = augment(primary, pool, AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=1))
     assert len(dataset.rows) == 130
-    assert dataset.origin_counts() == {"primary": 100, "auxiliary": 30}
+    assert (dataset.n_primary, dataset.n_auxiliary, dataset.shortfall) == (100, 30, 0)
+    assert sum(map(is_primary, dataset.rows)) == 100
 
 
 def test_merge_shuffle_is_deterministic():
     primary = primary_of(20)
-    auxiliary = [doc(f"d{i}") for i in range(6)]
+    pool = [doc(f"d{i}") for i in range(6)]
     spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=5)
-    a = augment(primary, auxiliary, spec)
-    b = augment(primary, auxiliary, spec)
+    a = augment(primary, pool, spec)
+    b = augment(primary, pool, spec)
     assert [r.doc_id for r in a.rows] == [r.doc_id for r in b.rows]
-
-
-# --- sweep ----------------------------------------------------------------------------------
-
-def test_sweep_zero_only():
-    primary = primary_of(10)
-    pool = [doc(f"d{i}") for i in range(10)]
-    [dataset] = sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=1), [0.0])
-    assert dataset.origin_counts() == {"primary": 10, "auxiliary": 0}
+    assert [r.doc_id for r in a.rows] != sorted(r.doc_id for r in a.rows)
 
 
 def test_sweep_sizes_follow_rounding():
     primary = primary_of(37)
     pool = [doc(f"d{i}") for i in range(100)]
     ratios = [i / 10 for i in range(11)]
-    datasets = sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=2), ratios)
-    table = sweep_table(datasets)
-    assert [row["n_auxiliary"] for row in table] == [auxiliary_size(r, 37) for r in ratios]
-    assert len(datasets) == 11
-
-
-def test_sweep_is_seed_stable():
-    primary = primary_of(20)
-    pool = [doc(f"d{i}") for i in range(40)]
-    first = sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=9), [0.2, 0.5])
-    second = sweep(primary, pool, AugmentationSpec(Method.BETWEEN_APP, seed=9), [0.2, 0.5])
-    for a, b in zip(first, second):
-        assert [r.doc_id for r in a.rows] == [r.doc_id for r in b.rows]
+    datasets = [augment(primary, pool, AugmentationSpec(Method.BETWEEN_APP, ratio, seed=2)) for ratio in ratios]
+    assert [dataset.n_auxiliary for dataset in datasets] == [math.floor(r * 37 + 0.5) for r in ratios]
+    assert [dataset.n_auxiliary for dataset in datasets] == [0, 4, 7, 11, 15, 19, 22, 26, 30, 33, 37]
 
 
 @given(st.integers(min_value=1, max_value=80), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=100)
 def test_auxiliary_never_larger_than_primary(n_primary, ratio):
-    assert auxiliary_size(ratio, n_primary) <= n_primary
+    pool = [doc(f"d{i}") for i in range(n_primary)]
+    dataset = augment(primary_of(n_primary), pool, AugmentationSpec(Method.BETWEEN_APP, ratio))
+    assert dataset.shortfall == 0
+    assert dataset.n_auxiliary == math.floor(ratio * n_primary + 0.5) <= n_primary
 
 
 # --- interchange ----------------------------------------------------------------------------
@@ -262,7 +248,7 @@ def test_augmented_round_trip(tmp_path):
     dataset = augment(primary, [doc("aux1")], AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=0))
     path = write_docs(dataset.rows, tmp_path / "augmented.jsonl")
     loaded = load_docs(path)
-    assert loaded == dataset.rows
+    assert loaded == list(dataset.rows)
     assert [row.doc_id for row in loaded if not is_primary(row)] == ["aux1"]
     for line in path.read_text().splitlines():
         assert set(json.loads(line)) == {"doc_id", "source", "app_id", "tokens", "intents"}
@@ -272,10 +258,11 @@ def test_review_in_the_pool_is_a_validation_error():
     pool = [doc("d0"), doc("d1"), primary_of(1).rows[0]]
     spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=0)
     with pytest.raises(ValidationError, match="pd:row0000"):
-        select_auxiliary(pool, spec, 10)
+        augment(primary_of(10), pool, spec)
     # a review that is no candidate (it has no app) is never sampled, so it is not refused
     within = AugmentationSpec(method=Method.WITHIN_APP, ratio=0.3, target_app="a1")
-    assert select_auxiliary(pool, within, 10) == ([doc("d0"), doc("d1")], 1)
+    dataset = augment(primary_of(10), pool, within)
+    assert sorted(auxiliary_ids(dataset)) == ["d0", "d1"] and dataset.shortfall == 1
 
 
 BAD_SPEC_FIELDS = {

@@ -453,6 +453,35 @@ def test_sweep_train_trend_is_pinned(tmp_path):
     assert hashlib.sha256((out_dir / "trend.tsv").read_bytes()).hexdigest() == SYNTHETIC_SWEEP_TREND_SHA256
 
 
+def test_failed_sweep_train_writes_nothing(tmp_path):
+    # 100 primary rows cannot fill 1000 folds: cross-validation fails, and it runs before any file is written
+    data = default_data_dir() / "synthetic_recall"
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--primary", str(data / "primary.csv"), "--labelmap", str(data / "labelmap.tsv"),
+            "--pool", str(data / "pool.jsonl"), "--ratios", "0:1:0.5", "--k", "1000", "--train",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == EXIT_STAGE_FAILURE
+    assert not out_dir.exists()
+
+
+# sha256 of `augment` output on the demo run's docs.jsonl, ratio 0.3 and seed 0
+DEMO_AUGMENT_SHA256 = {
+    "within-context": "c9e3ff4c061ac87b9cd0d1cd0a979a943f70fd88ce5c642644582ff0bae9bc6e",
+    "within-app": "27f6a067f074fd52718644095c7997594636471190852dd0e7f55b984403e187",
+}
+
+
+@pytest.mark.parametrize("method", DEMO_AUGMENT_SHA256)
+def test_demo_augment_output_is_pinned(pipeline_dir, tmp_path, method):
+    out = tmp_path / "augmented.jsonl"
+    argv = ["augment", "--primary", str(DEMO / "primary_demo.csv"), "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(pipeline_dir / "docs.jsonl"), "--method", method, "--app", "r-podkit", "--out", str(out)]
+    if method == "within-context":
+        argv += ["--top", "2", "--corpus", str(pipeline_dir)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_AUGMENT_SHA256[method]
+
+
 def test_experiment_command(staged, tmp_path):
     *_, docs = staged
     exp_config = tmp_path / "exp.json"
@@ -895,14 +924,14 @@ def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypa
     assert nearest["r-podkit"] != nearest["r-mapgo"]
 
     sampled = {}
-    original = augmentation.augment_from_pool
+    original = augmentation.augment
 
     def recording(primary, pool, spec, *args, **kwargs):
         dataset = original(primary, pool, spec, *args, **kwargs)
         sampled[spec.target_app] = {row.app_id for row in dataset.rows if not augmentation.is_primary(row)}
         return dataset
 
-    monkeypatch.setattr(augmentation, "augment_from_pool", recording)
+    monkeypatch.setattr(augmentation, "augment", recording)
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({
         "primary_csv": str(DEMO / "primary_demo.csv"), "label_map": str(DEMO / "labelmap_demo.tsv"),
@@ -1010,7 +1039,7 @@ def test_every_package_exception_derives_from_issueforge_error():
         module = importlib.import_module(f"issueforge.{info.name}")
         found += [obj for obj in vars(module).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
-    assert len(found) >= 18
+    assert len(found) >= 17
     assert [cls.__name__ for cls in found if not issubclass(cls, IssueforgeError)] == []
 
 
