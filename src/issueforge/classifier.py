@@ -6,10 +6,12 @@ feature request), trained by full-batch gradient descent. Rows are processed
 documents: auxiliary rows (issue documents) only ever augment training splits;
 test folds hold primary rows (reviews, ``textprep.is_primary``).
 
-A cross-validation counts its rows' terms once (``count_terms``). Each fold
-selects its train and test rows from that count by index, takes df, its
-vocabulary and idf from the selected training entries, and remaps term ids
-onto its columns; no fold counts a token again.
+A cross-validation counts its rows' terms and labels once (``count_terms``,
+``labels_for``). Each fold selects its train and test rows from that count by
+index, takes df, its vocabulary and idf from the selected training entries,
+and remaps term ids onto its columns; no fold counts a token or a label again.
+A fold's matrix builds its transpose once for all of its gradient steps, and
+every step computes exactly the floats that the by-definition objective does.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -52,7 +55,9 @@ class CountedRows(Sequence[ProcessedDocument]):
     ``vocabulary`` is sorted; entry k says row ``row_ids[k]`` holds term
     ``term_ids[k]`` ``counts[k]`` times, one entry per distinct (row, term)
     pair, in row-major order. It is a sequence of its rows, and ``take``
-    selects rows by index without counting again.
+    selects rows by index without counting again: it indexes the row starts,
+    found once per counted rows, and every label vector ``labels_for`` has
+    computed for them.
     """
 
     rows: tuple[ProcessedDocument, ...]
@@ -60,6 +65,7 @@ class CountedRows(Sequence[ProcessedDocument]):
     row_ids: np.ndarray
     term_ids: np.ndarray
     counts: np.ndarray
+    labels: dict[IntentClass, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -70,21 +76,25 @@ class CountedRows(Sequence[ProcessedDocument]):
     def __iter__(self):
         return iter(self.rows)
 
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Row i's entries are starts[i]:starts[i + 1]."""
+        return np.searchsorted(self.row_ids, np.arange(len(self.rows) + 1))
+
     def take(self, indices: Sequence[int]) -> CountedRows:
         """The rows at ``indices``, in that order, renumbered from 0."""
-        # row i's entries are starts[i]:starts[i + 1]
-        starts = np.searchsorted(self.row_ids, np.arange(len(self.rows) + 1))
         picked = np.asarray(indices, dtype=np.intp)
-        first = starts[picked]
-        lengths = starts[picked + 1] - first
+        first = self.starts[picked]
+        lengths = self.starts[picked + 1] - first
         # entry positions: each picked row's run of entries, runs laid end to end
         entries = np.arange(int(lengths.sum())) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
         return CountedRows(
-            rows=tuple(self.rows[i] for i in indices),
+            rows=tuple(map(self.rows.__getitem__, indices)),
             vocabulary=self.vocabulary,
             row_ids=np.repeat(np.arange(len(picked), dtype=np.intp), lengths),
             term_ids=self.term_ids[entries],
             counts=self.counts[entries],
+            labels={target: y[picked] for target, y in self.labels.items()},
         )
 
 
@@ -156,15 +166,18 @@ class TfidfMatrix:
     def nnz(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def T(self) -> TfidfMatrix:
+        """Built once per matrix; it shares this matrix's arrays."""
         return TfidfMatrix(self.col_ids, self.row_ids, self.values, (self.shape[1], self.shape[0]))
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        # bincount, unlike np.add.reduceat, gives 0 to rows that hold no entry;
-        # with no entries at all it returns integers, hence the cast
-        products = self.values * vector[self.col_ids]
-        return np.bincount(self.row_ids, weights=products, minlength=self.shape[0]).astype(np.float64, copy=False)
+        # bincount adds each row's products in entry order (np.add.reduceat sums
+        # pairwise, so its last bits differ) and gives 0 to rows with no entry;
+        # with no entries at all it returns integers, so that case is zeros here
+        if not self.nnz:
+            return np.zeros(self.shape[0])
+        return np.bincount(self.row_ids, weights=self.values * vector[self.col_ids], minlength=self.shape[0])
 
 
 def vectorize(space: FeatureSpace, rows: Sequence[ProcessedDocument]) -> TfidfMatrix:
@@ -187,12 +200,10 @@ class LinearModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = e^-|z| never overflows: 1/(1+e) where z >= 0 (and z = -0.0), e/(1+e) below
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def loss_and_grad(
@@ -200,17 +211,22 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray, float]:
     """Mean logistic loss with L2 on weights (bias unregularized), and its gradient."""
     z = X @ weights + bias
-    # log(1 + e^z) - y*z, computed without under/overflow
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(weights, weights))
-    p = _sigmoid(z)
-    residual = (p - y) / len(y)
+    # log(1 + e^z) - y*z, computed without under/overflow; add.reduce is the
+    # pairwise sum np.mean and np.sum take, without their dispatch
+    loss = float(np.add.reduce(np.logaddexp(0.0, z) - y * z) / len(y) + 0.5 * l2 * np.dot(weights, weights))
+    residual = (_sigmoid(z) - y) / len(y)
     grad_w = X.T @ residual + l2 * weights
-    grad_b = float(np.sum(residual))
+    grad_b = float(np.add.reduce(residual))
     return loss, grad_w, grad_b
 
 
 def labels_for(rows: Sequence[ProcessedDocument], target: IntentClass) -> np.ndarray:
-    return np.array([1.0 if target in row.intents else 0.0 for row in rows], dtype=np.float64)
+    """1.0 for each row that holds ``target``, else 0.0; counted rows keep theirs."""
+    if not isinstance(rows, CountedRows):
+        return np.array([1.0 if target in row.intents else 0.0 for row in rows], dtype=np.float64)
+    if target not in rows.labels:
+        rows.labels[target] = labels_for(rows.rows, target)
+    return rows.labels[target]
 
 
 def train(rows: Sequence[ProcessedDocument], target: IntentClass) -> LinearModel:
@@ -310,9 +326,9 @@ def stratified_folds(
     """
     check_folds(k)
     primary = sorted((row.doc_id, i) for i, row in enumerate(rows) if is_primary(row))
-    auxiliary = [i for i, row in enumerate(rows) if not is_primary(row)]
-    positives = [i for _, i in primary if target in rows[i].intents]
-    negatives = [i for _, i in primary if target not in rows[i].intents]
+    holds = labels_for(rows, target).tolist()
+    positives = [i for _, i in primary if holds[i]]
+    negatives = [i for _, i in primary if not holds[i]]
     if len(positives) < k or len(negatives) < k:
         raise TooFewRows(
             f"need at least {k} positive and {k} negative primary rows, "
@@ -324,9 +340,9 @@ def stratified_folds(
     folds: list[tuple[list[int], list[int]]] = []
     for fold_index in range(k):
         test = sorted(positives[fold_index::k] + negatives[fold_index::k])
+        # every other row trains: the other primary rows and all auxiliary ones
         test_set = set(test)
-        train_idx = [i for _, i in primary if i not in test_set] + auxiliary
-        folds.append((sorted(train_idx), test))
+        folds.append(([i for i in range(len(rows)) if i not in test_set], test))
     return folds
 
 
@@ -347,11 +363,12 @@ class EvalReport:
 def cross_validate(rows: Sequence[ProcessedDocument], target: IntentClass, k: int = 5, seed: int = 0) -> EvalReport:
     """Stratified k-fold evaluation; reported metrics are per-fold averages.
 
-    The rows' terms are counted once, and each fold selects its rows from that count.
+    The rows' terms are counted once, and their labels taken once (by
+    ``stratified_folds``); each fold selects its rows and labels from those.
     """
     counted = count_terms(rows)
     fold_metrics = []
-    for train_idx, test_idx in stratified_folds(rows, target, k=k, seed=seed):
+    for train_idx, test_idx in stratified_folds(counted, target, k=k, seed=seed):
         model = train(counted.take(train_idx), target)
         fold_metrics.append(evaluate(model, counted.take(test_idx), target))
     return EvalReport(target=target, folds=fold_metrics)

@@ -494,11 +494,14 @@ def _cmd_sweep(args) -> int:
         classifier.check_folds(args.k)
     datasets = _augment_from_args(args, _parse_ratios(args.ratios))
     trend_rows = []
+    reports_of = {}  # ratios that give the same rows (a pool run short) share one cross-validation
     for dataset in datasets:  # every ratio is cross-validated before anything is written
         row = {"ratio": dataset.spec.ratio, "n_primary": dataset.n_primary, "n_auxiliary": dataset.n_auxiliary,
                "shortfall": dataset.shortfall, "file": _sweep_file(dataset.spec.ratio)}
         if args.train:
-            reports = classifier.cross_validate_targets(dataset.rows, k=args.k, seed=args.seed)
+            if dataset.rows not in reports_of:
+                reports_of[dataset.rows] = classifier.cross_validate_targets(dataset.rows, k=args.k, seed=args.seed)
+            reports = reports_of[dataset.rows]
             row.update({f"{target.value}_{name}": mean
                         for target, report in reports.items() for name, mean in report.means.items()})
         trend_rows.append(row)

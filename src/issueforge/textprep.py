@@ -243,16 +243,17 @@ def preprocess(text: str, lists: WordLists, *, filter_noise: bool = True) -> lis
     return out
 
 
-# camelCase hump, snake_case, or dotted path — all markers of code identifiers
-_IDENTIFIER_TOKEN = re.compile(
-    r"[A-Za-z0-9_]*[a-z][A-Z][A-Za-z0-9_]*"
-    r"|\w+_\w+"
-    r"|[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"
-)
+# Markers of code identifiers: a camelCase hump, a snake_case join, or a
+# dotted path. The dotted pattern starts at the last ASCII letter or "_" of
+# the word before the ".", so no character is scanned twice and a title of
+# any length takes linear time.
+_HUMP_OR_JOIN = re.compile(r"[a-z][A-Z]|\w_\w")
+_DOTTED_PATH = re.compile(r"[A-Za-z_][^\WA-Za-z_]*\.[A-Za-z_]")
 
 
 def has_identifier_token(text: str) -> bool:
-    return bool(_IDENTIFIER_TOKEN.search(text))
+    """Whether ``text`` holds a camelCase, snake_case or dotted.path identifier."""
+    return bool(_HUMP_OR_JOIN.search(text)) or ("." in text and bool(_DOTTED_PATH.search(text)))
 
 
 def admit(tokens: list[str] | tuple[str, ...], source: Source, title_raw: str | None = None) -> bool:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,139 @@ def test_feature_memory_is_linear_in_nonzeros():
     assert X.row_ids.nbytes + X.col_ids.nbytes + X.values.nbytes < 64 * X.nnz
 
 
+# --- reference objective -------------------------------------------------------------------
+# The sparse product, sigmoid and objective in their first, plainest form, kept verbatim as
+# the reference: the classifier computes them with fewer numpy calls, and every fit must
+# reproduce their floats bit for bit.
+
+@dataclass(frozen=True)
+class _ReferenceMatrix:
+    row_ids: np.ndarray
+    col_ids: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def T(self) -> "_ReferenceMatrix":
+        return _ReferenceMatrix(self.col_ids, self.row_ids, self.values, (self.shape[1], self.shape[0]))
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        # bincount, unlike np.add.reduceat, gives 0 to rows that hold no entry;
+        # with no entries at all it returns integers, hence the cast
+        products = self.values * vector[self.col_ids]
+        return np.bincount(self.row_ids, weights=products, minlength=self.shape[0]).astype(np.float64, copy=False)
+
+
+def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_loss_and_grad(
+    weights: np.ndarray, bias: float, X: _ReferenceMatrix, y: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, float]:
+    """Mean logistic loss with L2 on weights (bias unregularized), and its gradient."""
+    z = X @ weights + bias
+    # log(1 + e^z) - y*z, computed without under/overflow
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(weights, weights))
+    p = _reference_sigmoid(z)
+    residual = (p - y) / len(y)
+    grad_w = X.T @ residual + l2 * weights
+    grad_b = float(np.sum(residual))
+    return loss, grad_w, grad_b
+
+
+def _as_reference(X: TfidfMatrix) -> _ReferenceMatrix:
+    return _ReferenceMatrix(X.row_ids, X.col_ids, X.values, X.shape)
+
+
+def _assert_objective_matches_reference(weights, bias, X, y, l2=L2):
+    loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, l2)
+    reference_loss, reference_grad_w, reference_grad_b = _reference_loss_and_grad(weights, bias, _as_reference(X), y, l2)
+    assert loss == reference_loss
+    assert grad_w.dtype == np.float64 and np.array_equal(grad_w, reference_grad_w)
+    assert grad_b == reference_grad_b
+    z = X @ weights + bias
+    assert np.array_equal(z, _as_reference(X) @ weights + bias)
+    assert np.array_equal(_sigmoid(z), _reference_sigmoid(z))
+
+
+@st.composite
+def _matrices(draw) -> tuple[TfidfMatrix, np.ndarray, np.ndarray, float]:
+    """A matrix (entries row-major, one per cell), weights, 0/1 labels and a bias; any of them may be extreme."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(0, 10))
+    cells = sorted(draw(st.sets(st.tuples(st.integers(0, n_rows - 1), st.integers(0, max(n_cols - 1, 0))),
+                                max_size=n_rows * n_cols)))
+    values = draw(st.lists(st.floats(1e-3, 60.0), min_size=len(cells), max_size=len(cells)))
+    scale = draw(st.sampled_from([1.0, 30.0, 1e3]))  # 30 and 1e3 put |z| past 745, where e^-|z| underflows
+    weights = draw(st.lists(st.floats(-scale, scale), min_size=n_cols, max_size=n_cols))
+    labels = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n_rows, max_size=n_rows))
+    bias = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-scale, scale)))
+    X = TfidfMatrix(
+        np.array([r for r, _ in cells], dtype=np.intp),
+        np.array([c for _, c in cells], dtype=np.intp),
+        np.array(values, dtype=np.float64),
+        (n_rows, n_cols),
+    )
+    return X, np.array(weights, dtype=np.float64), np.array(labels), bias
+
+
+@given(_matrices())
+@settings(max_examples=300, deadline=None)
+def test_objective_equals_reference_bit_for_bit(drawn):
+    X, weights, y, bias = drawn
+    _assert_objective_matches_reference(weights, bias, X, y)
+    _assert_objective_matches_reference(weights, bias, X, y, l2=0.37)
+
+
+def test_objective_on_a_matrix_with_no_entries_equals_reference():
+    no_entries = np.array([], dtype=np.intp)
+    for shape in ((3, 4), (3, 0)):
+        X = TfidfMatrix(no_entries, no_entries, np.array([], dtype=np.float64), shape)
+        assert (X @ np.ones(shape[1])).dtype == np.float64 and (X.T @ np.ones(3)).dtype == np.float64
+        for bias in (0.0, -0.0, 0.25):  # z is all +0.0 for both zero biases
+            _assert_objective_matches_reference(np.ones(shape[1]), bias, X, np.array([1.0, 0.0, 1.0]))
+
+
+def test_sigmoid_equals_reference_at_signed_zero_and_past_the_exp_range():
+    z = np.array([0.0, -0.0, 745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 1e4, -1e4, 1e308, -1e308, 5e-324, -5e-324])
+    p = _sigmoid(z)
+    assert np.array_equal(p, _reference_sigmoid(z))
+    assert p[0] == p[1] == 0.5 and p[8] == 1.0 and p[9] == 0.0
+    rng = np.random.default_rng(5)
+    for spread in (1.0, 40.0, 800.0):
+        drawn = rng.normal(0.0, spread, 1000)
+        assert np.array_equal(_sigmoid(drawn), _reference_sigmoid(drawn))
+
+
+def test_objective_on_test_rows_with_an_unseen_term_equals_reference():
+    rows = make_rows(8, 8, n_aux=3, seed=2)
+    train_rows = rows[:5] + rows[8:13] + rows[16:]
+    test_rows = rows[5:8] + rows[13:16] + [doc("oov", ("unseen", "crash", "unseen"), True)]
+    space = build_feature_space(count_terms(train_rows))
+    assert "unseen" not in space.vocabulary
+    rng = np.random.default_rng(3)
+    for X, fold_rows in ((vectorize(space, train_rows), train_rows), (vectorize(space, test_rows), test_rows)):
+        weights = rng.uniform(-2.0, 2.0, len(space.vocabulary))
+        _assert_objective_matches_reference(weights, 0.3, X, labels_for(fold_rows, BUG))
+    model = train(train_rows, BUG)
+    X_test = vectorize(model.space, test_rows)
+    assert np.array_equal(
+        predict_proba(model, test_rows), _reference_sigmoid(_as_reference(X_test) @ model.weights + model.bias)
+    )
+
+
+def test_matrix_builds_its_transpose_once():
+    X = vectorize(build_feature_space(make_rows(4, 4)), make_rows(4, 4))
+    assert X.T is X.T
+    assert X.T.values is X.values and X.T.row_ids is X.col_ids and X.T.col_ids is X.row_ids
+    assert X.T.shape == (X.shape[1], X.shape[0])
+
+
 # --- counting once per cross-validation ------------------------------------------------
 
 def _oracle_feature_space(rows) -> tuple[tuple[str, ...], np.ndarray]:
@@ -302,12 +436,13 @@ def _oracle_fit(X, y) -> tuple[np.ndarray, float, list[float]]:
     weights = np.zeros(X.shape[1], dtype=np.float64)
     bias = 0.0
     history = []
+    X = _as_reference(X)
     for _ in range(EPOCHS):
-        loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, L2)
+        loss, grad_w, grad_b = _reference_loss_and_grad(weights, bias, X, y, L2)
         history.append(loss)
         weights = weights - LEARNING_RATE * grad_w
         bias = bias - LEARNING_RATE * grad_b
-    history.append(loss_and_grad(weights, bias, X, y, L2)[0])
+    history.append(_reference_loss_and_grad(weights, bias, X, y, L2)[0])
     return weights, bias, history
 
 
@@ -376,7 +511,7 @@ def test_counting_once_per_cross_validation_is_exact(rows, k, seed):
         _assert_same_matrix(matrices[2 * f][1], _oracle_vectorize(vocabulary, idf, train_rows))
         X_test = _oracle_vectorize(vocabulary, idf, test_rows)
         _assert_same_matrix(matrices[2 * f + 1][1], X_test)
-        predicted = _sigmoid(X_test @ weights + bias) >= 0.5
+        predicted = _reference_sigmoid(_as_reference(X_test) @ weights + bias) >= 0.5
         y = labels_for(test_rows, BUG) == 1
         counts = [int(np.sum(p & t)) for p, t in ((predicted, y), (predicted, ~y), (~predicted, ~y), (~predicted, y))]
         assert report.folds[f] == metrics_from_counts(*counts)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issueforge import augmentation, cli
+from issueforge import augmentation, classifier, cli
 from issueforge.classifier import stratified_folds
 from issueforge.cli import (
     EXIT_OK,
@@ -462,6 +463,33 @@ def test_failed_sweep_train_writes_nothing(tmp_path):
             "--out-dir", str(out_dir)]
     assert main(argv) == EXIT_STAGE_FAILURE
     assert not out_dir.exists()
+
+
+def test_sweep_train_cross_validates_each_distinct_dataset_once(tmp_path, monkeypatch):
+    # 60 pool documents for 100 reviews: ratios 0.6 to 1.0 all take the whole pool, so their rows are equal
+    calls = []
+    original = classifier.cross_validate
+
+    def counting(rows, target, *args, **kwargs):
+        calls.append((tuple(rows), target))
+        return original(rows, target, *args, **kwargs)
+
+    monkeypatch.setattr(classifier, "cross_validate", counting)
+    data = default_data_dir() / "synthetic_recall"
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--primary", str(data / "primary.csv"), "--labelmap", str(data / "labelmap.tsv"),
+            "--pool", str(data / "pool.jsonl"), "--ratios", "0:1:0.1", "--train", "--seed", "0",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == EXIT_OK
+    with (out_dir / "trend.tsv").open(encoding="utf-8", newline="") as handle:
+        trend = list(csv.DictReader(handle, delimiter="\t"))
+    datasets = [(out_dir / row["file"]).read_bytes() for row in trend]
+    assert len(datasets) == 11 and len(set(datasets)) == 7
+    assert len(calls) == 14 and len(set(calls)) == 14  # each distinct dataset once per target
+    metrics = [name for name in trend[0] if name.startswith(("bug_", "feature_"))]
+    for dataset, row in zip(datasets, trend):
+        first = trend[datasets.index(dataset)]
+        assert [row[name] for name in metrics] == [first[name] for name in metrics]
 
 
 # sha256 of `augment` output on the demo run's docs.jsonl, ratio 0.3 and seed 0

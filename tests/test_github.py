@@ -96,6 +96,7 @@ def forge_server():
     url = f"http://127.0.0.1:{server.server_port}"
     yield forge, url
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

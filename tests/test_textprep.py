@@ -2,6 +2,7 @@ import dataclasses
 import re
 import shutil
 import string
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -390,6 +391,43 @@ def test_admit_body_ignores_title(lists):
 )
 def test_identifier_detection(text, expected):
     assert has_identifier_token(text) is expected
+
+
+# the backtracking pattern has_identifier_token replaced, kept as its reference
+_IDENTIFIER_REFERENCE = re.compile(
+    r"[A-Za-z0-9_]*[a-z][A-Z][A-Za-z0-9_]*"
+    r"|\w+_\w+"
+    r"|[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"
+)
+
+
+@given(st.text(alphabet="aZq_.9 \t-éß٣Kx", max_size=24) | st.text(max_size=24))
+@settings(max_examples=3000, deadline=None)
+@example("a1.b")
+@example("٣.a")
+@example("é_é")
+@example("xé٣.Z")
+@example("9a.")
+def test_identifier_detection_matches_reference_pattern(text):
+    assert has_identifier_token(text) is bool(_IDENTIFIER_REFERENCE.search(text))
+
+
+@pytest.mark.parametrize(
+    "title,expected",
+    [
+        ("a" * 100_000, False),
+        ("a1" * 50_000, False),
+        (("a" + "9" * 99) * 1_000, False),
+        ("Crash " * 16_667, False),
+        ("a" * 99_998 + ".b", True),
+        ("a" * 99_998 + "_b", True),
+    ],
+)
+def test_identifier_detection_on_a_100k_character_title_is_fast(title, expected):
+    # the reference pattern backtracks quadratically on one long word
+    started = time.perf_counter()
+    assert has_identifier_token(title) is expected
+    assert time.perf_counter() - started < 1.0
 
 
 def test_tokenize_apostrophes():
