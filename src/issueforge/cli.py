@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import augmentation, classifier, extraction, github, ingestion, labels as labels_mod, similarity, textprep
+from . import augmentation, classifier, extraction, ingestion, labels as labels_mod, similarity, textprep
 from .augmentation import AugmentationSpec, Method
 from .errors import IssueforgeError, ValidationError, check_int
 from .labels import INTENT_VALUES, IntentClass
@@ -229,7 +229,10 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     run cut short leaves no manifest beside artifacts it does not describe. Every
     artifact is a file, the filtered ``repos.jsonl`` among them; an older version's
     ``corpus/`` in ``out_dir`` is neither listed nor removed. The staging directory's
-    name holds the run's pid, so a later run removes it once that pid is gone."""
+    name holds the run's pid, so a later run removes it once that pid is gone.
+    A stage's input is dropped once the next stage has what it needs: the issues,
+    label rows and extracted rows do not live on through preprocess and
+    cross-validation, only the repository records and the funnel counts do."""
     out = Path(out_dir)
     lists = textprep.load_wordlists(config.word_lists_dir)
     patterns = extraction.load_patterns(config.patterns)
@@ -251,23 +254,26 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
             min_labeled_issues=config.min_labeled_issues,
             min_contributors=config.min_contributors,
         )
-        ingestion.write_repos(corpus.repos, staging / "repos.jsonl")
-        logger.info("pipeline: filter kept %d repos / %d issues", len(corpus.repos), len(corpus.issues))
+        repos, issues_filtered = corpus.repos, len(corpus.issues)
+        ingestion.write_repos(repos, staging / "repos.jsonl")
+        logger.info("pipeline: filter kept %d repos / %d issues", len(repos), issues_filtered)
 
         # stage 2: label normalization and intent assignment
         intents = labels_mod.assign_intents(corpus, lexicon, lists, config.min_label_frequency)
         label_rows = labels_mod.label_rows(corpus.issues, intents)
         ingestion.write_jsonl(label_rows, staging / "labels.jsonl", ensure_ascii=True)
-        logger.info("pipeline: labels assigned intents to %d/%d issues", len(intents), len(corpus.issues))
+        logger.info("pipeline: labels assigned intents to %d/%d issues", len(intents), issues_filtered)
 
         # stage 3: target-section extraction (intent-labeled issues only), as `extract --labels` does it
         labeled = {row["issue_id"]: row["intents"] for row in label_rows}
+        del label_rows
         extracted_rows, modes, per_pattern = extraction.extract_rows(corpus.issues, patterns, lists, labeled)
+        del corpus, labeled
         ingestion.write_jsonl(extracted_rows, staging / "extracted.jsonl")
         funnel_report = {
             "funnel": {
                 "issues_total": issues_total,
-                "issues_filtered_corpus": len(corpus.issues),
+                "issues_filtered_corpus": issues_filtered,
                 "issues_intent_labeled": len(intents),
                 "issues_extracted": len(extracted_rows),
             },
@@ -279,12 +285,13 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 
         # stage 4: preprocessing into the document pool
         docs = augmentation.docs_from_extracted(extracted_rows, lists)
+        del extracted_rows
         augmentation.write_docs(docs, staging / "docs.jsonl")
         logger.info("pipeline: admitted %d documents", len(docs))
 
         # stage 5: augmentation
         spec = config.spec()
-        profiles = similarity.build_profiles(corpus.repos, lists) if spec.method is Method.WITHIN_CONTEXT else None
+        profiles = similarity.build_profiles(repos, lists) if spec.method is Method.WITHIN_CONTEXT else None
         dataset = augmentation.augment(primary, docs, spec, profiles)
         augmentation.write_docs(dataset.rows, staging / "augmented.jsonl")
 
@@ -349,6 +356,8 @@ def print_report(artifact_dir: Path | str, stream=None) -> dict:
 # --- subcommand handlers ---------------------------------------------------------------
 
 def _cmd_harvest(args) -> int:
+    from . import github  # only harvest needs the HTTP stack (requests, urllib3, ssl)
+
     check_int("--parallel", args.parallel, 1)
     check_int("--rate-limit", args.rate_limit, 1)
     repo_names = [

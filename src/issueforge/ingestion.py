@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -39,7 +39,7 @@ class DanglingRepoRef(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepoRecord:
     repo_id: str
     full_name: str
@@ -49,7 +49,7 @@ class RepoRecord:
     about_text: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawIssue:
     issue_id: str
     repo_id: str
@@ -83,13 +83,15 @@ _ISSUE_FIELDS = {
 
 def parse_jsonl(
     path: Path, required: dict[str, type], allowed: dict[str, frozenset[str]] | None = None
-) -> list[tuple[int, dict]]:
-    """(line number, object) for each non-blank line; SchemaViolation names the first bad line.
+) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line; SchemaViolation names a bad line.
 
-    A ``list`` field must hold strings. ``allowed`` gives the permitted values
-    of a required ``str`` field, or of each element of a required ``list`` field.
+    Lines are read and checked one at a time, so a caller holds one decoded
+    object, not the whole file, and a caller's own check of line n is raised
+    before any line after n is read. A ``list`` field must hold strings.
+    ``allowed`` gives the permitted values of a required ``str`` field, or of
+    each element of a required ``list`` field.
     """
-    rows: list[tuple[int, dict]] = []
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -114,8 +116,7 @@ def parse_jsonl(
             for name, values in (allowed or {}).items():
                 if not values.issuperset(obj[name] if isinstance(obj[name], list) else (obj[name],)):
                     raise SchemaViolation(path.name, lineno, name, f"values must be drawn from {sorted(values)}")
-            rows.append((lineno, obj))
-    return rows
+            yield lineno, obj
 
 
 def load_repos(path: Path | str) -> dict[str, RepoRecord]:

@@ -30,7 +30,7 @@ class Source(str, Enum):
     ISSUE_BODY = "issue_body"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessedDocument:
     """A single unit of training data: one preprocessed text plus its labels."""
 

@@ -1274,6 +1274,16 @@ def test_harvest_connection_error_is_a_stage_failure(tmp_path, capsys, monkeypat
     assert "Traceback" not in err
 
 
+def test_cli_import_loads_no_http_stack():
+    # only harvest talks HTTP; the classifier is loaded with the CLI, where the benchmark child looks for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, issueforge.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert "'issueforge.classifier'" in loaded
+    assert [name for name in ("requests", "urllib3", "ssl") if f"'{name}'" in loaded] == []
+
+
 def test_experiment_paths_resolve_against_the_config_file(staged, tmp_path, monkeypatch):
     *_, docs = staged
     inputs = tmp_path / "configs" / "inputs"

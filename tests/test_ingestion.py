@@ -19,6 +19,7 @@ from issueforge.ingestion import (
     write_corpus,
     write_repos,
 )
+from issueforge.textprep import ProcessedDocument, Source
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -92,6 +93,28 @@ def test_missing_title_reports_line_and_field(tmp_path):
         load_corpus(tmp_path)
     assert err.value.line_number == 2
     assert err.value.field == "title"
+
+
+def test_a_bad_line_is_reported_before_any_later_line_is_read(tmp_path):
+    # lines are parsed one at a time, so the duplicate on line 2 is found before line 3 is decoded
+    write_jsonl(tmp_path / "repos.jsonl", [repo_row("r1")])
+    rows = "".join(json.dumps(row) + "\n" for row in (issue_row("i1", "r1"), issue_row("i1", "r1")))
+    (tmp_path / "issues.jsonl").write_text(rows + "{not json\n", encoding="utf-8")
+    with pytest.raises(SchemaViolation) as err:
+        load_corpus(tmp_path)
+    assert (err.value.line_number, err.value.field) == (2, "issue_id")
+    assert str(err.value) == "issues.jsonl:2: field 'issue_id': duplicate issue_id"
+
+
+def test_records_carry_no_instance_dict():
+    # a slotted record holds its fields alone; a field added without slots would bring the dict back
+    records = [
+        RepoRecord("r1", "demo/r1", 2, 5),
+        RawIssue("i1", "r1", "t", "b", ("bug",), "2023-01-02T03:04:05Z"),
+        ProcessedDocument("i1:title", Source.ISSUE_TITLE, ("crash",)),
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_unlabeled_issues_not_counted(tmp_path):
