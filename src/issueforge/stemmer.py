@@ -2,16 +2,16 @@
 
 Implements the Snowball English stemming algorithm from scratch so that label
 surfaces, section titles, and fallback lemmatization all share one token
-normalizer. One pass dispatches on the word's last letter: step 0 runs only on
-a word holding an apostrophe, step 1a only on a final s (or ied), step 1b only
-on a final d, g or y, and steps 2-4 look up only the suffix lengths that end in
-that letter, longest first. It finds the R1/R2 regions and the vowel and
-short-syllable tests with precompiled regular expressions. ``stem`` iterates
-that pass to a fixed point, which makes every downstream normalization
-idempotent by construction. A word that is lowercase, does not start with an
-apostrophe and ends in no suffix that any step tests for is left as it is by
-every step, so ``stem`` runs no pass on such a word, and no confirming pass on
-such a pass output. Callers memoize per distinct input; ``stem`` keeps no state.
+normalizer. ``stem`` takes a non-empty ``[a-z]+`` word, the only input its
+callers produce (they drop digits, apostrophes, case and non-ASCII letters
+first), so there is no step 0 and no case handling. One pass finds R1 and R2
+with one regular expression and dispatches on the word's last letter: step 1a
+runs only on a final s (or ied), step 1b only on a final d, g or y, and steps
+2-4 look up only the suffix lengths that end in that letter, longest first.
+``stem`` iterates that pass to a fixed point, which makes every downstream
+normalization idempotent by construction, and runs no pass on a word that ends
+in no suffix that any step tests for. Callers memoize per distinct input;
+``stem`` keeps no state.
 """
 
 from __future__ import annotations
@@ -139,40 +139,28 @@ _STEP2_LENGTHS = _lengths_by_last_letter(_STEP2)
 _STEP3_LENGTHS = _lengths_by_last_letter(_STEP3)
 _STEP4_LENGTHS = _lengths_by_last_letter(_STEP4)
 
-# Every ending that some step tests for, by last letter: steps 0 and 1a-1c, the
+# Step 1b's suffixes by last letter; the eed forms, with their own rule, go first.
+_STEP1B = {"d": ("eed", "ed"), "g": ("ing",), "y": ("eedly", "ingly", "edly")}
+
+# Every ending that some step tests for, by last letter: steps 1a-1c, the
 # step 2-4 tables with ogi, li and ative, and step 5's e and ll.
-_STEP_ENDINGS = {"'s'", "'s", "'", "sses", "ied", "ies", "us", "ss", "s", "eedly", "eed", "ingly", "edly", "ing", "ed",
+_STEP_ENDINGS = {"sses", "ied", "ies", "us", "ss", "s", "eedly", "eed", "ingly", "edly", "ing", "ed",
                  "y", *_STEP2, "ogi", "li", *_STEP3, "ative", *_STEP4, "e", "ll"}
 _STEP_ENDINGS_BY_LAST_LETTER = {
     last: tuple(sorted(suf for suf in _STEP_ENDINGS if suf[-1] == last)) for last in {suf[-1] for suf in _STEP_ENDINGS}
 }
 
-
-def _no_step_acts_on(word: str) -> bool:
-    """True only if a pass provably leaves the word as it is: no step tests for an ending it has."""
-    return word.islower() and word[0] != "'" and not word.endswith(_STEP_ENDINGS_BY_LAST_LETTER.get(word[-1], ()))
-
-
-# A whole-word exception or stop word skips the steps, so the test above must never pass it.
-assert not any(map(_no_step_acts_on, [*_EXCEPTIONS, *_STOP_AFTER_1A]))
+# stem runs no pass on a word that ends in none of these, so no special case may.
+assert all(word.endswith(_STEP_ENDINGS_BY_LAST_LETTER.get(word[-1], ())) for word in [*_EXCEPTIONS, *_STOP_AFTER_1A])
 
 # After consonant y is marked as Y, a lowercase y is always a vowel and Y never is.
 _Y_AFTER_VOWEL = re.compile(r"([aeiouy])y")
-# R1 ends right after the first non-vowel that follows a vowel; R2 likewise,
-# searching from R1.
-_VOWEL_CONSONANT = re.compile(r"[aeiouy][^aeiouy]")
+# R1 ends right after the first non-vowel that follows a vowel, or after one of
+# three fixed prefixes; R2 likewise, searching from R1.
+_REGIONS = re.compile(r"(gener|commun|arsen|.*?[aeiouy][^aeiouy])(.*?[aeiouy][^aeiouy])?")
 # A short syllable: vowel-consonant as the whole word, or
 # consonant-vowel-consonant (the last not w, x or Y) at its end.
 _SHORT_SYLLABLE_END = re.compile(r"\A[aeiouy][^aeiouy]\Z|[^aeiouy][aeiouy][^aeiouywxY]\Z")
-
-
-def _mark_y(word: str) -> str:
-    """Mark consonant y as Y: at the start of the word, or right after a vowel."""
-    if "y" not in word:
-        return word
-    if word[0] == "y":
-        word = "Y" + word[1:]
-    return _Y_AFTER_VOWEL.sub(r"\1Y", word)
 
 
 def _stem_once(word: str) -> str:
@@ -181,62 +169,56 @@ def _stem_once(word: str) -> str:
     if word in _EXCEPTIONS:
         return _EXCEPTIONS[word]
 
-    word = word.lstrip("'")
-    if len(word) <= 2:
-        return word
-
-    # Regions are measured on the lowercase word, Y-marked on its own; it
-    # differs from the marked word only for input that is not all lowercase.
-    lower = word.lower()
-    marked_lower = _mark_y(lower)
-    word = marked_lower if lower == word else _mark_y(word)
-    if lower.startswith(("gener", "commun", "arsen")):
-        r1 = 6 if lower.startswith("commun") else 5
+    # Mark consonant y as Y: at the start of the word, or right after a vowel.
+    has_y = "y" in word
+    if has_y:
+        if word[0] == "y":
+            word = "Y" + word[1:]
+        word = _Y_AFTER_VOWEL.sub(r"\1Y", word)
+    n = len(word)
+    match = _REGIONS.match(word)
+    if match is None:
+        r1 = r2 = n
     else:
-        match = _VOWEL_CONSONANT.search(marked_lower)
-        r1 = match.end() if match else len(lower)
-    match = _VOWEL_CONSONANT.search(marked_lower, r1)
-    r2 = match.end() if match else len(lower)
-
-    # Step 0
-    if "'" in word:
-        for suf in ("'s'", "'s", "'"):
-            if word.endswith(suf):
-                word = word[: -len(suf)]
-                break
+        r1, r2 = match.end(1), match.end(2)  # end(2) is -1 when there is no R2
+        if r2 < 0:
+            r2 = n
 
     # Step 1a: every suffix ends in s, or is ied
-    if word.endswith(("s", "ied")):
+    last = word[-1]
+    if last == "s":
         if word.endswith("sses"):
             word = word[:-2]
-        elif word.endswith(("ied", "ies")):
-            word = word[:-2] if len(word) > 4 else word[:-1]
+        elif word.endswith("ies"):
+            word = word[:-2] if n > 4 else word[:-1]
         elif word.endswith(("us", "ss")):
             pass
         elif not VOWELS.isdisjoint(word[:-2]):
             word = word[:-1]
+        last = word[-1]
+    elif last == "d" and word.endswith("ied"):
+        word = word[:-2] if n > 4 else word[:-1]
+        last = word[-1]
 
-    if word.lower() in _STOP_AFTER_1A:
-        return word.lower().replace("Y", "y")
+    if word in _STOP_AFTER_1A:
+        return word
 
     # Step 1b
-    if word.endswith(("eedly", "eed")):
-        suf = "eedly" if word.endswith("eedly") else "eed"
-        if len(word) - len(suf) >= r1:
-            word = word[: -len(suf)] + "ee"
-    elif word.endswith(("d", "g", "y")):  # the last letter of every other suffix
-        for suf in ("ingly", "edly", "ing", "ed"):
-            if word.endswith(suf):
-                stemmed = word[: -len(suf)]
-                if not VOWELS.isdisjoint(stemmed):
-                    word = stemmed
-                    if word.endswith(("at", "bl", "iz")):
-                        word += "e"
-                    elif word.endswith(DOUBLES):
-                        word = word[:-1]
-                    elif r1 >= len(word) and _SHORT_SYLLABLE_END.search(word):
-                        word += "e"
-                break
+    for suf in _STEP1B.get(last, ()):
+        if word.endswith(suf):
+            stemmed = word[: -len(suf)]
+            if suf == "eed" or suf == "eedly":
+                if len(stemmed) >= r1:
+                    word = stemmed + "ee"
+            elif not VOWELS.isdisjoint(stemmed):
+                word = stemmed
+                if word.endswith(("at", "bl", "iz")):
+                    word += "e"
+                elif word.endswith(DOUBLES):
+                    word = word[:-1]
+                elif r1 >= len(word) and _SHORT_SYLLABLE_END.search(word):
+                    word += "e"
+            break
 
     # Step 1c
     if len(word) > 2 and word[-1] in "yY" and word[-2] not in VOWELS:
@@ -245,33 +227,36 @@ def _stem_once(word: str) -> str:
     # Steps 2-4 stop at the longest listed suffix, even when its region test fails.
     # Step 2
     n = len(word)
-    for k in _STEP2_LENGTHS.get(word[-1:], ()):
+    last = word[-1]
+    for k in _STEP2_LENGTHS.get(last, ()):
         if k <= n and word[-k:] in _STEP2:
             if n - k >= r1:
                 word = word[:-k] + _STEP2[word[-k:]]
             break
     else:
-        if word.endswith("ogi"):
-            if len(word) - 3 >= r1 and len(word) > 3 and word[-4] == "l":
-                word = word[:-1]
-        elif word.endswith("li"):
-            if len(word) - 2 >= r1 and len(word) > 2 and word[-3] in LI_ENDINGS:
-                word = word[:-2]
+        if last == "i":
+            if word.endswith("ogi"):
+                if n - 3 >= r1 and n > 3 and word[-4] == "l":
+                    word = word[:-1]
+            elif word.endswith("li"):
+                if n - 2 >= r1 and n > 2 and word[-3] in LI_ENDINGS:
+                    word = word[:-2]
 
     # Step 3
     n = len(word)
-    for k in _STEP3_LENGTHS.get(word[-1:], ()):
+    last = word[-1]
+    for k in _STEP3_LENGTHS.get(last, ()):
         if k <= n and word[-k:] in _STEP3:
             if n - k >= r1:
                 word = word[:-k] + _STEP3[word[-k:]]
             break
     else:
-        if word.endswith("ative") and len(word) - 5 >= r2:
+        if last == "e" and word.endswith("ative") and n - 5 >= r2:
             word = word[:-5]
 
     # Step 4
     n = len(word)
-    for k in _STEP4_LENGTHS.get(word[-1:], ()):
+    for k in _STEP4_LENGTHS.get(word[-1], ()):
         if k <= n and word[-k:] in _STEP4:
             if n - k >= r2:
                 if word[-k:] == "ion":
@@ -282,21 +267,23 @@ def _stem_once(word: str) -> str:
             break
 
     # Step 5
-    if word.endswith("e"):
-        if len(word) - 1 >= r2:
+    n = len(word)
+    last = word[-1]
+    if last == "e":
+        if n - 1 >= r2:
             word = word[:-1]
-        elif len(word) - 1 >= r1 and not _SHORT_SYLLABLE_END.search(word[:-1]):
+        elif n - 1 >= r1 and not _SHORT_SYLLABLE_END.search(word[:-1]):
             word = word[:-1]
-    elif word.endswith("l") and len(word) - 1 >= r2 and len(word) > 1 and word[-2] == "l":
+    elif last == "l" and n - 1 >= r2 and n > 1 and word[-2] == "l":
         word = word[:-1]
 
-    return word.replace("Y", "y")
+    return word.replace("Y", "y") if has_y else word
 
 
 def stem(word: str) -> str:
-    """Stem a lowercase token, iterating to a fixed point (at most 4 passes)."""
+    """Stem a non-empty [a-z]+ word, iterating to a fixed point (at most 4 passes)."""
     for _ in range(4):
-        if _no_step_acts_on(word):
+        if not word.endswith(_STEP_ENDINGS_BY_LAST_LETTER.get(word[-1], ())):
             return word
         nxt = _stem_once(word)
         if nxt == word:

@@ -109,8 +109,14 @@ def load_wordlists(directory: Path | str | None = None) -> WordLists:
 
 def _load_lemmas(path: Path) -> dict[str, str]:
     raw: dict[str, str] = {}
-    for line in _read_lines(path):
-        form, _, lemma = line.partition("\t")
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        # a stripped line with a tab has text on both sides of it
+        form, tab, lemma = line.partition("\t")
+        if not tab:
+            raise ValidationError(f"{path}:{lineno}: expected form<TAB>lemma, got {line!r}")
         raw[form.strip()] = lemma.strip()
     resolved: dict[str, str] = {}
     for form, lemma in raw.items():

@@ -1108,6 +1108,16 @@ def _write_bytes(path: Path, data: bytes) -> Path:
     return path
 
 
+def _word_lists_with_lemma_line(t, line):
+    directory = t / "word_lists"
+    directory.mkdir()
+    for name in ("negative_modifiers.txt", "special_phrases.txt", "stopwords.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, directory / name)
+    with (directory / "lemmas.txt").open("a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    return str(directory)
+
+
 CHANGED_EXIT_CODES = {
     "experiment-unknown-key": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, specs=None, spec=[{"method": "between-app", "ratio": 0.3}])),
@@ -1117,6 +1127,9 @@ CHANGED_EXIT_CODES = {
     "experiment-corpus-dir-a-number": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, corpus_dir=5, specs=[WITHIN_CONTEXT_SPEC])),
     "experiment-word-lists-dir-a-number": (EXIT_VALIDATION, lambda t, i: _experiment(t, word_lists_dir=5)),
+    # a lemma line without a tab once mapped its form to "", and preprocess emitted empty tokens
+    "experiment-lemma-line-without-a-tab": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, word_lists_dir=_word_lists_with_lemma_line(t, "crashes"))),
     "experiment-include-same-app-a-string": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, specs=[{"method": "between-app", "include_same_app": "no"}])),
     "experiment-ratio-a-bool": (EXIT_VALIDATION, lambda t, i: _experiment(

@@ -1,12 +1,16 @@
+import importlib
 import inspect
+import pkgutil
 import random
+import re
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from issueforge import stemmer
+from issueforge import extraction, labels, stemmer, textprep
 from issueforge.stemmer import (
     DOUBLES,
     LI_ENDINGS,
@@ -17,7 +21,7 @@ from issueforge.stemmer import (
     _STOP_AFTER_1A,
     stem,
 )
-from issueforge.textprep import default_data_dir, preprocess
+from issueforge.textprep import default_data_dir, load_wordlists, preprocess
 
 # (word, stem) pairs covering each suffix-stripping step plus the surfaces the
 # shipped pattern set and lexicon depend on
@@ -128,11 +132,15 @@ def test_output_never_longer(word):
 
 # --- stem keeps no state: its callers memoize per distinct input ------------------
 
+WORD = re.compile(r"[a-z]+")
+
+
 def _bundled_and_test_words() -> list[str]:
+    """The [a-z]+ words of the bundled lists and of KNOWN: stem takes only such words."""
     words = {word for pair in KNOWN for word in pair}
     for name in ("lemmas.txt", "stopwords.txt", "lexicon.tsv"):
         for line in (default_data_dir() / name).read_text(encoding="utf-8").splitlines():
-            words.update(line.lower().split())
+            words.update(word for word in line.lower().split() if WORD.fullmatch(word))
     return sorted(words)
 
 
@@ -340,32 +348,30 @@ def test_pass_matches_reference_on_bundled_words():
         _assert_matches_reference(word)
 
 
-# y/Y and upper-case vowels move the regions; İ lowercases to two characters.
-ODD_ALPHABET = "abcdegilnorstuyYAEIOU'09\nİſ"
+# y moves the regions (a vowel or, marked, a consonant), and vowels and the
+# letters of the rule suffixes make the steps fire.
+ODD_ALPHABET = "abcdegilnorstuy"
 RULE_SUFFIXES = sorted(
     {suf for suf, _ in _STEP2_RULES}
     | {suf for suf, _ in _STEP3_RULES}
     | set(_STEP4_SUFFIXES)
-    | {"'s'", "'s", "'", "sses", "ied", "ies", "us", "ss", "s", "eedly", "eed", "ingly", "edly", "ing", "ed"}
-    | {"at", "bl", "iz", "bb", "tt", "y", "Y", "ogi", "li", "ative", "e", "ll"}
+    | {"sses", "ied", "ies", "us", "ss", "s", "eedly", "eed", "ingly", "edly", "ing", "ed"}
+    | {"at", "bl", "iz", "bb", "tt", "y", "ogi", "li", "ative", "e", "ll"}
 )
 
 
-@given(st.text(alphabet=ODD_ALPHABET, max_size=15))
-@example("ab\ne")  # a short syllable must end at the end of the word, not before a newline
-@example("sayYing")  # mixed case: the regions come from the lowercase word
+@given(st.text(alphabet=ODD_ALPHABET, min_size=1, max_size=15))
 @example("ayyy")  # a y right after a marked Y is a vowel, not a consonant
-@example("OED")  # upper-case tails: no lower-case suffix may match them
-@example("SSES")
-@example("IED")
+@example("yyy")  # a y at the start is marked, and the next y follows a consonant
 @example("tied")  # step 1a takes ied to ie here, where step 1b would take ed
+@example("generate")  # R1 after a fixed prefix, R2 searched from there
 @settings(max_examples=1000)
 def test_pass_matches_reference_on_odd_text(word):
     _assert_matches_reference(word)
 
 
 @given(
-    st.sampled_from(["", "gener", "commun", "arsen", "y", "Y", "'"]),
+    st.sampled_from(["", "gener", "commun", "arsen", "y"]),
     st.text(alphabet=ODD_ALPHABET, max_size=8),
     st.lists(st.sampled_from(RULE_SUFFIXES), min_size=1, max_size=3),
 )
@@ -385,30 +391,33 @@ WIDE_SUFFIXES = ["", "s", "ed", "ing", "er", "ly", "ness", "ation", "ment", "ful
 SYLLABLE = st.tuples(*map(st.sampled_from, (ONSETS, SYLLABLE_VOWELS, CODAS))).map("".join)
 
 
-@given(SYLLABLE, SYLLABLE, st.sampled_from(WIDE_SUFFIXES), st.integers(0, 4))
+@given(SYLLABLE, SYLLABLE, st.sampled_from(WIDE_SUFFIXES))
 @settings(max_examples=2000)
-def test_pass_matches_reference_on_wide_words(first, second, suffix, upper_tail):
-    word = first + second + suffix
-    _assert_matches_reference(word)
-    _assert_matches_reference(word[: len(word) - upper_tail] + word[len(word) - upper_tail :].upper())
+def test_pass_matches_reference_on_wide_words(first, second, suffix):
+    _assert_matches_reference(first + second + suffix)
 
 
 # --- a pass is skipped only where it is a no-op -------------------------------------
-# stem runs no pass on a word, first or confirming, for which
-# _no_step_acts_on holds; the reference runs every pass and confirms. The
-# wide-word and odd-text tests above compare the fixed points too.
+# stem runs no pass on a word, first or confirming, that ends in no step
+# ending; the reference runs every pass and confirms. The wide-word and
+# odd-text tests above compare the fixed points too.
 
-@given(st.text(alphabet=string.ascii_lowercase + string.ascii_uppercase + "'", min_size=1, max_size=15))
-@example("PROCEEDer")  # the first pass leaves PROCEED, which the confirm pass lowercases as a stop word
+def _no_step_acts_on(word: str) -> bool:
+    """The test stem makes before each pass: the word ends in no ending that a step tests for."""
+    return not word.endswith(stemmer._STEP_ENDINGS_BY_LAST_LETTER.get(word[-1], ()))
+
+
+@given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=15))
+@example("proceeder")  # the first pass leaves proceed, a stop word the confirming pass keeps
 @settings(max_examples=1000)
-def test_fixed_point_matches_reference_on_mixed_case_text(word):
+def test_fixed_point_matches_reference_on_lowercase_text(word):
     assert stemmer.stem(word) == _reference_fixed_point(word), repr(word)
 
 
-@given(st.text(alphabet=string.ascii_lowercase + "'", min_size=1, max_size=15))
+@given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=15))
 @settings(max_examples=1000)
 def test_no_step_acts_on_a_word_the_test_passes(word):
-    if stemmer._no_step_acts_on(word):
+    if _no_step_acts_on(word):
         assert stemmer._stem_once(word) == _reference_stem_once(word) == word
 
 
@@ -422,12 +431,13 @@ def test_every_skipped_pass_matches_reference():
     skipped_first = skipped_confirm = 0
     for word in _bundled_and_test_words() + _wide_words(20_000, seed=0):
         once = stemmer._stem_once(word)
-        if stemmer._no_step_acts_on(word):
+        assert stemmer.stem(word) == _reference_fixed_point(word), word
+        if _no_step_acts_on(word):
             skipped_first += 1
-            assert stemmer.stem(word) == word == once == _reference_fixed_point(word), word
-        elif once != word and stemmer._no_step_acts_on(once):
+            assert stemmer.stem(word) == word == once, word
+        elif once != word and _no_step_acts_on(once):
             skipped_confirm += 1
-            assert stemmer.stem(word) == once == _reference_fixed_point(word), word
+            assert stemmer.stem(word) == once, word
     assert skipped_first > 1_000 and skipped_confirm > 5_000
 
 
@@ -435,5 +445,54 @@ def test_exceptions_and_stop_words_end_in_a_step_ending():
     # the import-time assertion: a whole-word special case never passes the skip test
     for word in [*_EXCEPTIONS, *_STOP_AFTER_1A]:
         assert word.endswith(stemmer._STEP_ENDINGS_BY_LAST_LETTER[word[-1]]), word
-        assert not stemmer._no_step_acts_on(word), word
-    assert set(RULE_SUFFIXES) - {"at", "bl", "iz", "bb", "tt", "Y"} <= stemmer._STEP_ENDINGS
+        assert not _no_step_acts_on(word), word
+    assert set(RULE_SUFFIXES) - {"at", "bl", "iz", "bb", "tt"} <= stemmer._STEP_ENDINGS
+
+
+# --- the input contract: every caller passes a non-empty [a-z]+ word ----------------
+# stem has no step 0 and no case handling, so any other argument is a caller's bug.
+# The callers are wrapped at the names they resolve stem by, as the benchmark's
+# tracer wraps them.
+
+CALL_SITES = (textprep, labels, extraction)
+CONTRACT_LISTS = load_wordlists()
+# Upper case, both apostrophes, digits, and non-ASCII letters whose lowercase or
+# case-insensitive match is ASCII: dotted capital I, long s and the Kelvin sign.
+RAW_ALPHABET = string.ascii_letters + string.digits + " '’-_.:#\nİſ\u212aéß"
+RAW_TEXT = st.text(alphabet=RAW_ALPHABET, max_size=60) | st.text(max_size=30)
+
+
+@given(RAW_TEXT)
+@example("The App CRASHES on start, doesn’t it? İſ \u212aelvin 42nd x86_64 café")
+@example("Can't Reproduce")
+@example("## Steps to reproduce'")
+@settings(max_examples=300)
+def test_every_caller_passes_stem_a_lowercase_ascii_word(text):
+    words = []
+
+    def checked(word):
+        words.append(word)
+        assert WORD.fullmatch(word), repr(word)
+        return stem(word)
+
+    with mock.patch.object(textprep, "stem", checked), mock.patch.object(labels, "stem", checked), \
+            mock.patch.object(extraction, "stem", checked):
+        CONTRACT_LISTS._tokens.clear()
+        preprocess(text, CONTRACT_LISTS)
+        preprocess(text, CONTRACT_LISTS, filter_noise=False)
+        extraction.normalize_title(text, CONTRACT_LISTS)
+        labels.normalize_label(text, CONTRACT_LISTS)
+    if WORD.search(text.lower()):
+        assert words
+
+
+def test_call_sites_are_the_stem_imports():
+    # the wrap above sees every call: no other module holds stem, under any name
+    import issueforge
+
+    holders = set()
+    for info in pkgutil.iter_modules(issueforge.__path__):
+        module = importlib.import_module(f"issueforge.{info.name}")
+        if info.name != "stemmer" and any(value is stem for value in vars(module).values()):
+            holders.add(module)
+    assert holders == set(CALL_SITES)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from issueforge import textprep
+from issueforge.errors import ValidationError
 from issueforge.textprep import (
     FUSED_HAVE_TO,
     RETAINED_MODALS,
@@ -27,6 +28,23 @@ def test_wordlists_shapes(lists):
     assert len(lists.negative_modifiers) == 44
     assert len(lists.special_phrases) == 6
     assert "what" in lists.stopwords and "about" in lists.stopwords and "should" in lists.stopwords
+
+
+def test_bundled_lemma_table_loads():
+    lines = (default_data_dir() / "lemmas.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 435 and all(re.fullmatch(r"[a-z]+\t[a-z]+", line) for line in lines)
+    assert all(lemma for lemma in load_wordlists().lemmas.values())
+
+
+@pytest.mark.parametrize("bad_line", ["crashes", "crashes\t", "\tcrash", "crashes crash"])
+def test_lemma_line_without_both_sides_is_rejected(tmp_path, bad_line):
+    # such a line once mapped its form to "", and preprocess emitted an empty token
+    for name in ("negative_modifiers.txt", "special_phrases.txt", "stopwords.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, tmp_path / name)
+    with (tmp_path / "lemmas.txt").open("a", encoding="utf-8") as handle:
+        handle.write(bad_line + "\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'lemmas.txt'}:436: expected form<TAB>lemma")):
+        load_wordlists(tmp_path)
 
 
 # --- strip_noise -----------------------------------------------------------------
