@@ -21,7 +21,7 @@ from pathlib import Path
 from . import classifier
 from .errors import IssueforgeError, ValidationError, check_int
 from .ingestion import SchemaViolation, parse_jsonl, write_jsonl
-from .labels import INTENT_VALUES, IntentClass
+from .labels import INTENT_OF, INTENT_VALUES, IntentClass
 from .similarity import rank_similar
 from .textprep import ProcessedDocument, Source, WordLists, admit, is_primary, preprocess
 
@@ -221,7 +221,13 @@ def run_experiment(
     """
     # sampling depends on spec.seed alone, so every target sees the same rows
     datasets = [primary.rows] + [augment(primary, pool, spec, profiles).rows for spec in specs]
-    reports = [classifier.cross_validate_targets(rows, k=k, seed=seed) for rows in datasets]
+    # every dataset holds the primary rows: count the distinct rows once and take each dataset from them;
+    # a fold's feature space keeps only its training rows' terms, so every fit is as if counted alone
+    distinct = {id(row): row for rows in datasets for row in rows}
+    position = {key: i for i, key in enumerate(distinct)}
+    counted = classifier.count_terms(list(distinct.values()))
+    reports = [classifier.cross_validate_targets(counted.take([position[id(row)] for row in rows]), k=k, seed=seed)
+               for rows in datasets]
     models = ["baseline"] + [f"{spec.method.value}@r={spec.ratio:g}" + ("+same" if spec.include_same_app else "")
                              for spec in specs]
     comparison = []
@@ -238,35 +244,30 @@ def run_experiment(
 # --- issue documents and JSONL interchange ---------------------------------------
 
 _DOC_FIELDS = {"doc_id": str, "source": str, "tokens": list, "intents": list}
-_SOURCES = frozenset(s.value for s in Source)
+_SOURCE_OF = {s.value: s for s in Source}
+_SOURCES = frozenset(_SOURCE_OF)
 
 
 def docs_from_extracted(extracted_rows: list[dict], lists: WordLists) -> list[ProcessedDocument]:
     """Title and body documents for every extracted issue, admission-filtered, sorted by doc_id."""
     docs = []
     for row in extracted_rows:
-        intents = frozenset(IntentClass(i) for i in row["intents"])
+        intents = frozenset(map(INTENT_OF.__getitem__, row["intents"]))
         parts = (("title", Source.ISSUE_TITLE, row["title"]), ("body", Source.ISSUE_BODY, row["text"]))
         for part, source, text in parts:
             tokens = preprocess(text, lists)
             if admit(tokens, source, row["title"]):
-                docs.append(
-                    ProcessedDocument(
-                        doc_id=f"{row['issue_id']}:{part}",
-                        source=source,
-                        tokens=tuple(tokens),
-                        intents=intents,
-                        app_id=row["repo_id"],
-                    )
-                )
+                docs.append(ProcessedDocument(f"{row['issue_id']}:{part}", source, tuple(tokens), intents,
+                                              row["repo_id"]))
     docs.sort(key=lambda d: d.doc_id)
     return docs
 
 
 def write_docs(docs: list[ProcessedDocument], path: Path | str) -> Path:
+    """One line per document; ``write_jsonl`` writes the source and intents as their values."""
     return write_jsonl(
-        ({"doc_id": d.doc_id, "source": d.source.value, "app_id": d.app_id, "tokens": list(d.tokens),
-          "intents": sorted(i.value for i in d.intents)} for d in docs),
+        ({"doc_id": d.doc_id, "source": d.source, "app_id": d.app_id, "tokens": d.tokens, "intents": sorted(d.intents)}
+         for d in docs),
         path,
     )
 
@@ -279,14 +280,7 @@ def load_docs(path: Path | str) -> list[ProcessedDocument]:
         app_id = row.get("app_id")
         if app_id is not None and not isinstance(app_id, str):
             raise SchemaViolation(path.name, lineno, "app_id", "expected str or null")
-        docs.append(
-            ProcessedDocument(
-                doc_id=row["doc_id"],
-                source=Source(row["source"]),
-                tokens=tuple(row["tokens"]),
-                intents=frozenset(IntentClass(i) for i in row["intents"]),
-                app_id=app_id,
-            )
-        )
+        docs.append(ProcessedDocument(row["doc_id"], _SOURCE_OF[row["source"]], tuple(row["tokens"]),
+                                      frozenset(map(INTENT_OF.__getitem__, row["intents"])), app_id))
     return docs
 

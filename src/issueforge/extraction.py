@@ -280,7 +280,7 @@ def extract_rows(
                 "repo_id": issue.repo_id,
                 "title": issue.title,
                 "text": result.text,
-                "mode": result.mode.value,
+                "mode": result.mode,
                 "matched_pattern": result.matched_pattern,
                 "intents": intents[issue.issue_id] if intents is not None else [],
             }

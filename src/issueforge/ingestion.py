@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from .errors import IssueforgeError, ValidationError
@@ -161,26 +162,32 @@ def load_corpus(path: Path | str) -> Corpus:
             raise DanglingRepoRef(
                 f"{issues_file.name}:{lineno}: issue {row['issue_id']!r} references unknown repo {row['repo_id']!r}"
             )
-        issues.append(
-            RawIssue(
-                issue_id=row["issue_id"],
-                repo_id=row["repo_id"],
-                title=row["title"],
-                body=row["body"],
-                label_names=tuple(row["labels"]),
-                created_at=row["created_at"],
-            )
-        )
+        issues.append(RawIssue(row["issue_id"], row["repo_id"], row["title"], row["body"], tuple(row["labels"]),
+                               row["created_at"]))
     return Corpus(repos=repos, issues=issues)
 
 
 def write_jsonl(rows: Iterable[dict], path: Path | str, ensure_ascii: bool = False) -> Path:
-    """One sorted-key JSON object per line, as ``json.dumps(row, sort_keys=True, ensure_ascii=...)`` writes it."""
+    """One sorted-key JSON object per line, exactly as ``json.dumps(row, sort_keys=True, ensure_ascii=...)``
+    writes it: a ``str`` enum member as its value, a tuple as a list.
+
+    ``json.dumps`` makes a new C encoder for every call; here one, made with the
+    same arguments, encodes every row of the file (where CPython has no C
+    encoder, ``JSONEncoder.encode`` does).
+    """
     path = Path(path)
-    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=ensure_ascii).encode
+    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=ensure_ascii)
+    if c_make_encoder is None:
+        lines = (encoder.encode(row) + "\n" for row in rows)
+    else:
+        # the arguments JSONEncoder.iterencode passes; {} holds the circular-reference markers
+        iterencode = c_make_encoder(
+            {}, encoder.default, encode_basestring_ascii if ensure_ascii else encode_basestring, None,
+            encoder.key_separator, encoder.item_separator, encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+        )
+        lines = ("".join(iterencode(row, 0)) + "\n" for row in rows)
     with path.open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(encode(row) + "\n")
+        handle.writelines(lines)
     return path
 
 
@@ -197,7 +204,7 @@ def write_corpus(corpus: Corpus, path: Path | str) -> Path:
     issues = sorted(corpus.issues, key=lambda i: (i.repo_id, i.issue_id))
     write_jsonl(
         ({"issue_id": i.issue_id, "repo_id": i.repo_id, "title": i.title, "body": i.body,
-          "labels": list(i.label_names), "created_at": i.created_at} for i in issues),
+          "labels": i.label_names, "created_at": i.created_at} for i in issues),
         base / "issues.jsonl",
     )
     return base

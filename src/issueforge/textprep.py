@@ -107,7 +107,12 @@ def load_wordlists(directory: Path | str | None = None) -> WordLists:
     )
 
 
+_WORD = re.compile(r"[a-z]+")
+
+
 def _load_lemmas(path: Path) -> dict[str, str]:
+    """form -> lemma from "form<TAB>lemma" lines. Both sides must be ``[a-z]+`` words: a lemma
+    lookup sees only such tokens, and ``preprocess`` emits the lemma as one."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
@@ -117,7 +122,10 @@ def _load_lemmas(path: Path) -> dict[str, str]:
         form, tab, lemma = line.partition("\t")
         if not tab:
             raise ValidationError(f"{path}:{lineno}: expected form<TAB>lemma, got {line!r}")
-        raw[form.strip()] = lemma.strip()
+        form, lemma = form.strip(), lemma.strip()
+        if not (_WORD.fullmatch(form) and _WORD.fullmatch(lemma)):
+            raise ValidationError(f"{path}:{lineno}: form and lemma must be [a-z]+ words, got {line!r}")
+        raw[form] = lemma
     resolved: dict[str, str] = {}
     for form, lemma in raw.items():
         seen = {form}
@@ -181,7 +189,7 @@ def strip_noise(text: str, lists: WordLists) -> str:
 
 # --- tokenization and normalization -----------------------------------------
 
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 # tokenize() yields only [a-z0-9]+ tokens, so a token holds a digit exactly when
 # it is not all letters: callers run this sub only when ``not tok.isalpha()``.
 DIGITS = re.compile(r"[0-9]+")
@@ -189,8 +197,7 @@ DIGITS = re.compile(r"[0-9]+")
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; apostrophes fuse ("don't" -> "dont")."""
-    text = text.lower().replace("'", "").replace("’", "")
-    return [t for t in _TOKEN_SPLIT.split(text) if t]
+    return _TOKEN.findall(text.lower().replace("'", "").replace("’", ""))
 
 
 def _fuse_have_to(tokens: list[str]) -> list[str]:

@@ -677,8 +677,9 @@ def test_experiment_counts_each_dataset_once_for_both_targets(monkeypatch):
     monkeypatch.setattr(classifier, "count_terms", counting)
     monkeypatch.setattr(classifier, "cross_validate", recording)
     run_experiment(primary, specs, pool, k=5, seed=4)
-    # baseline + 3 datasets, each counted once though cross-validated for both targets
-    assert len(reports) == 8 and len(countings) == 4
+    # baseline + 3 datasets cross-validated for both targets; their distinct rows (every primary row, and
+    # all 20 pool rows, which r = 0.6 takes) are counted once, and each dataset taken from that count
+    assert len(reports) == 8 and countings == [len(primary.rows) + len(pool)]
     for rows, target, kwargs, report in reports:
         assert isinstance(rows, CountedRows)
         assert report.folds == cross_validate(list(rows), target, **kwargs).folds

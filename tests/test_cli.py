@@ -1130,6 +1130,9 @@ CHANGED_EXIT_CODES = {
     # a lemma line without a tab once mapped its form to "", and preprocess emitted empty tokens
     "experiment-lemma-line-without-a-tab": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, word_lists_dir=_word_lists_with_lemma_line(t, "crashes"))),
+    # a lemma with a space and upper case was once emitted as one token, and the run exited 0
+    "experiment-lemma-outside-the-token-alphabet": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, word_lists_dir=_word_lists_with_lemma_line(t, "freezes\tHang Up"))),
     "experiment-include-same-app-a-string": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, specs=[{"method": "between-app", "include_same_app": "no"}])),
     "experiment-ratio-a-bool": (EXIT_VALIDATION, lambda t, i: _experiment(

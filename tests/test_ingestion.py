@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from issueforge import ingestion
+from issueforge.augmentation import Method
+from issueforge.extraction import ExtractionMode
 from issueforge.ingestion import (
     Corpus,
     DanglingRepoRef,
@@ -19,6 +21,7 @@ from issueforge.ingestion import (
     write_corpus,
     write_repos,
 )
+from issueforge.labels import IntentClass
 from issueforge.textprep import ProcessedDocument, Source
 
 
@@ -283,19 +286,55 @@ def test_round_trip_preserves_odd_strings(tmp_path):
     assert reloaded.repos["r1"].readme_text == strange
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
-    max_leaves=8,
-)
 ODD_TEXT = 'éü \U0001f41b \u2028 "q" \\ \t\x00'
+# What the row builders pass to write_jsonl: str-valued enum members (written as their values) and tuples
+# (written as lists), besides plain JSON values; floats include nan and the infinities.
+ENUM_MEMBERS = st.sampled_from([*Source, *IntentClass, *ExtractionMode, *Method])
+KEYS = st.text(max_size=6) | st.sampled_from([ODD_TEXT, "\x1f\x7f\u0085\ud7ff"]) | ENUM_MEMBERS
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | ENUM_MEMBERS,
+    lambda children: (st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(KEYS, children, max_size=3)),
+    max_leaves=10,
+)
 
 
 @pytest.mark.parametrize("ensure_ascii", [True, False])
-@given(rows=st.lists(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4), max_size=4))
-@settings(max_examples=100)
+@given(rows=st.lists(st.dictionaries(KEYS, JSON_VALUES, max_size=5), max_size=5))
+@settings(max_examples=150)
 def test_write_jsonl_equals_per_row_dumps(tmp_path_factory, ensure_ascii, rows):
     rows = [*rows, {"z": ODD_TEXT, "a": [ODD_TEXT, 1.5, None], ODD_TEXT: {"b": True}}]
     path = ingestion.write_jsonl(rows, tmp_path_factory.getbasetemp() / "rows.jsonl", ensure_ascii=ensure_ascii)
-    expected = "".join(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n" for row in rows)
-    assert path.read_bytes() == expected.encode("utf-8")
+    # every line, ended by "\n" alone (a written U+2028 or U+0085 is not a line break here), is its row's dumps
+    lines = path.read_bytes().split(b"\n")
+    assert lines == [json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii).encode("utf-8") for row in rows] + [b""]
+
+
+@pytest.mark.parametrize("ensure_ascii", [True, False])
+def test_writer_without_the_c_encoder_writes_the_same_bytes(tmp_path, monkeypatch, ensure_ascii):
+    rows = [{"source": Source.REVIEW, "tokens": ("a", ODD_TEXT), "x": [float("nan"), float("-inf"), None]},
+            {ODD_TEXT: {"b": (IntentClass.BUG_REPORT, 1.5)}, "mode": ExtractionMode.SECTION_MATCH}]
+    fast = ingestion.write_jsonl(rows, tmp_path / "fast.jsonl", ensure_ascii=ensure_ascii).read_bytes()
+    monkeypatch.setattr(ingestion, "c_make_encoder", None)
+    slow = ingestion.write_jsonl(rows, tmp_path / "slow.jsonl", ensure_ascii=ensure_ascii).read_bytes()
+    assert fast == slow == "".join(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n"
+                                   for row in rows).encode("utf-8")
+
+
+def _circular() -> dict:
+    row: dict = {"a": 1}
+    row["self"] = [row]
+    return row
+
+
+@pytest.mark.parametrize("ensure_ascii", [True, False])
+@pytest.mark.parametrize("bad", [lambda: {"ok": 1, "bad": [object()]}, lambda: {"bad": {1, 2}}, lambda: {"b": b"x"},
+                                 lambda: {(1, 2): "tuple key"}, _circular], ids=["object", "set", "bytes", "key",
+                                                                                "circular"])
+def test_unwritable_row_raises_what_dumps_raises(tmp_path, ensure_ascii, bad):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        json.dumps(bad(), sort_keys=True, ensure_ascii=ensure_ascii)
+    with pytest.raises(expected.type) as raised:
+        ingestion.write_jsonl([{"first": "row"}, bad()], tmp_path / "rows.jsonl", ensure_ascii=ensure_ascii)
+    assert str(raised.value) == str(expected.value)
+    assert getattr(raised.value, "__notes__", None) == getattr(expected.value, "__notes__", None)

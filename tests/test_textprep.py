@@ -47,6 +47,19 @@ def test_lemma_line_without_both_sides_is_rejected(tmp_path, bad_line):
         load_wordlists(tmp_path)
 
 
+@pytest.mark.parametrize("bad_line", ["Crashes\tfail", "freezes\tHang Up", "crashes\tcrash2", "naïve\tnaive",
+                                      "don't\tdo", "re-open\topen"])
+def test_lemma_line_outside_the_token_alphabet_is_rejected(tmp_path, bad_line):
+    # "Crashes" could never match a token, and "Hang Up" was once emitted as a token into docs.jsonl
+    for name in ("negative_modifiers.txt", "special_phrases.txt", "stopwords.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, tmp_path / name)
+    with (tmp_path / "lemmas.txt").open("a", encoding="utf-8") as handle:
+        handle.write(bad_line + "\n")
+    message = f"{tmp_path / 'lemmas.txt'}:436: form and lemma must be [a-z]+ words, got {bad_line!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_wordlists(tmp_path)
+
+
 # --- strip_noise -----------------------------------------------------------------
 
 def test_underscore_phrase_and_mention_removed(lists):
@@ -450,3 +463,12 @@ def test_identifier_detection_on_a_100k_character_title_is_fast(title, expected)
 
 def test_tokenize_apostrophes():
     assert tokenize("don't can't What's") == ["dont", "cant", "whats"]
+
+
+@given(st.text() | st.text(alphabet="aZ09 '’-_İıſ\u212aé\n\t", max_size=40))
+@example("İstanbul ſtop \u212aelvin v2.0 re-open don't")
+@settings(max_examples=300)
+def test_tokenize_equals_split_and_filter(text):
+    # the earlier tokenize, word for word
+    s = text.lower().replace("'", "").replace("’", "")
+    assert tokenize(text) == [t for t in re.split(r"[^a-z0-9]+", s) if t]
