@@ -4,7 +4,9 @@ Reviews come in as CSV with a per-dataset label map. One function, ``augment``,
 draws the auxiliary rows from processed issue documents by one of three methods
 (same app, similar apps, or anywhere) at a configured volume ratio and merges
 them with the primary rows; the pipeline, the ``augment`` and ``sweep``
-commands and ``run_experiment`` all call it.
+commands and ``run_experiment`` all call it. One function,
+``cross_validate_datasets``, cross-validates the datasets that the pipeline,
+``sweep --train`` and ``run_experiment`` compare.
 """
 
 from __future__ import annotations
@@ -205,6 +207,28 @@ def augment(
     return AugmentedDataset(tuple(rows), spec, len(auxiliary), shortfall)
 
 
+def cross_validate_datasets(
+    datasets: Sequence[Sequence[ProcessedDocument]], k: int = 5, seed: int = 0
+) -> list[dict[IntentClass, classifier.EvalReport]]:
+    """Each dataset's ``classifier.cross_validate`` for each of ``classifier.TARGETS``, in dataset order.
+
+    The distinct rows of all datasets are counted once and each dataset is taken
+    from that count; a fold's feature space keeps only its training rows' terms,
+    so every fit is as if its dataset were counted alone. A dataset of the same
+    row objects in the same order as an earlier one shares its reports.
+    """
+    distinct = {id(row): row for rows in datasets for row in rows}
+    position = {key: i for i, key in enumerate(distinct)}
+    counted = classifier.count_terms(list(distinct.values()))
+    picks = [tuple(position[id(row)] for row in rows) for rows in datasets]
+    reports_of = {}
+    for picked in dict.fromkeys(picks):  # each distinct pick once, in dataset order
+        taken = counted.take(picked)
+        reports_of[picked] = {target: classifier.cross_validate(taken, target, k=k, seed=seed)
+                              for target in classifier.TARGETS}
+    return [reports_of[picked] for picked in picks]
+
+
 def run_experiment(
     primary: PrimaryDataset,
     specs: Sequence[AugmentationSpec],
@@ -221,13 +245,7 @@ def run_experiment(
     """
     # sampling depends on spec.seed alone, so every target sees the same rows
     datasets = [primary.rows] + [augment(primary, pool, spec, profiles).rows for spec in specs]
-    # every dataset holds the primary rows: count the distinct rows once and take each dataset from them;
-    # a fold's feature space keeps only its training rows' terms, so every fit is as if counted alone
-    distinct = {id(row): row for rows in datasets for row in rows}
-    position = {key: i for i, key in enumerate(distinct)}
-    counted = classifier.count_terms(list(distinct.values()))
-    reports = [classifier.cross_validate_targets(counted.take([position[id(row)] for row in rows]), k=k, seed=seed)
-               for rows in datasets]
+    reports = cross_validate_datasets(datasets, k=k, seed=seed)
     models = ["baseline"] + [f"{spec.method.value}@r={spec.ratio:g}" + ("+same" if spec.include_same_app else "")
                              for spec in specs]
     comparison = []

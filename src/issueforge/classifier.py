@@ -372,11 +372,3 @@ def cross_validate(rows: Sequence[ProcessedDocument], target: IntentClass, k: in
         model = train(counted.take(train_idx), target)
         fold_metrics.append(evaluate(model, counted.take(test_idx), target))
     return EvalReport(target=target, folds=fold_metrics)
-
-
-def cross_validate_targets(
-    rows: Sequence[ProcessedDocument], k: int = 5, seed: int = 0
-) -> dict[IntentClass, EvalReport]:
-    """``cross_validate`` for each of ``TARGETS``; the rows' terms are counted once for all of them."""
-    counted = count_terms(rows)
-    return {target: cross_validate(counted, target, k=k, seed=seed) for target in TARGETS}

@@ -39,10 +39,6 @@ EXIT_STAGE_FAILURE = 3
 MAX_SWEEP_RATIOS = 1001
 
 
-class MissingArtifact(IssueforgeError):
-    pass
-
-
 class _JsonLineFormatter(logging.Formatter):
     def format(self, record: logging.LogRecord) -> str:
         payload = {"level": record.levelname.lower(), "logger": record.name, "message": record.getMessage()}
@@ -169,12 +165,9 @@ class ExperimentConfig(_JsonConfig):
         specs = []
         for i, entry in enumerate(self.specs):
             try:
-                spec = AugmentationSpec(**{"seed": self.seed, **entry})
+                specs.append(AugmentationSpec(**{"seed": self.seed, **entry}))
             except (TypeError, ValidationError) as exc:  # TypeError: a missing or unknown spec key
                 raise ValidationError(f"spec {i}: {exc}") from exc
-            if spec.method is Method.WITHIN_CONTEXT and self.corpus_dir is None:
-                raise ValidationError(f"spec {i}: within-context needs corpus_dir in the config")
-            specs.append(spec)
         return specs
 
 
@@ -296,7 +289,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         augmentation.write_docs(dataset.rows, staging / "augmented.jsonl")
 
         # stage 6: train and evaluate both binary targets
-        reports = classifier.cross_validate_targets(dataset.rows, k=config.folds, seed=config.seed)
+        [reports] = augmentation.cross_validate_datasets([dataset.rows], k=config.folds, seed=config.seed)
         _dump_json({"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows),
                     **{target.value: report.as_dict() for target, report in reports.items()}}, staging / "report.json")
 
@@ -315,7 +308,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 def print_report(artifact_dir: Path | str, stream=None) -> dict:
     """Human-readable funnel and metric summary for a finished pipeline run.
 
-    A missing artifact is a MissingArtifact, the manifest included: a run whose
+    A missing artifact is a MissingFile, the manifest included: a run whose
     commit was cut short has none. A malformed artifact, or a report without the
     funnel counts or a mean for both targets, is a ValidationError.
     """
@@ -326,7 +319,7 @@ def print_report(artifact_dir: Path | str, stream=None) -> dict:
     docs_file = out / "docs.jsonl"
     for required in (extraction_report, report_file, docs_file, out / "manifest.json"):
         if not required.exists():
-            raise MissingArtifact(str(required))
+            raise ingestion.MissingFile(str(required))
     admitted_issues = {doc.doc_id.rsplit(":", 1)[0] for doc in augmentation.load_docs(docs_file)}
     funnel_data, metrics = _read_json(extraction_report), _read_json(report_file)
     try:
@@ -444,17 +437,30 @@ def _cmd_similar(args) -> int:
     return EXIT_OK
 
 
+def _load_selection(specs: list[AugmentationSpec], lists_dir: str | None, label_map: str, primary_csv: str,
+                    pool: str, corpus_dir: str | None):
+    """augment, sweep and experiment: (primary dataset, pool, profiles) for ``specs``.
+
+    The profiles of ``corpus_dir``'s repos are built only when a spec is
+    within-context, and then ``corpus_dir`` is required: its absence is a
+    ``ValidationError`` raised before any input is read.
+    """
+    within_context = any(spec.method is Method.WITHIN_CONTEXT for spec in specs)
+    if within_context and not corpus_dir:
+        raise ValidationError("within-context selection needs a corpus directory for profiles "
+                              "(augment/sweep --corpus, experiment corpus_dir)")
+    lists = textprep.load_wordlists(lists_dir)
+    primary = augmentation.load_primary(primary_csv, augmentation.load_label_map(label_map), lists)
+    docs = augmentation.load_docs(pool)
+    profiles = similarity.build_profiles(ingestion.load_repos(corpus_dir), lists) if within_context else None
+    return primary, docs, profiles
+
+
 def _augment_from_args(args, ratios: list[float]) -> list[augmentation.AugmentedDataset]:
     """augment/sweep: check the spec arguments before any input is read, then augment once per ratio."""
     app = None if args.method == Method.BETWEEN_APP else args.app
     spec = AugmentationSpec(args.method, ratios[0], args.seed, app, args.top, args.include_same_app)
-    within_context = spec.method is Method.WITHIN_CONTEXT
-    if within_context and not args.corpus:
-        raise ValidationError("within-context augmentation requires --corpus for profiles")
-    lists = textprep.load_wordlists(args.lists)
-    profiles = similarity.build_profiles(ingestion.load_repos(args.corpus), lists) if within_context else None
-    primary = augmentation.load_primary(args.primary, augmentation.load_label_map(args.labelmap), lists)
-    pool = augmentation.load_docs(args.pool)
+    primary, pool, profiles = _load_selection([spec], args.lists, args.labelmap, args.primary, args.pool, args.corpus)
     return [augmentation.augment(primary, pool, dataclasses.replace(spec, ratio=ratio), profiles) for ratio in ratios]
 
 
@@ -502,18 +508,13 @@ def _cmd_sweep(args) -> int:
     if args.train:
         classifier.check_folds(args.k)
     datasets = _augment_from_args(args, _parse_ratios(args.ratios))
-    trend_rows = []
-    reports_of = {}  # ratios that give the same rows (a pool run short) share one cross-validation
-    for dataset in datasets:  # every ratio is cross-validated before anything is written
-        row = {"ratio": dataset.spec.ratio, "n_primary": dataset.n_primary, "n_auxiliary": dataset.n_auxiliary,
-               "shortfall": dataset.shortfall, "file": _sweep_file(dataset.spec.ratio)}
-        if args.train:
-            if dataset.rows not in reports_of:
-                reports_of[dataset.rows] = classifier.cross_validate_targets(dataset.rows, k=args.k, seed=args.seed)
-            reports = reports_of[dataset.rows]
+    trend_rows = [{"ratio": dataset.spec.ratio, "n_primary": dataset.n_primary, "n_auxiliary": dataset.n_auxiliary,
+                   "shortfall": dataset.shortfall, "file": _sweep_file(dataset.spec.ratio)} for dataset in datasets]
+    if args.train:  # every ratio is cross-validated before anything is written
+        reports = augmentation.cross_validate_datasets([d.rows for d in datasets], k=args.k, seed=args.seed)
+        for row, by_target in zip(trend_rows, reports):
             row.update({f"{target.value}_{name}": mean
-                        for target, report in reports.items() for name, mean in report.means.items()})
-        trend_rows.append(row)
+                        for target, report in by_target.items() for name, mean in report.means.items()})
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for dataset, row in zip(datasets, trend_rows):
@@ -543,13 +544,8 @@ def _cmd_train_eval(args) -> int:
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     specs = config.augmentation_specs()
-    lists = textprep.load_wordlists(config.word_lists_dir)
-    label_map = augmentation.load_label_map(config.label_map)
-    primary = augmentation.load_primary(config.primary_csv, label_map, lists)
-    pool = augmentation.load_docs(config.pool)
-    profiles = None
-    if any(spec.method is Method.WITHIN_CONTEXT for spec in specs):
-        profiles = similarity.build_profiles(ingestion.load_repos(config.corpus_dir), lists)
+    primary, pool, profiles = _load_selection(specs, config.word_lists_dir, config.label_map, config.primary_csv,
+                                              config.pool, config.corpus_dir)
     report = augmentation.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
     _write_tsv(report["rows"], list(report["rows"][0]), args.out)
     print(f"wrote comparison for {len(report['rows'])} models to {args.out}")

@@ -40,14 +40,6 @@ class ExtractionMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class BodySection:
-    raw_title: str
-    normalized_title: str
-    content: str
-    order: int
-
-
-@dataclass(frozen=True)
 class TitlePattern:
     name: str
     regex: re.Pattern
@@ -79,7 +71,7 @@ _PATTERN_FLAGS = frozenset("BFO")
 
 
 def load_patterns(path: Path | str | None = None) -> PatternSet:
-    """Load "name<TAB>regex<TAB>flags" pattern lines (bundled set by default)."""
+    """Load "name<TAB>regex<TAB>flags" pattern lines (bundled set by default); a file without one is invalid."""
     if path is None:
         text = resources.files("issueforge").joinpath("data/patterns.tsv").read_text(encoding="utf-8")
         origin = "<bundled>"
@@ -101,6 +93,8 @@ def load_patterns(path: Path | str | None = None) -> PatternSet:
             patterns.append(TitlePattern(name=name.strip(), regex=re.compile(regex)))
         except re.error as exc:
             raise ValidationError(f"{origin}:{lineno}: invalid regex: {exc}") from exc
+    if not patterns:
+        raise ValidationError(f"{origin}: no pattern line")
     return PatternSet(patterns=tuple(patterns))
 
 
@@ -169,27 +163,6 @@ def _titled_lines(body: str) -> tuple[list[str], list[tuple[int, str]]]:
         if title is not None:
             titles.append((idx, title))
     return lines, titles
-
-
-def split_with_preamble(body: str, lists: WordLists) -> tuple[str, list[BodySection]]:
-    """Split a body into (preamble, titled sections); fence interiors are opaque."""
-    lines, titles = _titled_lines(body)
-    if not titles:
-        return body, []
-    preamble = "\n".join(lines[: titles[0][0]])
-    sections: list[BodySection] = []
-    for order, (start, raw_title) in enumerate(titles):
-        end = titles[order + 1][0] if order + 1 < len(titles) else len(lines)
-        content = "\n".join(lines[start + 1 : end]).strip("\n")
-        sections.append(
-            BodySection(
-                raw_title=raw_title,
-                normalized_title=normalize_title(raw_title, lists),
-                content=content,
-                order=order,
-            )
-        )
-    return preamble, sections
 
 
 # --- target matching ------------------------------------------------------------

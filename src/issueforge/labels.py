@@ -89,7 +89,7 @@ def _surfaces(corpus: Corpus, lists: WordLists) -> dict[str, str]:
 
 
 def load_lexicon(path: Path | str, lists: WordLists) -> IntentLexicon:
-    """Read a "surface<TAB>class" lexicon file and validate every key's form."""
+    """Read a "surface<TAB>class" lexicon file, which needs one entry at least, and validate every key's form."""
     entries: dict[str, IntentClass] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
@@ -104,6 +104,8 @@ def load_lexicon(path: Path | str, lists: WordLists) -> IntentLexicon:
         if surface in entries and entries[surface] is not intent:
             raise ValidationError(f"{path}:{lineno}: surface {surface!r} mapped to more than one class")
         entries[surface] = intent
+    if not entries:
+        raise ValidationError(f"{path}: no lexicon entry")
     lexicon = IntentLexicon(entries=entries, provenance=str(path))
     validate_lexicon(lexicon, lists)
     return lexicon

@@ -12,7 +12,7 @@ import logging
 import math
 
 from .errors import IssueforgeError
-from .extraction import normalize_title, split_with_preamble
+from .extraction import _titled_lines, normalize_title
 from .ingestion import RepoRecord
 from .textprep import WordLists, preprocess
 
@@ -42,13 +42,17 @@ def profile_text(repo: RepoRecord, lists: WordLists) -> str:
     if repo.about_text:
         parts.append(repo.about_text)
     if repo.readme_text:
-        preamble, sections = split_with_preamble(repo.readme_text, lists)
+        # the titled-line scan of ``extraction.extract``: a section runs from its title line to the next one's
+        lines, titles = _titled_lines(repo.readme_text)
+        starts = [start for start, _ in titles]
+        preamble = "\n".join(lines[: starts[0]]) if titles else repo.readme_text
         if preamble.strip():
             parts.append(preamble)
         wanted = {normalize_title(title, lists) for title in PROFILE_SECTION_TITLES}
-        for section in sections:
-            if section.normalized_title in wanted and section.content.strip():
-                parts.append(section.content)
+        for (start, raw_title), end in zip(titles, starts[1:] + [len(lines)]):
+            content = "\n".join(lines[start + 1 : end]).strip("\n")
+            if normalize_title(raw_title, lists) in wanted and content.strip():
+                parts.append(content)
     return "\n".join(parts)
 
 

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from issueforge import classifier
-from issueforge.augmentation import AugmentationSpec, Method, PrimaryDataset, is_primary, run_experiment
+from issueforge.augmentation import (
+    AugmentationSpec,
+    Method,
+    PrimaryDataset,
+    augment,
+    cross_validate_datasets,
+    is_primary,
+    run_experiment,
+)
 from issueforge.classifier import (
     EPOCHS,
     L2,
@@ -683,6 +691,43 @@ def test_experiment_counts_each_dataset_once_for_both_targets(monkeypatch):
     for rows, target, kwargs, report in reports:
         assert isinstance(rows, CountedRows)
         assert report.folds == cross_validate(list(rows), target, **kwargs).folds
+
+
+def test_experiment_specs_that_select_the_same_rows_share_one_cross_validation(monkeypatch):
+    # 5 pool documents for 37 primary rows: r = 0.5 and r = 1 both take the whole pool, shuffled by one seed,
+    # and r = 0.1 samples 4 of them
+    primary = primary_dataset()
+    pool = [doc(f"x{i}", ("crash", "error", f"issue{i}"), True, source=Source.ISSUE_BODY) for i in range(5)]
+    specs = [AugmentationSpec(method=Method.BETWEEN_APP, ratio=ratio, seed=4) for ratio in (0.1, 0.5, 1.0)]
+    original, targets = classifier.cross_validate, []
+
+    def recording(rows, target, **kwargs):
+        targets.append(target)
+        return original(rows, target, **kwargs)
+
+    monkeypatch.setattr(classifier, "cross_validate", recording)
+    report = run_experiment(primary, specs, pool, k=5, seed=4)
+    assert targets == [BUG, IntentClass.FEATURE_REQUEST] * 3  # baseline, r = 0.1 and one for r = 0.5 and 1; not 8
+    by_model = {(row["target"], row["model"]): row for row in report["rows"]}
+    for target in ("bug", "feature"):
+        half, whole = by_model[(target, "between-app@r=0.5")], by_model[(target, "between-app@r=1")]
+        assert {**half, "model": None} == {**whole, "model": None}
+        assert half != by_model[(target, "baseline")]
+
+
+def test_cross_validate_datasets_equals_each_dataset_alone():
+    primary = primary_dataset()
+    pool = [doc(f"x{i}", ("crash", "error", f"issue{i % 3}"), True, source=Source.ISSUE_BODY) for i in range(20)]
+    augmented = [augment(primary, pool, AugmentationSpec(Method.BETWEEN_APP, ratio, seed=4)).rows
+                 for ratio in (0.2, 0.6)]
+    # one dataset, as the pipeline passes it, and several that share rows, as experiment and sweep pass them
+    for datasets in ([augmented[1]], [primary.rows, *augmented]):
+        reports = cross_validate_datasets(datasets, k=5, seed=4)
+        assert len(reports) == len(datasets)
+        for rows, by_target in zip(datasets, reports):
+            assert list(by_target) == list(classifier.TARGETS)
+            for target, report in by_target.items():
+                assert report.folds == cross_validate(list(rows), target, k=5, seed=4).folds
 
 
 def test_experiment_needs_feature_rows_too():

@@ -20,7 +20,6 @@ from issueforge.cli import (
     EXIT_OK,
     EXIT_STAGE_FAILURE,
     EXIT_VALIDATION,
-    MissingArtifact,
     PipelineConfig,
     ValidationError,
     build_parser,
@@ -28,6 +27,7 @@ from issueforge.cli import (
     print_report,
     run_pipeline,
 )
+from issueforge.ingestion import MissingFile
 from issueforge.labels import IntentClass
 from issueforge.textprep import default_data_dir
 
@@ -254,6 +254,15 @@ def test_bad_primary_fails_the_pipeline_before_any_stage(tmp_path, capsys, csv_t
     assert not out.exists()
 
 
+def test_pipeline_report_equals_cross_validating_its_augmented_rows_alone(pipeline_dir):
+    config = json.loads((DEMO / "demo_config.json").read_text())
+    report = json.loads((pipeline_dir / "report.json").read_text())
+    rows = augmentation.load_docs(pipeline_dir / "augmented.jsonl")
+    for target in classifier.TARGETS:
+        alone = classifier.cross_validate(rows, target, k=config["folds"], seed=config["seed"])
+        assert report[target.value]["folds"] == [fold.as_dict() for fold in alone.folds]
+
+
 def test_report_funnel_monotone(pipeline_dir, capsys):
     summary = print_report(pipeline_dir)
     counts = [count for _, count in summary["funnel"]]
@@ -263,7 +272,7 @@ def test_report_funnel_monotone(pipeline_dir, capsys):
 
 
 def test_report_missing_artifact(tmp_path):
-    with pytest.raises(MissingArtifact):
+    with pytest.raises(MissingFile):
         print_report(tmp_path)
     assert main(["report", str(tmp_path)]) == EXIT_STAGE_FAILURE
 
@@ -769,11 +778,11 @@ def test_sweep_ratios_sharing_a_file_name_are_a_validation_error(tmp_path, capsy
 # artifact staged, so that a test can SIGKILL it mid-run.
 HANGING_PIPELINE = """
 import sys, time
-from issueforge import classifier, cli
+from issueforge import augmentation, cli
 def hang(*args, **kwargs):
     print("staged", flush=True)
     time.sleep(600)
-classifier.cross_validate_targets = hang
+augmentation.cross_validate_datasets = hang
 cli.run_pipeline(cli.PipelineConfig.from_file(sys.argv[1]), sys.argv[2])
 """
 
@@ -1067,7 +1076,7 @@ def test_every_package_exception_derives_from_issueforge_error():
         module = importlib.import_module(f"issueforge.{info.name}")
         found += [obj for obj in vars(module).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
-    assert len(found) >= 17
+    assert len(found) >= 16
     assert [cls.__name__ for cls in found if not issubclass(cls, IssueforgeError)] == []
 
 
@@ -1133,6 +1142,13 @@ CHANGED_EXIT_CODES = {
     # a lemma with a space and upper case was once emitted as one token, and the run exited 0
     "experiment-lemma-outside-the-token-alphabet": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, word_lists_dir=_word_lists_with_lemma_line(t, "freezes\tHang Up"))),
+    # an empty lexicon once wrote an empty labels.jsonl and exited 0
+    "labels-empty-lexicon": (EXIT_VALIDATION, lambda t, i: [
+        "labels", "--in", str(DEMO), "--lexicon", str(_write(t / "lex.tsv", "# no entry\n")),
+        "--out", str(t / "out.jsonl")]),
+    # an empty pattern file once matched no section title, and the pipeline exited 0
+    "pipeline-empty-patterns": (EXIT_VALIDATION, lambda t, i: [
+        "pipeline", "--config", _pipeline_config(t, patterns=str(_write(t / "p.tsv", ""))), "--out", str(t / "run")]),
     "experiment-include-same-app-a-string": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, specs=[{"method": "between-app", "include_same_app": "no"}])),
     "experiment-ratio-a-bool": (EXIT_VALIDATION, lambda t, i: _experiment(

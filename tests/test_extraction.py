@@ -1,12 +1,13 @@
 import shutil
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from issueforge import extraction
+from issueforge.errors import ValidationError
 from issueforge.extraction import (
-    BodySection,
     ExtractedSection,
     ExtractionMode,
     GoldIssue,
@@ -15,10 +16,10 @@ from issueforge.extraction import (
     load_gold_fixture,
     load_patterns,
     normalize_title,
-    split_with_preamble,
     verify_patterns,
 )
-from issueforge.ingestion import RawIssue
+from issueforge.ingestion import RawIssue, RepoRecord
+from issueforge.similarity import PROFILE_SECTION_TITLES, profile_text
 from issueforge.textprep import default_data_dir, load_wordlists, strip_noise
 
 from title_examples import DESIGNATED_TITLES, NEGATIVE_TITLES
@@ -35,10 +36,22 @@ def make_issue(body: str, issue_id: str = "i1", title: str = "some issue") -> Ra
     )
 
 
+def make_repo(readme: str) -> RepoRecord:
+    return RepoRecord(repo_id="r1", full_name="o/r1", contributors=2, stars=0, readme_text=readme)
+
+
 # --- oracle: the per-line splitter and the section matcher, without pre-check or memos ---
 
-def _oracle_split(body, lists):
-    """(preamble, sections): every line parsed, every title normalized afresh."""
+@dataclass(frozen=True)
+class Section:
+    raw_title: str
+    normalized_title: str
+    content: str
+    order: int
+
+
+def _oracle_titled_lines(body):
+    """(lines, (line index, raw title) of each titled line): every line parsed."""
     lines = body.splitlines()
     in_fence = False
     titles = []
@@ -51,6 +64,12 @@ def _oracle_split(body, lists):
         title = extraction._title_of_line(line)
         if title is not None:
             titles.append((idx, title))
+    return lines, titles
+
+
+def _oracle_split(body, lists):
+    """(preamble, sections): every line parsed, every title normalized afresh."""
+    lines, titles = _oracle_titled_lines(body)
     if not titles:
         return body, []
     preamble = "\n".join(lines[: titles[0][0]])
@@ -58,8 +77,17 @@ def _oracle_split(body, lists):
     for order, (start, raw_title) in enumerate(titles):
         end = titles[order + 1][0] if order + 1 < len(titles) else len(lines)
         content = "\n".join(lines[start + 1 : end]).strip("\n")
-        sections.append(BodySection(raw_title, normalize_title(raw_title, lists), content, order))
+        sections.append(Section(raw_title, normalize_title(raw_title, lists), content, order))
     return preamble, sections
+
+
+def _oracle_profile_text(readme, lists):
+    """A ReadMe's profile text from the oracle's sections: the preamble and every description-like section."""
+    preamble, sections = _oracle_split(readme, lists)
+    wanted = {normalize_title(title, lists) for title in PROFILE_SECTION_TITLES}
+    parts = [preamble] if preamble.strip() else []
+    parts += [s.content for s in sections if s.normalized_title in wanted and s.content.strip()]
+    return "\n".join(parts)
 
 
 def split_sections(body, lists):
@@ -143,9 +171,11 @@ def test_orders_are_sequential(lists):
 
 
 def test_preamble_separated(lists):
-    preamble, sections = split_with_preamble("intro text\n# Title\nbody", lists)
-    assert preamble == "intro text"
-    assert len(sections) == 1
+    body = "intro text\n# Title\nbody"
+    assert extraction._titled_lines(body) == (["intro text", "# Title", "body"], [(1, "Title")])
+    # the profile keeps the preamble, and a section only when its title is description-like
+    assert profile_text(make_repo(body), lists) == "intro text"
+    assert profile_text(make_repo("intro text\n# Features\nbody"), lists) == "intro text\nbody"
 
 
 # --- pattern matching -------------------------------------------------------------------
@@ -334,6 +364,14 @@ def test_pattern_file_rejects_bad_lines(tmp_path):
         load_patterns(bad)
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# no pattern\n\n# X1\tcrash\tB\n"], ids=["empty", "blank", "comments"])
+def test_pattern_file_without_a_pattern_is_rejected(tmp_path, text):
+    empty = tmp_path / "patterns.tsv"
+    empty.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"patterns\.tsv: no pattern line"):
+        load_patterns(empty)
+
+
 BODY_STRATEGY = st.text(
     alphabet=st.sampled_from(list("ab #*`_:\n-[]x.")), max_size=120
 )
@@ -364,6 +402,7 @@ BODY_LINES = [
     "a very long sentence that goes on and on and on until it ends with:",
     "- list item ending:", "* Actual behaviour:", "1. Summary:", "> quoted:", "- [ ] box:",
     "App hangs on launch.", "core text", "", "   ", "\u00a0# nbsp heading", "\u00a0Summary:\u00a0",
+    "## Features", "Overview:",
 ]
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
 MIXED_BODIES = st.lists(st.tuples(st.sampled_from(BODY_LINES), st.sampled_from(LINE_BREAKS)), max_size=14).map(
@@ -378,7 +417,8 @@ MIXED_BODIES = st.lists(st.tuples(st.sampled_from(BODY_LINES), st.sampled_from(L
 def test_extract_and_split_equal_the_per_line_oracle(body):
     issue = make_issue(body)
     assert extract(issue, _PATTERNS, _LISTS) == _oracle_extract(issue, _PATTERNS, _LISTS)
-    assert split_with_preamble(body, _LISTS) == _oracle_split(body, _LISTS)
+    assert extraction._titled_lines(body) == _oracle_titled_lines(body)
+    assert profile_text(make_repo(body), _LISTS) == _oracle_profile_text(body, _LISTS)
 
 
 def test_pattern_memo_is_per_pattern_set(tmp_path, lists):
@@ -405,11 +445,19 @@ def test_title_memo_is_per_stopword_set(tmp_path, lists):
     (tmp_path / "stopwords.txt").write_text("the\n", encoding="utf-8")
     few_stopwords = load_wordlists(tmp_path)
     body = "### Steps to reproduce the bug\nsteps\n### What is the actual result\nresult"
+    _, titles = extraction._titled_lines(body)
     for _ in range(2):
         for word_lists in (few_stopwords, lists):
-            assert split_with_preamble(body, word_lists) == _oracle_split(body, word_lists)
-    assert split_with_preamble(body, few_stopwords)[1][0].normalized_title == "step to reproduc bug"
-    assert split_with_preamble(body, lists)[1][0].normalized_title == "step reproduc bug"
+            normalized = [normalize_title(raw_title, word_lists) for _, raw_title in titles]
+            assert normalized == [section.normalized_title for section in _oracle_split(body, word_lists)[1]]
+    assert normalize_title(titles[0][1], few_stopwords) == "step to reproduc bug"
+    assert normalize_title(titles[0][1], lists) == "step reproduc bug"
+    # a profile section is wanted under the stopword set it is read with: "An overview" normalizes to
+    # "overview" where "an" is a stopword, and is no description-like title where it is not
+    readme = make_repo("intro\n## An overview\noverview text")
+    for _ in range(2):
+        assert profile_text(readme, lists) == "intro\noverview text"
+        assert profile_text(readme, few_stopwords) == "intro"
     # one pattern set memoizes a raw title once per stopword set: "Your issue" normalizes to
     # "issu" (P19) where "your" is a stopword, and to "your issu" (no pattern) where it is not
     issue, patterns = make_issue("### Your issue\nissue text\n### What is the actual result\nresult text"), load_patterns()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from issueforge.errors import ValidationError
 from issueforge.ingestion import Corpus, RawIssue, RepoRecord, load_corpus
 from issueforge.labels import (
     IntentClass,
@@ -148,6 +149,14 @@ def test_lexicon_key_must_be_normalized(lists):
     bad = load_lexicon_from_entries({"Enhancement": IntentClass.FEATURE_REQUEST})
     with pytest.raises(LexiconKeyNotNormalized):
         validate_lexicon(bad, lists)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# crash\tbug\n"], ids=["empty", "blank", "comments"])
+def test_lexicon_without_an_entry_is_rejected(tmp_path, lists, text):
+    empty = tmp_path / "lexicon.tsv"
+    empty.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"lexicon\.tsv: no lexicon entry"):
+        load_lexicon(empty, lists)
 
 
 def test_bundled_lexicon_is_valid(lists):
