@@ -102,7 +102,7 @@ class AugmentedDataset:
 
 
 def load_label_map(path: Path | str) -> dict[str, IntentClass | None]:
-    """Read "source_label<TAB>bug|feature|other|drop" mapping lines."""
+    """Read "source_label<TAB>bug|feature|other|drop" mapping lines; a file without one is invalid."""
     mapping: dict[str, IntentClass | None] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.rstrip("\n")
@@ -117,6 +117,8 @@ def load_label_map(path: Path | str) -> dict[str, IntentClass | None]:
                 mapping[source_label] = IntentClass(target)
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: unknown target class {target!r}")
+    if not mapping:
+        raise ValidationError(f"{path}: no mapping line")
     return mapping
 
 

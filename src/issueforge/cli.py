@@ -229,8 +229,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     out = Path(out_dir)
     lists = textprep.load_wordlists(config.word_lists_dir)
     patterns = extraction.load_patterns(config.patterns)
-    lexicon_path = config.lexicon or str(Path(textprep.default_data_dir()) / "lexicon.tsv")
-    lexicon = labels_mod.load_lexicon(lexicon_path, lists)
+    lexicon = labels_mod.load_lexicon(config.lexicon, lists)
     label_map = augmentation.load_label_map(config.label_map)
     primary = augmentation.load_primary(config.primary_csv, label_map, lists)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,7 +238,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     with tempfile.TemporaryDirectory(dir=out, prefix=f".staging-{os.getpid()}-") as staging_dir:
         staging = Path(staging_dir)
 
-        # stage 1: repository filtering
+        # stage 1: repository filtering (filter_repos logs what it kept)
         corpus = ingestion.load_corpus(config.corpus_dir)
         issues_total = len(corpus.issues)
         corpus = ingestion.filter_repos(
@@ -249,38 +248,17 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         )
         repos, issues_filtered = corpus.repos, len(corpus.issues)
         ingestion.write_repos(repos, staging / "repos.jsonl")
-        logger.info("pipeline: filter kept %d repos / %d issues", len(repos), issues_filtered)
 
-        # stage 2: label normalization and intent assignment
-        intents = labels_mod.assign_intents(corpus, lexicon, lists, config.min_label_frequency)
-        label_rows = labels_mod.label_rows(corpus.issues, intents)
-        ingestion.write_jsonl(label_rows, staging / "labels.jsonl", ensure_ascii=True)
-        logger.info("pipeline: labels assigned intents to %d/%d issues", len(intents), issues_filtered)
-
-        # stage 3: target-section extraction (intent-labeled issues only), as `extract --labels` does it
-        labeled = {row["issue_id"]: row["intents"] for row in label_rows}
-        del label_rows
-        extracted_rows, modes, per_pattern = extraction.extract_rows(corpus.issues, patterns, lists, labeled)
-        del corpus, labeled
-        ingestion.write_jsonl(extracted_rows, staging / "extracted.jsonl")
-        funnel_report = {
-            "funnel": {
-                "issues_total": issues_total,
-                "issues_filtered_corpus": issues_filtered,
-                "issues_intent_labeled": len(intents),
-                "issues_extracted": len(extracted_rows),
-            },
-            "modes": modes,
-            "per_pattern": per_pattern,
-        }
-        _dump_json(funnel_report, staging / "extraction_report.json")
-        logger.info("pipeline: extracted target text from %d issues", len(extracted_rows))
-
-        # stage 4: preprocessing into the document pool
-        docs = augmentation.docs_from_extracted(extracted_rows, lists)
+        # stages 2-4: the functions of the labels, extract and preprocess subcommands
+        intents = _labels_stage(corpus, lexicon, lists, config.min_label_frequency, staging / "labels.jsonl")
+        extracted_rows, counts = _extract_stage(corpus.issues, patterns, lists, intents, staging / "extracted.jsonl")
+        del corpus, intents
+        # extraction_report.json is the extract stage's counts, its issue counts moved into the funnel
+        funnel = {"issues_total": issues_total, "issues_filtered_corpus": issues_filtered,
+                  "issues_intent_labeled": counts.pop("considered"), "issues_extracted": counts.pop("extracted")}
+        _dump_json({"funnel": funnel, **counts}, staging / "extraction_report.json")
+        docs = _preprocess_stage(extracted_rows, lists, staging / "docs.jsonl")
         del extracted_rows
-        augmentation.write_docs(docs, staging / "docs.jsonl")
-        logger.info("pipeline: admitted %d documents", len(docs))
 
         # stage 5: augmentation
         spec = config.spec()
@@ -380,34 +358,56 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
+def _intents_of(label_rows: list[dict]) -> dict[str, list]:
+    """issue_id -> intents: what ``extract`` reads from the label rows."""
+    return {row["issue_id"]: row["intents"] for row in label_rows}
+
+
+def _labels_stage(corpus: ingestion.Corpus, lexicon, lists, min_freq: int, out) -> dict[str, list]:
+    """Write a row per intent-labeled issue, in issue order and ASCII-escaped, to ``out``; return their intents map."""
+    intents = labels_mod.assign_intents(corpus, lexicon, lists, min_freq)
+    rows = [{"issue_id": issue.issue_id, "repo_id": issue.repo_id, "intents": sorted(intents[issue.issue_id])}
+            for issue in corpus.issues if issue.issue_id in intents]  # members sort, and are written, as their values
+    ingestion.write_jsonl(rows, out, ensure_ascii=True)
+    logger.info("labels: assigned intents to %d/%d issues", len(rows), len(corpus.issues))
+    return _intents_of(rows)
+
+
+def _extract_stage(issues: list, patterns, lists, intents: dict | None, out) -> tuple[list[dict], dict]:
+    """Write the extracted rows to ``out``; return them and their counts (``extraction.extract_rows``)."""
+    rows, counts = extraction.extract_rows(issues, patterns, lists, intents)
+    ingestion.write_jsonl(rows, out)
+    logger.info("extract: extracted %d/%d issues", counts["extracted"], counts["considered"])
+    return rows, counts
+
+
+def _preprocess_stage(extracted_rows: list[dict], lists, out) -> list[textprep.ProcessedDocument]:
+    """Write the admitted title and body documents to ``out`` and return them."""
+    docs = augmentation.docs_from_extracted(extracted_rows, lists)
+    augmentation.write_docs(docs, out)
+    logger.info("preprocess: admitted %d documents from %d extracted issues", len(docs), len(extracted_rows))
+    return docs
+
+
 def _cmd_labels(args) -> int:
     check_int("--min-freq", args.min_freq, 0)
     lists = textprep.load_wordlists(args.lists)
-    corpus = ingestion.load_corpus(getattr(args, "in"))
     lexicon = labels_mod.load_lexicon(args.lexicon, lists)
-    rows = labels_mod.label_rows(corpus.issues, labels_mod.assign_intents(corpus, lexicon, lists, args.min_freq))
-    ingestion.write_jsonl(rows, args.out, ensure_ascii=True)
-    print(f"assigned intents to {len(rows)}/{len(corpus.issues)} issues")
+    corpus = ingestion.load_corpus(getattr(args, "in"))
+    intents = _labels_stage(corpus, lexicon, lists, args.min_freq, args.out)
+    print(f"assigned intents to {len(intents)}/{len(corpus.issues)} issues")
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
     lists = textprep.load_wordlists(args.lists)
-    corpus = ingestion.load_corpus(getattr(args, "in"))
     patterns = extraction.load_patterns(args.patterns)
-    intents = None
-    if args.labels:
-        label_rows = _read_stage_rows(args.labels, {"issue_id": str, "intents": list})
-        intents = {row["issue_id"]: row["intents"] for row in label_rows}
-    rows, modes, per_pattern = extraction.extract_rows(corpus.issues, patterns, lists, intents)
-    ingestion.write_jsonl(rows, args.out)
-    n_considered = len(corpus.issues) if intents is None else sum(i.issue_id in intents for i in corpus.issues)
+    intents = _intents_of(_read_stage_rows(args.labels, {"issue_id": str, "intents": list})) if args.labels else None
+    corpus = ingestion.load_corpus(getattr(args, "in"))
+    _, counts = _extract_stage(corpus.issues, patterns, lists, intents, args.out)
     if args.report:
-        _dump_json(
-            {"considered": n_considered, "extracted": len(rows), "modes": modes, "per_pattern": per_pattern},
-            Path(args.report),
-        )
-    print(f"extracted {len(rows)}/{n_considered} issues")
+        _dump_json(counts, Path(args.report))
+    print(f"extracted {counts['extracted']}/{counts['considered']} issues")
     return EXIT_OK
 
 
@@ -416,8 +416,7 @@ def _cmd_preprocess(args) -> int:
     extracted_rows = _read_stage_rows(
         getattr(args, "in"), {"issue_id": str, "repo_id": str, "title": str, "text": str, "intents": list}
     )
-    docs = augmentation.docs_from_extracted(extracted_rows, lists)
-    augmentation.write_docs(docs, args.out)
+    docs = _preprocess_stage(extracted_rows, lists, args.out)
     print(f"admitted {len(docs)} documents from {len(extracted_rows)} extracted issues")
     return EXIT_OK
 
@@ -589,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("labels", help="normalize labels and assign intent classes")
     p.add_argument("--in", required=True)
-    p.add_argument("--lexicon", required=True)
+    p.add_argument("--lexicon", default=None, help="surface<TAB>class file (default: the bundled lexicon)")
     p.add_argument("--min-freq", type=int, default=11)
     p.add_argument("--out", required=True)
     p.add_argument("--lists", default=None)

@@ -229,8 +229,8 @@ def extract_rows(
     patterns: PatternSet,
     lists: WordLists,
     intents: Mapping[str, list[str]] | None = None,
-) -> tuple[list[dict], dict[str, int], dict[str, int]]:
-    """Extracted-issue rows plus per-mode and per-pattern counts.
+) -> tuple[list[dict], dict]:
+    """Extracted-issue rows plus the counts of ``considered`` and ``extracted`` issues, ``modes`` and ``per_pattern``.
 
     With ``intents`` only the issues it names are considered and each row carries
     their intent values; without it every issue is considered, with no intents.
@@ -238,9 +238,11 @@ def extract_rows(
     rows: list[dict] = []
     modes: dict[str, int] = {}
     per_pattern: dict[str, int] = {}
+    considered = 0
     for issue in issues:
         if intents is not None and issue.issue_id not in intents:
             continue
+        considered += 1
         result = extract(issue, patterns, lists)
         if result is None:
             continue
@@ -258,7 +260,7 @@ def extract_rows(
                 "intents": intents[issue.issue_id] if intents is not None else [],
             }
         )
-    return rows, modes, per_pattern
+    return rows, {"considered": considered, "extracted": len(rows), "modes": modes, "per_pattern": per_pattern}
 
 
 # --- fixture verification -------------------------------------------------------

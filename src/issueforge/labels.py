@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .errors import ValidationError
-from .ingestion import Corpus, RawIssue
+from .ingestion import Corpus
 from .stemmer import stem
-from .textprep import WordLists
+from .textprep import WordLists, default_data_dir
 
 
 class IntentClass(str, Enum):
@@ -88,8 +87,10 @@ def _surfaces(corpus: Corpus, lists: WordLists) -> dict[str, str]:
     return surfaces
 
 
-def load_lexicon(path: Path | str, lists: WordLists) -> IntentLexicon:
-    """Read a "surface<TAB>class" lexicon file, which needs one entry at least, and validate every key's form."""
+def load_lexicon(path: Path | str | None, lists: WordLists) -> IntentLexicon:
+    """Read a "surface<TAB>class" lexicon file, the bundled one by default, which needs one entry at least,
+    and validate every key's form."""
+    path = default_data_dir() / "lexicon.tsv" if path is None else path
     entries: dict[str, IntentClass] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
@@ -146,11 +147,3 @@ def assign_intents(
         if intents:
             assigned[issue.issue_id] = frozenset(intents)
     return assigned
-
-
-def label_rows(issues: Iterable[RawIssue], intents: dict[str, frozenset[IntentClass]]) -> list[dict]:
-    """One {issue_id, repo_id, sorted intents} row per intent-labeled issue, in issue order.
-
-    The intents are ``IntentClass`` members, which sort, compare and are written as their values."""
-    return [{"issue_id": issue.issue_id, "repo_id": issue.repo_id, "intents": sorted(intents[issue.issue_id])}
-            for issue in issues if issue.issue_id in intents]

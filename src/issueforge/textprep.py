@@ -98,6 +98,8 @@ def load_wordlists(directory: Path | str | None = None) -> WordLists:
     for word in _read_lines(base / "stopwords.txt"):
         stop.add(word)
         stop.add(word.replace("'", ""))
+    if not stop:  # with none, normalize_title would keep every word of a section title
+        raise ValidationError(f"{base / 'stopwords.txt'}: no stopword")
     lemmas = _load_lemmas(base / "lemmas.txt")
     return WordLists(
         negative_modifiers=frozenset(modifiers),

@@ -56,6 +56,14 @@ def test_bundled_label_maps_parse():
     assert pd5["SECURITY"] is None and pd5["PERFORMANCE"] is None
 
 
+@pytest.mark.parametrize("text", ["", "# source<TAB>target\n\n"], ids=["empty", "comment-only"])
+def test_label_map_without_a_mapping_line_is_rejected(tmp_path, text):
+    empty = tmp_path / "map.tsv"
+    empty.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"map\.tsv: no mapping line"):
+        load_label_map(empty)
+
+
 def test_load_primary_maps_and_drops(tmp_path, lists):
     csv_file = tmp_path / "reviews.csv"
     csv_file.write_text(

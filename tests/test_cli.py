@@ -118,10 +118,11 @@ def test_demo_augmented_rows_keep_their_order_and_origin(pipeline_dir):
     assert digest == "58a3d9b19b4877f5cdf55c97d14933de46e30d77d21388242fe4abf2a1511c82"
 
 
-def test_pipeline_is_deterministic(pipeline_dir, tmp_path):
+def test_pipeline_is_deterministic(pipeline_dir, tmp_path, capsys):
     second = tmp_path / "again"
     code = main(["pipeline", "--config", str(DEMO / "demo_config.json"), "--out", str(second)])
     assert code == EXIT_OK
+    assert capsys.readouterr().out == f"pipeline complete: {second}\n"  # its stages log, and only it prints
     assert (pipeline_dir / "manifest.json").read_bytes() == (second / "manifest.json").read_bytes()
 
 
@@ -250,7 +251,7 @@ def test_bad_primary_fails_the_pipeline_before_any_stage(tmp_path, capsys, csv_t
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(config_file), "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "primary.csv" in err and "StageFailure" not in err and "filter kept" not in err
+    assert "primary.csv" in err and "StageFailure" not in err and "filter_repos: kept" not in err
     assert not out.exists()
 
 
@@ -702,10 +703,12 @@ def test_within_context_pipeline(tmp_path):
 
 def test_extract_without_labels_covers_all_issues(tmp_path):
     out = tmp_path / "extracted.jsonl"
-    code = main(["extract", "--in", str(DEMO), "--out", str(out)])
+    code = main(["extract", "--in", str(DEMO), "--out", str(out), "--report", str(tmp_path / "report.json")])
     assert code == EXIT_OK
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert rows and all(row["intents"] == [] for row in rows)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["considered"], report["extracted"]) == (40, len(rows))
 
 
 def test_demo_funnel_counts_by_hand(pipeline_dir):
@@ -931,24 +934,40 @@ def test_augment_and_sweep_help_list_their_flags(capsys):
     assert flags["sweep"] == shared | {"--ratios", "--train", "--k", "--out-dir"}
 
 
-def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path):
+def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path, capsys):
     config = json.loads((DEMO / "demo_config.json").read_text())
     filtered = tmp_path / "filtered"
     commands = [
         ["filter", "--in", str(DEMO), "--out", str(filtered),
          "--min-issues", str(config["min_labeled_issues"]), "--min-contributors", str(config["min_contributors"])],
-        ["labels", "--in", str(filtered), "--lexicon", str(default_data_dir() / "lexicon.tsv"),
-         "--min-freq", str(config["min_label_frequency"]), "--out", str(tmp_path / "labels.jsonl")],
+        # no --lexicon: labels reads the bundled lexicon, as a config without a lexicon key does
+        ["labels", "--in", str(filtered), "--min-freq", str(config["min_label_frequency"]),
+         "--out", str(tmp_path / "labels.jsonl")],
         ["extract", "--in", str(filtered), "--labels", str(tmp_path / "labels.jsonl"),
-         "--out", str(tmp_path / "extracted.jsonl")],
+         "--out", str(tmp_path / "extracted.jsonl"), "--report", str(tmp_path / "extraction_report.json")],
         ["preprocess", "--in", str(tmp_path / "extracted.jsonl"), "--out", str(tmp_path / "docs.jsonl")],
     ]
     for argv in commands:
         assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "kept 4/5 repos, 38 issues",
+        "assigned intents to 34/38 issues",
+        "extracted 31/34 issues",
+        "admitted 54 documents from 31 extracted issues",
+    ]
+    assert (filtered / "repos.jsonl").read_bytes() == (pipeline_dir / "repos.jsonl").read_bytes()
     assert (tmp_path / "docs.jsonl").read_bytes() == (pipeline_dir / "docs.jsonl").read_bytes()
     for name in ("labels.jsonl", "extracted.jsonl"):
         staged_lines = (tmp_path / name).read_bytes().splitlines()
         assert sorted(staged_lines) == sorted((pipeline_dir / name).read_bytes().splitlines())
+    report = json.loads((tmp_path / "extraction_report.json").read_text())
+    pipeline_report = json.loads((pipeline_dir / "extraction_report.json").read_text())
+    assert report == {
+        "considered": pipeline_report["funnel"]["issues_intent_labeled"],
+        "extracted": pipeline_report["funnel"]["issues_extracted"],
+        "modes": pipeline_report["modes"],
+        "per_pattern": pipeline_report["per_pattern"],
+    }
 
 
 def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypatch):
@@ -1060,6 +1079,23 @@ def test_bad_input_file_is_a_validation_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["augment", "pipeline"])
+def test_label_map_without_a_mapping_line_is_a_validation_error(tmp_path, capsys, command):
+    # an empty map was once reported as the first review's label missing from it
+    label_map = _write(tmp_path / "map.tsv", "# no mapping\n\n")
+    out = tmp_path / "out"
+    if command == "augment":
+        argv, written = _augment(tmp_path, labelmap=label_map), tmp_path / "out.jsonl"
+    else:
+        config = json.loads((DEMO / "demo_config.json").read_text())
+        config.update(corpus_dir=str(DEMO), primary_csv=str(DEMO / "primary_demo.csv"), label_map=str(label_map))
+        argv, written = ["pipeline", "--config", str(_write(tmp_path / "config.json", json.dumps(config))),
+                         "--out", str(out)], out
+    assert main(argv) == EXIT_VALIDATION
+    assert f"{label_map}: no mapping line" in capsys.readouterr().err
+    assert not written.exists()
+
+
 def test_missing_labelmap_file_is_a_stage_failure(tmp_path):
     assert main(_augment(tmp_path, labelmap=tmp_path / "missing.tsv")) == EXIT_STAGE_FAILURE
 
@@ -1117,6 +1153,15 @@ def _write_bytes(path: Path, data: bytes) -> Path:
     return path
 
 
+def _word_lists_without_stopwords(t):
+    directory = t / "word_lists"
+    directory.mkdir()
+    for name in ("negative_modifiers.txt", "special_phrases.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, directory / name)
+    _write(directory / "stopwords.txt", "")
+    return str(directory)
+
+
 def _word_lists_with_lemma_line(t, line):
     directory = t / "word_lists"
     directory.mkdir()
@@ -1145,6 +1190,19 @@ CHANGED_EXIT_CODES = {
     # an empty lexicon once wrote an empty labels.jsonl and exited 0
     "labels-empty-lexicon": (EXIT_VALIDATION, lambda t, i: [
         "labels", "--in", str(DEMO), "--lexicon", str(_write(t / "lex.tsv", "# no entry\n")),
+        "--out", str(t / "out.jsonl")]),
+    # an empty stopword list once kept every word of a section title, and extract exited 0 with fewer matches
+    "extract-empty-stopwords": (EXIT_VALIDATION, lambda t, i: [
+        "extract", "--in", str(DEMO), "--lists", _word_lists_without_stopwords(t), "--out", str(t / "out.jsonl")]),
+    # the corpus was once read before the table: its missing issues.jsonl exited 3
+    "extract-empty-patterns-before-corpus": (EXIT_VALIDATION, lambda t, i: [
+        "extract", "--in", str(t), "--patterns", str(_write(t / "p.tsv", "# no pattern\n")),
+        "--out", str(t / "out.jsonl")]),
+    "extract-malformed-labels-before-corpus": (EXIT_VALIDATION, lambda t, i: [
+        "extract", "--in", str(t), "--labels", str(_write(t / "labels.jsonl", "{bad\n")),
+        "--out", str(t / "out.jsonl")]),
+    "labels-empty-lexicon-before-corpus": (EXIT_VALIDATION, lambda t, i: [
+        "labels", "--in", str(t), "--lexicon", str(_write(t / "lex.tsv", "# no entry\n")),
         "--out", str(t / "out.jsonl")]),
     # an empty pattern file once matched no section title, and the pipeline exited 0
     "pipeline-empty-patterns": (EXIT_VALIDATION, lambda t, i: [

@@ -159,6 +159,12 @@ def test_lexicon_without_an_entry_is_rejected(tmp_path, lists, text):
         load_lexicon(empty, lists)
 
 
+def test_lexicon_defaults_to_the_bundled_file(lists):
+    from issueforge.textprep import default_data_dir
+
+    assert load_lexicon(None, lists) == load_lexicon(default_data_dir() / "lexicon.tsv", lists)
+
+
 def test_bundled_lexicon_is_valid(lists):
     from issueforge.textprep import default_data_dir
 

@@ -47,6 +47,16 @@ def test_lemma_line_without_both_sides_is_rejected(tmp_path, bad_line):
         load_wordlists(tmp_path)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_stopword_list_without_a_word_is_rejected(tmp_path, text):
+    # with no stopword, normalize_title once kept every title word, and fewer titles matched a pattern
+    for name in ("negative_modifiers.txt", "special_phrases.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, tmp_path / name)
+    (tmp_path / "stopwords.txt").write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'stopwords.txt'}: no stopword")):
+        load_wordlists(tmp_path)
+
+
 @pytest.mark.parametrize("bad_line", ["Crashes\tfail", "freezes\tHang Up", "crashes\tcrash2", "naïve\tnaive",
                                       "don't\tdo", "re-open\topen"])
 def test_lemma_line_outside_the_token_alphabet_is_rejected(tmp_path, bad_line):
