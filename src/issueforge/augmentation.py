@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import classifier
 from .errors import IssueforgeError, ValidationError, check_int
-from .ingestion import SchemaViolation, parse_jsonl, write_jsonl
+from .ingestion import SchemaViolation, parse_jsonl, table_lines, write_jsonl
 from .labels import INTENT_OF, INTENT_VALUES, IntentClass
 from .similarity import rank_similar
 from .textprep import ProcessedDocument, Source, WordLists, admit, is_primary, preprocess
@@ -104,10 +104,7 @@ class AugmentedDataset:
 def load_label_map(path: Path | str) -> dict[str, IntentClass | None]:
     """Read "source_label<TAB>bug|feature|other|drop" mapping lines; a file without one is invalid."""
     mapping: dict[str, IntentClass | None] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in table_lines(path):
         source_label, _, target = line.partition("\t")
         target = target.strip()
         if target == DROP:
@@ -136,29 +133,32 @@ def load_primary(
     rows: list[ProcessedDocument] = []
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "text" not in reader.fieldnames or "label" not in reader.fieldnames:
-            raise ValidationError(f"{path}: expected a CSV header with 'text' and 'label' columns")
-        for index, record in enumerate(reader):
-            label = record["label"]
-            if record["text"] is None:
-                raise ValidationError(f"{path}: row {index + 1}: no text column")
-            if label not in label_map:
-                raise UnknownLabel(f"{path}: row {index + 1}: label {label!r} not in label map")
-            intent = label_map[label]
-            if intent is None:
-                continue
-            tokens = preprocess(record["text"], lists, filter_noise=False)
-            if not admit(tokens, Source.REVIEW):
-                continue
-            rows.append(
-                ProcessedDocument(
-                    doc_id=f"{path.stem}:row{index + 1:05d}",
-                    source=Source.REVIEW,
-                    tokens=tuple(tokens),
-                    intents=frozenset({intent}),
-                    app_id=(record.get("app_id") or None),
+        try:
+            if reader.fieldnames is None or "text" not in reader.fieldnames or "label" not in reader.fieldnames:
+                raise ValidationError(f"{path}: expected a CSV header with 'text' and 'label' columns")
+            for index, record in enumerate(reader):
+                label = record["label"]
+                if record["text"] is None:
+                    raise ValidationError(f"{path}: row {index + 1}: no text column")
+                if label not in label_map:
+                    raise UnknownLabel(f"{path}: row {index + 1}: label {label!r} not in label map")
+                intent = label_map[label]
+                if intent is None:
+                    continue
+                tokens = preprocess(record["text"], lists, filter_noise=False)
+                if not admit(tokens, Source.REVIEW):
+                    continue
+                rows.append(
+                    ProcessedDocument(
+                        doc_id=f"{path.stem}:row{index + 1:05d}",
+                        source=Source.REVIEW,
+                        tokens=tuple(tokens),
+                        intents=frozenset({intent}),
+                        app_id=(record.get("app_id") or None),
+                    )
                 )
-            )
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            raise ValidationError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no review row admitted")
     return PrimaryDataset(name=path.stem, rows=tuple(rows))

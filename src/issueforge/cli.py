@@ -331,14 +331,9 @@ def _cmd_harvest(args) -> int:
 
     check_int("--parallel", args.parallel, 1)
     check_int("--rate-limit", args.rate_limit, 1)
-    repo_names = [
-        line.strip()
-        for line in Path(args.repos).read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
     token = os.environ.get(args.token_env) if args.token_env else None
     github.fetch_remote(
-        repo_names,
+        [line.strip() for _, line in ingestion.table_lines(args.repos)],
         args.out,
         token=token,
         rate_limit=args.rate_limit,

@@ -16,18 +16,16 @@ title are skipped unparsed.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .errors import ValidationError
-from .ingestion import RawIssue
+from .ingestion import RawIssue, SchemaViolation, parse_jsonl, table_lines
 from .stemmer import stem
-from .textprep import DIGITS, MEMO_LIMIT, WordLists, strip_noise, tokenize
+from .textprep import DIGITS, MEMO_LIMIT, WordLists, default_data_dir, strip_noise, tokenize
 
 
 class MissingGold(ValidationError):
@@ -72,29 +70,21 @@ _PATTERN_FLAGS = frozenset("BFO")
 
 def load_patterns(path: Path | str | None = None) -> PatternSet:
     """Load "name<TAB>regex<TAB>flags" pattern lines (bundled set by default); a file without one is invalid."""
-    if path is None:
-        text = resources.files("issueforge").joinpath("data/patterns.tsv").read_text(encoding="utf-8")
-        origin = "<bundled>"
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-        origin = str(path)
+    path = default_data_dir() / "patterns.tsv" if path is None else path
     patterns = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in table_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ValidationError(f"{origin}:{lineno}: expected name<TAB>regex<TAB>flags")
+            raise ValidationError(f"{path}:{lineno}: expected name<TAB>regex<TAB>flags")
         name, regex, flags = parts
         if not set(flags.strip()) <= _PATTERN_FLAGS:
-            raise ValidationError(f"{origin}:{lineno}: flags must be drawn from B, F and O, got {flags.strip()!r}")
+            raise ValidationError(f"{path}:{lineno}: flags must be drawn from B, F and O, got {flags.strip()!r}")
         try:
             patterns.append(TitlePattern(name=name.strip(), regex=re.compile(regex)))
         except re.error as exc:
-            raise ValidationError(f"{origin}:{lineno}: invalid regex: {exc}") from exc
+            raise ValidationError(f"{path}:{lineno}: invalid regex: {exc}") from exc
     if not patterns:
-        raise ValidationError(f"{origin}: no pattern line")
+        raise ValidationError(f"{path}: no pattern line")
     return PatternSet(patterns=tuple(patterns))
 
 
@@ -297,17 +287,15 @@ class ExtractionReport:
 
 
 def load_gold_fixture(path: Path | str | None = None) -> list[GoldIssue]:
-    if path is None:
-        text = resources.files("issueforge").joinpath("data/extraction_gold.jsonl").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+    """Gold issues of a JSONL fixture (the bundled one by default); ``gold_text`` is a string, or null for
+    an issue that has no target text."""
+    path = Path(default_data_dir() / "extraction_gold.jsonl" if path is None else path)
     items: list[GoldIssue] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = json.loads(line)
+    for lineno, row in parse_jsonl(path, {"issue_id": str, "body": str}):
         if "gold_text" not in row:
-            raise MissingGold(f"line {lineno}: fixture row lacks gold_text")
+            raise MissingGold(f"{path.name}:{lineno}: fixture row lacks gold_text")
+        if row["gold_text"] is not None and not isinstance(row["gold_text"], str):
+            raise SchemaViolation(path.name, lineno, "gold_text", "expected str or null")
         items.append(
             GoldIssue(
                 issue=RawIssue(
@@ -322,7 +310,7 @@ def load_gold_fixture(path: Path | str | None = None) -> list[GoldIssue]:
             )
         )
     if not items:
-        raise MissingGold("fixture is empty")
+        raise MissingGold(f"{path}: fixture is empty")
     return items
 
 

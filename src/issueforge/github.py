@@ -201,7 +201,8 @@ def fetch_remote(
     sleeper: Callable[[float], None] = time.sleep,
     max_retries: int = 5,
 ) -> Path:
-    """Harvest ``repo_list`` into a corpus directory. Unknown repos are skipped."""
+    """Harvest ``repo_list`` into a corpus directory. Unknown repos are skipped, and so is a repo whose id
+    an earlier name has fetched (a repeated or renamed repo)."""
     client = Client(
         base_url=base_url,
         token=token,
@@ -218,6 +219,10 @@ def fetch_remote(
         if result is None:
             continue
         record, issues = result
+        if record.repo_id in corpus.repos:
+            logger.warning("repo %s repeats repo id %s of %s, skipped", record.full_name, record.repo_id,
+                           corpus.repos[record.repo_id].full_name)
+            continue
         corpus.repos[record.repo_id] = record
         corpus.issues.extend(issues)
     # write_corpus sorts by (repo_id, issue_id), keeping output deterministic

@@ -82,6 +82,23 @@ _ISSUE_FIELDS = {
 }
 
 
+def table_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its line ending) for each line of a UTF-8 table file that is
+    neither blank nor a comment, a line whose first non-space character is ``#``. A line ends at a
+    line feed; one that is not UTF-8 is a ValidationError naming it. Every hand-curated table is
+    read here, and its loader splits and checks each line.
+    """
+    with Path(path).open("rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield lineno, line.rstrip("\r\n")
+
+
 def parse_jsonl(
     path: Path, required: dict[str, type], allowed: dict[str, frozenset[str]] | None = None
 ) -> Iterator[tuple[int, dict]]:

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ValidationError
-from .ingestion import Corpus
+from .ingestion import Corpus, table_lines
 from .stemmer import stem
 from .textprep import WordLists, default_data_dir
 
@@ -92,11 +92,8 @@ def load_lexicon(path: Path | str | None, lists: WordLists) -> IntentLexicon:
     and validate every key's form."""
     path = default_data_dir() / "lexicon.tsv" if path is None else path
     entries: dict[str, IntentClass] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        surface, _, class_name = line.partition("\t")
+    for lineno, line in table_lines(path):
+        surface, _, class_name = line.strip().partition("\t")
         surface = surface.strip()
         try:
             intent = IntentClass(class_name.strip())

@@ -21,6 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ValidationError
+from .ingestion import table_lines
 from .stemmer import stem
 
 
@@ -79,10 +80,6 @@ class WordLists:
         ))
 
 
-def _read_lines(path: Path) -> list[str]:
-    return [line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-
-
 def default_data_dir() -> Path:
     return Path(str(resources.files("issueforge").joinpath("data")))
 
@@ -90,21 +87,20 @@ def default_data_dir() -> Path:
 def load_wordlists(directory: Path | str | None = None) -> WordLists:
     """Load the bundled word lists, or the same-named files from a directory."""
     base = Path(directory) if directory is not None else default_data_dir()
-    modifiers = _read_lines(base / "negative_modifiers.txt")
+    modifiers = frozenset(line.strip() for _, line in table_lines(base / "negative_modifiers.txt"))
     if len(modifiers) != 44:
-        raise ValidationError(f"{base / 'negative_modifiers.txt'}: must have 44 entries, found {len(modifiers)}")
-    phrases = tuple(_read_lines(base / "special_phrases.txt"))
-    stop = set()
-    for word in _read_lines(base / "stopwords.txt"):
-        stop.add(word)
-        stop.add(word.replace("'", ""))
+        raise ValidationError(f"{base / 'negative_modifiers.txt'}: must have 44 distinct entries, "
+                              f"found {len(modifiers)}")
+    phrases = tuple(line.strip() for _, line in table_lines(base / "special_phrases.txt"))
+    words = [line.strip() for _, line in table_lines(base / "stopwords.txt")]
+    stop = frozenset(words) | {word.replace("'", "") for word in words}
     if not stop:  # with none, normalize_title would keep every word of a section title
         raise ValidationError(f"{base / 'stopwords.txt'}: no stopword")
     lemmas = _load_lemmas(base / "lemmas.txt")
     return WordLists(
-        negative_modifiers=frozenset(modifiers),
+        negative_modifiers=modifiers,
         special_phrases=phrases,
-        stopwords=frozenset(stop),
+        stopwords=stop,
         lemmas=lemmas,
     )
 
@@ -116,10 +112,8 @@ def _load_lemmas(path: Path) -> dict[str, str]:
     """form -> lemma from "form<TAB>lemma" lines. Both sides must be ``[a-z]+`` words: a lemma
     lookup sees only such tokens, and ``preprocess`` emits the lemma as one."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in table_lines(path):
         line = line.strip()
-        if not line:
-            continue
         # a stripped line with a tab has text on both sides of it
         form, tab, lemma = line.partition("\t")
         if not tab:

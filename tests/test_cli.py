@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -684,6 +686,54 @@ def test_config_drawn_from_the_real_keys_gets_a_documented_exit_code(command, da
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_STAGE_FAILURE)
 
 
+RECALL = default_data_dir() / "synthetic_recall"
+WORD_LISTS = ("negative_modifiers.txt", "special_phrases.txt", "stopwords.txt", "lemmas.txt")
+# each table file, and the bundled text that drawn lines are added to
+TABLE_TEXTS = {
+    "patterns.tsv": default_data_dir() / "patterns.tsv", "lexicon.tsv": default_data_dir() / "lexicon.tsv",
+    "labelmap.tsv": RECALL / "labelmap.tsv", **{name: default_data_dir() / name for name in WORD_LISTS},
+}
+# no repetition operator, so a drawn regex cannot backtrack for long
+TABLE_LINES = st.lists(st.sampled_from([*"ab #\t\\()[]|?.'é", "bug", "drop", "crash", "X1", "B"]),
+                       max_size=8).map("".join)
+
+
+def _table_argv(path: Path) -> list[str]:
+    """The command that reads ``path`` through its flag; a word list's directory gets the other three."""
+    out = ["--out", str(path.parent / "out.jsonl")]
+    if path.name == "patterns.tsv":
+        return ["extract", "--in", str(DEMO), "--patterns", str(path), *out]
+    if path.name == "lexicon.tsv":
+        return ["labels", "--in", str(DEMO), "--lexicon", str(path), *out]
+    if path.name == "labelmap.tsv":
+        return ["augment", "--primary", str(RECALL / "primary.csv"), "--labelmap", str(path),
+                "--pool", str(RECALL / "pool.jsonl"), "--method", "between-app", *out]
+    for name in WORD_LISTS:
+        if name != path.name:
+            shutil.copy(default_data_dir() / name, path.parent / name)
+    return ["extract", "--in", str(DEMO), "--lists", str(path.parent), *out]
+
+
+@pytest.mark.parametrize("table", TABLE_TEXTS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_table_drawn_as_text_or_bytes_gets_a_documented_exit_code(table, data):
+    if data.draw(st.booleans(), label="bytes"):
+        content = data.draw(st.binary(max_size=64), label="content")
+    else:
+        head = data.draw(st.lists(TABLE_LINES, max_size=3), label="head")
+        tail = data.draw(st.lists(TABLE_LINES, max_size=3), label="tail")
+        bundled = TABLE_TEXTS[table].read_text(encoding="utf-8") if data.draw(st.booleans(), label="bundled") else ""
+        content = "\n".join([*head, bundled, *tail]).encode("utf-8")
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        path = Path(tmp) / table
+        path.write_bytes(content)
+        code = main(_table_argv(path))
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_STAGE_FAILURE)
+    assert "Traceback" not in stderr.getvalue()
+
+
 def test_within_context_pipeline(tmp_path):
     config = json.loads((DEMO / "demo_config.json").read_text())
     config["corpus_dir"] = str(DEMO)
@@ -1003,12 +1053,12 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _short_modifier_lists(tmp_path: Path) -> Path:
+def _short_modifier_lists(tmp_path: Path, modifiers: str = "not\nnever\nno\n") -> Path:
     lists = tmp_path / "lists"
     lists.mkdir()
     for name in ("stopwords.txt", "special_phrases.txt", "lemmas.txt"):
         shutil.copy(default_data_dir() / name, lists / name)
-    _write(lists / "negative_modifiers.txt", "not\nnever\nno\n")
+    _write(lists / "negative_modifiers.txt", modifiers)
     return lists
 
 
@@ -1172,6 +1222,10 @@ def _word_lists_with_lemma_line(t, line):
     return str(directory)
 
 
+# the bundled modifiers with the first, "no", replaced by a second "not": 44 lines, 43 distinct
+_, _, MODIFIERS_BUT_NO = (default_data_dir() / "negative_modifiers.txt").read_text(encoding="utf-8").partition("\n")
+REPEATED_MODIFIER = "not\n" + MODIFIERS_BUT_NO
+
 CHANGED_EXIT_CODES = {
     "experiment-unknown-key": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, specs=None, spec=[{"method": "between-app", "ratio": 0.3}])),
@@ -1225,6 +1279,13 @@ CHANGED_EXIT_CODES = {
     "labelmap-latin-1": (EXIT_VALIDATION, lambda t, i: _augment(
         t, labelmap=_write_bytes(t / "map.tsv", "café\tbug\n".encode("latin-1")))),
     "labelmap-a-directory": (EXIT_STAGE_FAILURE, lambda t, i: _augment(t, labelmap=t)),
+    # a field over csv.field_size_limit() (131,072 characters) once ended in a _csv.Error traceback, exit 1
+    "augment-oversized-csv-field": (EXIT_VALIDATION, lambda t, i: _augment(
+        t, primary=_write(t / "big.csv", "text,label\n" + "x" * 131_073 + ",bug\n"))),
+    # 44 lines with one repeated once loaded as 43 modifiers, and the run exited 0
+    "extract-repeated-negative-modifier": (EXIT_VALIDATION, lambda t, i: [
+        "extract", "--in", str(DEMO), "--lists", str(_short_modifier_lists(t, REPEATED_MODIFIER)),
+        "--out", str(t / "out.jsonl")]),
     "filter-min-issues-negative": (EXIT_VALIDATION, lambda t, i: [
         "filter", "--in", str(DEMO), "--out", str(t / "out"), "--min-issues", "-5"]),
     "filter-min-contributors-negative": (EXIT_VALIDATION, lambda t, i: [

@@ -1,3 +1,4 @@
+import re
 import shutil
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from issueforge.extraction import (
     normalize_title,
     verify_patterns,
 )
-from issueforge.ingestion import RawIssue, RepoRecord
+from issueforge.ingestion import RawIssue, RepoRecord, SchemaViolation
 from issueforge.similarity import PROFILE_SECTION_TITLES, profile_text
 from issueforge.textprep import default_data_dir, load_wordlists, strip_noise
 
@@ -340,6 +341,21 @@ def test_missing_gold_raises(tmp_path):
     fixture = tmp_path / "gold.jsonl"
     fixture.write_text('{"issue_id": "x", "body": "text"}\n', encoding="utf-8")
     with pytest.raises(MissingGold):
+        load_gold_fixture(fixture)
+
+
+@pytest.mark.parametrize("line,field", [
+    ('{"issue_id": "x", "body": "text", "gold_text": 5}', "gold_text"),
+    ('{"issue_id": 1, "body": "text", "gold_text": null}', "issue_id"),
+    ('{"issue_id": "x", "gold_text": "text"}', "body"),
+    ('{"issue_id": "x", "body"', "<line>"),
+    ('["x", "text"]', "<line>"),
+], ids=["gold-a-number", "id-a-number", "no-body", "not-json", "not-an-object"])
+def test_malformed_gold_line_is_a_schema_violation(tmp_path, line, field):
+    # such a line was once read as a gold issue, or ended in a KeyError or a JSONDecodeError
+    fixture = tmp_path / "gold.jsonl"
+    fixture.write_text('{"issue_id": "a", "body": "text", "gold_text": null}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(SchemaViolation, match=re.escape(f"gold.jsonl:2: field {field!r}: ")):
         load_gold_fixture(fixture)
 
 

@@ -150,6 +150,18 @@ def test_empty_repo_list_writes_empty_files(forge_server, tmp_path):
     assert corpus.repos == {} and corpus.issues == []
 
 
+@pytest.mark.parametrize("names", [["a/x", "a/x"], ["a/x", "a/renamed"]], ids=["repeated", "two-names-one-id"])
+def test_a_repeated_repo_is_harvested_once(forge_server, tmp_path, caplog, names):
+    # every issue of the repo was once written twice, and load_corpus rejected the duplicate issue_id
+    forge, url = forge_server
+    forge.add_repo("a/x", 9, make_issues(3))
+    forge.add_repo("a/renamed", 9, make_issues(3))
+    corpus = load_corpus(fetch_remote(names, tmp_path / "corpus", base_url=url, sleeper=lambda s: None))
+    assert [record.full_name for record in corpus.repos.values()] == ["a/x"]
+    assert sorted(issue.issue_id for issue in corpus.issues) == ["0", "1", "2"]
+    assert f"repo {names[1]} repeats repo id 9 of a/x, skipped" in caplog.text
+
+
 def test_pull_requests_excluded(forge_server, tmp_path):
     forge, url = forge_server
     forge.add_repo("demo/mixed", 3, make_issues(5, prs=4))

@@ -1,13 +1,17 @@
 import json
+import re
+import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issueforge import ingestion
-from issueforge.augmentation import Method
-from issueforge.extraction import ExtractionMode
+from issueforge import cli, github, ingestion
+from issueforge.augmentation import Method, load_label_map
+from issueforge.errors import ValidationError
+from issueforge.extraction import ExtractionMode, load_patterns
 from issueforge.ingestion import (
     Corpus,
     DanglingRepoRef,
@@ -21,8 +25,8 @@ from issueforge.ingestion import (
     write_corpus,
     write_repos,
 )
-from issueforge.labels import IntentClass
-from issueforge.textprep import ProcessedDocument, Source
+from issueforge.labels import IntentClass, load_lexicon
+from issueforge.textprep import ProcessedDocument, Source, default_data_dir, load_wordlists
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -338,3 +342,67 @@ def test_unwritable_row_raises_what_dumps_raises(tmp_path, ensure_ascii, bad):
         ingestion.write_jsonl([{"first": "row"}, bad()], tmp_path / "rows.jsonl", ensure_ascii=ensure_ascii)
     assert str(raised.value) == str(expected.value)
     assert getattr(raised.value, "__notes__", None) == getattr(expected.value, "__notes__", None)
+
+
+# --- the table reader -----------------------------------------------------------------------
+
+DATA = default_data_dir()
+WORD_LISTS = ("negative_modifiers.txt", "special_phrases.txt", "stopwords.txt", "lemmas.txt")
+
+
+def test_table_lines_skips_blank_and_comment_lines_and_counts_physical_lines(tmp_path):
+    table = tmp_path / "table.tsv"
+    table.write_bytes(b"a\tb\r\n\n  # c\n\t\nd # e \n#\n")
+    assert list(ingestion.table_lines(table)) == [(1, "a\tb"), (5, "d # e ")]
+
+
+def _word_lists(path: Path):
+    """load_wordlists reading ``path`` as its word list, with the bundled copy of the other three."""
+    for name in WORD_LISTS:
+        if name != path.name:
+            shutil.copy(DATA / name, path.parent / name)
+    return load_wordlists(path.parent)
+
+
+def _harvest_names(path: Path) -> list[str]:
+    """The repo names that the harvest command reads from ``path`` and passes to fetch_remote."""
+    args = cli.build_parser().parse_args(["harvest", "--repos", str(path), "--out", str(path.parent / "corpus")])
+    fetched = []
+    with mock.patch.object(github, "fetch_remote", lambda names, *_, **__: fetched.append(names)):
+        args.func(args)
+    return fetched[0]
+
+
+# file name, text, loader, a bad line, the start of its message
+TABLES = {
+    "patterns": ("patterns.tsv", (DATA / "patterns.tsv").read_text(encoding="utf-8"),
+                 lambda path: [(p.name, p.regex.pattern) for p in load_patterns(path)], b"X1\tcrash",
+                 "expected name<TAB>regex<TAB>flags"),
+    "lexicon": ("lexicon.tsv", (DATA / "lexicon.tsv").read_text(encoding="utf-8"),
+                lambda path: load_lexicon(path, load_wordlists()).entries, b"crash\tbugs",
+                "unknown intent class 'bugs'"),
+    "label-map": ("pd5.tsv", (DATA / "labelmaps" / "pd5.tsv").read_text(encoding="utf-8"), load_label_map,
+                  b"crash\tbugs", "unknown target class 'bugs'"),
+    **{name.split(".")[0].replace("_", "-"): (name, (DATA / name).read_text(encoding="utf-8"), _word_lists,
+                                              b"caf\xe9", "not UTF-8") for name in WORD_LISTS[:3]},
+    "lemmas": ("lemmas.txt", (DATA / "lemmas.txt").read_text(encoding="utf-8"), _word_lists, b"crashes",
+               "expected form<TAB>lemma"),
+    "harvest-list": ("repos.txt", "demo/x\ndemo/y\n", _harvest_names, b"demo/\xff", "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("name,text,load,bad_line,message", TABLES.values(), ids=TABLES.keys())
+def test_every_table_skips_comments_and_blank_lines_and_names_a_bad_line(tmp_path, name, text, load, bad_line,
+                                                                         message):
+    first, rest = text.split("\n", 1)
+    plain, commented = tmp_path / "plain", tmp_path / "commented"
+    plain.mkdir()
+    commented.mkdir()
+    (plain / name).write_text(text, encoding="utf-8")
+    with_comments = f"# a header\n\n{first}\n    # an indented comment\n \t\n{rest}\n\n"
+    (commented / name).write_text(with_comments, encoding="utf-8")
+    assert load(commented / name) == load(plain / name)
+    (commented / name).write_bytes(with_comments.encode("utf-8") + bad_line + b"\n")
+    line_number = with_comments.count("\n") + 1
+    with pytest.raises(ValidationError, match=re.escape(f"{commented / name}:{line_number}: {message}")):
+        load(commented / name)

@@ -57,6 +57,17 @@ def test_stopword_list_without_a_word_is_rejected(tmp_path, text):
         load_wordlists(tmp_path)
 
 
+def test_a_repeated_negative_modifier_counts_once(tmp_path):
+    # a 44-line file with one line repeated once loaded, with 43 modifiers
+    for name in ("special_phrases.txt", "stopwords.txt", "lemmas.txt"):
+        shutil.copy(default_data_dir() / name, tmp_path / name)
+    modifiers = (default_data_dir() / "negative_modifiers.txt").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "negative_modifiers.txt").write_text("\n".join(modifiers[:-1] + modifiers[:1]) + "\n", encoding="utf-8")
+    message = f"{tmp_path / 'negative_modifiers.txt'}: must have 44 distinct entries, found 43"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_wordlists(tmp_path)
+
+
 @pytest.mark.parametrize("bad_line", ["Crashes\tfail", "freezes\tHang Up", "crashes\tcrash2", "naïve\tnaive",
                                       "don't\tdo", "re-open\topen"])
 def test_lemma_line_outside_the_token_alphabet_is_rejected(tmp_path, bad_line):
