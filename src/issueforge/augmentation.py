@@ -12,6 +12,7 @@ commands and ``run_experiment`` all call it. One function,
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import random
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import classifier
 from .errors import IssueforgeError, ValidationError, check_int
-from .ingestion import SchemaViolation, parse_jsonl, table_lines, write_jsonl
+from .ingestion import SchemaViolation, decoded_lines, parse_jsonl, table_lines, write_jsonl
 from .labels import INTENT_OF, INTENT_VALUES, IntentClass
 from .similarity import rank_similar
 from .textprep import ProcessedDocument, Source, WordLists, admit, is_primary, preprocess
@@ -131,34 +132,34 @@ def load_primary(
     """
     path = Path(path)
     rows: list[ProcessedDocument] = []
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            if reader.fieldnames is None or "text" not in reader.fieldnames or "label" not in reader.fieldnames:
-                raise ValidationError(f"{path}: expected a CSV header with 'text' and 'label' columns")
-            for index, record in enumerate(reader):
-                label = record["label"]
-                if record["text"] is None:
-                    raise ValidationError(f"{path}: row {index + 1}: no text column")
-                if label not in label_map:
-                    raise UnknownLabel(f"{path}: row {index + 1}: label {label!r} not in label map")
-                intent = label_map[label]
-                if intent is None:
-                    continue
-                tokens = preprocess(record["text"], lists, filter_noise=False)
-                if not admit(tokens, Source.REVIEW):
-                    continue
-                rows.append(
-                    ProcessedDocument(
-                        doc_id=f"{path.stem}:row{index + 1:05d}",
-                        source=Source.REVIEW,
-                        tokens=tuple(tokens),
-                        intents=frozenset({intent}),
-                        app_id=(record.get("app_id") or None),
-                    )
+    # newline="" leaves every CR and LF to the csv module, as it requires of a file
+    reader = csv.DictReader(io.StringIO("".join(line for _, line in decoded_lines(path)), newline=""))
+    try:
+        if reader.fieldnames is None or "text" not in reader.fieldnames or "label" not in reader.fieldnames:
+            raise ValidationError(f"{path}: expected a CSV header with 'text' and 'label' columns")
+        for index, record in enumerate(reader):
+            label = record["label"]
+            if record["text"] is None:
+                raise ValidationError(f"{path}: row {index + 1}: no text column")
+            if label not in label_map:
+                raise UnknownLabel(f"{path}: row {index + 1}: label {label!r} not in label map")
+            intent = label_map[label]
+            if intent is None:
+                continue
+            tokens = preprocess(record["text"], lists, filter_noise=False)
+            if not admit(tokens, Source.REVIEW):
+                continue
+            rows.append(
+                ProcessedDocument(
+                    doc_id=f"{path.stem}:row{index + 1:05d}",
+                    source=Source.REVIEW,
+                    tokens=tuple(tokens),
+                    intents=frozenset({intent}),
+                    app_id=(record.get("app_id") or None),
                 )
-        except csv.Error as exc:  # a field over csv.field_size_limit(), say
-            raise ValidationError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+            )
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ValidationError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no review row admitted")
     return PrimaryDataset(name=path.stem, rows=tuple(rows))

@@ -5,8 +5,8 @@ similar, augment, sweep, train-eval, experiment) plus ``pipeline``, which runs
 filter -> labels -> extract -> preprocess -> augment -> train-eval on one
 config and writes a content-hash manifest, and ``report``, which prints the
 data funnel and the comparison table. Exit codes follow the error's type:
-0 ok, 2 ``ValidationError`` or a file that is not UTF-8, 3 any other
-``IssueforgeError`` or a file that cannot be read.
+0 ok, 2 ``ValidationError``, 3 any other ``IssueforgeError`` or a file that
+cannot be read.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ EXIT_VALIDATION = 2
 EXIT_STAGE_FAILURE = 3
 
 MAX_SWEEP_RATIOS = 1001
+# a harvest line: owner/name, each side of letters, digits, "_", "." and "-", and neither "." nor ".."
+_REPO_NAME = re.compile(r"(?!\.\.?/)[A-Za-z0-9_.-]+/(?!\.\.?\Z)[A-Za-z0-9_.-]+")
 
 
 class _JsonLineFormatter(logging.Formatter):
@@ -71,8 +73,6 @@ class _JsonConfig:
     @classmethod
     def from_file(cls, path: Path | str):
         path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"config file not found: {path}")
         raw = _read_json(path)
         if not isinstance(raw, dict):
             raise ValidationError(f"config {path} must be a JSON object")
@@ -180,8 +180,9 @@ def _sha256_file(path: Path) -> str:
 
 
 def _read_json(path: Path):
+    text = "".join(line for _, line in ingestion.decoded_lines(path))
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -286,20 +287,15 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 def print_report(artifact_dir: Path | str, stream=None) -> dict:
     """Human-readable funnel and metric summary for a finished pipeline run.
 
-    A missing artifact is a MissingFile, the manifest included: a run whose
-    commit was cut short has none. A malformed artifact, or a report without the
-    funnel counts or a mean for both targets, is a ValidationError.
+    A missing artifact is the OSError of opening it. The manifest is read first:
+    a run whose commit was cut short has none. A malformed artifact, or a report
+    without the funnel counts or a mean for both targets, is a ValidationError.
     """
     stream = stream or sys.stdout
     out = Path(artifact_dir)
-    extraction_report = out / "extraction_report.json"
-    report_file = out / "report.json"
-    docs_file = out / "docs.jsonl"
-    for required in (extraction_report, report_file, docs_file, out / "manifest.json"):
-        if not required.exists():
-            raise ingestion.MissingFile(str(required))
-    admitted_issues = {doc.doc_id.rsplit(":", 1)[0] for doc in augmentation.load_docs(docs_file)}
-    funnel_data, metrics = _read_json(extraction_report), _read_json(report_file)
+    _read_json(out / "manifest.json")
+    funnel_data, metrics = _read_json(out / "extraction_report.json"), _read_json(out / "report.json")
+    admitted_issues = {doc.doc_id.rsplit(":", 1)[0] for doc in augmentation.load_docs(out / "docs.jsonl")}
     try:
         funnel = [
             ("raw issues", funnel_data["funnel"]["issues_total"]),
@@ -331,9 +327,14 @@ def _cmd_harvest(args) -> int:
 
     check_int("--parallel", args.parallel, 1)
     check_int("--rate-limit", args.rate_limit, 1)
+    names = []
+    for lineno, line in ingestion.table_lines(args.repos):
+        if not _REPO_NAME.fullmatch(name := line.strip()):
+            raise ValidationError(f"{args.repos}:{lineno}: expected owner/name, got {name!r}")
+        names.append(name)
     token = os.environ.get(args.token_env) if args.token_env else None
     github.fetch_remote(
-        [line.strip() for _, line in ingestion.table_lines(args.repos)],
+        names,
         args.out,
         token=token,
         rate_limit=args.rate_limit,
@@ -669,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(args.verbose)
     try:
         return args.func(args)
-    except (ValidationError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 is malformed content
+    except ValidationError as exc:
         logger.error("validation error: %s", exc)
         return EXIT_VALIDATION
     except (IssueforgeError, OSError) as exc:  # OSError: a missing or unreadable file

@@ -3,8 +3,8 @@
 Every exception the package raises derives from ``IssueforgeError``.
 ``ValidationError`` (exit 2) is malformed or out-of-range content: an
 argument, a config value, or a line of an input file. Any other
-``IssueforgeError`` (exit 3) is an input a stage cannot use, a missing file,
-or a network failure.
+``IssueforgeError`` (exit 3) is an input a stage cannot use or a network
+failure; a missing or unreadable file is the ``OSError`` of opening it (exit 3).
 """
 
 

@@ -19,13 +19,9 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
-from .errors import IssueforgeError, ValidationError
+from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
-
-
-class MissingFile(IssueforgeError):
-    pass
 
 
 class SchemaViolation(ValidationError):
@@ -82,11 +78,10 @@ _ISSUE_FIELDS = {
 }
 
 
-def table_lines(path: Path | str) -> Iterator[tuple[int, str]]:
-    """Yield (line number, line without its line ending) for each line of a UTF-8 table file that is
-    neither blank nor a comment, a line whose first non-space character is ``#``. A line ends at a
-    line feed; one that is not UTF-8 is a ValidationError naming it. Every hand-curated table is
-    read here, and its loader splits and checks each line.
+def decoded_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line with its ending) for each line of a UTF-8 file; a line ends at a line
+    feed. A line that is not UTF-8 is a ValidationError naming ``path:line``. Every input file is
+    decoded here, and a missing or unreadable one is the OSError of ``open``.
     """
     with Path(path).open("rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -94,9 +89,18 @@ def table_lines(path: Path | str) -> Iterator[tuple[int, str]]:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                yield lineno, line.rstrip("\r\n")
+            yield lineno, line
+
+
+def table_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its line ending) for each line of a table file that is
+    neither blank nor a comment, a line whose first non-space character is ``#``. Every hand-curated
+    table is read here, and its loader splits and checks each line.
+    """
+    for lineno, line in decoded_lines(path):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line.rstrip("\r\n")
 
 
 def parse_jsonl(
@@ -110,38 +114,35 @@ def parse_jsonl(
     ``allowed`` gives the permitted values of a required ``str`` field, or of
     each element of a required ``list`` field.
     """
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(path.name, lineno, "<line>", f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise SchemaViolation(path.name, lineno, "<line>", "expected a JSON object")
-            for name, type_ in required.items():
-                if name not in obj:
-                    raise SchemaViolation(path.name, lineno, name, "missing")
-                value = obj[name]
-                if type_ is int:
-                    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                        raise SchemaViolation(path.name, lineno, name, "expected a non-negative integer")
-                elif not isinstance(value, type_):
-                    raise SchemaViolation(path.name, lineno, name, f"expected {type_.__name__}")
-                elif type_ is list and not all(map(isinstance, value, repeat(str))):
-                    raise SchemaViolation(path.name, lineno, name, "expected a list of strings")
-            for name, values in (allowed or {}).items():
-                if not values.issuperset(obj[name] if isinstance(obj[name], list) else (obj[name],)):
-                    raise SchemaViolation(path.name, lineno, name, f"values must be drawn from {sorted(values)}")
-            yield lineno, obj
+    for lineno, line in decoded_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolation(path.name, lineno, "<line>", f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise SchemaViolation(path.name, lineno, "<line>", "expected a JSON object")
+        for name, type_ in required.items():
+            if name not in obj:
+                raise SchemaViolation(path.name, lineno, name, "missing")
+            value = obj[name]
+            if type_ is int:
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                    raise SchemaViolation(path.name, lineno, name, "expected a non-negative integer")
+            elif not isinstance(value, type_):
+                raise SchemaViolation(path.name, lineno, name, f"expected {type_.__name__}")
+            elif type_ is list and not all(map(isinstance, value, repeat(str))):
+                raise SchemaViolation(path.name, lineno, name, "expected a list of strings")
+        for name, values in (allowed or {}).items():
+            if not values.issuperset(obj[name] if isinstance(obj[name], list) else (obj[name],)):
+                raise SchemaViolation(path.name, lineno, name, f"values must be drawn from {sorted(values)}")
+        yield lineno, obj
 
 
 def load_repos(path: Path | str) -> dict[str, RepoRecord]:
     """``repo_id`` -> record for each line of ``<path>/repos.jsonl``; no other file is read."""
     repos_file = Path(path) / "repos.jsonl"
-    if not repos_file.exists():
-        raise MissingFile(str(repos_file))
     repos: dict[str, RepoRecord] = {}
     for lineno, row in parse_jsonl(repos_file, _REPO_FIELDS):
         if row["repo_id"] in repos:
@@ -162,12 +163,8 @@ def load_repos(path: Path | str) -> dict[str, RepoRecord]:
 
 def load_corpus(path: Path | str) -> Corpus:
     """Load and cross-link a corpus directory; every issue must resolve to a repo."""
-    base = Path(path)
-    issues_file = base / "issues.jsonl"
-    for required_file in (base / "repos.jsonl", issues_file):
-        if not required_file.exists():
-            raise MissingFile(str(required_file))
-    repos = load_repos(base)
+    issues_file = Path(path) / "issues.jsonl"
+    repos = load_repos(path)
 
     issues: list[RawIssue] = []
     seen_issue_ids: set[str] = set()

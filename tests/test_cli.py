@@ -29,7 +29,6 @@ from issueforge.cli import (
     print_report,
     run_pipeline,
 )
-from issueforge.ingestion import MissingFile
 from issueforge.labels import IntentClass
 from issueforge.textprep import default_data_dir
 
@@ -275,12 +274,13 @@ def test_report_funnel_monotone(pipeline_dir, capsys):
 
 
 def test_report_missing_artifact(tmp_path):
-    with pytest.raises(MissingFile):
+    with pytest.raises(FileNotFoundError, match="manifest.json"):
         print_report(tmp_path)
     assert main(["report", str(tmp_path)]) == EXIT_STAGE_FAILURE
 
 
 DAMAGED_RUN_FILES = {
+    "manifest-not-json": ("manifest.json", "{bad"),
     "docs-line-not-json": ("docs.jsonl", "{bad\n"),
     "extraction-report-not-json": ("extraction_report.json", "{bad"),
     "extraction-report-without-funnel": ("extraction_report.json", '{"modes": {}, "per_pattern": {}}'),
@@ -522,6 +522,18 @@ def test_demo_augment_output_is_pinned(pipeline_dir, tmp_path, method):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_AUGMENT_SHA256[method]
 
 
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_review_csv_records_end_at_a_lone_cr_or_crlf_as_at_lf(pipeline_dir, tmp_path, newline):
+    primary = tmp_path / "primary_demo.csv"
+    primary.write_bytes((DEMO / "primary_demo.csv").read_bytes().replace(b"\n", newline.encode()))
+    out = tmp_path / "augmented.jsonl"
+    argv = ["augment", "--primary", str(primary), "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(pipeline_dir / "docs.jsonl"), "--method", "within-app", "--app", "r-podkit",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_AUGMENT_SHA256["within-app"]
+
+
 def test_experiment_command(staged, tmp_path):
     *_, docs = staged
     exp_config = tmp_path / "exp.json"
@@ -688,33 +700,56 @@ def test_config_drawn_from_the_real_keys_gets_a_documented_exit_code(command, da
 
 RECALL = default_data_dir() / "synthetic_recall"
 WORD_LISTS = ("negative_modifiers.txt", "special_phrases.txt", "stopwords.txt", "lemmas.txt")
-# each table file, and the bundled text that drawn lines are added to
-TABLE_TEXTS = {
-    "patterns.tsv": default_data_dir() / "patterns.tsv", "lexicon.tsv": default_data_dir() / "lexicon.tsv",
-    "labelmap.tsv": RECALL / "labelmap.tsv", **{name: default_data_dir() / name for name in WORD_LISTS},
+# two extracted issues, as `preprocess --in` reads them
+EXTRACTED_TEXT = "".join(json.dumps({"issue_id": f"i{n}", "repo_id": "r1", "title": title, "text": text,
+                                     "intents": [intent]}) + "\n"
+                         for n, (title, text, intent) in enumerate([
+                             ("App crashes on start", "It crashes every time I open the settings page.", "bug"),
+                             ("Add a dark mode", "Please add a dark theme for use at night.", "feature")]))
+# each input file drawn, and the text that drawn lines are added to: the tables, a review CSV and two JSONL files
+DRAWN_TEXTS = {
+    name: path.read_text(encoding="utf-8") for name, path in {
+        "patterns.tsv": default_data_dir() / "patterns.tsv", "lexicon.tsv": default_data_dir() / "lexicon.tsv",
+        "labelmap.tsv": RECALL / "labelmap.tsv", **{name: default_data_dir() / name for name in WORD_LISTS},
+        "primary.csv": RECALL / "primary.csv", "augmented.jsonl": RECALL / "pool.jsonl"}.items()
 }
+DRAWN_TEXTS["extracted.jsonl"] = EXTRACTED_TEXT
 # no repetition operator, so a drawn regex cannot backtrack for long
 TABLE_LINES = st.lists(st.sampled_from([*"ab #\t\\()[]|?.'é", "bug", "drop", "crash", "X1", "B"]),
                        max_size=8).map("".join)
 
 
-def _table_argv(path: Path) -> list[str]:
+def _drawn_argv(path: Path) -> list[str]:
     """The command that reads ``path`` through its flag; a word list's directory gets the other three."""
     out = ["--out", str(path.parent / "out.jsonl")]
     if path.name == "patterns.tsv":
         return ["extract", "--in", str(DEMO), "--patterns", str(path), *out]
     if path.name == "lexicon.tsv":
         return ["labels", "--in", str(DEMO), "--lexicon", str(path), *out]
-    if path.name == "labelmap.tsv":
-        return ["augment", "--primary", str(RECALL / "primary.csv"), "--labelmap", str(path),
+    if path.name in ("labelmap.tsv", "primary.csv"):
+        inputs = {"primary.csv": RECALL / "primary.csv", "labelmap.tsv": RECALL / "labelmap.tsv", path.name: path}
+        return ["augment", "--primary", str(inputs["primary.csv"]), "--labelmap", str(inputs["labelmap.tsv"]),
                 "--pool", str(RECALL / "pool.jsonl"), "--method", "between-app", *out]
+    if path.name == "augmented.jsonl":
+        return ["train-eval", "--data", str(path), "--target", "bug", "--out", str(path.parent / "r.json")]
+    if path.name == "extracted.jsonl":
+        return ["preprocess", "--in", str(path), *out]
     for name in WORD_LISTS:
         if name != path.name:
             shutil.copy(default_data_dir() / name, path.parent / name)
     return ["extract", "--in", str(DEMO), "--lists", str(path.parent), *out]
 
 
-@pytest.mark.parametrize("table", TABLE_TEXTS)
+def _first_line_not_utf8(content: bytes) -> int | None:
+    for lineno, line in enumerate(content.split(b"\n"), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return None
+
+
+@pytest.mark.parametrize("table", DRAWN_TEXTS)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_table_drawn_as_text_or_bytes_gets_a_documented_exit_code(table, data):
@@ -723,15 +758,25 @@ def test_table_drawn_as_text_or_bytes_gets_a_documented_exit_code(table, data):
     else:
         head = data.draw(st.lists(TABLE_LINES, max_size=3), label="head")
         tail = data.draw(st.lists(TABLE_LINES, max_size=3), label="tail")
-        bundled = TABLE_TEXTS[table].read_text(encoding="utf-8") if data.draw(st.booleans(), label="bundled") else ""
-        content = "\n".join([*head, bundled, *tail]).encode("utf-8")
+        bundled = DRAWN_TEXTS[table] if data.draw(st.booleans(), label="bundled") else ""
+        # Latin-1 writes a drawn "é" as one byte that is not UTF-8
+        encoding = data.draw(st.sampled_from(["utf-8", "latin-1"]), label="encoding")
+        content = b"\n".join([*(line.encode(encoding) for line in head), bundled.encode("utf-8"),
+                               *(line.encode(encoding) for line in tail)])
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
         path = Path(tmp) / table
         path.write_bytes(content)
-        code = main(_table_argv(path))
+        code = main(_drawn_argv(path))
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_STAGE_FAILURE)
     assert "Traceback" not in stderr.getvalue()
+    errors = [r["message"] for r in map(json.loads, stderr.getvalue().splitlines()) if r["level"] == "error"]
+    assert len(errors) == (code != EXIT_OK)
+    bad_line = _first_line_not_utf8(content)
+    if bad_line is not None:  # exit 2 names the first line that is not UTF-8, or a line before it that failed first
+        assert code == EXIT_VALIDATION
+        named = re.search(rf"{re.escape(table)}:([0-9]+): (not UTF-8)?", errors[0])
+        assert named and (int(named[1]) == bad_line if named[2] else int(named[1]) < bad_line), errors[0]
 
 
 def test_within_context_pipeline(tmp_path):
@@ -1162,7 +1207,7 @@ def test_every_package_exception_derives_from_issueforge_error():
         module = importlib.import_module(f"issueforge.{info.name}")
         found += [obj for obj in vars(module).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
-    assert len(found) >= 16
+    assert len(found) >= 15
     assert [cls.__name__ for cls in found if not issubclass(cls, IssueforgeError)] == []
 
 
@@ -1193,9 +1238,9 @@ def _train_eval_k(t, inputs, k):
             "--out", str(t / "out.json")]
 
 
-def _harvest(t, *extra):
-    repos = _write(t / "repos.txt", "demo/x\n")
-    return ["harvest", "--repos", str(repos), "--out", str(t / "h"), "--base-url", "http://127.0.0.1:9", *extra]
+def _harvest(t, *extra, repos="demo/x\n"):
+    repos_file = _write(t / "repos.txt", repos)
+    return ["harvest", "--repos", str(repos_file), "--out", str(t / "h"), "--base-url", "http://127.0.0.1:9", *extra]
 
 
 def _write_bytes(path: Path, data: bytes) -> Path:
@@ -1296,6 +1341,15 @@ CHANGED_EXIT_CODES = {
     # a request to the closed port would fail with exit 3, so exit 2 means none was sent
     "harvest-parallel-0": (EXIT_VALIDATION, lambda t, i: _harvest(t, "--parallel", "0")),
     "harvest-rate-limit-0": (EXIT_VALIDATION, lambda t, i: _harvest(t, "--rate-limit", "0")),
+    # a line that is not owner/name was once fetched as a repo, and its first 404 ended the harvest with exit 3
+    "harvest-line-with-a-path": (EXIT_VALIDATION, lambda t, i: _harvest(t, repos="demo/x\ndemo/x/issues\n")),
+    "harvest-line-without-a-slash": (EXIT_VALIDATION, lambda t, i: _harvest(t, repos="demo\n")),
+    "harvest-line-with-a-dot-dot": (EXIT_VALIDATION, lambda t, i: _harvest(t, repos="demo/../x\n")),
+    # a missing config file once exited 2, unlike every other missing input
+    "pipeline-missing-config": (EXIT_STAGE_FAILURE, lambda t, i: [
+        "pipeline", "--config", str(t / "missing.json"), "--out", str(t / "run")]),
+    "experiment-missing-config": (EXIT_STAGE_FAILURE, lambda t, i: [
+        "experiment", "--config", str(t / "missing.json"), "--out", str(t / "comparison.tsv")]),
 }
 
 
@@ -1308,6 +1362,40 @@ def test_changed_input_exit_code(staged, pipeline_dir, tmp_path, capsys, code, a
     records = [json.loads(line) for line in err.splitlines()]
     assert [r["level"] for r in records].count("error") == 1
     assert "Traceback" not in err
+
+
+def _latin_1(path: Path, text: str) -> str:
+    """Write ``text`` as Latin-1, where an "é" is a byte that is not UTF-8."""
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
+POOL_HEAD = "".join((RECALL / "pool.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)[:2])
+
+# an input with a line that is not UTF-8 (once a bare codec message naming no file), its name and that line
+NOT_UTF8_INPUTS = {
+    "review-csv-row": (lambda t: _augment(t, primary=Path(_latin_1(
+        t / "p.csv", "text,label\nit crashes,bug\nadd a map,feature\ncafé hangs,bug\n"))), "p.csv", 4),
+    "augmented-jsonl-line": (lambda t: [
+        "train-eval", "--data", _latin_1(t / "aug.jsonl", POOL_HEAD + '{"doc_id": "café"}\n'), "--target", "bug",
+        "--out", str(t / "out.json")], "aug.jsonl", 3),
+    "extracted-jsonl-line": (lambda t: [
+        "preprocess", "--in", _latin_1(t / "extracted.jsonl", EXTRACTED_TEXT + '{"title": "café"}\n'),
+        "--out", str(t / "docs.jsonl")], "extracted.jsonl", 3),
+    "pipeline-config": (lambda t: [
+        "pipeline", "--config", _latin_1(t / "config.json", '{"seed": 0, "corpus_dir": "café"}'),
+        "--out", str(t / "run")], "config.json", 1),
+    "experiment-config": (lambda t: [
+        "experiment", "--config", _latin_1(t / "exp.json", '{"pool": "café"}'),
+        "--out", str(t / "comparison.tsv")], "exp.json", 1),
+}
+
+
+@pytest.mark.parametrize("argv,name,line", NOT_UTF8_INPUTS.values(), ids=NOT_UTF8_INPUTS.keys())
+def test_input_line_that_is_not_utf8_is_a_validation_error_naming_it(tmp_path, capsys, argv, name, line):
+    assert main(argv(tmp_path)) == EXIT_VALIDATION
+    [error] = [r["message"] for r in map(json.loads, capsys.readouterr().err.splitlines()) if r["level"] == "error"]
+    assert f"{tmp_path / name}:{line}: not UTF-8" in error
 
 
 @pytest.mark.parametrize("top", ["-1", "0"])

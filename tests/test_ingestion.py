@@ -15,7 +15,6 @@ from issueforge.extraction import ExtractionMode, load_patterns
 from issueforge.ingestion import (
     Corpus,
     DanglingRepoRef,
-    MissingFile,
     RawIssue,
     RepoRecord,
     SchemaViolation,
@@ -113,6 +112,14 @@ def test_a_bad_line_is_reported_before_any_later_line_is_read(tmp_path):
     assert str(err.value) == "issues.jsonl:2: field 'issue_id': duplicate issue_id"
 
 
+def test_a_jsonl_line_that_is_not_utf8_is_a_validation_error_naming_it(tmp_path):
+    write_jsonl(tmp_path / "repos.jsonl", [repo_row("r1")])
+    rows = "".join(json.dumps(row) + "\n" for row in (issue_row("i1", "r1"), issue_row("i2", "r1")))
+    (tmp_path / "issues.jsonl").write_bytes(rows.encode("utf-8") + '{"title": "café"}\n'.encode("latin-1"))
+    with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'issues.jsonl'}:3: not UTF-8")):
+        load_corpus(tmp_path)
+
+
 def test_records_carry_no_instance_dict():
     # a slotted record holds its fields alone; a field added without slots would bring the dict back
     records = [
@@ -143,9 +150,9 @@ def test_dangling_issue_ref(tmp_path):
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(MissingFile):
+    with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path)
-    with pytest.raises(MissingFile, match="repos.jsonl"):
+    with pytest.raises(FileNotFoundError, match="repos.jsonl"):
         load_repos(tmp_path)
 
 
@@ -356,6 +363,12 @@ def test_table_lines_skips_blank_and_comment_lines_and_counts_physical_lines(tmp
     assert list(ingestion.table_lines(table)) == [(1, "a\tb"), (5, "d # e ")]
 
 
+def test_decoded_lines_yields_every_line_with_its_ending(tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes("a\r\n\nb\rc\n  # é\nd".encode("utf-8"))
+    assert list(ingestion.decoded_lines(path)) == [(1, "a\r\n"), (2, "\n"), (3, "b\rc\n"), (4, "  # é\n"), (5, "d")]
+
+
 def _word_lists(path: Path):
     """load_wordlists reading ``path`` as its word list, with the bundled copy of the other three."""
     for name in WORD_LISTS:
@@ -388,6 +401,8 @@ TABLES = {
     "lemmas": ("lemmas.txt", (DATA / "lemmas.txt").read_text(encoding="utf-8"), _word_lists, b"crashes",
                "expected form<TAB>lemma"),
     "harvest-list": ("repos.txt", "demo/x\ndemo/y\n", _harvest_names, b"demo/\xff", "not UTF-8"),
+    "harvest-list-not-owner-name": ("repos.txt", "demo/x\ndemo/y\n", _harvest_names, b"demo/x/issues",
+                                    "expected owner/name, got 'demo/x/issues'"),
 }
 
 
