@@ -28,7 +28,7 @@ from pathlib import Path
 from . import augmentation, classifier, extraction, ingestion, labels as labels_mod, similarity, textprep
 from .augmentation import AugmentationSpec, Method
 from .errors import IssueforgeError, ValidationError, check_int
-from .labels import INTENT_VALUES, IntentClass
+from .labels import INTENT_VALUES
 
 logger = logging.getLogger("issueforge")
 
@@ -128,17 +128,12 @@ class PipelineConfig(_JsonConfig):
     INTS = {"folds": 2, "min_labeled_issues": 0, "min_contributors": 0, "min_label_frequency": 0}
 
     def validate(self) -> None:
-        if self.target_app is not None and not isinstance(self.target_app, str):
-            raise ValidationError(f"target_app must be a string, got {self.target_app!r}")
         self.spec()
 
     def spec(self) -> AugmentationSpec:
-        """The augmentation setting; a between-app config's target_app is ignored."""
-        return AugmentationSpec(
-            method=self.method, ratio=self.ratio, seed=self.seed,
-            target_app=None if self.method == Method.BETWEEN_APP else self.target_app,
-            top_k_similar=self.top_k_similar, include_same_app=self.include_same_app,
-        )
+        """The augmentation setting, which checks its own fields."""
+        return AugmentationSpec(self.method, self.ratio, self.seed, self.target_app, self.top_k_similar,
+                                self.include_same_app)
 
 
 @dataclass
@@ -254,28 +249,26 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         intents = _labels_stage(corpus, lexicon, lists, config.min_label_frequency, staging / "labels.jsonl")
         extracted_rows, counts = _extract_stage(corpus.issues, patterns, lists, intents, staging / "extracted.jsonl")
         del corpus, intents
-        # extraction_report.json is the extract stage's counts, its issue counts moved into the funnel
-        funnel = {"issues_total": issues_total, "issues_filtered_corpus": issues_filtered,
-                  "issues_intent_labeled": counts.pop("considered"), "issues_extracted": counts.pop("extracted")}
-        _dump_json({"funnel": funnel, **counts}, staging / "extraction_report.json")
+        _dump_json(counts, staging / "extraction_report.json")
         docs = _preprocess_stage(extracted_rows, lists, staging / "docs.jsonl")
         del extracted_rows
+        funnel = {"issues_total": issues_total, "issues_filtered_corpus": issues_filtered,
+                  "issues_intent_labeled": counts["considered"], "issues_extracted": counts["extracted"],
+                  "issues_admitted": len({doc.doc_id.rsplit(":", 1)[0] for doc in docs})}
 
-        # stage 5: augmentation
+        # stage 5: augmentation, as the augment subcommand selects and writes it
         spec = config.spec()
         profiles = similarity.build_profiles(repos, lists) if spec.method is Method.WITHIN_CONTEXT else None
         dataset = augmentation.augment(primary, docs, spec, profiles)
         augmentation.write_docs(dataset.rows, staging / "augmented.jsonl")
 
-        # stage 6: train and evaluate both binary targets
-        [reports] = augmentation.cross_validate_datasets([dataset.rows], k=config.folds, seed=config.seed)
-        _dump_json({"k": config.folds, "seed": config.seed, "n_rows": len(dataset.rows),
-                    **{target.value: report.as_dict() for target, report in reports.items()}}, staging / "report.json")
+        # stage 6: the function of the train-eval subcommand
+        _train_eval_stage(dataset.rows, config.folds, config.seed, staging / "report.json")
 
         # commit: every artifact is a file, and os.replace moves it over the old one of the same name
         artifacts = {path.name: _sha256_file(path) for path in sorted(staging.iterdir())}
-        _dump_json({"artifacts": artifacts, "config": dataclasses.asdict(config), "seed": config.seed},
-                   staging / "manifest.json")
+        _dump_json({"artifacts": artifacts, "config": dataclasses.asdict(config), "funnel": funnel,
+                    "seed": config.seed}, staging / "manifest.json")
         (out / "manifest.json").unlink(missing_ok=True)
         for name in artifacts:
             os.replace(staging / name, out / name)
@@ -287,27 +280,23 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
 def print_report(artifact_dir: Path | str, stream=None) -> dict:
     """Human-readable funnel and metric summary for a finished pipeline run.
 
-    A missing artifact is the OSError of opening it. The manifest is read first:
-    a run whose commit was cut short has none. A malformed artifact, or a report
-    without the funnel counts or a mean for both targets, is a ValidationError.
+    It reads ``manifest.json``, which a run whose commit was cut short lacks, and
+    then ``report.json``; a missing one is the OSError of opening it. A malformed
+    file, a manifest without the funnel counts, or a report without a mean for
+    both targets is a ValidationError.
     """
     stream = stream or sys.stdout
     out = Path(artifact_dir)
-    _read_json(out / "manifest.json")
-    funnel_data, metrics = _read_json(out / "extraction_report.json"), _read_json(out / "report.json")
-    admitted_issues = {doc.doc_id.rsplit(":", 1)[0] for doc in augmentation.load_docs(out / "docs.jsonl")}
+    manifest, metrics = _read_json(out / "manifest.json"), _read_json(out / "report.json")
     try:
-        funnel = [
-            ("raw issues", funnel_data["funnel"]["issues_total"]),
-            ("filtered", funnel_data["funnel"]["issues_filtered_corpus"]),
-            ("intent-labeled", funnel_data["funnel"]["issues_intent_labeled"]),
-            ("extracted", funnel_data["funnel"]["issues_extracted"]),
-            ("admitted", len(admitted_issues)),
-        ]
+        counts = manifest["funnel"]
+        funnel = [("raw issues", counts["issues_total"]), ("filtered", counts["issues_filtered_corpus"]),
+                  ("intent-labeled", counts["issues_intent_labeled"]), ("extracted", counts["issues_extracted"]),
+                  ("admitted", counts["issues_admitted"])]
         means = {t.value: [float(metrics[t.value]["mean"][m]) for m in classifier.METRICS] for t in classifier.TARGETS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
-            f"{out}: extraction_report.json needs the funnel counts and report.json a mean for bug and feature "
+            f"{out}: manifest.json needs the funnel counts and report.json a mean for bug and feature "
             f"({type(exc).__name__}: {exc})"
         ) from exc
     print("Data funnel:", file=stream)
@@ -360,11 +349,11 @@ def _intents_of(label_rows: list[dict]) -> dict[str, list]:
 
 
 def _labels_stage(corpus: ingestion.Corpus, lexicon, lists, min_freq: int, out) -> dict[str, list]:
-    """Write a row per intent-labeled issue, in issue order and ASCII-escaped, to ``out``; return their intents map."""
+    """Write a row per intent-labeled issue, in issue order, to ``out``; return their intents map."""
     intents = labels_mod.assign_intents(corpus, lexicon, lists, min_freq)
     rows = [{"issue_id": issue.issue_id, "repo_id": issue.repo_id, "intents": sorted(intents[issue.issue_id])}
             for issue in corpus.issues if issue.issue_id in intents]  # members sort, and are written, as their values
-    ingestion.write_jsonl(rows, out, ensure_ascii=True)
+    ingestion.write_jsonl(rows, out)
     logger.info("labels: assigned intents to %d/%d issues", len(rows), len(corpus.issues))
     return _intents_of(rows)
 
@@ -383,6 +372,14 @@ def _preprocess_stage(extracted_rows: list[dict], lists, out) -> list[textprep.P
     augmentation.write_docs(docs, out)
     logger.info("preprocess: admitted %d documents from %d extracted issues", len(docs), len(extracted_rows))
     return docs
+
+
+def _train_eval_stage(rows, k: int, seed: int, out) -> dict:
+    """Cross-validate both targets on ``rows``, write ``report.json``'s schema to ``out``; return target -> report."""
+    [reports] = augmentation.cross_validate_datasets([rows], k=k, seed=seed)
+    _dump_json({"k": k, "seed": seed, "n_rows": len(rows),
+                **{target.value: report.as_dict() for target, report in reports.items()}}, Path(out))
+    return reports
 
 
 def _cmd_labels(args) -> int:
@@ -453,8 +450,7 @@ def _load_selection(specs: list[AugmentationSpec], lists_dir: str | None, label_
 
 def _augment_from_args(args, ratios: list[float]) -> list[augmentation.AugmentedDataset]:
     """augment/sweep: check the spec arguments before any input is read, then augment once per ratio."""
-    app = None if args.method == Method.BETWEEN_APP else args.app
-    spec = AugmentationSpec(args.method, ratios[0], args.seed, app, args.top, args.include_same_app)
+    spec = AugmentationSpec(args.method, ratios[0], args.seed, args.app, args.top, args.include_same_app)
     primary, pool, profiles = _load_selection([spec], args.lists, args.labelmap, args.primary, args.pool, args.corpus)
     return [augmentation.augment(primary, pool, dataclasses.replace(spec, ratio=ratio), profiles) for ratio in ratios]
 
@@ -529,10 +525,9 @@ def _write_tsv(rows: list[dict], columns: list[str], path: Path | str) -> None:
 
 
 def _cmd_train_eval(args) -> int:
-    rows = augmentation.load_docs(args.data)
-    report = classifier.cross_validate(rows, IntentClass(args.target), k=args.k, seed=args.seed)
-    _dump_json(report.as_dict(), Path(args.out))
-    print(f"{args.target}: " + " ".join(f"{name}={mean:.3f}" for name, mean in report.means.items()))
+    reports = _train_eval_stage(augmentation.load_docs(args.data), args.k, args.seed, args.out)
+    for target, report in reports.items():
+        print(f"{target.value}: " + " ".join(f"{name}={mean:.3f}" for name, mean in report.means.items()))
     return EXIT_OK
 
 
@@ -639,9 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("train-eval", help="stratified cross-validation of one binary target")
+    p = sub.add_parser("train-eval", help="stratified cross-validation of both binary targets")
     p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True, choices=[t.value for t in classifier.TARGETS])
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

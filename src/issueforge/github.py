@@ -225,5 +225,6 @@ def fetch_remote(
             continue
         corpus.repos[record.repo_id] = record
         corpus.issues.extend(issues)
-    # write_corpus sorts by (repo_id, issue_id), keeping output deterministic
+    # the forge's answer order varies; sorted issues keep the written corpus deterministic
+    corpus.issues.sort(key=lambda issue: (issue.repo_id, issue.issue_id))
     return write_corpus(corpus, out_dir)

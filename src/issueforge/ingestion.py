@@ -16,7 +16,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 
 from .errors import ValidationError
@@ -181,8 +181,8 @@ def load_corpus(path: Path | str) -> Corpus:
     return Corpus(repos=repos, issues=issues)
 
 
-def write_jsonl(rows: Iterable[dict], path: Path | str, ensure_ascii: bool = False) -> Path:
-    """One sorted-key JSON object per line, exactly as ``json.dumps(row, sort_keys=True, ensure_ascii=...)``
+def write_jsonl(rows: Iterable[dict], path: Path | str) -> Path:
+    """One sorted-key JSON object per line, exactly as ``json.dumps(row, sort_keys=True, ensure_ascii=False)``
     writes it: a ``str`` enum member as its value, a tuple as a list.
 
     ``json.dumps`` makes a new C encoder for every call; here one, made with the
@@ -190,13 +190,13 @@ def write_jsonl(rows: Iterable[dict], path: Path | str, ensure_ascii: bool = Fal
     encoder, ``JSONEncoder.encode`` does).
     """
     path = Path(path)
-    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=ensure_ascii)
+    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
     if c_make_encoder is None:
         lines = (encoder.encode(row) + "\n" for row in rows)
     else:
         # the arguments JSONEncoder.iterencode passes; {} holds the circular-reference markers
         iterencode = c_make_encoder(
-            {}, encoder.default, encode_basestring_ascii if ensure_ascii else encode_basestring, None,
+            {}, encoder.default, encode_basestring, None,
             encoder.key_separator, encoder.item_separator, encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
         )
         lines = ("".join(iterencode(row, 0)) + "\n" for row in rows)
@@ -211,14 +211,14 @@ def write_repos(repos: dict[str, RepoRecord], path: Path | str) -> Path:
 
 
 def write_corpus(corpus: Corpus, path: Path | str) -> Path:
-    """Write a corpus directory in the interchange schema, deterministically sorted."""
+    """Write a corpus directory in the interchange schema: the repos sorted by ``repo_id``, the issues in
+    corpus order."""
     base = Path(path)
     base.mkdir(parents=True, exist_ok=True)
     write_repos(corpus.repos, base / "repos.jsonl")
-    issues = sorted(corpus.issues, key=lambda i: (i.repo_id, i.issue_id))
     write_jsonl(
         ({"issue_id": i.issue_id, "repo_id": i.repo_id, "title": i.title, "body": i.body,
-          "labels": i.label_names, "created_at": i.created_at} for i in issues),
+          "labels": i.label_names, "created_at": i.created_at} for i in corpus.issues),
         base / "issues.jsonl",
     )
     return base

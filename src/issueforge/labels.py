@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -32,16 +31,6 @@ class IntentClass(str, Enum):
 # an intent's value -> its member: a dict lookup costs less than calling IntentClass
 INTENT_OF = {i.value: i for i in IntentClass}
 INTENT_VALUES = frozenset(INTENT_OF)
-
-
-class LexiconKeyNotNormalized(ValidationError):
-    pass
-
-
-@dataclass(frozen=True)
-class IntentLexicon:
-    entries: dict[str, IntentClass]
-    provenance: str
 
 
 _NON_LETTER = re.compile(r"[^a-z ]+")
@@ -87,9 +76,9 @@ def _surfaces(corpus: Corpus, lists: WordLists) -> dict[str, str]:
     return surfaces
 
 
-def load_lexicon(path: Path | str | None, lists: WordLists) -> IntentLexicon:
-    """Read a "surface<TAB>class" lexicon file, the bundled one by default, which needs one entry at least,
-    and validate every key's form."""
+def load_lexicon(path: Path | str | None, lists: WordLists) -> dict[str, IntentClass]:
+    """Read a "surface<TAB>class" lexicon file, the bundled one by default, into surface -> class. The file
+    needs one entry at least, and each surface must be its own normalized form."""
     path = default_data_dir() / "lexicon.tsv" if path is None else path
     entries: dict[str, IntentClass] = {}
     for lineno, line in table_lines(path):
@@ -99,34 +88,26 @@ def load_lexicon(path: Path | str | None, lists: WordLists) -> IntentLexicon:
             intent = IntentClass(class_name.strip())
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: unknown intent class {class_name.strip()!r}")
+        if (normalized := normalize_label(surface, lists)) != surface:
+            raise ValidationError(f"{path}:{lineno}: lexicon key {surface!r} is not in normalized surface form "
+                                  f"(normalizes to {normalized!r})")
         if surface in entries and entries[surface] is not intent:
             raise ValidationError(f"{path}:{lineno}: surface {surface!r} mapped to more than one class")
         entries[surface] = intent
     if not entries:
         raise ValidationError(f"{path}: no lexicon entry")
-    lexicon = IntentLexicon(entries=entries, provenance=str(path))
-    validate_lexicon(lexicon, lists)
-    return lexicon
-
-
-def validate_lexicon(lexicon: IntentLexicon, lists: WordLists) -> None:
-    for surface in lexicon.entries:
-        if normalize_label(surface, lists) != surface:
-            raise LexiconKeyNotNormalized(
-                f"{lexicon.provenance}: lexicon key {surface!r} is not in normalized surface form "
-                f"(normalizes to {normalize_label(surface, lists)!r})"
-            )
+    return entries
 
 
 def assign_intents(
     corpus: Corpus,
-    lexicon: IntentLexicon,
+    lexicon: dict[str, IntentClass],
     lists: WordLists,
     min_label_frequency: int = 11,
 ) -> dict[str, frozenset[IntentClass]]:
-    """Map issue_id -> intent classes. Issues matching no lexicon entry (or only
-    entries rarer than ``min_label_frequency``) are unrelated and omitted.
-    The lexicon is taken as valid: ``load_lexicon`` has checked its keys."""
+    """Map issue_id -> intent classes through ``lexicon`` (surface -> class). Issues matching
+    no lexicon entry (or only entries rarer than ``min_label_frequency``) are unrelated and
+    omitted. The lexicon is taken as valid: ``load_lexicon`` has checked its keys."""
     surfaces = _surfaces(corpus, lists)
     # load_corpus rejects a duplicate issue_id, so counting issues counts distinct ids
     frequency = Counter(surface for issue in corpus.issues
@@ -136,11 +117,11 @@ def assign_intents(
         intents = set()
         for raw in issue.label_names:
             surface = surfaces[raw]
-            if not surface or surface not in lexicon.entries:
+            if not surface or surface not in lexicon:
                 continue
             if frequency[surface] < min_label_frequency:
                 continue
-            intents.add(lexicon.entries[surface])
+            intents.add(lexicon[surface])
         if intents:
             assigned[issue.issue_id] = frozenset(intents)
     return assigned

@@ -63,7 +63,7 @@ DEMO_ARTIFACT_HASHES = {
     "augmented.jsonl": "46febf7142cd4db48db949e80eb9b2e7fac2deb5946cc296a91f07eb5b573fb4",
     "docs.jsonl": "7c85af09fc813ef25007de0c803bbba0a34c88883f0f9eda979a1e8ae543a09c",
     "extracted.jsonl": "ee8e9f864098029a664cb188792dead40aae4f8c9558002521da375b4e89e47d",
-    "extraction_report.json": "8d73759d624fb464c87ad265facc6ed6dc1226d47b0676deb8d29b3553f4fd33",
+    "extraction_report.json": "b3856312193a11b507049cd68a89c0d910a928595420bce77fb08a13d72994ba",
     "labels.jsonl": "b8b88884fbbdca4315a60f08b4729732bf081e8dd9a4612ab01599f5926f3486",
     "report.json": "d207c714452d6e156268050d7d5564438c44990bcd61f8be102c9f131f9ca7e4",
     "repos.jsonl": "79fe2727e3162b7ecac91bea81352310fd6a744359afd2a128085436b2379599",
@@ -97,13 +97,15 @@ def test_demo_experiment_is_pinned_at_full_precision(pipeline_dir, tmp_path, mon
 
 
 @pytest.mark.parametrize("target", ["bug", "feature"])
-def test_train_eval_writes_the_pipeline_report_of_its_target(pipeline_dir, tmp_path, target):
-    # the demo config cross-validates with 5 folds and seed 7
+def test_train_eval_writes_the_pipeline_report_of_its_target(pipeline_dir, tmp_path, capsys, target):
+    # the demo config cross-validates with 5 folds and seed 7; train-eval writes report.json and prints each mean
     out = tmp_path / "train_eval.json"
-    argv = ["train-eval", "--data", str(pipeline_dir / "augmented.jsonl"), "--target", target, "--k", "5",
-            "--seed", "7", "--out", str(out)]
+    argv = ["train-eval", "--data", str(pipeline_dir / "augmented.jsonl"), "--k", "5", "--seed", "7", "--out", str(out)]
     assert main(argv) == EXIT_OK
-    assert json.loads(out.read_text()) == json.loads((pipeline_dir / "report.json").read_text())[target]
+    assert out.read_bytes() == (pipeline_dir / "report.json").read_bytes()
+    mean = json.loads(out.read_text())[target]["mean"]
+    line = f"{target}: precision={mean['precision']:.3f} recall={mean['recall']:.3f} f1={mean['f1']:.3f}"
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_demo_augmented_rows_keep_their_order_and_origin(pipeline_dir):
@@ -279,11 +281,11 @@ def test_report_missing_artifact(tmp_path):
     assert main(["report", str(tmp_path)]) == EXIT_STAGE_FAILURE
 
 
+# report reads manifest.json and report.json alone
 DAMAGED_RUN_FILES = {
     "manifest-not-json": ("manifest.json", "{bad"),
-    "docs-line-not-json": ("docs.jsonl", "{bad\n"),
-    "extraction-report-not-json": ("extraction_report.json", "{bad"),
-    "extraction-report-without-funnel": ("extraction_report.json", '{"modes": {}, "per_pattern": {}}'),
+    # as a run wrote it before the funnel moved into the manifest
+    "manifest-without-funnel": ("manifest.json", '{"artifacts": {}, "config": {}, "seed": 7}'),
     "report-not-json": ("report.json", "{bad"),
     "report-without-feature-mean": (
         "report.json", '{"bug": {"mean": {"precision": 1.0, "recall": 1.0, "f1": 1.0}}, "feature": {"folds": []}}'),
@@ -415,12 +417,13 @@ def test_staged_augment_and_train(staged, tmp_path):
     assert sum(1 for r in rows if r["source"] != "review") >= 1
     report_file = tmp_path / "report.json"
     code = main(
-        ["train-eval", "--data", str(augmented), "--target", "bug", "--k", "5", "--seed", "3", "--out", str(report_file)]
+        ["train-eval", "--data", str(augmented), "--k", "5", "--seed", "3", "--out", str(report_file)]
     )
     assert code == EXIT_OK
     report = json.loads(report_file.read_text())
-    assert set(report) == {"target", "folds", "mean"}
-    assert len(report["folds"]) == 5
+    assert set(report) == {"k", "seed", "n_rows", "bug", "feature"}
+    assert report["n_rows"] == len(rows)
+    assert all(len(report[target]["folds"]) == 5 for target in ("bug", "feature"))
 
 
 def test_staged_sweep_command(staged, tmp_path):
@@ -731,7 +734,7 @@ def _drawn_argv(path: Path) -> list[str]:
         return ["augment", "--primary", str(inputs["primary.csv"]), "--labelmap", str(inputs["labelmap.tsv"]),
                 "--pool", str(RECALL / "pool.jsonl"), "--method", "between-app", *out]
     if path.name == "augmented.jsonl":
-        return ["train-eval", "--data", str(path), "--target", "bug", "--out", str(path.parent / "r.json")]
+        return ["train-eval", "--data", str(path), "--out", str(path.parent / "r.json")]
     if path.name == "extracted.jsonl":
         return ["preprocess", "--in", str(path), *out]
     for name in WORD_LISTS:
@@ -936,16 +939,17 @@ def test_pipeline_config_that_is_not_an_object_is_a_validation_error(tmp_path, t
 
 
 def test_pipeline_validates_the_lexicon_once(tmp_path, monkeypatch):
+    # load_lexicon checks each key as it reads it
     from issueforge import labels
 
     calls = []
-    original = labels.validate_lexicon
+    original = labels.load_lexicon
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(labels, "validate_lexicon", counting)
+    monkeypatch.setattr(labels, "load_lexicon", counting)
     assert main(["pipeline", "--config", str(DEMO / "demo_config.json"), "--out", str(tmp_path / "run")]) == EXIT_OK
     assert len(calls) == 1
 
@@ -1030,6 +1034,7 @@ def test_augment_and_sweep_help_list_their_flags(capsys):
 
 
 def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path, capsys):
+    # the six stage subcommands, run in turn with the demo config's settings, write the run's seven artifacts
     config = json.loads((DEMO / "demo_config.json").read_text())
     filtered = tmp_path / "filtered"
     commands = [
@@ -1041,28 +1046,41 @@ def test_stage_subcommands_match_the_pipeline(pipeline_dir, tmp_path, capsys):
         ["extract", "--in", str(filtered), "--labels", str(tmp_path / "labels.jsonl"),
          "--out", str(tmp_path / "extracted.jsonl"), "--report", str(tmp_path / "extraction_report.json")],
         ["preprocess", "--in", str(tmp_path / "extracted.jsonl"), "--out", str(tmp_path / "docs.jsonl")],
+        ["augment", "--primary", str(DEMO / config["primary_csv"]), "--labelmap", str(DEMO / config["label_map"]),
+         "--pool", str(tmp_path / "docs.jsonl"), "--method", config["method"], "--ratio", str(config["ratio"]),
+         "--seed", str(config["seed"]), "--out", str(tmp_path / "augmented.jsonl")],
+        ["train-eval", "--data", str(tmp_path / "augmented.jsonl"), "--k", str(config["folds"]),
+         "--seed", str(config["seed"]), "--out", str(tmp_path / "report.json")],
     ]
     for argv in commands:
         assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == [
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:5] == [
         "kept 4/5 repos, 38 issues",
         "assigned intents to 34/38 issues",
         "extracted 31/34 issues",
         "admitted 54 documents from 31 extracted issues",
+        "wrote 60 primary + 18 auxiliary rows",
     ]
-    assert (filtered / "repos.jsonl").read_bytes() == (pipeline_dir / "repos.jsonl").read_bytes()
-    assert (tmp_path / "docs.jsonl").read_bytes() == (pipeline_dir / "docs.jsonl").read_bytes()
-    for name in ("labels.jsonl", "extracted.jsonl"):
-        staged_lines = (tmp_path / name).read_bytes().splitlines()
-        assert sorted(staged_lines) == sorted((pipeline_dir / name).read_bytes().splitlines())
-    report = json.loads((tmp_path / "extraction_report.json").read_text())
-    pipeline_report = json.loads((pipeline_dir / "extraction_report.json").read_text())
-    assert report == {
-        "considered": pipeline_report["funnel"]["issues_intent_labeled"],
-        "extracted": pipeline_report["funnel"]["issues_extracted"],
-        "modes": pipeline_report["modes"],
-        "per_pattern": pipeline_report["per_pattern"],
-    }
+    assert [line.split(":")[0] for line in printed[5:]] == ["bug", "feature"]
+    shutil.copy(filtered / "repos.jsonl", tmp_path / "repos.jsonl")
+    artifacts = json.loads((pipeline_dir / "manifest.json").read_text())["artifacts"]
+    assert {name: (tmp_path / name).read_bytes() for name in artifacts} == {
+        name: (pipeline_dir / name).read_bytes() for name in artifacts}
+
+
+def test_filter_keeps_the_corpus_order(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(DEMO / "repos.jsonl", corpus / "repos.jsonl")
+    # reversed, the demo issues are sorted neither by (repo_id, issue_id) nor as bundled
+    lines = (DEMO / "issues.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)[::-1]
+    _write(corpus / "issues.jsonl", "".join(lines))
+    out = tmp_path / "filtered"
+    assert main(["filter", "--in", str(corpus), "--out", str(out), "--min-issues", "5"]) == EXIT_OK
+    kept = [line for line in lines if json.loads(line)["repo_id"] != "r-lowact"]
+    assert len(kept) == 38
+    assert (out / "issues.jsonl").read_text(encoding="utf-8") == "".join(kept)
 
 
 def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypatch):
@@ -1114,7 +1132,7 @@ def _augment(tmp_path, labelmap=DEMO / "labelmap_demo.tsv", primary=DEMO / "prim
 
 
 def _train_eval(tmp_path, augmented_text):
-    return ["train-eval", "--data", str(_write(tmp_path / "aug.jsonl", augmented_text)), "--target", "bug",
+    return ["train-eval", "--data", str(_write(tmp_path / "aug.jsonl", augmented_text)),
             "--out", str(tmp_path / "out.json")]
 
 
@@ -1207,7 +1225,7 @@ def test_every_package_exception_derives_from_issueforge_error():
         module = importlib.import_module(f"issueforge.{info.name}")
         found += [obj for obj in vars(module).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
-    assert len(found) >= 15
+    assert len(found) >= 14
     assert [cls.__name__ for cls in found if not issubclass(cls, IssueforgeError)] == []
 
 
@@ -1234,8 +1252,7 @@ def _sweep_train(t, inputs, k):
 
 
 def _train_eval_k(t, inputs, k):
-    return ["train-eval", "--data", str(inputs["augmented"]), "--target", "bug", "--k", k,
-            "--out", str(t / "out.json")]
+    return ["train-eval", "--data", str(inputs["augmented"]), "--k", k, "--out", str(t / "out.json")]
 
 
 def _harvest(t, *extra, repos="demo/x\n"):
@@ -1345,6 +1362,15 @@ CHANGED_EXIT_CODES = {
     "harvest-line-with-a-path": (EXIT_VALIDATION, lambda t, i: _harvest(t, repos="demo/x\ndemo/x/issues\n")),
     "harvest-line-without-a-slash": (EXIT_VALIDATION, lambda t, i: _harvest(t, repos="demo\n")),
     "harvest-line-with-a-dot-dot": (EXIT_VALIDATION, lambda t, i: _harvest(t, repos="demo/../x\n")),
+    # a between-app setting with a target app once ran with the target dropped, and exited 0
+    "pipeline-between-app-with-target-app": (EXIT_VALIDATION, lambda t, i: [
+        "pipeline", "--config", _pipeline_config(t, target_app="r-podkit"), "--out", str(t / "run")]),
+    "augment-between-app-with-app": (EXIT_VALIDATION, lambda t, i: [
+        *_augment(t, pool=i["docs"]), "--app", "r-podkit"]),
+    # sweep's method defaults to between-app
+    "sweep-app-without-method": (EXIT_VALIDATION, lambda t, i: [
+        "sweep", "--primary", str(DEMO / "primary_demo.csv"), "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+        "--pool", str(i["docs"]), "--app", "r-podkit", "--out-dir", str(t / "sweep")]),
     # a missing config file once exited 2, unlike every other missing input
     "pipeline-missing-config": (EXIT_STAGE_FAILURE, lambda t, i: [
         "pipeline", "--config", str(t / "missing.json"), "--out", str(t / "run")]),
@@ -1364,6 +1390,15 @@ def test_changed_input_exit_code(staged, pipeline_dir, tmp_path, capsys, code, a
     assert "Traceback" not in err
 
 
+def test_lexicon_key_not_normalized_names_its_line(tmp_path, capsys):
+    lexicon = _write(tmp_path / "lex.tsv", "# surface<TAB>class\ncrash\tbug\nEnhancement\tfeature\n")
+    argv = ["labels", "--in", str(DEMO), "--lexicon", str(lexicon), "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == EXIT_VALIDATION
+    [error] = [r["message"] for r in map(json.loads, capsys.readouterr().err.splitlines()) if r["level"] == "error"]
+    assert f"{lexicon}:3: lexicon key 'Enhancement' is not in normalized surface form" in error
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def _latin_1(path: Path, text: str) -> str:
     """Write ``text`` as Latin-1, where an "é" is a byte that is not UTF-8."""
     path.write_bytes(text.encode("latin-1"))
@@ -1377,7 +1412,7 @@ NOT_UTF8_INPUTS = {
     "review-csv-row": (lambda t: _augment(t, primary=Path(_latin_1(
         t / "p.csv", "text,label\nit crashes,bug\nadd a map,feature\ncafé hangs,bug\n"))), "p.csv", 4),
     "augmented-jsonl-line": (lambda t: [
-        "train-eval", "--data", _latin_1(t / "aug.jsonl", POOL_HEAD + '{"doc_id": "café"}\n'), "--target", "bug",
+        "train-eval", "--data", _latin_1(t / "aug.jsonl", POOL_HEAD + '{"doc_id": "café"}\n'),
         "--out", str(t / "out.json")], "aug.jsonl", 3),
     "extracted-jsonl-line": (lambda t: [
         "preprocess", "--in", _latin_1(t / "extracted.jsonl", EXTRACTED_TEXT + '{"title": "café"}\n'),

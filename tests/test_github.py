@@ -134,6 +134,16 @@ def test_two_pages_of_issues(forge_server, tmp_path):
     assert corpus.repos[str(1)].contributors == 3
 
 
+def test_harvested_issues_are_written_sorted(forge_server, tmp_path):
+    # the forge answers newest first, and the repo list is not in repo id order
+    forge, url = forge_server
+    forge.add_repo("demo/b", 30, make_issues(3, offset=8)[::-1])
+    forge.add_repo("demo/a", 4, make_issues(2, offset=20)[::-1])
+    out = fetch_remote(["demo/b", "demo/a"], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
+    written = [(issue.repo_id, issue.issue_id) for issue in load_corpus(out).issues]
+    assert written == [("30", "10"), ("30", "8"), ("30", "9"), ("4", "20"), ("4", "21")]
+
+
 def test_unknown_repo_skipped_others_unaffected(forge_server, tmp_path):
     forge, url = forge_server
     forge.add_repo("demo/real", 2, make_issues(3))

@@ -310,25 +310,29 @@ JSON_VALUES = st.recursive(
 )
 
 
-@pytest.mark.parametrize("ensure_ascii", [True, False])
+# True: the fallback without the C encoder, as on an interpreter that lacks it
+@pytest.mark.parametrize("without_c_encoder", [True, False])
 @given(rows=st.lists(st.dictionaries(KEYS, JSON_VALUES, max_size=5), max_size=5))
 @settings(max_examples=150)
-def test_write_jsonl_equals_per_row_dumps(tmp_path_factory, ensure_ascii, rows):
+def test_write_jsonl_equals_per_row_dumps(tmp_path_factory, without_c_encoder, rows):
     rows = [*rows, {"z": ODD_TEXT, "a": [ODD_TEXT, 1.5, None], ODD_TEXT: {"b": True}}]
-    path = ingestion.write_jsonl(rows, tmp_path_factory.getbasetemp() / "rows.jsonl", ensure_ascii=ensure_ascii)
+    with mock.patch.object(ingestion, "c_make_encoder", None if without_c_encoder else ingestion.c_make_encoder):
+        path = ingestion.write_jsonl(rows, tmp_path_factory.getbasetemp() / "rows.jsonl")
     # every line, ended by "\n" alone (a written U+2028 or U+0085 is not a line break here), is its row's dumps
     lines = path.read_bytes().split(b"\n")
-    assert lines == [json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii).encode("utf-8") for row in rows] + [b""]
+    assert lines == [json.dumps(row, sort_keys=True, ensure_ascii=False).encode("utf-8") for row in rows] + [b""]
 
 
-@pytest.mark.parametrize("ensure_ascii", [True, False])
-def test_writer_without_the_c_encoder_writes_the_same_bytes(tmp_path, monkeypatch, ensure_ascii):
-    rows = [{"source": Source.REVIEW, "tokens": ("a", ODD_TEXT), "x": [float("nan"), float("-inf"), None]},
-            {ODD_TEXT: {"b": (IntentClass.BUG_REPORT, 1.5)}, "mode": ExtractionMode.SECTION_MATCH}]
-    fast = ingestion.write_jsonl(rows, tmp_path / "fast.jsonl", ensure_ascii=ensure_ascii).read_bytes()
+# True: the rows carry non-ASCII text, which both encoders write unescaped
+@pytest.mark.parametrize("non_ascii", [True, False])
+def test_writer_without_the_c_encoder_writes_the_same_bytes(tmp_path, monkeypatch, non_ascii):
+    text = ODD_TEXT if non_ascii else 'ascii "q" \\ \t\x00'
+    rows = [{"source": Source.REVIEW, "tokens": ("a", text), "x": [float("nan"), float("-inf"), None]},
+            {text: {"b": (IntentClass.BUG_REPORT, 1.5)}, "mode": ExtractionMode.SECTION_MATCH}]
+    fast = ingestion.write_jsonl(rows, tmp_path / "fast.jsonl").read_bytes()
     monkeypatch.setattr(ingestion, "c_make_encoder", None)
-    slow = ingestion.write_jsonl(rows, tmp_path / "slow.jsonl", ensure_ascii=ensure_ascii).read_bytes()
-    assert fast == slow == "".join(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n"
+    slow = ingestion.write_jsonl(rows, tmp_path / "slow.jsonl").read_bytes()
+    assert fast == slow == "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
                                    for row in rows).encode("utf-8")
 
 
@@ -338,15 +342,17 @@ def _circular() -> dict:
     return row
 
 
-@pytest.mark.parametrize("ensure_ascii", [True, False])
+@pytest.mark.parametrize("without_c_encoder", [True, False])
 @pytest.mark.parametrize("bad", [lambda: {"ok": 1, "bad": [object()]}, lambda: {"bad": {1, 2}}, lambda: {"b": b"x"},
                                  lambda: {(1, 2): "tuple key"}, _circular], ids=["object", "set", "bytes", "key",
                                                                                 "circular"])
-def test_unwritable_row_raises_what_dumps_raises(tmp_path, ensure_ascii, bad):
+def test_unwritable_row_raises_what_dumps_raises(tmp_path, monkeypatch, without_c_encoder, bad):
     with pytest.raises((TypeError, ValueError)) as expected:
-        json.dumps(bad(), sort_keys=True, ensure_ascii=ensure_ascii)
+        json.dumps(bad(), sort_keys=True, ensure_ascii=False)
+    if without_c_encoder:
+        monkeypatch.setattr(ingestion, "c_make_encoder", None)
     with pytest.raises(expected.type) as raised:
-        ingestion.write_jsonl([{"first": "row"}, bad()], tmp_path / "rows.jsonl", ensure_ascii=ensure_ascii)
+        ingestion.write_jsonl([{"first": "row"}, bad()], tmp_path / "rows.jsonl")
     assert str(raised.value) == str(expected.value)
     assert getattr(raised.value, "__notes__", None) == getattr(expected.value, "__notes__", None)
 
@@ -392,7 +398,7 @@ TABLES = {
                  lambda path: [(p.name, p.regex.pattern) for p in load_patterns(path)], b"X1\tcrash",
                  "expected name<TAB>regex<TAB>flags"),
     "lexicon": ("lexicon.tsv", (DATA / "lexicon.tsv").read_text(encoding="utf-8"),
-                lambda path: load_lexicon(path, load_wordlists()).entries, b"crash\tbugs",
+                lambda path: load_lexicon(path, load_wordlists()), b"crash\tbugs",
                 "unknown intent class 'bugs'"),
     "label-map": ("pd5.tsv", (DATA / "labelmaps" / "pd5.tsv").read_text(encoding="utf-8"), load_label_map,
                   b"crash\tbugs", "unknown target class 'bugs'"),

@@ -1,3 +1,4 @@
+import re
 import string
 
 import pytest
@@ -8,12 +9,9 @@ from issueforge.errors import ValidationError
 from issueforge.ingestion import Corpus, RawIssue, RepoRecord, load_corpus
 from issueforge.labels import (
     IntentClass,
-    IntentLexicon,
-    LexiconKeyNotNormalized,
     assign_intents,
     load_lexicon,
     normalize_label,
-    validate_lexicon,
 )
 from issueforge.textprep import default_data_dir, load_wordlists
 
@@ -105,7 +103,7 @@ def test_normalized_form_invariants(raw):
 )
 def test_label_frequency_counts_each_issue_once(lists, issue_labels, bug_issues, frequency):
     # "P1" normalizes to the empty surface, which is never counted, even where the lexicon names it
-    lexicon = load_lexicon_from_entries({"bug": IntentClass.BUG_REPORT, "": IntentClass.FEATURE_REQUEST})
+    lexicon = {"bug": IntentClass.BUG_REPORT, "": IntentClass.FEATURE_REQUEST}
     corpus = make_corpus(issue_labels)
     assigned = assign_intents(corpus, lexicon, lists, min_label_frequency=frequency)
     assert assigned == {issue_id: frozenset({IntentClass.BUG_REPORT}) for issue_id in bug_issues}
@@ -115,14 +113,8 @@ def test_label_frequency_counts_each_issue_once(lists, issue_labels, bug_issues,
 # --- assign_intents --------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def lexicon(lists):
-    return load_lexicon_from_entries(
-        {"bug": IntentClass.BUG_REPORT, "crash": IntentClass.BUG_REPORT, "enhanc": IntentClass.FEATURE_REQUEST}
-    )
-
-
-def load_lexicon_from_entries(entries):
-    return IntentLexicon(entries=entries, provenance="<test>")
+def lexicon():
+    return {"bug": IntentClass.BUG_REPORT, "crash": IntentClass.BUG_REPORT, "enhanc": IntentClass.FEATURE_REQUEST}
 
 
 def test_unrelated_label_excluded(lists, lexicon):
@@ -145,10 +137,13 @@ def test_min_frequency_applies(lists, lexicon):
     assert "i2" not in assigned  # enhanc appears on one issue only
 
 
-def test_lexicon_key_must_be_normalized(lists):
-    bad = load_lexicon_from_entries({"Enhancement": IntentClass.FEATURE_REQUEST})
-    with pytest.raises(LexiconKeyNotNormalized):
-        validate_lexicon(bad, lists)
+def test_lexicon_key_must_be_normalized(tmp_path, lists):
+    # the error names the key's line, as every table error does
+    bad = tmp_path / "lexicon.tsv"
+    bad.write_text("crash\tbug\nEnhancement\tfeature\n", encoding="utf-8")
+    message = f"{bad}:2: lexicon key 'Enhancement' is not in normalized surface form (normalizes to 'enhanc')"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_lexicon(bad, lists)
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "# crash\tbug\n"], ids=["empty", "blank", "comments"])
@@ -169,11 +164,11 @@ def test_bundled_lexicon_is_valid(lists):
     from issueforge.textprep import default_data_dir
 
     lexicon = load_lexicon(default_data_dir() / "lexicon.tsv", lists)
-    assert len(lexicon.entries) >= 30
-    assert lexicon.entries["crash"] is IntentClass.BUG_REPORT
-    assert lexicon.entries["type not reproduc"] is IntentClass.BUG_REPORT
-    assert lexicon.entries["enhanc"] is IntentClass.FEATURE_REQUEST
-    assert lexicon.entries["question"] is IntentClass.OTHER
+    assert len(lexicon) >= 30
+    assert lexicon["crash"] is IntentClass.BUG_REPORT
+    assert lexicon["type not reproduc"] is IntentClass.BUG_REPORT
+    assert lexicon["enhanc"] is IntentClass.FEATURE_REQUEST
+    assert lexicon["question"] is IntentClass.OTHER
 
 
 LABEL_POOL = ["bug", "crash", "enhancement", "question", "priority high", "wontfix", "P1"]
@@ -187,15 +182,13 @@ LABEL_POOL = ["bug", "crash", "enhancement", "question", "priority high", "wontf
 def test_lexicon_growth_is_monotone(issue_labels, min_freq):
     lists = load_wordlists()
     corpus = make_corpus(issue_labels)
-    small = load_lexicon_from_entries({"bug": IntentClass.BUG_REPORT})
-    big = load_lexicon_from_entries(
-        {
-            "bug": IntentClass.BUG_REPORT,
-            "crash": IntentClass.BUG_REPORT,
-            "enhanc": IntentClass.FEATURE_REQUEST,
-            "question": IntentClass.OTHER,
-        }
-    )
+    small = {"bug": IntentClass.BUG_REPORT}
+    big = {
+        "bug": IntentClass.BUG_REPORT,
+        "crash": IntentClass.BUG_REPORT,
+        "enhanc": IntentClass.FEATURE_REQUEST,
+        "question": IntentClass.OTHER,
+    }
     before = assign_intents(corpus, small, lists, min_label_frequency=min_freq)
     after = assign_intents(corpus, big, lists, min_label_frequency=min_freq)
     for issue_id, intents in before.items():
@@ -210,9 +203,7 @@ def test_lexicon_growth_is_monotone(issue_labels, min_freq):
 def test_raising_min_frequency_never_adds(issue_labels, min_freq):
     lists = load_wordlists()
     corpus = make_corpus(issue_labels)
-    lexicon = load_lexicon_from_entries(
-        {"bug": IntentClass.BUG_REPORT, "crash": IntentClass.BUG_REPORT, "question": IntentClass.OTHER}
-    )
+    lexicon = {"bug": IntentClass.BUG_REPORT, "crash": IntentClass.BUG_REPORT, "question": IntentClass.OTHER}
     low = assign_intents(corpus, lexicon, lists, min_label_frequency=min_freq)
     high = assign_intents(corpus, lexicon, lists, min_label_frequency=min_freq + 1)
     for issue_id, intents in high.items():
@@ -240,8 +231,8 @@ def _assign_oracle(corpus, lexicon, lists, min_label_frequency):
         intents = set()
         for raw in issue.label_names:
             surface = normalize_label(raw, lists)
-            if surface in lexicon.entries and frequency.get(surface, 0) >= min_label_frequency:
-                intents.add(lexicon.entries[surface])
+            if surface in lexicon and frequency.get(surface, 0) >= min_label_frequency:
+                intents.add(lexicon[surface])
         if intents:
             assigned[issue.issue_id] = frozenset(intents)
     return assigned
