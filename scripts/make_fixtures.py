@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled fixture data (demo corpus, extraction gold set,
-synthetic recall corpus) and verify their intended properties.
+"""Regenerate the fixture data (the bundled demo corpus and synthetic recall
+corpus, and the tests' extraction gold set) and verify their intended properties.
 
 Deterministic: running it twice produces byte-identical files.
 """
@@ -14,12 +14,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 DATA = ROOT / "src" / "issueforge" / "data"
 
-from issueforge import augmentation, classifier, extraction, ingestion, textprep  # noqa: E402
+from issueforge import augmentation, classifier, extraction, textprep  # noqa: E402
 from issueforge.labels import IntentClass  # noqa: E402
-from issueforge.textprep import ProcessedDocument, Source  # noqa: E402
+
+from extraction_gold import GOLD_FIXTURE, load_gold, score  # noqa: E402
 
 
 def jsonl(rows: list[dict], path: Path) -> None:
@@ -312,34 +314,34 @@ def demo_corpus() -> None:
 # ---------------------------------------------------------------------------
 
 TARGET_SECTIONS = [
-    ("### Actual behaviour", "atx"),
-    ("### Actual results", "atx"),
-    ("**What is the current behavior?**", "bold"),
-    ("**Describe the bug**", "bold"),
-    ("### Describe your question in detail", "atx"),
-    ("**Ask your question**", "bold"),
-    ("### Problem statement", "atx"),
-    ("**Tell us about the problem**", "bold"),
-    ("### Problem you are trying to solve", "atx"),
-    ("Short description:", "field"),
-    ("**Describe the feature you want**", "bold"),
-    ("### Feature request", "atx"),
-    ("### What feature would you like to see?", "atx"),
-    ("**What is this issue about?**", "bold"),
-    ("### What happened?", "atx"),
-    ("### What is the problem?", "atx"),
-    ("User problem:", "field"),
-    ("**Summary of issue**", "bold"),
-    ("### Bug explanation", "atx"),
-    ("**Describe the issue**", "bold"),
-    ("### Issue details", "atx"),
-    ("User benefit:", "field"),
-    ("### What did you see instead?", "atx"),
-    ("**Is your feature request related to a problem?**", "bold"),
-    ("### Description", "atx"),
-    ("**Summary**", "bold"),
-    ("### Overview", "atx"),
-    ("### Motivation", "atx"),
+    "### Actual behaviour",
+    "### Actual results",
+    "**What is the current behavior?**",
+    "**Describe the bug**",
+    "### Describe your question in detail",
+    "**Ask your question**",
+    "### Problem statement",
+    "**Tell us about the problem**",
+    "### Problem you are trying to solve",
+    "Short description:",
+    "**Describe the feature you want**",
+    "### Feature request",
+    "### What feature would you like to see?",
+    "**What is this issue about?**",
+    "### What happened?",
+    "### What is the problem?",
+    "User problem:",
+    "**Summary of issue**",
+    "### Bug explanation",
+    "**Describe the issue**",
+    "### Issue details",
+    "User benefit:",
+    "### What did you see instead?",
+    "**Is your feature request related to a problem?**",
+    "### Description",
+    "**Summary**",
+    "### Overview",
+    "### Motivation",
 ]
 
 DECOY_SECTIONS = [
@@ -434,9 +436,6 @@ def extraction_gold() -> None:
     rows: list[dict] = []
     counter = 1
 
-    def render(title: str, style: str) -> str:
-        return title
-
     def add(body: str, gold: str | None, title: str = "Fixture issue"):
         nonlocal counter
         rows.append(
@@ -454,7 +453,7 @@ def extraction_gold() -> None:
 
     # 57 structured issues whose target section should be extracted
     for index in range(57):
-        title, _style = TARGET_SECTIONS[index % len(TARGET_SECTIONS)]
+        title = TARGET_SECTIONS[index % len(TARGET_SECTIONS)]
         text = TARGET_TEXTS[index % len(TARGET_TEXTS)]
         parts: list[str] = []
         n_before = index % 3  # 0, 1 or 2 decoy sections before the target
@@ -501,16 +500,15 @@ def extraction_gold() -> None:
         add(body, wanted)
 
     assert len(rows) == 100, len(rows)
-    jsonl(rows, DATA / "extraction_gold.jsonl")
+    jsonl(rows, GOLD_FIXTURE)
 
-    gold = extraction.load_gold_fixture()
-    report = extraction.verify_patterns(gold, patterns, lists)
+    report = score(load_gold(), patterns, lists)
     print(
-        f"extraction gold: accuracy={report.accuracy:.2f} "
-        f"(correct={report.correct} wrong={report.wrong_section} "
-        f"missed={report.missed} spurious={report.spurious})"
+        f"extraction gold: accuracy={report['accuracy']:.2f} "
+        f"(correct={report['correct']} wrong={report['wrong_section']} "
+        f"missed={report['missed']} spurious={report['spurious']})"
     )
-    assert report.accuracy >= 0.82, report.as_dict()
+    assert report["accuracy"] >= 0.82, report
 
 
 # ---------------------------------------------------------------------------
@@ -604,4 +602,4 @@ if __name__ == "__main__":
     demo_corpus()
     extraction_gold()
     synthetic_recall()
-    print("fixtures written to", DATA)
+    print("fixtures written to", DATA, "and", GOLD_FIXTURE.parent)

@@ -196,7 +196,6 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     target: IntentClass
-    loss_history: list[float] = field(default_factory=list)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -239,15 +238,11 @@ def train(rows: Sequence[ProcessedDocument], target: IntentClass) -> LinearModel
     X = vectorize(space, counted)
     weights = np.zeros(len(space.vocabulary), dtype=np.float64)
     bias = 0.0
-    history: list[float] = []
     for _ in range(EPOCHS):
-        loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, L2)
-        history.append(loss)
+        _, grad_w, grad_b = loss_and_grad(weights, bias, X, y, L2)
         weights = weights - LEARNING_RATE * grad_w
         bias = bias - LEARNING_RATE * grad_b
-    final_loss, _, _ = loss_and_grad(weights, bias, X, y, L2)
-    history.append(final_loss)
-    return LinearModel(space=space, weights=weights, bias=bias, target=target, loss_history=history)
+    return LinearModel(space=space, weights=weights, bias=bias, target=target)
 
 
 def predict_proba(model: LinearModel, rows: Sequence[ProcessedDocument]) -> np.ndarray:

@@ -282,22 +282,33 @@ def print_report(artifact_dir: Path | str, stream=None) -> dict:
 
     It reads ``manifest.json``, which a run whose commit was cut short lacks, and
     then ``report.json``; a missing one is the OSError of opening it. A malformed
-    file, a manifest without the funnel counts, or a report without a mean for
-    both targets is a ValidationError.
+    file, a manifest without the funnel counts, a ``report.json`` whose sha256 is
+    not the one the manifest lists for it, or a report without a mean for both
+    targets is a ValidationError.
     """
     stream = stream or sys.stdout
     out = Path(artifact_dir)
-    manifest, metrics = _read_json(out / "manifest.json"), _read_json(out / "report.json")
+    manifest, report_path = _read_json(out / "manifest.json"), out / "report.json"
+    digest = _sha256_file(report_path)
     try:
         counts = manifest["funnel"]
         funnel = [("raw issues", counts["issues_total"]), ("filtered", counts["issues_filtered_corpus"]),
                   ("intent-labeled", counts["issues_intent_labeled"]), ("extracted", counts["issues_extracted"]),
                   ("admitted", counts["issues_admitted"])]
+        listed = manifest["artifacts"].get(report_path.name)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"{out}: manifest.json needs the funnel counts and the artifact digests ({type(exc).__name__}: {exc})"
+        ) from exc
+    if digest != listed:
+        # a report.json from another run would print that run's metrics under this run's funnel
+        raise ValidationError(f"{report_path}: sha256 {digest}, but manifest.json lists {listed or 'no digest'}")
+    metrics = _read_json(report_path)
+    try:
         means = {t.value: [float(metrics[t.value]["mean"][m]) for m in classifier.METRICS] for t in classifier.TARGETS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
-            f"{out}: manifest.json needs the funnel counts and report.json a mean for bug and feature "
-            f"({type(exc).__name__}: {exc})"
+            f"{out}: report.json needs a mean for bug and feature ({type(exc).__name__}: {exc})"
         ) from exc
     print("Data funnel:", file=stream)
     for name, count in funnel:

@@ -23,13 +23,9 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ValidationError
-from .ingestion import RawIssue, SchemaViolation, parse_jsonl, table_lines
+from .ingestion import RawIssue, table_lines
 from .stemmer import stem
 from .textprep import DIGITS, MEMO_LIMIT, WordLists, default_data_dir, strip_noise, tokenize
-
-
-class MissingGold(ValidationError):
-    pass
 
 
 class ExtractionMode(str, Enum):
@@ -252,86 +248,3 @@ def extract_rows(
         )
     return rows, {"considered": considered, "extracted": len(rows), "modes": modes, "per_pattern": per_pattern}
 
-
-# --- fixture verification -------------------------------------------------------
-
-@dataclass(frozen=True)
-class GoldIssue:
-    issue: RawIssue
-    gold_text: str | None
-
-
-@dataclass
-class ExtractionReport:
-    total: int = 0
-    correct: int = 0
-    wrong_section: int = 0
-    missed: int = 0
-    spurious: int = 0
-    per_pattern: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.total if self.total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "correct": self.correct,
-            "wrong_section": self.wrong_section,
-            "missed": self.missed,
-            "spurious": self.spurious,
-            "accuracy": self.accuracy,
-            "per_pattern": dict(sorted(self.per_pattern.items())),
-        }
-
-
-def load_gold_fixture(path: Path | str | None = None) -> list[GoldIssue]:
-    """Gold issues of a JSONL fixture (the bundled one by default); ``gold_text`` is a string, or null for
-    an issue that has no target text."""
-    path = Path(default_data_dir() / "extraction_gold.jsonl" if path is None else path)
-    items: list[GoldIssue] = []
-    for lineno, row in parse_jsonl(path, {"issue_id": str, "body": str}):
-        if "gold_text" not in row:
-            raise MissingGold(f"{path.name}:{lineno}: fixture row lacks gold_text")
-        if row["gold_text"] is not None and not isinstance(row["gold_text"], str):
-            raise SchemaViolation(path.name, lineno, "gold_text", "expected str or null")
-        items.append(
-            GoldIssue(
-                issue=RawIssue(
-                    issue_id=row["issue_id"],
-                    repo_id=row.get("repo_id", "fixture"),
-                    title=row.get("title", ""),
-                    body=row["body"],
-                    label_names=tuple(row.get("labels", [])),
-                    created_at=row.get("created_at", "2023-01-01T00:00:00Z"),
-                ),
-                gold_text=row["gold_text"],
-            )
-        )
-    if not items:
-        raise MissingGold(f"{path}: fixture is empty")
-    return items
-
-
-def verify_patterns(
-    gold: list[GoldIssue], patterns: PatternSet, lists: WordLists
-) -> ExtractionReport:
-    """Score extraction against gold annotations, reporting empty-output and
-    wrong-section errors separately plus per-pattern hit counts."""
-    report = ExtractionReport(total=len(gold))
-    for item in gold:
-        result = extract(item.issue, patterns, lists)
-        if result is not None and result.matched_pattern:
-            report.per_pattern[result.matched_pattern] = report.per_pattern.get(result.matched_pattern, 0) + 1
-        if result is None and item.gold_text is None:
-            report.correct += 1
-        elif result is None:
-            report.missed += 1
-        elif item.gold_text is None:
-            report.spurious += 1
-        elif result.text == item.gold_text:
-            report.correct += 1
-        else:
-            report.wrong_section += 1
-    return report

@@ -16,6 +16,7 @@ from issueforge.cli import PipelineConfig, run_pipeline
 from issueforge.labels import IntentClass, normalize_label
 from issueforge.textprep import ProcessedDocument, Source, default_data_dir
 
+from extraction_gold import load_gold, score
 from test_similarity import oracle_cosine, oracle_tfidf
 from title_examples import DESIGNATED_TITLES, NEGATIVE_TITLES
 
@@ -47,10 +48,10 @@ def test_c01_pattern_conformance(lists, patterns):
 
 def test_c02_extraction_accuracy_floor(lists, patterns):
     with criterion(2, "gold-section agreement >= 0.80 on the bundled 100-issue fixture", 5.0):
-        gold = extraction.load_gold_fixture()
+        gold = load_gold()
         assert len(gold) == 100
-        report = extraction.verify_patterns(gold, patterns, lists)
-        assert report.accuracy >= 0.80, report.as_dict()
+        report = score(gold, patterns, lists)
+        assert report["accuracy"] >= 0.80, report
 
 
 def test_c03_label_normalization_examples(lists):
@@ -172,14 +173,14 @@ def test_c07_metric_unit_cases():
 
 def test_c08_classifier_soundness():
     with criterion(8, "gradients match finite differences; loss monotone; separable F1=1", 30.0):
-        from test_classifier import _finite_difference_check, make_rows
+        from test_classifier import _assert_fit_matches_oracle, _finite_difference_check, make_rows
 
         rng = random.Random(4242)
         for _ in range(20):
             assert _finite_difference_check(rng) < 1e-5
         rows = make_rows(40, 50, n_aux=15, seed=8)
-        model = classifier.train(rows, BUG)
-        assert (np.diff(model.loss_history) <= 1e-9).all()
+        *_, history = _assert_fit_matches_oracle(classifier.train(rows, BUG), rows)
+        assert (np.diff(history) <= 1e-9).all()
         separable = make_rows(50, 50, seed=1)
         trained = classifier.train(separable, BUG)
         assert classifier.evaluate(trained, separable, BUG).f1 == pytest.approx(1.0)

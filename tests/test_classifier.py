@@ -142,9 +142,8 @@ def test_degenerate_labels():
 
 def test_loss_monotone_nonincreasing():
     rows = make_rows(30, 40, n_aux=10, seed=5)
-    model = train(rows, BUG)
-    diffs = np.diff(model.loss_history)
-    assert (diffs <= 1e-9).all()
+    *_, history = _assert_fit_matches_oracle(train(rows, BUG), rows)
+    assert (np.diff(history) <= 1e-9).all()
 
 
 def _finite_difference_check(rng: random.Random, n_rows: int = 12, n_terms: int = 6) -> float:
@@ -460,15 +459,16 @@ def _assert_same_matrix(X, oracle):
         assert np.array_equal(getattr(X, name), getattr(oracle, name)), name
 
 
-def _assert_fit_matches_oracle(model, train_rows) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, float]:
+def _assert_fit_matches_oracle(
+    model, train_rows
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, float, list[float]]:
     vocabulary, idf = _oracle_feature_space(train_rows)
     assert np.array_equal(np.array(model.space.vocabulary, dtype=object), np.array(vocabulary, dtype=object))
     assert np.array_equal(model.space.idf, idf)
     weights, bias, history = _oracle_fit(_oracle_vectorize(vocabulary, idf, train_rows), labels_for(train_rows, BUG))
     assert np.array_equal(model.weights, weights)
     assert model.bias == bias
-    assert model.loss_history == history
-    return vocabulary, idf, weights, bias
+    return vocabulary, idf, weights, bias, history
 
 
 WORDS = ("crash", "freeze", "love", "great", "app", "add")
@@ -515,7 +515,7 @@ def test_counting_once_per_cross_validation_is_exact(rows, k, seed):
     assert len(fits) == len(folds) == len(report.folds) and len(matrices) == 2 * len(folds)
     for f, (train_idx, test_idx) in enumerate(folds):
         train_rows, test_rows = [rows[i] for i in train_idx], [rows[i] for i in test_idx]
-        vocabulary, idf, weights, bias = _assert_fit_matches_oracle(fits[f][1], train_rows)
+        vocabulary, idf, weights, bias, _ = _assert_fit_matches_oracle(fits[f][1], train_rows)
         _assert_same_matrix(matrices[2 * f][1], _oracle_vectorize(vocabulary, idf, train_rows))
         X_test = _oracle_vectorize(vocabulary, idf, test_rows)
         _assert_same_matrix(matrices[2 * f + 1][1], X_test)

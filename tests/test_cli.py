@@ -282,24 +282,50 @@ def test_report_missing_artifact(tmp_path):
 
 
 # report reads manifest.json and report.json alone
+# file, damaged text, and what the one error line says
 DAMAGED_RUN_FILES = {
-    "manifest-not-json": ("manifest.json", "{bad"),
+    "manifest-not-json": ("manifest.json", "{bad", "manifest.json is not valid JSON"),
     # as a run wrote it before the funnel moved into the manifest
-    "manifest-without-funnel": ("manifest.json", '{"artifacts": {}, "config": {}, "seed": 7}'),
-    "report-not-json": ("report.json", "{bad"),
+    "manifest-without-funnel": (
+        "manifest.json", '{"artifacts": {}, "config": {}, "seed": 7}', "manifest.json needs the funnel counts"),
+    "report-not-json": ("report.json", "{bad", "report.json is not valid JSON"),
     "report-without-feature-mean": (
-        "report.json", '{"bug": {"mean": {"precision": 1.0, "recall": 1.0, "f1": 1.0}}, "feature": {"folds": []}}'),
+        "report.json", '{"bug": {"mean": {"precision": 1.0, "recall": 1.0, "f1": 1.0}}, "feature": {"folds": []}}',
+        "report.json needs a mean for bug and feature"),
 }
 
 
-@pytest.mark.parametrize("name,text", DAMAGED_RUN_FILES.values(), ids=DAMAGED_RUN_FILES.keys())
-def test_report_on_a_damaged_run_is_a_validation_error(pipeline_dir, tmp_path, capsys, name, text):
+@pytest.mark.parametrize("name,text,message", DAMAGED_RUN_FILES.values(), ids=DAMAGED_RUN_FILES.keys())
+def test_report_on_a_damaged_run_is_a_validation_error(pipeline_dir, tmp_path, capsys, name, text, message):
     run = tmp_path / "run"
     shutil.copytree(pipeline_dir, run)
     (run / name).write_text(text, encoding="utf-8")
+    if name == "report.json":  # listed in the manifest, so report reads it instead of stopping at its digest
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["artifacts"][name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["report", str(run)]) == EXIT_VALIDATION
     captured = capsys.readouterr()
-    assert [json.loads(line)["level"] for line in captured.err.splitlines()].count("error") == 1
+    errors = [record for record in map(json.loads, captured.err.splitlines()) if record["level"] == "error"]
+    assert len(errors) == 1 and message in errors[0]["message"]
+    assert "Traceback" not in captured.err
+    assert "Mean metrics" not in captured.out
+
+
+def test_report_on_a_run_holding_another_runs_report_is_a_validation_error(pipeline_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    listed = json.loads((run / "manifest.json").read_text())["artifacts"]["report.json"]
+    argv = ["train-eval", "--data", str(run / "augmented.jsonl"), "--k", "3", "--seed", "1",
+            "--out", str(run / "report.json")]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(["report", str(run)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    errors = [record for record in map(json.loads, captured.err.splitlines()) if record["level"] == "error"]
+    assert len(errors) == 1
+    for named in ("report.json", listed, hashlib.sha256((run / "report.json").read_bytes()).hexdigest()):
+        assert named in errors[0]["message"]
     assert "Traceback" not in captured.err
     assert "Mean metrics" not in captured.out
 
@@ -1225,7 +1251,7 @@ def test_every_package_exception_derives_from_issueforge_error():
         module = importlib.import_module(f"issueforge.{info.name}")
         found += [obj for obj in vars(module).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
-    assert len(found) >= 14
+    assert len(found) >= 13
     assert [cls.__name__ for cls in found if not issubclass(cls, IssueforgeError)] == []
 
 

@@ -11,18 +11,15 @@ from issueforge.errors import ValidationError
 from issueforge.extraction import (
     ExtractedSection,
     ExtractionMode,
-    GoldIssue,
-    MissingGold,
     extract,
-    load_gold_fixture,
     load_patterns,
     normalize_title,
-    verify_patterns,
 )
 from issueforge.ingestion import RawIssue, RepoRecord, SchemaViolation
 from issueforge.similarity import PROFILE_SECTION_TITLES, profile_text
 from issueforge.textprep import default_data_dir, load_wordlists, strip_noise
 
+from extraction_gold import load_gold, score
 from title_examples import DESIGNATED_TITLES, NEGATIVE_TITLES
 
 
@@ -303,45 +300,37 @@ def test_extract_single_paragraph_with_noise(lists, patterns):
 
 def test_all_correct_fixture_scores_one(lists, patterns):
     gold = [
-        GoldIssue(issue=make_issue("### Actual behaviour\ngood text", "a1"), gold_text="good text"),
-        GoldIssue(issue=make_issue("one paragraph only", "a2"), gold_text="one paragraph only"),
-        GoldIssue(issue=make_issue("p1\n\np2", "a3"), gold_text=None),
+        (make_issue("### Actual behaviour\ngood text", "a1"), "good text"),
+        (make_issue("one paragraph only", "a2"), "one paragraph only"),
+        (make_issue("p1\n\np2", "a3"), None),
     ]
-    report = verify_patterns(gold, patterns, lists)
-    assert report.accuracy == 1.0
+    assert score(gold, patterns, lists)["accuracy"] == 1.0
 
 
 def test_adversarial_fixture_scores_point_eight(lists, patterns):
-    gold = []
-    for index in range(8):
-        gold.append(
-            GoldIssue(
-                issue=make_issue(f"### Actual behaviour\ntext {index}", f"b{index}"),
-                gold_text=f"text {index}",
-            )
-        )
+    gold = [(make_issue(f"### Actual behaviour\ntext {index}", f"b{index}"), f"text {index}") for index in range(8)]
     # two issues whose annotation cannot be produced: uncommon title, multi-paragraph
-    gold.append(GoldIssue(issue=make_issue("### Current situation\nwanted", "b8"), gold_text="wanted"))
-    gold.append(GoldIssue(issue=make_issue("wanted\n\nextra detail", "b9"), gold_text="wanted"))
-    report = verify_patterns(gold, patterns, lists)
-    assert report.accuracy == pytest.approx(0.8)
-    assert report.missed == 2
+    gold.append((make_issue("### Current situation\nwanted", "b8"), "wanted"))
+    gold.append((make_issue("wanted\n\nextra detail", "b9"), "wanted"))
+    report = score(gold, patterns, lists)
+    assert report["accuracy"] == pytest.approx(0.8)
+    assert report["missed"] == 2
 
 
 def test_bundled_gold_fixture_meets_floor(lists, patterns):
-    gold = load_gold_fixture()
+    gold = load_gold()
     assert len(gold) == 100
-    report = verify_patterns(gold, patterns, lists)
-    assert report.accuracy >= 0.80
-    assert report.total == 100
-    assert report.per_pattern  # at least one pattern fired
+    report = score(gold, patterns, lists)
+    assert report["accuracy"] >= 0.80
+    assert report["total"] == 100
+    assert report["per_pattern"]  # at least one pattern fired
 
 
 def test_missing_gold_raises(tmp_path):
     fixture = tmp_path / "gold.jsonl"
     fixture.write_text('{"issue_id": "x", "body": "text"}\n', encoding="utf-8")
-    with pytest.raises(MissingGold):
-        load_gold_fixture(fixture)
+    with pytest.raises(SchemaViolation, match=re.escape("gold.jsonl:1: field 'gold_text': missing")):
+        load_gold(fixture)
 
 
 @pytest.mark.parametrize("line,field", [
@@ -356,7 +345,7 @@ def test_malformed_gold_line_is_a_schema_violation(tmp_path, line, field):
     fixture = tmp_path / "gold.jsonl"
     fixture.write_text('{"issue_id": "a", "body": "text", "gold_text": null}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(SchemaViolation, match=re.escape(f"gold.jsonl:2: field {field!r}: ")):
-        load_gold_fixture(fixture)
+        load_gold(fixture)
 
 
 def test_custom_pattern_file(tmp_path, lists):
