@@ -71,6 +71,7 @@ class AugmentationSpec:
             raise ValidationError(f"unknown method {self.method!r}") from None
         if not _is_real(self.ratio) or not 0.0 <= self.ratio <= 1.0:
             raise ValidationError(f"ratio must be a number in [0, 1], got {self.ratio!r}")
+        object.__setattr__(self, "ratio", abs(self.ratio))  # -0.0 is 0.0, in names and trend rows alike
         check_int("seed", self.seed)
         check_int("top_k_similar", self.top_k_similar, 1)
         if not isinstance(self.include_same_app, bool):

@@ -10,8 +10,9 @@ A cross-validation counts its rows' terms and labels once (``count_terms``,
 ``labels_for``). Each fold selects its train and test rows from that count by
 index, takes df, its vocabulary and idf from the selected training entries,
 and remaps term ids onto its columns; no fold counts a token or a label again.
-A fold's matrix builds its transpose once for all of its gradient steps, and
-every step computes exactly the floats that the by-definition objective does.
+A fold's matrix builds its transpose once for all of its gradient steps. A
+step evaluates only the gradient it steps on (``gradient``), never the loss,
+and computes exactly the floats that the by-definition objective's gradient does.
 """
 
 from __future__ import annotations
@@ -205,18 +206,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def loss_and_grad(
+def gradient(
     weights: np.ndarray, bias: float, X: TfidfMatrix, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean logistic loss with L2 on weights (bias unregularized), and its gradient."""
-    z = X @ weights + bias
-    # log(1 + e^z) - y*z, computed without under/overflow; add.reduce is the
-    # pairwise sum np.mean and np.sum take, without their dispatch
-    loss = float(np.add.reduce(np.logaddexp(0.0, z) - y * z) / len(y) + 0.5 * l2 * np.dot(weights, weights))
-    residual = (_sigmoid(z) - y) / len(y)
-    grad_w = X.T @ residual + l2 * weights
-    grad_b = float(np.add.reduce(residual))
-    return loss, grad_w, grad_b
+) -> tuple[np.ndarray, float]:
+    """Gradient of the mean logistic loss with L2 on weights (bias unregularized); the loss is not evaluated."""
+    residual = (_sigmoid(X @ weights + bias) - y) / len(y)
+    # add.reduce is the pairwise sum np.sum takes, without its dispatch
+    return X.T @ residual + l2 * weights, float(np.add.reduce(residual))
 
 
 def labels_for(rows: Sequence[ProcessedDocument], target: IntentClass) -> np.ndarray:
@@ -239,7 +235,7 @@ def train(rows: Sequence[ProcessedDocument], target: IntentClass) -> LinearModel
     weights = np.zeros(len(space.vocabulary), dtype=np.float64)
     bias = 0.0
     for _ in range(EPOCHS):
-        _, grad_w, grad_b = loss_and_grad(weights, bias, X, y, L2)
+        grad_w, grad_b = gradient(weights, bias, X, y, L2)
         weights = weights - LEARNING_RATE * grad_w
         bias = bias - LEARNING_RATE * grad_b
     return LinearModel(space=space, weights=weights, bias=bias, target=target)

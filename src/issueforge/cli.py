@@ -496,6 +496,7 @@ def _parse_ratios(text: str) -> list[float]:
             value += step
     if not ratios or not all(0.0 <= ratio <= 1.0 for ratio in ratios):
         raise ValidationError(f"--ratios {text!r} must give at least one ratio, each in [0, 1]")
+    ratios = [abs(ratio) for ratio in ratios]  # -0.0 is 0.0, so it shares 0's file name
     shared = sorted(name for name, n in Counter(_sweep_file(ratio) for ratio in ratios).items() if n > 1)
     if shared:
         raise ValidationError(f"--ratios {text!r} gives ratios that share a file name: {', '.join(shared)}")

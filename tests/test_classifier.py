@@ -35,8 +35,8 @@ from issueforge.classifier import (
     count_terms,
     cross_validate,
     evaluate,
+    gradient,
     labels_for,
-    loss_and_grad,
     metrics_from_counts,
     predict_proba,
     stratified_folds,
@@ -160,7 +160,11 @@ def _finite_difference_check(rng: random.Random, n_rows: int = 12, n_terms: int 
     weights = np.array([rng.uniform(-1, 1) for _ in space.vocabulary])
     bias = rng.uniform(-1, 1)
     l2 = 1e-4
-    _, grad_w, grad_b = loss_and_grad(weights, bias, X, y, l2)
+    grad_w, grad_b = gradient(weights, bias, X, y, l2)
+
+    def loss(w, b):
+        return _reference_loss_and_grad(w, b, _as_reference(X), y, l2)[0]
+
     eps = 1e-6
     worst = 0.0
     for j in range(len(weights)):
@@ -168,14 +172,10 @@ def _finite_difference_check(rng: random.Random, n_rows: int = 12, n_terms: int 
         down = weights.copy()
         up[j] += eps
         down[j] -= eps
-        lu, _, _ = loss_and_grad(up, bias, X, y, l2)
-        ld, _, _ = loss_and_grad(down, bias, X, y, l2)
-        numeric = (lu - ld) / (2 * eps)
+        numeric = (loss(up, bias) - loss(down, bias)) / (2 * eps)
         denom = max(abs(numeric), abs(grad_w[j]), 1e-8)
         worst = max(worst, abs(numeric - grad_w[j]) / denom)
-    lu, _, _ = loss_and_grad(weights, bias + eps, X, y, l2)
-    ld, _, _ = loss_and_grad(weights, bias - eps, X, y, l2)
-    numeric_b = (lu - ld) / (2 * eps)
+    numeric_b = (loss(weights, bias + eps) - loss(weights, bias - eps)) / (2 * eps)
     worst = max(worst, abs(numeric_b - grad_b) / max(abs(numeric_b), abs(grad_b), 1e-8))
     return worst
 
@@ -184,6 +184,18 @@ def test_gradient_matches_finite_differences():
     rng = random.Random(123)
     for _ in range(10):
         assert _finite_difference_check(rng) < 1e-5
+
+
+def test_train_evaluates_one_gradient_per_step(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gradient(*args)
+
+    monkeypatch.setattr(classifier, "gradient", counting)
+    train(make_rows(10, 10), BUG)
+    assert len(calls) == EPOCHS
 
 
 def test_training_is_deterministic():
@@ -252,9 +264,8 @@ def test_sparse_products_match_dense():
         np.testing.assert_allclose(X @ w, dense @ w, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(X.T @ r, dense.T @ r, rtol=1e-12, atol=1e-12)
         y = labels_for(rows, BUG)
-        sparse_loss, sparse_grad_w, sparse_grad_b = loss_and_grad(w, 0.3, X, y, 1e-4)
-        dense_loss, dense_grad_w, dense_grad_b = loss_and_grad(w, 0.3, dense, y, 1e-4)
-        assert sparse_loss == pytest.approx(dense_loss, rel=1e-12, abs=1e-12)
+        sparse_grad_w, sparse_grad_b = gradient(w, 0.3, X, y, 1e-4)
+        dense_grad_w, dense_grad_b = gradient(w, 0.3, dense, y, 1e-4)
         np.testing.assert_allclose(sparse_grad_w, dense_grad_w, rtol=1e-12, atol=1e-12)
         assert sparse_grad_b == pytest.approx(dense_grad_b, rel=1e-12, abs=1e-12)
     # a matrix with no stored entry still yields float zeros
@@ -281,7 +292,8 @@ def test_feature_memory_is_linear_in_nonzeros():
 # --- reference objective -------------------------------------------------------------------
 # The sparse product, sigmoid and objective in their first, plainest form, kept verbatim as
 # the reference: the classifier computes them with fewer numpy calls, and every fit must
-# reproduce their floats bit for bit.
+# reproduce their floats bit for bit. The loss lives only here, where the finite-difference
+# check and the GD oracle's history read it; the classifier evaluates the gradient alone.
 
 @dataclass(frozen=True)
 class _ReferenceMatrix:
@@ -329,9 +341,8 @@ def _as_reference(X: TfidfMatrix) -> _ReferenceMatrix:
 
 
 def _assert_objective_matches_reference(weights, bias, X, y, l2=L2):
-    loss, grad_w, grad_b = loss_and_grad(weights, bias, X, y, l2)
-    reference_loss, reference_grad_w, reference_grad_b = _reference_loss_and_grad(weights, bias, _as_reference(X), y, l2)
-    assert loss == reference_loss
+    grad_w, grad_b = gradient(weights, bias, X, y, l2)
+    _, reference_grad_w, reference_grad_b = _reference_loss_and_grad(weights, bias, _as_reference(X), y, l2)
     assert grad_w.dtype == np.float64 and np.array_equal(grad_w, reference_grad_w)
     assert grad_b == reference_grad_b
     z = X @ weights + bias
@@ -654,6 +665,14 @@ def test_experiment_empty_spec_list_is_baseline_only():
     report = run_experiment(primary_dataset(), [], [], k=5, seed=0)
     assert [row["model"] for row in report["rows"]] == ["baseline", "baseline"]
     assert {row["target"] for row in report["rows"]} == {"bug", "feature"}
+
+
+def test_experiment_names_a_negative_zero_ratio_as_zero():
+    pool = [doc(f"x{i}", ("crash", "error", "issue"), True, source=Source.ISSUE_BODY) for i in range(20)]
+    spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=-0.0)
+    assert math.copysign(1.0, spec.ratio) == 1.0
+    report = run_experiment(primary_dataset(), [spec], pool, k=5, seed=0)
+    assert [row["model"] for row in report["rows"]] == ["baseline", "between-app@r=0"] * 2
 
 
 def test_experiment_deterministic():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -898,6 +899,26 @@ def test_sweep_ratios_sharing_a_file_name_are_a_validation_error(tmp_path, capsy
     )
     assert code == EXIT_VALIDATION
     assert "augmented_r0.3.jsonl" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_negative_zero_shares_zeros_file_name(tmp_path, capsys):
+    from issueforge.cli import _parse_ratios
+
+    assert [math.copysign(1.0, ratio) for ratio in _parse_ratios("-0,0.5") + _parse_ratios("-0:0.5:0.25")] == [1.0] * 5
+    code = main(
+        [
+            "sweep",
+            "--primary", str(tmp_path / "unread.csv"),
+            "--labelmap", str(DEMO / "labelmap_demo.tsv"),
+            "--pool", str(tmp_path / "unread.jsonl"),
+            "--ratios", "0,-0.0",
+            "--train",
+            "--out-dir", str(tmp_path / "sweep"),
+        ]
+    )
+    assert code == EXIT_VALIDATION
+    assert "augmented_r0.jsonl" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
 
 
