@@ -585,7 +585,7 @@ def synthetic_recall() -> None:
     for seed in range(5):
         spec = augmentation.AugmentationSpec(method=augmentation.Method.BETWEEN_APP, ratio=0.3, seed=seed)
         dataset = augmentation.augment(primary, pool, spec)
-        baseline = classifier.cross_validate(primary.rows, IntentClass.BUG_REPORT, seed=seed)
+        baseline = classifier.cross_validate(primary, IntentClass.BUG_REPORT, seed=seed)
         augmented = classifier.cross_validate(dataset.rows, IntentClass.BUG_REPORT, seed=seed)
         print(
             f"  seed={seed} baseline R={baseline.means['recall']:.2f} P={baseline.means['precision']:.2f}"

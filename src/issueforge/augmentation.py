@@ -84,12 +84,6 @@ class AugmentationSpec:
 
 
 @dataclass(frozen=True)
-class PrimaryDataset:
-    name: str
-    rows: tuple[ProcessedDocument, ...]
-
-
-@dataclass(frozen=True)
 class AugmentedDataset:
     """Primary and auxiliary rows, shuffled; ``shortfall`` is how many auxiliary rows the pool lacked."""
 
@@ -125,8 +119,8 @@ def load_primary(
     path: Path | str,
     label_map: dict[str, IntentClass | None],
     lists: WordLists,
-) -> PrimaryDataset:
-    """Load a review CSV (header: text,label[,app_id]), adapt labels, preprocess.
+) -> tuple[ProcessedDocument, ...]:
+    """The review rows of a CSV (header: text,label[,app_id]): labels adapted, text preprocessed.
 
     Unmapped labels fail fast; rows whose label maps to drop, or that come out
     shorter than the admission minimum, are removed. No row left is a ``ValidationError``.
@@ -163,16 +157,16 @@ def load_primary(
         raise ValidationError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no review row admitted")
-    return PrimaryDataset(name=path.stem, rows=tuple(rows))
+    return tuple(rows)
 
 
 def augment(
-    primary: PrimaryDataset,
+    primary: Sequence[ProcessedDocument],
     pool: Sequence[ProcessedDocument],
     spec: AugmentationSpec,
     profiles: dict[str, dict[str, float]] | None = None,
 ) -> AugmentedDataset:
-    """Select ``spec``'s auxiliary rows from ``pool`` and merge them with the primary rows.
+    """Select ``spec``'s auxiliary rows from ``pool`` and merge them with the ``primary`` review rows.
 
     The candidates are the whole pool (between-app), the target app's documents
     (within-app), or those of the ``top_k_similar`` apps that rank nearest the
@@ -197,7 +191,7 @@ def augment(
         raise ValidationError(f"pool document {review.doc_id!r} is a review; auxiliary rows must be issue documents")
     if not candidates:
         raise EmptyPool(f"no candidate documents for {spec.method.value}")
-    n = math.floor(spec.ratio * len(primary.rows) + 0.5)
+    n = math.floor(spec.ratio * len(primary) + 0.5)
     shortfall = max(n - len(candidates), 0)
     if n >= len(candidates):
         auxiliary = candidates
@@ -205,9 +199,9 @@ def augment(
             logger.warning("auxiliary shortfall: wanted %d rows, pool has %d; taking all", n, len(candidates))
     else:
         auxiliary = random.Random(spec.seed).sample(candidates, n)
-    rows = [*primary.rows, *auxiliary]
+    rows = [*primary, *auxiliary]
     random.Random(spec.seed).shuffle(rows)
-    logger.info("augment: %d primary + %d auxiliary rows", len(primary.rows), len(auxiliary))
+    logger.info("augment: %d primary + %d auxiliary rows", len(primary), len(auxiliary))
     return AugmentedDataset(tuple(rows), spec, len(auxiliary), shortfall)
 
 
@@ -234,21 +228,21 @@ def cross_validate_datasets(
 
 
 def run_experiment(
-    primary: PrimaryDataset,
+    primary: Sequence[ProcessedDocument],
     specs: Sequence[AugmentationSpec],
     pool: Sequence[ProcessedDocument],
     profiles: dict[str, dict[str, float]] | None = None,
     k: int = 5,
     seed: int = 0,
-) -> dict:
+) -> list[dict]:
     """Baseline vs augmented comparison for both targets.
 
-    Returns a deterministic report: per (target, model) mean metrics and the
+    Returns deterministic rows: per (target, model) mean metrics and the
     deltas against the baseline trained on the primary rows alone. Each
     within-context spec ranks its own target app against ``profiles``.
     """
     # sampling depends on spec.seed alone, so every target sees the same rows
-    datasets = [primary.rows] + [augment(primary, pool, spec, profiles).rows for spec in specs]
+    datasets = [primary] + [augment(primary, pool, spec, profiles).rows for spec in specs]
     reports = cross_validate_datasets(datasets, k=k, seed=seed)
     models = ["baseline"] + [f"{spec.method.value}@r={spec.ratio:g}" + ("+same" if spec.include_same_app else "")
                              for spec in specs]
@@ -260,7 +254,7 @@ def run_experiment(
             means = by_target[target].means
             deltas = {f"delta_{name}": means[name] - baseline[name] for name in classifier.METRICS}
             comparison.append({"target": target.value, "model": model, **means, **deltas})
-    return {"primary": primary.name, "k": k, "seed": seed, "rows": comparison}
+    return comparison
 
 
 # --- issue documents and JSONL interchange ---------------------------------------

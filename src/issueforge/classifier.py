@@ -196,7 +196,6 @@ class LinearModel:
     space: FeatureSpace
     weights: np.ndarray
     bias: float
-    target: IntentClass
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -238,7 +237,7 @@ def train(rows: Sequence[ProcessedDocument], target: IntentClass) -> LinearModel
         grad_w, grad_b = gradient(weights, bias, X, y, L2)
         weights = weights - LEARNING_RATE * grad_w
         bias = bias - LEARNING_RATE * grad_b
-    return LinearModel(space=space, weights=weights, bias=bias, target=target)
+    return LinearModel(space=space, weights=weights, bias=bias)
 
 
 def predict_proba(model: LinearModel, rows: Sequence[ProcessedDocument]) -> np.ndarray:

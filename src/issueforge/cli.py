@@ -61,10 +61,10 @@ class _JsonConfig:
     """``from_file`` for a dataclass config held in one JSON object.
 
     The required keys are the fields without a default. ``PATHS`` name the
-    path fields: each is resolved against the config file's directory, must
-    exist, and is kept as an absolute path, so the manifest of a run does not
-    depend on the working directory. ``INTS`` maps each integer field to its
-    lower bound, or None.
+    path fields: each is resolved against the config file's directory and kept
+    as an absolute path, so the manifest of a run does not depend on the
+    working directory; a missing one is the OSError of opening it. ``INTS``
+    maps each integer field to its lower bound, or None.
     """
 
     PATHS: tuple[str, ...] = ()
@@ -94,10 +94,7 @@ class _JsonConfig:
                 continue
             if not isinstance(value, str):
                 raise ValidationError(f"{name} must be a path string, got {value!r}")
-            resolved = path.parent / value
-            if not resolved.exists():
-                raise ValidationError(f"{name} does not exist: {resolved}")
-            setattr(config, name, os.path.abspath(resolved))
+            setattr(config, name, os.path.abspath(path.parent / value))
         config.validate()
         return config
 
@@ -369,7 +366,7 @@ def _labels_stage(corpus: ingestion.Corpus, lexicon, lists, min_freq: int, out) 
     return _intents_of(rows)
 
 
-def _extract_stage(issues: list, patterns, lists, intents: dict | None, out) -> tuple[list[dict], dict]:
+def _extract_stage(issues: list, patterns, lists, intents: dict, out) -> tuple[list[dict], dict]:
     """Write the extracted rows to ``out``; return them and their counts (``extraction.extract_rows``)."""
     rows, counts = extraction.extract_rows(issues, patterns, lists, intents)
     ingestion.write_jsonl(rows, out)
@@ -406,7 +403,7 @@ def _cmd_labels(args) -> int:
 def _cmd_extract(args) -> int:
     lists = textprep.load_wordlists(args.lists)
     patterns = extraction.load_patterns(args.patterns)
-    intents = _intents_of(_read_stage_rows(args.labels, {"issue_id": str, "intents": list})) if args.labels else None
+    intents = _intents_of(_read_stage_rows(args.labels, {"issue_id": str, "intents": list}))
     corpus = ingestion.load_corpus(getattr(args, "in"))
     _, counts = _extract_stage(corpus.issues, patterns, lists, intents, args.out)
     if args.report:
@@ -442,7 +439,7 @@ def _cmd_similar(args) -> int:
 
 def _load_selection(specs: list[AugmentationSpec], lists_dir: str | None, label_map: str, primary_csv: str,
                     pool: str, corpus_dir: str | None):
-    """augment, sweep and experiment: (primary dataset, pool, profiles) for ``specs``.
+    """augment, sweep and experiment: (review rows, pool, profiles) for ``specs``.
 
     The profiles of ``corpus_dir``'s repos are built only when a spec is
     within-context, and then ``corpus_dir`` is required: its absence is a
@@ -548,9 +545,9 @@ def _cmd_experiment(args) -> int:
     specs = config.augmentation_specs()
     primary, pool, profiles = _load_selection(specs, config.word_lists_dir, config.label_map, config.primary_csv,
                                               config.pool, config.corpus_dir)
-    report = augmentation.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
-    _write_tsv(report["rows"], list(report["rows"][0]), args.out)
-    print(f"wrote comparison for {len(report['rows'])} models to {args.out}")
+    rows = augmentation.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
+    _write_tsv(rows, list(rows[0]), args.out)
+    print(f"wrote comparison for {len(rows)} models to {args.out}")
     return EXIT_OK
 
 
@@ -600,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract target sections from issue bodies")
     p.add_argument("--in", required=True)
     p.add_argument("--patterns", default=None)
-    p.add_argument("--labels", default=None, help="labels.jsonl to filter/annotate issues")
+    p.add_argument("--labels", required=True, help="labels.jsonl: the issues to extract, with their intents")
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--lists", default=None)

@@ -19,18 +19,12 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .errors import ValidationError
 from .ingestion import RawIssue, table_lines
 from .stemmer import stem
 from .textprep import DIGITS, MEMO_LIMIT, WordLists, default_data_dir, strip_noise, tokenize
-
-
-class ExtractionMode(str, Enum):
-    SECTION_MATCH = "section_match"
-    SINGLE_PARAGRAPH = "single_paragraph"
 
 
 @dataclass(frozen=True)
@@ -49,14 +43,6 @@ class PatternSet:
         return iter(self.patterns)
 
 
-@dataclass(frozen=True)
-class ExtractedSection:
-    issue_id: str
-    text: str
-    mode: ExtractionMode
-    matched_pattern: str | None = None
-
-
 # Words whose presence flips a title's meaning; kept during normalization.
 TITLE_RETAINED_STOPWORDS = frozenset({"what", "about", "should"})
 
@@ -65,18 +51,21 @@ _PATTERN_FLAGS = frozenset("BFO")
 
 
 def load_patterns(path: Path | str | None = None) -> PatternSet:
-    """Load "name<TAB>regex<TAB>flags" pattern lines (bundled set by default); a file without one is invalid."""
+    """Load "name<TAB>regex<TAB>flags" pattern lines (bundled set by default); a file without one is invalid,
+    and so is a line whose name is empty or named on an earlier line."""
     path = default_data_dir() / "patterns.tsv" if path is None else path
     patterns = []
     for lineno, line in table_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValidationError(f"{path}:{lineno}: expected name<TAB>regex<TAB>flags")
-        name, regex, flags = parts
-        if not set(flags.strip()) <= _PATTERN_FLAGS:
-            raise ValidationError(f"{path}:{lineno}: flags must be drawn from B, F and O, got {flags.strip()!r}")
+        name, regex, flags = parts[0].strip(), parts[1], parts[2].strip()
+        if not name or name in (p.name for p in patterns):
+            raise ValidationError(f"{path}:{lineno}: pattern name must be non-empty and unique, got {name!r}")
+        if not set(flags) <= _PATTERN_FLAGS:
+            raise ValidationError(f"{path}:{lineno}: flags must be drawn from B, F and O, got {flags!r}")
         try:
-            patterns.append(TitlePattern(name=name.strip(), regex=re.compile(regex)))
+            patterns.append(TitlePattern(name=name, regex=re.compile(regex)))
         except re.error as exc:
             raise ValidationError(f"{path}:{lineno}: invalid regex: {exc}") from exc
     if not patterns:
@@ -179,9 +168,9 @@ def _paragraphs(text: str) -> list[str]:
     return ["\n".join(block) for block in blocks]
 
 
-def extract(issue: RawIssue, patterns: PatternSet, lists: WordLists) -> ExtractedSection | None:
-    """Target text for one issue: matched section content, or the whole body
-    when it is an unstructured single paragraph. None when nothing qualifies."""
+def extract(issue: RawIssue, patterns: PatternSet, lists: WordLists) -> tuple[str, str | None] | None:
+    """(target text, name of the pattern it matched) for one issue: a matched section's content, or the
+    whole body, with no pattern, when it is an unstructured single paragraph. None when nothing qualifies."""
     lines, titles = _titled_lines(issue.body)
     if titles:
         for order, (start, raw_title) in enumerate(titles):
@@ -192,59 +181,48 @@ def extract(issue: RawIssue, patterns: PatternSet, lists: WordLists) -> Extracte
             return None
         end = titles[order + 1][0] if order + 1 < len(titles) else len(lines)
         text = "\n".join(lines[start + 1 : end]).strip()
-        if not text:
-            return None
-        return ExtractedSection(
-            issue_id=issue.issue_id,
-            text=text,
-            mode=ExtractionMode.SECTION_MATCH,
-            matched_pattern=name,
-        )
+        return (text, name) if text else None
     stripped = strip_noise(issue.body, lists)
     paragraphs = _paragraphs(stripped)
     if len(paragraphs) != 1:
         return None
     text = paragraphs[0].strip()
-    if not text:
-        return None
-    return ExtractedSection(issue_id=issue.issue_id, text=text, mode=ExtractionMode.SINGLE_PARAGRAPH)
+    return (text, None) if text else None
 
 
 def extract_rows(
     issues: Iterable[RawIssue],
     patterns: PatternSet,
     lists: WordLists,
-    intents: Mapping[str, list[str]] | None = None,
+    intents: Mapping[str, list[str]],
 ) -> tuple[list[dict], dict]:
-    """Extracted-issue rows plus the counts of ``considered`` and ``extracted`` issues, ``modes`` and ``per_pattern``.
-
-    With ``intents`` only the issues it names are considered and each row carries
-    their intent values; without it every issue is considered, with no intents.
-    """
+    """A row, with its intent values, per issue that ``intents`` names and ``extract`` finds a target in,
+    plus the counts of ``considered`` and ``extracted`` issues, ``modes`` and ``per_pattern``."""
     rows: list[dict] = []
     modes: dict[str, int] = {}
     per_pattern: dict[str, int] = {}
     considered = 0
     for issue in issues:
-        if intents is not None and issue.issue_id not in intents:
+        if issue.issue_id not in intents:
             continue
         considered += 1
         result = extract(issue, patterns, lists)
         if result is None:
             continue
-        modes[result.mode.value] = modes.get(result.mode.value, 0) + 1
-        if result.matched_pattern:
-            per_pattern[result.matched_pattern] = per_pattern.get(result.matched_pattern, 0) + 1
+        text, pattern = result
+        mode = "single_paragraph" if pattern is None else "section_match"
+        modes[mode] = modes.get(mode, 0) + 1
+        if pattern is not None:
+            per_pattern[pattern] = per_pattern.get(pattern, 0) + 1
         rows.append(
             {
                 "issue_id": issue.issue_id,
                 "repo_id": issue.repo_id,
                 "title": issue.title,
-                "text": result.text,
-                "mode": result.mode,
-                "matched_pattern": result.matched_pattern,
-                "intents": intents[issue.issue_id] if intents is not None else [],
+                "text": text,
+                "mode": mode,
+                "matched_pattern": pattern,
+                "intents": intents[issue.issue_id],
             }
         )
     return rows, {"considered": considered, "extracted": len(rows), "modes": modes, "per_pattern": per_pattern}
-

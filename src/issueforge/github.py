@@ -140,12 +140,10 @@ class Client:
 
 
 def _decode_content(payload: dict) -> str:
+    """A readme payload's text; bad base64 is a ``binascii.Error``, the ``ValueError`` of a bad payload."""
     content = payload.get("content", "")
-    if payload.get("encoding") == "base64" or content and " " not in content:
-        try:
-            return base64.b64decode(content).decode("utf-8", errors="replace")
-        except Exception:
-            return content
+    if payload.get("encoding") == "base64":
+        return base64.b64decode(content).decode("utf-8", errors="replace")
     return content
 
 

@@ -56,15 +56,6 @@ def profile_text(repo: RepoRecord, lists: WordLists) -> str:
     return "\n".join(parts)
 
 
-def build_profile_tokens(repo: RepoRecord, lists: WordLists) -> list[str]:
-    """Preprocessed profile tokens for one repo; raises EmptyProfile when unusable."""
-    text = profile_text(repo, lists)
-    tokens = preprocess(text, lists, filter_noise=False)
-    if not tokens:
-        raise EmptyProfile(f"repo {repo.repo_id!r} has no usable profile text")
-    return tokens
-
-
 def tfidf(token_lists: list[list[str]]) -> list[dict[str, float]]:
     """tf-idf vectors for a list of token documents (tf=count/len, idf=ln(N/df)+1)."""
     n_docs = len(token_lists)
@@ -105,9 +96,8 @@ def build_profiles(repos: dict[str, RepoRecord], lists: WordLists) -> dict[str, 
     token_lists: list[list[str]] = []
     ids: list[str] = []
     for repo_id in sorted(repos):
-        try:
-            tokens = build_profile_tokens(repos[repo_id], lists)
-        except EmptyProfile:
+        tokens = preprocess(profile_text(repos[repo_id], lists), lists, filter_noise=False)
+        if not tokens:
             logger.info("similarity: repo %s has an empty profile, excluded", repo_id)
             continue
         ids.append(repo_id)

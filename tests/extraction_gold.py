@@ -49,11 +49,12 @@ def score(gold: list[tuple[RawIssue, str | None]], patterns: PatternSet, lists: 
         if result is None:
             outcomes["correct" if gold_text is None else "missed"] += 1
             continue
-        if result.matched_pattern:
-            per_pattern[result.matched_pattern] += 1
+        text, pattern = result
+        if pattern is not None:
+            per_pattern[pattern] += 1
         if gold_text is None:
             outcomes["spurious"] += 1
         else:
-            outcomes["correct" if result.text == gold_text else "wrong_section"] += 1
+            outcomes["correct" if text == gold_text else "wrong_section"] += 1
     return {"total": len(gold), **outcomes, "accuracy": outcomes["correct"] / len(gold),
             "per_pattern": dict(sorted(per_pattern.items()))}

@@ -200,7 +200,7 @@ def test_c09_augmentation_recall_gap(lists):
         for seed in range(5):
             spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=seed)
             dataset = augmentation.augment(primary, pool, spec)
-            baseline = classifier.cross_validate(primary.rows, BUG, seed=seed)
+            baseline = classifier.cross_validate(primary, BUG, seed=seed)
             augmented = classifier.cross_validate(dataset.rows, BUG, seed=seed)
             gap = augmented.means["recall"] - baseline.means["recall"]
             assert gap >= 0.10, f"seed {seed}: recall gap {gap:.3f}"
@@ -209,7 +209,7 @@ def test_c09_augmentation_recall_gap(lists):
 def test_c10_volume_ratio_sweep_mechanics(lists):
     with criterion(10, "sweep emits 11 datasets with exact sizes; r=0 equals baseline", 120.0):
         primary, _ = _load_synthetic(lists)
-        assert len(primary.rows) == 100
+        assert len(primary) == 100
         pool = [
             ProcessedDocument(
                 doc_id=f"pool{i:04d}",
@@ -223,12 +223,12 @@ def test_c10_volume_ratio_sweep_mechanics(lists):
         datasets = [augmentation.augment(primary, pool, AugmentationSpec(Method.BETWEEN_APP, r, seed=3))
                     for r in ratios]
         assert len(datasets) == 11
-        expected_sizes = [math.floor(r * len(primary.rows) + 0.5) for r in ratios]
+        expected_sizes = [math.floor(r * len(primary) + 0.5) for r in ratios]
         assert [dataset.n_auxiliary for dataset in datasets] == expected_sizes
         assert expected_sizes == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
         assert all(dataset.shortfall == 0 for dataset in datasets)
         for target in (BUG, FEATURE):
-            baseline = classifier.cross_validate(primary.rows, target, seed=3)
+            baseline = classifier.cross_validate(primary, target, seed=3)
             at_zero = classifier.cross_validate(datasets[0].rows, target, seed=3)
             assert at_zero.as_dict() == baseline.as_dict()
 

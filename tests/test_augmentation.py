@@ -9,7 +9,6 @@ from issueforge.augmentation import (
     AugmentationSpec,
     EmptyPool,
     Method,
-    PrimaryDataset,
     UnknownLabel,
     augment,
     is_primary,
@@ -33,8 +32,8 @@ def doc(doc_id: str, app_id: str = "a1", intents=frozenset({IntentClass.BUG_REPO
     )
 
 
-def primary_of(n: int) -> PrimaryDataset:
-    rows = tuple(
+def primary_of(n: int) -> tuple[ProcessedDocument, ...]:
+    return tuple(
         ProcessedDocument(
             doc_id=f"pd:row{i:04d}",
             source=Source.REVIEW,
@@ -43,7 +42,6 @@ def primary_of(n: int) -> PrimaryDataset:
         )
         for i in range(n)
     )
-    return PrimaryDataset(name="pd", rows=rows)
 
 
 # --- label maps and primary loading ------------------------------------------------------
@@ -74,10 +72,10 @@ def test_load_primary_maps_and_drops(tmp_path, lists):
         encoding="utf-8",
     )
     label_map = load_label_map(default_data_dir() / "labelmaps" / "pd3.tsv")
-    dataset = load_primary(csv_file, label_map, lists)
-    assert len(dataset.rows) == 3
-    assert dataset.rows[1].intents == frozenset({IntentClass.FEATURE_REQUEST})
-    assert dataset.rows[0].source is Source.REVIEW
+    rows = load_primary(csv_file, label_map, lists)
+    assert len(rows) == 3
+    assert rows[1].intents == frozenset({IntentClass.FEATURE_REQUEST})
+    assert rows[0].source is Source.REVIEW
 
 
 def test_load_primary_drop_class(tmp_path, lists):
@@ -89,9 +87,9 @@ def test_load_primary_drop_class(tmp_path, lists):
         encoding="utf-8",
     )
     label_map = load_label_map(default_data_dir() / "labelmaps" / "pd5.tsv")
-    dataset = load_primary(csv_file, label_map, lists)
-    assert len(dataset.rows) == 1
-    assert dataset.rows[0].intents == frozenset({IntentClass.BUG_REPORT})
+    rows = load_primary(csv_file, label_map, lists)
+    assert len(rows) == 1
+    assert rows[0].intents == frozenset({IntentClass.BUG_REPORT})
 
 
 def test_load_primary_unknown_label_fails_fast(tmp_path, lists):
@@ -106,16 +104,16 @@ def test_load_primary_admission_filter(tmp_path, lists):
     csv_file = tmp_path / "reviews.csv"
     csv_file.write_text("text,label\ntoo short,BugReport\nthis review has enough words,BugReport\n", encoding="utf-8")
     label_map = load_label_map(default_data_dir() / "labelmaps" / "pd3.tsv")
-    dataset = load_primary(csv_file, label_map, lists)
-    assert len(dataset.rows) == 1
+    rows = load_primary(csv_file, label_map, lists)
+    assert len(rows) == 1
 
 
 def test_load_primary_app_id_column(tmp_path, lists):
     csv_file = tmp_path / "reviews.csv"
     csv_file.write_text("text,label,app_id\ncrashes when I rotate my phone,BugReport,app-7\n", encoding="utf-8")
     label_map = load_label_map(default_data_dir() / "labelmaps" / "pd3.tsv")
-    dataset = load_primary(csv_file, label_map, lists)
-    assert dataset.rows[0].app_id == "app-7"
+    rows = load_primary(csv_file, label_map, lists)
+    assert rows[0].app_id == "app-7"
 
 
 # --- auxiliary selection and merging ---------------------------------------------------------
@@ -202,7 +200,7 @@ def test_within_context_without_profiles_is_a_value_error():
 def test_empty_auxiliary_keeps_primary_rows():
     primary = primary_of(10)
     dataset = augment(primary, [doc("d0")], AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.0, seed=0))
-    assert {row.doc_id for row in dataset.rows} == {d.doc_id for d in primary.rows}
+    assert {row.doc_id for row in dataset.rows} == {d.doc_id for d in primary}
     assert all(is_primary(row) for row in dataset.rows)
 
 
@@ -263,7 +261,7 @@ def test_augmented_round_trip(tmp_path):
 
 
 def test_review_in_the_pool_is_a_validation_error():
-    pool = [doc("d0"), doc("d1"), primary_of(1).rows[0]]
+    pool = [doc("d0"), doc("d1"), primary_of(1)[0]]
     spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=0)
     with pytest.raises(ValidationError, match="pd:row0000"):
         augment(primary_of(10), pool, spec)

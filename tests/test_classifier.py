@@ -16,7 +16,6 @@ from issueforge import classifier
 from issueforge.augmentation import (
     AugmentationSpec,
     Method,
-    PrimaryDataset,
     augment,
     cross_validate_datasets,
     is_primary,
@@ -647,7 +646,7 @@ def test_evaluate_requires_rows():
 
 # --- experiment -------------------------------------------------------------------------------
 
-def primary_dataset(n_pos: int = 15, n_neg: int = 15) -> PrimaryDataset:
+def primary_dataset(n_pos: int = 15, n_neg: int = 15) -> tuple[ProcessedDocument, ...]:
     rows = make_rows(n_pos, n_neg)
     for i in range(max(n_pos // 2, 5)):
         rows.append(
@@ -658,21 +657,21 @@ def primary_dataset(n_pos: int = 15, n_neg: int = 15) -> PrimaryDataset:
                 intents=frozenset({IntentClass.FEATURE_REQUEST}),
             )
         )
-    return PrimaryDataset(name="toy", rows=tuple(rows))
+    return tuple(rows)
 
 
 def test_experiment_empty_spec_list_is_baseline_only():
-    report = run_experiment(primary_dataset(), [], [], k=5, seed=0)
-    assert [row["model"] for row in report["rows"]] == ["baseline", "baseline"]
-    assert {row["target"] for row in report["rows"]} == {"bug", "feature"}
+    rows = run_experiment(primary_dataset(), [], [], k=5, seed=0)
+    assert [row["model"] for row in rows] == ["baseline", "baseline"]
+    assert {row["target"] for row in rows} == {"bug", "feature"}
 
 
 def test_experiment_names_a_negative_zero_ratio_as_zero():
     pool = [doc(f"x{i}", ("crash", "error", "issue"), True, source=Source.ISSUE_BODY) for i in range(20)]
     spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=-0.0)
     assert math.copysign(1.0, spec.ratio) == 1.0
-    report = run_experiment(primary_dataset(), [spec], pool, k=5, seed=0)
-    assert [row["model"] for row in report["rows"]] == ["baseline", "between-app@r=0"] * 2
+    rows = run_experiment(primary_dataset(), [spec], pool, k=5, seed=0)
+    assert [row["model"] for row in rows] == ["baseline", "between-app@r=0"] * 2
 
 
 def test_experiment_deterministic():
@@ -706,7 +705,7 @@ def test_experiment_counts_each_dataset_once_for_both_targets(monkeypatch):
     run_experiment(primary, specs, pool, k=5, seed=4)
     # baseline + 3 datasets cross-validated for both targets; their distinct rows (every primary row, and
     # all 20 pool rows, which r = 0.6 takes) are counted once, and each dataset taken from that count
-    assert len(reports) == 8 and countings == [len(primary.rows) + len(pool)]
+    assert len(reports) == 8 and countings == [len(primary) + len(pool)]
     for rows, target, kwargs, report in reports:
         assert isinstance(rows, CountedRows)
         assert report.folds == cross_validate(list(rows), target, **kwargs).folds
@@ -725,9 +724,9 @@ def test_experiment_specs_that_select_the_same_rows_share_one_cross_validation(m
         return original(rows, target, **kwargs)
 
     monkeypatch.setattr(classifier, "cross_validate", recording)
-    report = run_experiment(primary, specs, pool, k=5, seed=4)
+    rows = run_experiment(primary, specs, pool, k=5, seed=4)
     assert targets == [BUG, IntentClass.FEATURE_REQUEST] * 3  # baseline, r = 0.1 and one for r = 0.5 and 1; not 8
-    by_model = {(row["target"], row["model"]): row for row in report["rows"]}
+    by_model = {(row["target"], row["model"]): row for row in rows}
     for target in ("bug", "feature"):
         half, whole = by_model[(target, "between-app@r=0.5")], by_model[(target, "between-app@r=1")]
         assert {**half, "model": None} == {**whole, "model": None}
@@ -740,7 +739,7 @@ def test_cross_validate_datasets_equals_each_dataset_alone():
     augmented = [augment(primary, pool, AugmentationSpec(Method.BETWEEN_APP, ratio, seed=4)).rows
                  for ratio in (0.2, 0.6)]
     # one dataset, as the pipeline passes it, and several that share rows, as experiment and sweep pass them
-    for datasets in ([augmented[1]], [primary.rows, *augmented]):
+    for datasets in ([augmented[1]], [primary, *augmented]):
         reports = cross_validate_datasets(datasets, k=5, seed=4)
         assert len(reports) == len(datasets)
         for rows, by_target in zip(datasets, reports):
@@ -765,9 +764,7 @@ def test_experiment_needs_feature_rows_too():
         )
     for i in range(10):
         rows.append(doc(f"o{i}", ("love", "great", "app"), False))
-    primary = PrimaryDataset(name="mixed", rows=tuple(rows))
-    report = run_experiment(primary, [], [], k=5, seed=1)
-    assert len(report["rows"]) == 2
+    assert len(run_experiment(tuple(rows), [], [], k=5, seed=1)) == 2
 
 
 def test_classifier_imports_no_selection_module():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,9 @@ from issueforge.labels import IntentClass
 from issueforge.textprep import default_data_dir
 
 DEMO = default_data_dir() / "demo_corpus"
+# a label row, as `extract --labels` reads it, for every demo issue
+DEMO_LABELS = "".join(json.dumps({"issue_id": json.loads(line)["issue_id"], "intents": ["bug"]}) + "\n"
+                      for line in (DEMO / "issues.jsonl").read_text(encoding="utf-8").splitlines())
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +80,9 @@ def test_demo_artifact_hashes_are_pinned(pipeline_dir):
     assert manifest["artifacts"] == DEMO_ARTIFACT_HASHES
 
 
-# sha256 of json.dumps(run_experiment(...), sort_keys=True) for the README/CI demo experiment at full
-# precision; comparison.tsv rounds every metric to six decimals
-DEMO_EXPERIMENT_SHA256 = "a0de894af2be651142660858caeb0a5da979934d8a37cc60832e4db94a5c8706"
+# sha256 of json.dumps(run_experiment(...), sort_keys=True), the comparison rows of the README/CI demo
+# experiment at full precision; comparison.tsv rounds every metric to six decimals
+DEMO_EXPERIMENT_SHA256 = "99df80b8ebdb5ef224524d34491570ffa86b1fe1fb7bb3c89ce5389992d3669a"
 
 
 def test_demo_experiment_is_pinned_at_full_precision(pipeline_dir, tmp_path, monkeypatch):
@@ -93,8 +97,8 @@ def test_demo_experiment_is_pinned_at_full_precision(pipeline_dir, tmp_path, mon
     monkeypatch.setattr(augmentation, "run_experiment", lambda *args, **kwargs: reports.append(
         run_experiment(*args, **kwargs)) or reports[-1])
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "comparison.tsv")]) == EXIT_OK
-    [report] = reports
-    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == DEMO_EXPERIMENT_SHA256
+    [rows] = reports
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == DEMO_EXPERIMENT_SHA256
 
 
 @pytest.mark.parametrize("target", ["bug", "feature"])
@@ -140,7 +144,7 @@ def test_missing_lexicon_fails_validation_before_work(tmp_path):
     config_file.write_text(json.dumps(config))
     out = tmp_path / "out"
     code = main(["pipeline", "--config", str(config_file), "--out", str(out)])
-    assert code == EXIT_VALIDATION
+    assert code == EXIT_STAGE_FAILURE  # a missing file is an OSError, under a config key as under a flag
     assert not out.exists()
 
 
@@ -749,11 +753,15 @@ TABLE_LINES = st.lists(st.sampled_from([*"ab #\t\\()[]|?.'é", "bug", "drop", "c
                        max_size=8).map("".join)
 
 
+def _demo_labels(directory: Path) -> str:
+    return str(_write(directory / "labels.jsonl", DEMO_LABELS))
+
+
 def _drawn_argv(path: Path) -> list[str]:
     """The command that reads ``path`` through its flag; a word list's directory gets the other three."""
     out = ["--out", str(path.parent / "out.jsonl")]
     if path.name == "patterns.tsv":
-        return ["extract", "--in", str(DEMO), "--patterns", str(path), *out]
+        return ["extract", "--in", str(DEMO), "--labels", _demo_labels(path.parent), "--patterns", str(path), *out]
     if path.name == "lexicon.tsv":
         return ["labels", "--in", str(DEMO), "--lexicon", str(path), *out]
     if path.name in ("labelmap.tsv", "primary.csv"):
@@ -767,7 +775,7 @@ def _drawn_argv(path: Path) -> list[str]:
     for name in WORD_LISTS:
         if name != path.name:
             shutil.copy(default_data_dir() / name, path.parent / name)
-    return ["extract", "--in", str(DEMO), "--lists", str(path.parent), *out]
+    return ["extract", "--in", str(DEMO), "--labels", _demo_labels(path.parent), "--lists", str(path.parent), *out]
 
 
 def _first_line_not_utf8(content: bytes) -> int | None:
@@ -809,6 +817,113 @@ def test_table_drawn_as_text_or_bytes_gets_a_documented_exit_code(table, data):
         assert named and (int(named[1]) == bad_line if named[2] else int(named[1]) < bad_line), errors[0]
 
 
+# --- argv drawn for every subcommand --------------------------------------------------------
+
+def _inputs(t: Path):
+    """Other values of an input flag: demo and synthetic_recall files of every kind, a directory, a missing path."""
+    return st.sampled_from([DEMO, DEMO / "issues.jsonl", DEMO / "demo_config.json", DEMO / "primary_demo.csv",
+                            RECALL / "pool.jsonl", RECALL / "labelmap.tsv", default_data_dir() / "patterns.tsv",
+                            default_data_dir(), t, t / "missing"]).map(str)
+
+
+def _outputs(t: Path):
+    return st.sampled_from([t, t / "no" / "dir" / "out"]).map(str)
+
+
+INTS = st.integers(-2, 12).map(str) | st.sampled_from(["x", "1.5", "", "99999999999999999999"])
+FLOATS = st.floats().map(repr) | st.just("x")
+TEXTS = st.sampled_from(["r-podkit", "app-0", "", "no-such-app"])
+METHODS = st.sampled_from([*(m.value for m in augmentation.Method), "sideways"])
+# at most 3 ratios each: a drawn sweep stays small
+RATIOS = st.sampled_from(["0.3", "0,0.5,1", "0:1:0.5", "0,-0", "1:0:0.5", "0:1:0", "2", "x", ""])
+SWITCH = st.just(True)
+
+
+def _argv_flags(command: str, t: Path, run: Path) -> list[tuple[str, object, st.SearchStrategy]]:
+    """(flag, the value of a run that works, other values) for each flag of ``command``; a value of None
+    leaves the flag out, True gives a switch, and the flag "" is the positional argument. Every output is
+    under ``t``; ``run`` is a finished pipeline run, only read."""
+    lists = ("--lists", None, _inputs(t))
+    selection = [("--primary", str(RECALL / "primary.csv"), _inputs(t)),
+                 ("--labelmap", str(RECALL / "labelmap.tsv"), _inputs(t)),
+                 ("--pool", str(RECALL / "pool.jsonl"), _inputs(t)), ("--app", None, TEXTS), ("--top", None, INTS),
+                 ("--seed", None, INTS), ("--include-same-app", None, SWITCH), ("--corpus", None, _inputs(t)), lists]
+    return {
+        "harvest": [("--repos", str(_write(t / "repos.txt", "demo/x\n")), _inputs(t)),
+                    ("--out", str(t / "h"), _outputs(t)), ("--token-env", None, TEXTS),
+                    ("--parallel", None, INTS), ("--rate-limit", None, INTS)],
+        "filter": [("--in", str(DEMO), _inputs(t)), ("--out", str(t / "filtered"), _outputs(t)),
+                   ("--min-issues", "5", INTS), ("--min-contributors", "2", INTS)],
+        "labels": [("--in", str(DEMO), _inputs(t)), ("--lexicon", None, _inputs(t)), ("--min-freq", "1", INTS),
+                   ("--out", str(t / "labels_out.jsonl"), _outputs(t)), lists],
+        "extract": [("--in", str(DEMO), _inputs(t)), ("--patterns", None, _inputs(t)),
+                    ("--labels", _demo_labels(t), _inputs(t)), ("--out", str(t / "extracted_out.jsonl"), _outputs(t)),
+                    ("--report", str(t / "report.json"), _outputs(t)), lists],
+        "preprocess": [("--in", str(_write(t / "extracted.jsonl", EXTRACTED_TEXT)), _inputs(t)), lists,
+                       ("--out", str(t / "docs.jsonl"), _outputs(t))],
+        "similar": [("--in", str(DEMO), _inputs(t)), ("--query", "r-podkit", TEXTS), ("--top", "2", INTS),
+                    ("--out", str(t / "similar.json"), _outputs(t)), lists],
+        "augment": [*selection, ("--method", "between-app", METHODS), ("--ratio", "0.3", FLOATS),
+                    ("--out", str(t / "augmented.jsonl"), _outputs(t))],
+        "sweep": [*selection, ("--method", None, METHODS), ("--ratios", "0,0.5,1", RATIOS), ("--train", True, SWITCH),
+                  ("--k", "3", INTS), ("--out-dir", str(t / "sweep"), _outputs(t))],
+        "train-eval": [("--data", str(run / "augmented.jsonl"), _inputs(t)), ("--k", "3", INTS), ("--seed", None, INTS),
+                       ("--out", str(t / "report.json"), _outputs(t))],
+        "experiment": [("--config", str(_write(t / "exp.json", _experiment_config())), _inputs(t)),
+                       ("--out", str(t / "comparison.tsv"), _outputs(t))],
+        "pipeline": [("--config", str(DEMO / "demo_config.json"), _inputs(t)), ("--out", str(t / "run"), _outputs(t))],
+        "report": [("", str(run), _inputs(t))],
+    }[command]
+
+
+SUBCOMMANDS = list(next(action for action in build_parser()._actions if action.dest == "command").choices)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_argv_drawn_for_every_subcommand_gets_a_documented_exit_code(pipeline_dir, command, data):
+    import requests
+
+    urls = []
+
+    def refuse(self, url, **kwargs):  # harvest sends no request out of this process
+        urls.append(url)
+        raise requests.ConnectionError(f"connection refused: {url}")
+
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()), mock.patch.object(requests.Session, "get", refuse):
+        flags = _argv_flags(command, Path(tmp), pipeline_dir)
+        mutated = data.draw(st.sets(st.sampled_from([flag for flag, _, _ in flags]), max_size=2), label="mutated")
+        groups = []
+        for flag, valid, others in flags:
+            value = valid
+            if flag in mutated:  # left out one time in four
+                value = None if data.draw(st.integers(0, 3), label="left out") == 0 else data.draw(others, label=flag)
+            if value is not None:
+                groups.append([flag] if value is True else [value] if not flag else [flag, value])
+        groups = data.draw(st.permutations(groups), label="order")
+        # one repo line, every request refused at once: no --rate-limit sleep and one thread whatever --parallel
+        base_url = ["--base-url", "http://127.0.0.1:9"] if command == "harvest" else []
+        extra = data.draw(st.sampled_from([[]] * 8 + [["--bogus"], ["stray"]]), label="extra")
+        verbose = data.draw(st.sampled_from([[], ["--verbose"]]), label="verbose")
+        argv = [*verbose, command, *(arg for group in groups for arg in group), *base_url, *extra]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage and its "error:" line, exit 2
+            assert exc.code == EXIT_VALIDATION
+            assert re.search(rf"^issueforge( {command})?: error: ", stderr.getvalue(), re.MULTILINE)
+            code = None
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    assert all(url.startswith("http://127.0.0.1:9/") for url in urls)
+    if code is not None:
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_STAGE_FAILURE)
+        errors = [r for r in map(json.loads, err.splitlines()) if r["level"] == "error"]
+        assert len(errors) == (code != EXIT_OK), argv
+
+
 def test_within_context_pipeline(tmp_path):
     config = json.loads((DEMO / "demo_config.json").read_text())
     config["corpus_dir"] = str(DEMO)
@@ -824,16 +939,6 @@ def test_within_context_pipeline(tmp_path):
     assert main(["pipeline", "--config", str(config_file), "--out", str(out)]) == EXIT_OK
     rows = [json.loads(line) for line in (out / "augmented.jsonl").read_text().splitlines()]
     assert any(row["source"] != "review" for row in rows)
-
-
-def test_extract_without_labels_covers_all_issues(tmp_path):
-    out = tmp_path / "extracted.jsonl"
-    code = main(["extract", "--in", str(DEMO), "--out", str(out), "--report", str(tmp_path / "report.json")])
-    assert code == EXIT_OK
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
-    assert rows and all(row["intents"] == [] for row in rows)
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert (report["considered"], report["extracted"]) == (40, len(rows))
 
 
 def test_demo_funnel_counts_by_hand(pipeline_dir):
@@ -1196,8 +1301,8 @@ def _corpus_with_repo_field(tmp_path, **field):
 
 BAD_INPUT_FILES = {
     "patterns-four-columns": lambda t: [
-        "extract", "--in", str(DEMO), "--patterns", str(_write(t / "p.tsv", "P1\tcrash\tB\textra\n")),
-        "--out", str(t / "out.jsonl")],
+        "extract", "--in", str(DEMO), "--labels", _demo_labels(t),
+        "--patterns", str(_write(t / "p.tsv", "P1\tcrash\tB\textra\n")), "--out", str(t / "out.jsonl")],
     "labelmap-unknown-class": lambda t: _augment(t, labelmap=_write(t / "map.tsv", "bug\tbugz\n")),
     "lexicon-unknown-class": lambda t: [
         "labels", "--in", str(DEMO), "--lexicon", str(_write(t / "lex.tsv", "crash\tcrashy\n")),
@@ -1212,8 +1317,15 @@ BAD_INPUT_FILES = {
     "pool-line-without-fields": lambda t: _augment(t, pool=_write(t / "pool.jsonl", '{"doc_id": 1}\n')),
     "augmented-line-without-fields": lambda t: _train_eval(t, '{"doc_id": 1}\n'),
     "patterns-invalid-regex": lambda t: [
-        "extract", "--in", str(DEMO), "--patterns", str(_write(t / "p.tsv", "P1\tcrash(\tB\n")),
-        "--out", str(t / "out.jsonl")],
+        "extract", "--in", str(DEMO), "--labels", _demo_labels(t),
+        "--patterns", str(_write(t / "p.tsv", "P1\tcrash(\tB\n")), "--out", str(t / "out.jsonl")],
+    # an empty name once matched and was counted under modes but not under per_pattern
+    "patterns-empty-name": lambda t: [
+        "extract", "--in", str(DEMO), "--labels", _demo_labels(t),
+        "--patterns", str(_write(t / "p.tsv", "\t(?i)bug|describ|reproduc|step\tB\n")), "--out", str(t / "out.jsonl")],
+    "patterns-repeated-name": lambda t: [
+        "extract", "--in", str(DEMO), "--labels", _demo_labels(t),
+        "--patterns", str(_write(t / "p.tsv", "P1\tcrash\tB\nP1\tsummari\tB\n")), "--out", str(t / "out.jsonl")],
     "primary-row-without-text": lambda t: _augment(t, primary=_write(t / "p.csv", "label,text\nbug\n")),
     "pool-unknown-source": lambda t: _augment(t, pool=_write(
         t / "pool.jsonl", '{"doc_id": "d", "source": "forum", "tokens": ["a"], "intents": ["bug"]}\n')),
@@ -1338,7 +1450,7 @@ REPEATED_MODIFIER = "not\n" + MODIFIERS_BUT_NO
 CHANGED_EXIT_CODES = {
     "experiment-unknown-key": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, specs=None, spec=[{"method": "between-app", "ratio": 0.3}])),
-    "experiment-missing-pool": (EXIT_VALIDATION, lambda t, i: _experiment(t, pool="missing.jsonl")),
+    "experiment-missing-pool": (EXIT_STAGE_FAILURE, lambda t, i: _experiment(t, pool="missing.jsonl")),
     "experiment-top-k-similar-a-string": (EXIT_VALIDATION, lambda t, i: _experiment(
         t, corpus_dir=str(DEMO), specs=[{**WITHIN_CONTEXT_SPEC, "top_k_similar": "x"}])),
     "experiment-corpus-dir-a-number": (EXIT_VALIDATION, lambda t, i: _experiment(
@@ -1356,11 +1468,12 @@ CHANGED_EXIT_CODES = {
         "--out", str(t / "out.jsonl")]),
     # an empty stopword list once kept every word of a section title, and extract exited 0 with fewer matches
     "extract-empty-stopwords": (EXIT_VALIDATION, lambda t, i: [
-        "extract", "--in", str(DEMO), "--lists", _word_lists_without_stopwords(t), "--out", str(t / "out.jsonl")]),
+        "extract", "--in", str(DEMO), "--labels", _demo_labels(t), "--lists", _word_lists_without_stopwords(t),
+        "--out", str(t / "out.jsonl")]),
     # the corpus was once read before the table: its missing issues.jsonl exited 3
     "extract-empty-patterns-before-corpus": (EXIT_VALIDATION, lambda t, i: [
-        "extract", "--in", str(t), "--patterns", str(_write(t / "p.tsv", "# no pattern\n")),
-        "--out", str(t / "out.jsonl")]),
+        "extract", "--in", str(t), "--labels", _demo_labels(t),
+        "--patterns", str(_write(t / "p.tsv", "# no pattern\n")), "--out", str(t / "out.jsonl")]),
     "extract-malformed-labels-before-corpus": (EXIT_VALIDATION, lambda t, i: [
         "extract", "--in", str(t), "--labels", str(_write(t / "labels.jsonl", "{bad\n")),
         "--out", str(t / "out.jsonl")]),
@@ -1393,7 +1506,8 @@ CHANGED_EXIT_CODES = {
         t, primary=_write(t / "big.csv", "text,label\n" + "x" * 131_073 + ",bug\n"))),
     # 44 lines with one repeated once loaded as 43 modifiers, and the run exited 0
     "extract-repeated-negative-modifier": (EXIT_VALIDATION, lambda t, i: [
-        "extract", "--in", str(DEMO), "--lists", str(_short_modifier_lists(t, REPEATED_MODIFIER)),
+        "extract", "--in", str(DEMO), "--labels", _demo_labels(t),
+        "--lists", str(_short_modifier_lists(t, REPEATED_MODIFIER)),
         "--out", str(t / "out.jsonl")]),
     "filter-min-issues-negative": (EXIT_VALIDATION, lambda t, i: [
         "filter", "--in", str(DEMO), "--out", str(t / "out"), "--min-issues", "-5"]),

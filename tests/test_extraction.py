@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from issueforge import extraction
 from issueforge.errors import ValidationError
 from issueforge.extraction import (
-    ExtractedSection,
-    ExtractionMode,
     extract,
     load_patterns,
     normalize_title,
@@ -111,11 +109,11 @@ def _oracle_extract(issue, patterns, lists):
         text = section.content.strip()
         if not text:
             return None
-        return ExtractedSection(issue.issue_id, text, ExtractionMode.SECTION_MATCH, name)
+        return text, name
     paragraphs = extraction._paragraphs(strip_noise(issue.body, lists))
     if len(paragraphs) != 1 or not paragraphs[0].strip():
         return None
-    return ExtractedSection(issue.issue_id, paragraphs[0].strip(), ExtractionMode.SINGLE_PARAGRAPH)
+    return paragraphs[0].strip(), None
 
 
 # --- title normalization --------------------------------------------------------------
@@ -244,11 +242,7 @@ def test_p19_never_matches_multi_token_combinations(tokens):
 
 def test_extract_section_match(lists, patterns):
     body = "### First occurred\n2023-01-01\n### Actual Behaviour\nApp hangs on launch."
-    result = extract(make_issue(body), patterns, lists)
-    assert result is not None
-    assert result.mode is ExtractionMode.SECTION_MATCH
-    assert result.matched_pattern == "P1"
-    assert result.text == "App hangs on launch."
+    assert extract(make_issue(body), patterns, lists) == ("App hangs on launch.", "P1")
 
 
 def test_extract_multi_paragraph_rejected(lists, patterns):
@@ -257,11 +251,7 @@ def test_extract_multi_paragraph_rejected(lists, patterns):
 
 
 def test_extract_single_paragraph(lists, patterns):
-    result = extract(make_issue("App crashes when rotating"), patterns, lists)
-    assert result is not None
-    assert result.mode is ExtractionMode.SINGLE_PARAGRAPH
-    assert result.matched_pattern is None
-    assert result.text == "App crashes when rotating"
+    assert extract(make_issue("App crashes when rotating"), patterns, lists) == ("App crashes when rotating", None)
 
 
 def test_extract_empty_body(lists, patterns):
@@ -283,17 +273,16 @@ def test_first_match_stable_when_later_sections_removed(lists, patterns):
     truncated = "### Summary\ncore text"
     full = extract(make_issue(body), patterns, lists)
     cut = extract(make_issue(truncated), patterns, lists)
-    assert full is not None and cut is not None
-    assert full.text == cut.text == "core text"
-    assert full.matched_pattern == cut.matched_pattern
+    assert full == cut == ("core text", "P19")
 
 
 def test_extract_single_paragraph_with_noise(lists, patterns):
     body = "The sync fails for me constantly https://forum.example/post/1 `retry()`"
     result = extract(make_issue(body), patterns, lists)
     assert result is not None
-    assert result.mode is ExtractionMode.SINGLE_PARAGRAPH
-    assert "https" not in result.text and "retry" not in result.text
+    text, pattern = result
+    assert pattern is None
+    assert "https" not in text and "retry" not in text
 
 
 # --- gold fixture verification ----------------------------------------------------------
@@ -392,8 +381,10 @@ def test_extract_is_pure(body):
     second = extract(issue, _PATTERNS, _LISTS)
     assert first == second
     if first is not None:
-        assert first.text
-        assert (first.matched_pattern is not None) == (first.mode is ExtractionMode.SECTION_MATCH)
+        text, pattern = first
+        assert text
+        # a section matched exactly when the body has a titled line; a single paragraph has none
+        assert (pattern is not None) == bool(extraction._titled_lines(body)[1])
 
 
 # Lines that are, or nearly are, fences and titles of every kind the splitter knows,
@@ -438,10 +429,10 @@ def test_pattern_memo_is_per_pattern_set(tmp_path, lists):
             assert extract(issue, patterns, lists) == _oracle_extract(issue, patterns, lists)
     # the sets pick different sections: only the bundled set matches "summari"
     custom_result, bundled_result = extract(issue, custom_patterns, lists), extract(issue, bundled, lists)
-    assert (custom_result.text, custom_result.matched_pattern) == ("issue text", "X1")
-    assert (bundled_result.text, bundled_result.matched_pattern) == ("summary text", "P19")
+    assert custom_result == ("issue text", "X1")
+    assert bundled_result == ("summary text", "P19")
     # an equal set built afresh gives the same answer
-    assert extract(issue, load_patterns(custom), lists).matched_pattern == "X1"
+    assert extract(issue, load_patterns(custom), lists) == ("issue text", "X1")
 
 
 def test_title_memo_is_per_stopword_set(tmp_path, lists):
@@ -467,6 +458,6 @@ def test_title_memo_is_per_stopword_set(tmp_path, lists):
     # "issu" (P19) where "your" is a stopword, and to "your issu" (no pattern) where it is not
     issue, patterns = make_issue("### Your issue\nissue text\n### What is the actual result\nresult text"), load_patterns()
     for _ in range(2):
-        assert extract(issue, patterns, lists).matched_pattern == "P19"
-        assert extract(issue, patterns, few_stopwords).matched_pattern == "P1"
+        assert extract(issue, patterns, lists) == ("issue text", "P19")
+        assert extract(issue, patterns, few_stopwords) == ("result text", "P1")
     assert len(patterns._matches) == 3

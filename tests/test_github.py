@@ -305,11 +305,11 @@ class _RoutedSession:
         return _response(200, json.dumps(self.bodies[url.removeprefix("http://forge.invalid")]).encode())
 
 
-def _repo_answers(repo=None, contributors=None, issues=None) -> dict[str, object]:
+def _repo_answers(repo=None, contributors=None, issues=None, readme=None) -> dict[str, object]:
     return {
         "/repos/demo/x": {"id": 1} if repo is None else repo,
         "/repos/demo/x/contributors": [] if contributors is None else contributors,
-        "/repos/demo/x/readme": {"content": ""},
+        "/repos/demo/x/readme": {"content": ""} if readme is None else readme,
         "/repos/demo/x/issues": [] if issues is None else issues,
     }
 
@@ -323,9 +323,11 @@ def _repo_answers(repo=None, contributors=None, issues=None) -> dict[str, object
         _repo_answers(contributors={"message": "x"}),
         _repo_answers(issues=[{"title": "no id"}]),
         _repo_answers(issues=[{"id": 2, "labels": ["bug"]}]),
+        # once kept as the readme's text
+        _repo_answers(readme={"content": "abc", "encoding": "base64"}),
     ],
     ids=["repo-without-id", "repo-a-list", "stars-not-a-number", "contributors-an-object", "issue-without-id",
-         "label-not-an-object"],
+         "label-not-an-object", "readme-bad-base64"],
 )
 def test_malformed_payload_is_a_failed_request_naming_the_url(tmp_path, answers):
     with pytest.raises(RequestFailed, match="forge.invalid/repos/demo/x"):
@@ -339,3 +341,11 @@ def test_well_formed_answers_harvest_the_repo(tmp_path):
     corpus = load_corpus(fetch_remote(["demo/x"], tmp_path / "corpus", base_url="http://forge.invalid",
                                       session=_RoutedSession(answers), sleeper=lambda s: None))
     assert list(corpus.repos) == ["1"] and [issue.label_names for issue in corpus.issues] == [("bug",)]
+
+
+def test_readme_not_in_base64_is_kept_as_its_text(tmp_path):
+    # content without a space was once base64-decoded whatever its encoding: "TODO" became "L\ufffd\ufffd"
+    answers = _repo_answers(readme={"content": "TODO", "encoding": "utf-8"})
+    corpus = load_corpus(fetch_remote(["demo/x"], tmp_path / "corpus", base_url="http://forge.invalid",
+                                      session=_RoutedSession(answers), sleeper=lambda s: None))
+    assert corpus.repos["1"].readme_text == "TODO"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from issueforge import cli, github, ingestion
 from issueforge.augmentation import Method, load_label_map
 from issueforge.errors import ValidationError
-from issueforge.extraction import ExtractionMode, load_patterns
+from issueforge.extraction import load_patterns
 from issueforge.ingestion import (
     Corpus,
     DanglingRepoRef,
@@ -300,7 +300,7 @@ def test_round_trip_preserves_odd_strings(tmp_path):
 ODD_TEXT = 'éü \U0001f41b \u2028 "q" \\ \t\x00'
 # What the row builders pass to write_jsonl: str-valued enum members (written as their values) and tuples
 # (written as lists), besides plain JSON values; floats include nan and the infinities.
-ENUM_MEMBERS = st.sampled_from([*Source, *IntentClass, *ExtractionMode, *Method])
+ENUM_MEMBERS = st.sampled_from([*Source, *IntentClass, *Method])
 KEYS = st.text(max_size=6) | st.sampled_from([ODD_TEXT, "\x1f\x7f\u0085\ud7ff"]) | ENUM_MEMBERS
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text() | ENUM_MEMBERS,
@@ -328,7 +328,7 @@ def test_write_jsonl_equals_per_row_dumps(tmp_path_factory, without_c_encoder, r
 def test_writer_without_the_c_encoder_writes_the_same_bytes(tmp_path, monkeypatch, non_ascii):
     text = ODD_TEXT if non_ascii else 'ascii "q" \\ \t\x00'
     rows = [{"source": Source.REVIEW, "tokens": ("a", text), "x": [float("nan"), float("-inf"), None]},
-            {text: {"b": (IntentClass.BUG_REPORT, 1.5)}, "mode": ExtractionMode.SECTION_MATCH}]
+            {text: {"b": (IntentClass.BUG_REPORT, 1.5)}, "mode": Source.ISSUE_BODY}]
     fast = ingestion.write_jsonl(rows, tmp_path / "fast.jsonl").read_bytes()
     monkeypatch.setattr(ingestion, "c_make_encoder", None)
     slow = ingestion.write_jsonl(rows, tmp_path / "slow.jsonl").read_bytes()

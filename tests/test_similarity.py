@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from issueforge.ingestion import RepoRecord
 from issueforge.similarity import (
     EmptyProfile,
-    build_profile_tokens,
     build_profiles,
     cosine,
     rank_similar,
@@ -72,7 +71,7 @@ def repo(repo_id: str, readme: str | None, about: str | None) -> RepoRecord:
 
 
 def test_profile_takes_preamble_and_description_sections(lists):
-    tokens = build_profile_tokens(repo("a", README, "Podcast app."), lists)
+    tokens = build_profiles({"a": repo("a", README, "Podcast app.")}, lists)["a"]
     assert "podcast" in tokens and "subscrib" in tokens
     # install and license sections are excluded
     assert "store" not in tokens and "gpl" not in tokens
@@ -80,15 +79,16 @@ def test_profile_takes_preamble_and_description_sections(lists):
 
 def test_profile_features_only_readme(lists):
     readme = "## Features\n\nRoute planning and offline maps.\n"
-    tokens = build_profile_tokens(repo("a", readme, None), lists)
+    tokens = build_profiles({"a": repo("a", readme, None)}, lists)["a"]
     assert "rout" in tokens and "offlin" in tokens and "map" in tokens
 
 
 def test_empty_profile_raises(lists):
-    with pytest.raises(EmptyProfile):
-        build_profile_tokens(repo("a", "", None), lists)
-    with pytest.raises(EmptyProfile):
-        build_profile_tokens(repo("b", None, None), lists)
+    profiles = build_profiles({"a": repo("a", "", None), "b": repo("b", None, None), "c": repo("c", README, None)},
+                              lists)
+    for query in ("a", "b"):
+        with pytest.raises(EmptyProfile):
+            rank_similar(query, profiles)
 
 
 # --- tfidf ------------------------------------------------------------------------------
