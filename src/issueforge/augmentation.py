@@ -16,7 +16,7 @@ import io
 import logging
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -264,7 +264,7 @@ _SOURCE_OF = {s.value: s for s in Source}
 _SOURCES = frozenset(_SOURCE_OF)
 
 
-def docs_from_extracted(extracted_rows: list[dict], lists: WordLists) -> list[ProcessedDocument]:
+def docs_from_extracted(extracted_rows: Iterable[dict], lists: WordLists) -> list[ProcessedDocument]:
     """Title and body documents for every extracted issue, admission-filtered, sorted by doc_id."""
     docs = []
     for row in extracted_rows:

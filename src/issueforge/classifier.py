@@ -10,9 +10,13 @@ A cross-validation counts its rows' terms and labels once (``count_terms``,
 ``labels_for``). Each fold selects its train and test rows from that count by
 index, takes df, its vocabulary and idf from the selected training entries,
 and remaps term ids onto its columns; no fold counts a token or a label again.
-A fold's matrix builds its transpose once for all of its gradient steps. A
-step evaluates only the gradient it steps on (``gradient``), never the loss,
-and computes exactly the floats that the by-definition objective's gradient does.
+A fit orders its training matrix once for all of its gradient steps: ``X @ w``
+adds the entries interleaved across rows (every row's first entry, then every
+row's second, ...), so consecutive adds land in different rows, while each row
+still adds its own entries in stored order; ``X.T`` keeps the stored row-major
+order, so each column adds in ascending row order. A step evaluates only the
+gradient it steps on (``gradient``), never the loss, and computes exactly the
+floats that the by-definition objective's gradient does.
 """
 
 from __future__ import annotations
@@ -103,7 +107,9 @@ def count_terms(rows: Sequence[ProcessedDocument], vocabulary: tuple[str, ...] |
     """Each row's term counts over ``vocabulary`` (sorted; by default every
     term of ``rows``), terms outside it dropped. Rows already counted, over
     ``vocabulary`` when one is given, are returned as they are."""
-    if isinstance(rows, CountedRows) and (vocabulary is None or rows.vocabulary == vocabulary):
+    if isinstance(rows, CountedRows) and (
+        vocabulary is None or rows.vocabulary is vocabulary or rows.vocabulary == vocabulary
+    ):
         return rows
     rows = tuple(rows)
     if vocabulary is None:
@@ -123,14 +129,18 @@ def count_terms(rows: Sequence[ProcessedDocument], vocabulary: tuple[str, ...] |
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """A training split's vocabulary and idf weights. ``columns`` maps the
-    counted vocabulary ``terms`` onto it: the column of ``terms[j]``, or -1
+    """A training split's idf weights, one per column. ``columns`` maps the
+    counted vocabulary ``terms`` onto them: the column of ``terms[j]``, or -1
     when no training row holds that term."""
 
-    vocabulary: tuple[str, ...]
     idf: np.ndarray
     terms: tuple[str, ...]
     columns: np.ndarray
+
+    @cached_property
+    def vocabulary(self) -> tuple[str, ...]:
+        """The terms some training row holds, one per column, in column order."""
+        return tuple(compress(self.terms, (self.columns >= 0).tolist()))
 
 
 def build_feature_space(rows: Sequence[ProcessedDocument]) -> FeatureSpace:
@@ -139,20 +149,24 @@ def build_feature_space(rows: Sequence[ProcessedDocument]) -> FeatureSpace:
     # one entry per distinct (row, term), so a term's entry count is its document frequency
     df = np.bincount(counted.term_ids, minlength=len(counted.vocabulary))
     present = df > 0
-    vocabulary = tuple(compress(counted.vocabulary, present.tolist()))
+    held = df[present]
     n_docs = max(len(counted), 1)
     # math.log, not np.log, so every weight rounds as it always has; terms
-    # share few distinct df values, so each value's log is taken once
-    distinct, which = np.unique(df[present], return_inverse=True)
-    idf = np.array([math.log(n_docs / d) + 1.0 for d in distinct.tolist()], dtype=np.float64)[which]
+    # share few distinct df values, so each value's log is taken once, into
+    # a table indexed by df
+    tally = np.bincount(held)
+    distinct = np.flatnonzero(tally)
+    table = np.zeros(len(tally))
+    table[distinct] = [math.log(n_docs / d) + 1.0 for d in distinct.tolist()]
     columns = np.where(present, np.cumsum(present) - 1, -1)
-    return FeatureSpace(vocabulary=vocabulary, idf=idf, terms=counted.vocabulary, columns=columns)
+    return FeatureSpace(idf=table[held], terms=counted.vocabulary, columns=columns)
 
 
 @dataclass(frozen=True)
 class TfidfMatrix:
     """Sparse rows × vocabulary tf-idf features: entry k is the value at
-    (row_ids[k], col_ids[k]), one entry per distinct (row, term) pair.
+    (row_ids[k], col_ids[k]), one entry per distinct (row, term) pair;
+    ``vectorize`` stores them in row-major order, which ``interleaved`` reads.
 
     Memory is linear in the nonzeros. ``X @ v`` multiplies by a dense vector;
     ``X.T`` swaps the roles of rows and columns, so ``X.T @ r`` is Xᵀr.
@@ -180,6 +194,24 @@ class TfidfMatrix:
             return np.zeros(self.shape[0])
         return np.bincount(self.row_ids, weights=self.values * vector[self.col_ids], minlength=self.shape[0])
 
+    def interleaved(self) -> TfidfMatrix:
+        """This matrix with its entries in rank-within-row order (every row's
+        first entry, then every row's second, ...), for a matrix that takes
+        many products ``X @ v``: consecutive adds land in different rows, so
+        none waits on the one before, and each row still adds its own entries
+        in stored order, so every product is bit-identical. ``.T`` is this
+        matrix's transpose, whose columns must still add in ascending row order."""
+        if not self.nnz:
+            return self
+        starts = np.searchsorted(self.row_ids, np.arange(self.shape[0] + 1))
+        lengths = np.diff(starts)
+        rank = np.arange(self.nnz) - np.repeat(starts[:-1], lengths)
+        # a stable sort on at most 16 bits is numpy's radix sort; a row past 65,536 terms needs a wider rank
+        order = np.argsort(rank.astype(np.min_scalar_type(int(lengths.max()) - 1)), kind="stable")
+        X = TfidfMatrix(self.row_ids[order], self.col_ids[order], self.values[order], self.shape)
+        vars(X)["T"] = self.T  # where cached_property keeps X.T
+        return X
+
 
 def vectorize(space: FeatureSpace, rows: Sequence[ProcessedDocument]) -> TfidfMatrix:
     """Term-count times idf features; terms outside the vocabulary are ignored."""
@@ -188,7 +220,7 @@ def vectorize(space: FeatureSpace, rows: Sequence[ProcessedDocument]) -> TfidfMa
     known = columns >= 0
     col_ids = columns[known]
     values = counted.counts[known] * space.idf[col_ids]
-    return TfidfMatrix(counted.row_ids[known], col_ids, values, (len(counted), len(space.vocabulary)))
+    return TfidfMatrix(counted.row_ids[known], col_ids, values, (len(counted), len(space.idf)))
 
 
 @dataclass
@@ -201,17 +233,21 @@ class LinearModel:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # e = e^-|z| never overflows: 1/(1+e) where z >= 0 (and z = -0.0), e/(1+e) below
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def gradient(
     weights: np.ndarray, bias: float, X: TfidfMatrix, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
     """Gradient of the mean logistic loss with L2 on weights (bias unregularized); the loss is not evaluated."""
-    residual = (_sigmoid(X @ weights + bias) - y) / len(y)
+    # in place, on arrays this step made: the same floats as (p - y) / len(y) and Xᵀr + l2·w
+    residual = _sigmoid(X @ weights + bias)
+    residual -= y
+    residual /= len(y)
+    grad_w = X.T @ residual
+    grad_w += l2 * weights
     # add.reduce is the pairwise sum np.sum takes, without its dispatch
-    return X.T @ residual + l2 * weights, float(np.add.reduce(residual))
+    return grad_w, float(np.add.reduce(residual))
 
 
 def labels_for(rows: Sequence[ProcessedDocument], target: IntentClass) -> np.ndarray:
@@ -230,8 +266,8 @@ def train(rows: Sequence[ProcessedDocument], target: IntentClass) -> LinearModel
     if y.sum() == 0 or y.sum() == len(y):
         raise DegenerateLabels(f"training set has a single class for target {target.value}")
     space = build_feature_space(counted)
-    X = vectorize(space, counted)
-    weights = np.zeros(len(space.vocabulary), dtype=np.float64)
+    X = vectorize(space, counted).interleaved()
+    weights = np.zeros(len(space.idf), dtype=np.float64)
     bias = 0.0
     for _ in range(EPOCHS):
         grad_w, grad_b = gradient(weights, bias, X, y, L2)
@@ -331,8 +367,9 @@ def stratified_folds(
     for fold_index in range(k):
         test = sorted(positives[fold_index::k] + negatives[fold_index::k])
         # every other row trains: the other primary rows and all auxiliary ones
-        test_set = set(test)
-        folds.append(([i for i in range(len(rows)) if i not in test_set], test))
+        trains = np.ones(len(rows), dtype=bool)
+        trains[test] = False
+        folds.append((np.flatnonzero(trains).tolist(), test))
     return folds
 
 

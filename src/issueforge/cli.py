@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -22,6 +23,7 @@ import shutil
 import sys
 import tempfile
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,9 +186,9 @@ def _dump_json(obj, path: Path) -> Path:
     return path
 
 
-def _read_stage_rows(path: str, required: dict[str, type]) -> list[dict]:
-    """Rows of a stage's JSONL input; a bad line or intent value is a SchemaViolation."""
-    return [row for _, row in ingestion.parse_jsonl(Path(path), required, {"intents": INTENT_VALUES})]
+def _read_stage_rows(path: str, required: dict[str, type]) -> Iterator[dict]:
+    """Rows of a stage's JSONL input, read as they are drawn; a bad line or intent value is a SchemaViolation."""
+    return (row for _, row in ingestion.parse_jsonl(Path(path), required, {"intents": INTENT_VALUES}))
 
 
 # --- pipeline -----------------------------------------------------------------------
@@ -247,7 +249,7 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
         extracted_rows, counts = _extract_stage(corpus.issues, patterns, lists, intents, staging / "extracted.jsonl")
         del corpus, intents
         _dump_json(counts, staging / "extraction_report.json")
-        docs = _preprocess_stage(extracted_rows, lists, staging / "docs.jsonl")
+        docs, _ = _preprocess_stage(extracted_rows, lists, staging / "docs.jsonl")
         del extracted_rows
         funnel = {"issues_total": issues_total, "issues_filtered_corpus": issues_filtered,
                   "issues_intent_labeled": counts["considered"], "issues_extracted": counts["extracted"],
@@ -351,7 +353,7 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _intents_of(label_rows: list[dict]) -> dict[str, list]:
+def _intents_of(label_rows: Iterable[dict]) -> dict[str, list]:
     """issue_id -> intents: what ``extract`` reads from the label rows."""
     return {row["issue_id"]: row["intents"] for row in label_rows}
 
@@ -374,12 +376,18 @@ def _extract_stage(issues: list, patterns, lists, intents: dict, out) -> tuple[l
     return rows, counts
 
 
-def _preprocess_stage(extracted_rows: list[dict], lists, out) -> list[textprep.ProcessedDocument]:
-    """Write the admitted title and body documents to ``out`` and return them."""
-    docs = augmentation.docs_from_extracted(extracted_rows, lists)
+def _preprocess_stage(extracted_rows: Iterable[dict], lists, out) -> tuple[list[textprep.ProcessedDocument], int]:
+    """Write the admitted title and body documents to ``out``; return them and the number of extracted rows.
+
+    The rows are read once, as they come; nothing is written before the last one.
+    """
+    read = itertools.count()
+    # zip draws a row before a count, so ``read`` has advanced once per row
+    docs = augmentation.docs_from_extracted((row for row, _ in zip(extracted_rows, read)), lists)
+    n_rows = next(read)
     augmentation.write_docs(docs, out)
-    logger.info("preprocess: admitted %d documents from %d extracted issues", len(docs), len(extracted_rows))
-    return docs
+    logger.info("preprocess: admitted %d documents from %d extracted issues", len(docs), n_rows)
+    return docs, n_rows
 
 
 def _train_eval_stage(rows, k: int, seed: int, out) -> dict:
@@ -417,8 +425,8 @@ def _cmd_preprocess(args) -> int:
     extracted_rows = _read_stage_rows(
         getattr(args, "in"), {"issue_id": str, "repo_id": str, "title": str, "text": str, "intents": list}
     )
-    docs = _preprocess_stage(extracted_rows, lists, args.out)
-    print(f"admitted {len(docs)} documents from {len(extracted_rows)} extracted issues")
+    docs, n_rows = _preprocess_stage(extracted_rows, lists, args.out)
+    print(f"admitted {len(docs)} documents from {n_rows} extracted issues")
     return EXIT_OK
 
 

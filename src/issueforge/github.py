@@ -139,9 +139,16 @@ class Client:
         return items
 
 
+def _string(value, name: str) -> str:
+    """``value`` when it is a string; anything else is the ``TypeError`` of a bad payload, naming the field."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name}: expected a string, got {type(value).__name__}")
+    return value
+
+
 def _decode_content(payload: dict) -> str:
     """A readme payload's text; bad base64 is a ``binascii.Error``, the ``ValueError`` of a bad payload."""
-    content = payload.get("content", "")
+    content = _string(payload.get("content", ""), "readme content")
     if payload.get("encoding") == "base64":
         return base64.b64decode(content).decode("utf-8", errors="replace")
     return content
@@ -167,10 +174,10 @@ def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawI
             RawIssue(
                 issue_id=str(item["id"]),
                 repo_id=repo_id,
-                title=item.get("title") or "",
-                body=item.get("body") or "",
-                label_names=tuple(label["name"] for label in item.get("labels", [])),
-                created_at=item.get("created_at") or "",
+                title=_string(item.get("title") or "", "title"),
+                body=_string(item.get("body") or "", "body"),
+                label_names=tuple(_string(label["name"], "label name") for label in item.get("labels", [])),
+                created_at=_string(item.get("created_at") or "", "created_at"),
             )
             for item in items
             if "pull_request" not in item
@@ -181,7 +188,7 @@ def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawI
             contributors=len(contributors),
             stars=int(repo.get("stargazers_count", 0)),
             readme_text=None if readme is None else _decode_content(readme),
-            about_text=repo.get("description"),
+            about_text=None if repo.get("description") is None else _string(repo["description"], "description"),
         )
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RequestFailed(f"{client.base_url}/repos/{full_name}: unexpected payload: {exc!r}") from exc

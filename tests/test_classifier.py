@@ -421,6 +421,44 @@ def test_matrix_builds_its_transpose_once():
     assert X.T.shape == (X.shape[1], X.shape[0])
 
 
+def _assert_interleaving(X: TfidfMatrix, weights: np.ndarray) -> TfidfMatrix:
+    """X.interleaved() holds X's entries, each row's in stored order, and its products are X's, bit for bit."""
+    interleaved = X.interleaved()
+    # a stable sort by row gives back the stored arrays only if every row kept its own order
+    by_row = np.argsort(interleaved.row_ids, kind="stable")
+    for name in ("row_ids", "col_ids", "values"):
+        assert np.array_equal(getattr(interleaved, name)[by_row], getattr(X, name)), name
+    product = (interleaved @ weights).tobytes()
+    assert product == (X @ weights).tobytes() == (_as_reference(X) @ weights).tobytes()
+    # the transpose keeps the stored order, so a column still adds in ascending row order
+    assert interleaved.T.row_ids is X.col_ids and interleaved.T.col_ids is X.row_ids
+    assert interleaved.T.values is X.values and interleaved.T.shape == X.T.shape
+    return interleaved
+
+
+@given(_matrices())
+@settings(max_examples=300, deadline=None)
+def test_interleaved_matrix_equals_stored_order_and_reference_bit_for_bit(drawn):
+    X, weights, y, bias = drawn
+    interleaved = _assert_interleaving(X, weights)
+    grad_w, grad_b = gradient(weights, bias, interleaved, y, L2)
+    _, reference_grad_w, reference_grad_b = _reference_loss_and_grad(weights, bias, _as_reference(X), y, L2)
+    assert grad_w.tobytes() == reference_grad_w.tobytes() and grad_b == reference_grad_b
+
+
+def test_interleaved_matrix_with_a_row_past_65536_terms():
+    # row 0's ranks reach 69,999, past uint16; rows 1 and 2 hold a few of the same columns
+    n_terms = 70_000
+    rng = np.random.default_rng(8)
+    X = TfidfMatrix(
+        np.array([0] * n_terms + [1, 1, 2], dtype=np.intp),
+        np.array([*range(n_terms), 3, 65_540, 69_999], dtype=np.intp),
+        rng.uniform(0.1, 10.0, n_terms + 3),
+        (3, n_terms),
+    )
+    _assert_interleaving(X, rng.uniform(-1.0, 1.0, n_terms))
+
+
 # --- counting once per cross-validation ------------------------------------------------
 
 def _oracle_feature_space(rows) -> tuple[tuple[str, ...], np.ndarray]:

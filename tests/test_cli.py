@@ -1114,9 +1114,12 @@ def test_pipeline_validates_the_lexicon_once(tmp_path, monkeypatch):
         ("extract", '{"issue_id": "i1", "intents": ["mystery"]}\n'),
         ("preprocess", '{"issue_id": "i1", "repo_id": "r1", "title": "a crash", "text": "it crashes on start"}\n'),
         ("preprocess", "[1, 2]\n"),
+        # preprocess reads its rows as they come: a bad line after a good row still writes nothing
+        ("preprocess", '{"issue_id": "1", "repo_id": "r", "title": "App crashes", "text": "It crashes on start", '
+                       '"intents": ["bug"]}\n[1, 2]\n'),
     ],
     ids=["labels-not-json", "labels-without-issue-id", "labels-unknown-intent", "extracted-without-intents",
-         "extracted-not-an-object"],
+         "extracted-not-an-object", "extracted-bad-line-after-a-good-row"],
 )
 def test_malformed_stage_input_is_a_validation_error(tmp_path, command, text):
     bad = tmp_path / "input.jsonl"

@@ -325,9 +325,17 @@ def _repo_answers(repo=None, contributors=None, issues=None, readme=None) -> dic
         _repo_answers(issues=[{"id": 2, "labels": ["bug"]}]),
         # once kept as the readme's text
         _repo_answers(readme={"content": "abc", "encoding": "base64"}),
+        # once written, for load_corpus to reject the corpus (a field of the wrong type)
+        _repo_answers(readme={"content": 5}),
+        _repo_answers(repo={"id": 1, "description": 5}),
+        _repo_answers(issues=[{"id": 2, "title": 5}]),
+        _repo_answers(issues=[{"id": 2, "body": ["x"]}]),
+        _repo_answers(issues=[{"id": 2, "labels": [{"name": 7}]}]),
+        _repo_answers(issues=[{"id": 2, "created_at": 3}]),
     ],
     ids=["repo-without-id", "repo-a-list", "stars-not-a-number", "contributors-an-object", "issue-without-id",
-         "label-not-an-object", "readme-bad-base64"],
+         "label-not-an-object", "readme-bad-base64", "readme-content-a-number", "description-a-number",
+         "title-a-number", "body-a-list", "label-name-a-number", "created-at-a-number"],
 )
 def test_malformed_payload_is_a_failed_request_naming_the_url(tmp_path, answers):
     with pytest.raises(RequestFailed, match="forge.invalid/repos/demo/x"):
