@@ -76,6 +76,8 @@ class AugmentationSpec:
         check_int("top_k_similar", self.top_k_similar, 1)
         if not isinstance(self.include_same_app, bool):
             raise ValidationError(f"include_same_app must be true or false, got {self.include_same_app!r}")
+        if self.include_same_app and self.method is not Method.WITHIN_CONTEXT:
+            raise ValidationError(f"include_same_app is only meaningful for within-context, not {self.method.value}")
         if self.method is Method.BETWEEN_APP:
             if self.target_app is not None:
                 raise ValidationError("target_app is only meaningful for within-app/within-context")

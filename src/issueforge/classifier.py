@@ -143,6 +143,11 @@ class FeatureSpace:
         return tuple(compress(self.terms, (self.columns >= 0).tolist()))
 
 
+def idf(n_docs: int, df: int) -> float:
+    """ln(N/df) + 1, in both tf-idfs; math.log, not np.log, so every weight rounds as it always has."""
+    return math.log(n_docs / df) + 1.0
+
+
 def build_feature_space(rows: Sequence[ProcessedDocument]) -> FeatureSpace:
     """Vocabulary and idf weights derived from training rows only."""
     counted = count_terms(rows)
@@ -151,13 +156,11 @@ def build_feature_space(rows: Sequence[ProcessedDocument]) -> FeatureSpace:
     present = df > 0
     held = df[present]
     n_docs = max(len(counted), 1)
-    # math.log, not np.log, so every weight rounds as it always has; terms
-    # share few distinct df values, so each value's log is taken once, into
-    # a table indexed by df
+    # terms share few distinct df values, so each value's idf is taken once, into a table indexed by df
     tally = np.bincount(held)
     distinct = np.flatnonzero(tally)
     table = np.zeros(len(tally))
-    table[distinct] = [math.log(n_docs / d) + 1.0 for d in distinct.tolist()]
+    table[distinct] = [idf(n_docs, d) for d in distinct.tolist()]
     columns = np.where(present, np.cumsum(present) - 1, -1)
     return FeatureSpace(idf=table[held], terms=counted.vocabulary, columns=columns)
 
@@ -283,47 +286,38 @@ def predict_proba(model: LinearModel, rows: Sequence[ProcessedDocument]) -> np.n
 
 @dataclass(frozen=True)
 class FoldMetrics:
+    """A test fold's confusion counts; each of ``METRICS`` is a property of them. precision = TP/(TP+FP),
+    recall = TP/(TP+FN), F1 their harmonic mean; a zero denominator gives 0.0, with a degenerate flag."""
+
     tp: int
     fp: int
     tn: int
     fn: int
-    precision: float
-    recall: float
-    f1: float
-    precision_degenerate: bool = False
-    recall_degenerate: bool = False
+
+    @property
+    def precision_degenerate(self) -> bool:
+        return self.tp + self.fp == 0
+
+    @property
+    def recall_degenerate(self) -> bool:
+        return self.tp + self.fn == 0
+
+    @property
+    def precision(self) -> float:
+        return 0.0 if self.precision_degenerate else self.tp / (self.tp + self.fp)
+
+    @property
+    def recall(self) -> float:
+        return 0.0 if self.recall_degenerate else self.tp / (self.tp + self.fn)
+
+    @property
+    def f1(self) -> float:
+        precision, recall = self.precision, self.recall
+        return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
 
     def as_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
-
-def metrics_from_counts(tp: int, fp: int, tn: int, fn: int) -> FoldMetrics:
-    """precision = TP/(TP+FP), recall = TP/(TP+FN), F1 their harmonic mean;
-    zero denominators yield 0 with a degenerate flag."""
-    precision_degenerate = (tp + fp) == 0
-    recall_degenerate = (tp + fn) == 0
-    precision = 0.0 if precision_degenerate else tp / (tp + fp)
-    recall = 0.0 if recall_degenerate else tp / (tp + fn)
-    f1 = 0.0 if (precision + recall) == 0 else 2 * precision * recall / (precision + recall)
-    return FoldMetrics(
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        precision_degenerate=precision_degenerate,
-        recall_degenerate=recall_degenerate,
-    )
+        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
+                **{name: getattr(self, name) for name in METRICS}}
 
 
 def evaluate(model: LinearModel, rows: Sequence[ProcessedDocument], target: IntentClass) -> FoldMetrics:
@@ -336,7 +330,7 @@ def evaluate(model: LinearModel, rows: Sequence[ProcessedDocument], target: Inte
     fp = int(np.sum(predictions & (y == 0)))
     tn = int(np.sum(~predictions & (y == 0)))
     fn = int(np.sum(~predictions & (y == 1)))
-    return metrics_from_counts(tp, fp, tn, fn)
+    return FoldMetrics(tp, fp, tn, fn)
 
 
 def check_folds(k: int) -> None:

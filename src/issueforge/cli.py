@@ -62,11 +62,12 @@ def configure_logging(verbose: bool = False) -> None:
 class _JsonConfig:
     """``from_file`` for a dataclass config held in one JSON object.
 
-    The required keys are the fields without a default. ``PATHS`` name the
-    path fields: each is resolved against the config file's directory and kept
-    as an absolute path, so the manifest of a run does not depend on the
-    working directory; a missing one is the OSError of opening it. ``INTS``
-    maps each integer field to its lower bound, or None.
+    The dataclass's constructor checks the keys: an unknown or a missing one is
+    a ValidationError naming the file. ``PATHS`` name the path fields: each is
+    resolved against the config file's directory and kept as an absolute path,
+    so the manifest of a run does not depend on the working directory; one whose
+    default is None may be null, and a missing file is the OSError of opening
+    it. ``INTS`` maps each integer field to its lower bound, or None.
     """
 
     PATHS: tuple[str, ...] = ()
@@ -78,21 +79,16 @@ class _JsonConfig:
         raw = _read_json(path)
         if not isinstance(raw, dict):
             raise ValidationError(f"config {path} must be a JSON object")
-        fields = dataclasses.fields(cls)
-        unknown = sorted(set(raw) - {f.name for f in fields})
-        if unknown:
-            raise ValidationError(f"unknown config keys: {unknown}")
-        no_default = dataclasses.MISSING
-        required = [f.name for f in fields if f.default is no_default and f.default_factory is no_default]
-        missing = [name for name in required if name not in raw]
-        if missing:
-            raise ValidationError(f"config missing required keys: {missing}")
-        config = cls(**raw)
+        try:
+            config = cls(**raw)
+        except TypeError as exc:  # an unknown or a missing key, named by the constructor
+            raise ValidationError(f"config {path}: {exc}") from exc
         for name, low in cls.INTS.items():
             check_int(name, getattr(config, name), low)
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         for name in cls.PATHS:
             value = getattr(config, name)
-            if value is None and name not in required:
+            if value is None and defaults[name] is None:
                 continue
             if not isinstance(value, str):
                 raise ValidationError(f"{name} must be a path string, got {value!r}")
@@ -222,6 +218,9 @@ def run_pipeline(config: PipelineConfig, out_dir: Path | str) -> Path:
     label rows and extracted rows do not live on through preprocess and
     cross-validation, only the repository records and the funnel counts do."""
     out = Path(out_dir)
+    if out.resolve() == Path(config.corpus_dir).resolve():
+        # the filtered repos.jsonl would replace the corpus's own, and the repos filtered out be lost
+        raise ValidationError(f"--out {out} is the corpus directory {config.corpus_dir}; write the run elsewhere")
     lists = textprep.load_wordlists(config.word_lists_dir)
     patterns = extraction.load_patterns(config.patterns)
     lexicon = labels_mod.load_lexicon(config.lexicon, lists)
@@ -332,14 +331,8 @@ def _cmd_harvest(args) -> int:
             raise ValidationError(f"{args.repos}:{lineno}: expected owner/name, got {name!r}")
         names.append(name)
     token = os.environ.get(args.token_env) if args.token_env else None
-    github.fetch_remote(
-        names,
-        args.out,
-        token=token,
-        rate_limit=args.rate_limit,
-        parallel=args.parallel,
-        base_url=args.base_url,
-    )
+    client = github.Client(base_url=args.base_url, token=token, rate_limit=args.rate_limit)
+    github.fetch_remote(client, names, args.out, parallel=args.parallel)
     return EXIT_OK
 
 

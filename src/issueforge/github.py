@@ -114,7 +114,11 @@ class Client:
         raise RateLimited(url)
 
     def get_json(self, path: str, params: dict | None = None):
+        """The answer's JSON; 204 No Content, GitHub's answer to an empty repository's contributors, is an
+        empty list, so it ends a list and fails any other payload."""
         response = self.get(path, params=params)
+        if response.status_code == 204:
+            return []
         try:
             return response.json()
         except ValueError as exc:  # requests' JSONDecodeError, e.g. a proxy's HTML page
@@ -195,27 +199,9 @@ def _harvest_repo(client: Client, full_name: str) -> tuple[RepoRecord, list[RawI
     return record, issues
 
 
-def fetch_remote(
-    repo_list: list[str],
-    out_dir: Path | str,
-    token: str | None = None,
-    rate_limit: int = 5000,
-    parallel: int = 4,
-    base_url: str = "https://api.github.com",
-    session: requests.Session | None = None,
-    sleeper: Callable[[float], None] = time.sleep,
-    max_retries: int = 5,
-) -> Path:
-    """Harvest ``repo_list`` into a corpus directory. Unknown repos are skipped, and so is a repo whose id
-    an earlier name has fetched (a repeated or renamed repo)."""
-    client = Client(
-        base_url=base_url,
-        token=token,
-        rate_limit=rate_limit,
-        max_retries=max_retries,
-        session=session,
-        sleeper=sleeper,
-    )
+def fetch_remote(client: Client, repo_list: list[str], out_dir: Path | str, parallel: int = 4) -> Path:
+    """Harvest ``repo_list`` through ``client`` into a corpus directory. Unknown repos are skipped, and so
+    is a repo whose id an earlier name has fetched (a repeated or renamed repo)."""
     corpus = Corpus()
     workers = max(1, min(parallel, max(len(repo_list), 1)))
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -112,7 +112,7 @@ def parse_jsonl(
     object, not the whole file, and a caller's own check of line n is raised
     before any line after n is read. A ``list`` field must hold strings.
     ``allowed`` gives the permitted values of a required ``str`` field, or of
-    each element of a required ``list`` field.
+    each element of a required ``list`` field, which must hold at least one.
     """
     for lineno, line in decoded_lines(path):
         if not line.strip():
@@ -135,7 +135,9 @@ def parse_jsonl(
             elif type_ is list and not all(map(isinstance, value, repeat(str))):
                 raise SchemaViolation(path.name, lineno, name, "expected a list of strings")
         for name, values in (allowed or {}).items():
-            if not values.issuperset(obj[name] if isinstance(obj[name], list) else (obj[name],)):
+            if not (held := obj[name] if isinstance(obj[name], list) else (obj[name],)):
+                raise SchemaViolation(path.name, lineno, name, "expected one or more values")
+            if not values.issuperset(held):
                 raise SchemaViolation(path.name, lineno, name, f"values must be drawn from {sorted(values)}")
         yield lineno, obj
 

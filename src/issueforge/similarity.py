@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 
+from .classifier import idf
 from .errors import IssueforgeError
 from .extraction import _titled_lines, normalize_title
 from .ingestion import RepoRecord
@@ -65,6 +66,7 @@ def tfidf(token_lists: list[list[str]]) -> list[dict[str, float]]:
     for tokens in token_lists:
         for term in set(tokens):
             df[term] = df.get(term, 0) + 1
+    weights = {term: idf(n_docs, n) for term, n in df.items()}
     vectors: list[dict[str, float]] = []
     for tokens in token_lists:
         vector: dict[str, float] = {}
@@ -74,8 +76,7 @@ def tfidf(token_lists: list[list[str]]) -> list[dict[str, float]]:
             for term in tokens:
                 counts[term] = counts.get(term, 0) + 1
             for term, count in counts.items():
-                idf = math.log(n_docs / df[term]) + 1.0
-                vector[term] = (count / length) * idf
+                vector[term] = (count / length) * weights[term]
         vectors.append(vector)
     return vectors
 

@@ -159,13 +159,13 @@ def test_c06_stratification_properties():
 
 def test_c07_metric_unit_cases():
     with criterion(7, "precision/recall/F1 unit cases reproduce within 1e-12", 1.0):
-        m = classifier.metrics_from_counts(tp=1, fp=1, tn=0, fn=0)
+        m = classifier.FoldMetrics(tp=1, fp=1, tn=0, fn=0)
         assert abs(m.precision - 0.5) < 1e-12
         assert abs(m.recall - 1.0) < 1e-12
         assert abs(m.f1 - 2 / 3) < 1e-12
-        m = classifier.metrics_from_counts(tp=10, fp=0, tn=10, fn=0)
+        m = classifier.FoldMetrics(tp=10, fp=0, tn=10, fn=0)
         assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
-        m = classifier.metrics_from_counts(tp=3, fp=1, tn=0, fn=2)
+        m = classifier.FoldMetrics(tp=3, fp=1, tn=0, fn=2)
         assert abs(m.precision - 0.75) < 1e-12
         assert abs(m.recall - 0.6) < 1e-12
         assert abs(m.f1 - (2 * 0.75 * 0.6 / 1.35)) < 1e-12

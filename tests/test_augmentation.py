@@ -283,6 +283,8 @@ BAD_SPEC_FIELDS = {
     "top-k-similar-a-float": {"top_k_similar": 2.0},
     "include-same-app-a-string": {"include_same_app": "no"},
     "target-app-for-between-app": {"target_app": "a1"},
+    "include-same-app-for-between-app": {"include_same_app": True},
+    "include-same-app-for-within-app": {"method": "within-app", "target_app": "a1", "include_same_app": True},
     "target-app-missing": {"method": "within-context"},
     "target-app-a-number": {"method": "within-app", "target_app": 5},
 }

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from issueforge import classifier
@@ -27,6 +27,7 @@ from issueforge.classifier import (
     LEARNING_RATE,
     CountedRows,
     DegenerateLabels,
+    FoldMetrics,
     TfidfMatrix,
     TooFewRows,
     _sigmoid,
@@ -36,7 +37,6 @@ from issueforge.classifier import (
     evaluate,
     gradient,
     labels_for,
-    metrics_from_counts,
     predict_proba,
     stratified_folds,
     train,
@@ -570,7 +570,7 @@ def test_counting_once_per_cross_validation_is_exact(rows, k, seed):
         predicted = _reference_sigmoid(_as_reference(X_test) @ weights + bias) >= 0.5
         y = labels_for(test_rows, BUG) == 1
         counts = [int(np.sum(p & t)) for p, t in ((predicted, y), (predicted, ~y), (~predicted, ~y), (~predicted, y))]
-        assert report.folds[f] == metrics_from_counts(*counts)
+        assert report.folds[f] == FoldMetrics(*counts)
     # row r01 alone holds "only1": the fold that tests it lacks a term of its test rows and of the dataset
     assert any("only1" not in model.space.vocabulary for _, model in fits)
     # train on a plain row list counts its own rows through the same path
@@ -602,35 +602,53 @@ def test_rows_counted_over_another_vocabulary_are_counted_again():
 # --- metrics ----------------------------------------------------------------------------
 
 def test_metric_unit_case_one():
-    m = metrics_from_counts(tp=1, fp=1, tn=0, fn=0)
+    m = FoldMetrics(tp=1, fp=1, tn=0, fn=0)
     assert m.precision == pytest.approx(0.5, abs=1e-12)
     assert m.recall == pytest.approx(1.0, abs=1e-12)
     assert m.f1 == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_metric_unit_case_perfect():
-    m = metrics_from_counts(tp=5, fp=0, tn=5, fn=0)
+    m = FoldMetrics(tp=5, fp=0, tn=5, fn=0)
     assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
 
 
 def test_metric_unit_case_hand_arithmetic():
-    m = metrics_from_counts(tp=3, fp=1, tn=0, fn=2)
+    m = FoldMetrics(tp=3, fp=1, tn=0, fn=2)
     assert m.precision == pytest.approx(0.75, abs=1e-12)
     assert m.recall == pytest.approx(0.6, abs=1e-12)
     assert m.f1 == pytest.approx(2 * 0.75 * 0.6 / 1.35, abs=1e-12)
 
 
 def test_degenerate_metrics_flagged():
-    m = metrics_from_counts(tp=0, fp=0, tn=5, fn=0)
+    m = FoldMetrics(tp=0, fp=0, tn=5, fn=0)
     assert m.precision == 0.0 and m.precision_degenerate
     assert m.recall == 0.0 and m.recall_degenerate
     assert m.f1 == 0.0
 
 
 @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
+@example(0, 0, 0, 0)
+@example(0, 0, 5, 0)
+@example(0, 3, 2, 4)
+@example(4, 0, 0, 0)
+@settings(max_examples=300)
+def test_fold_metrics_follow_from_the_counts_bit_for_bit(tp, fp, tn, fn):
+    # by definition: a zero denominator gives 0.0 and raises that metric's flag
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    expected = {"tp": tp, "fp": fp, "tn": tn, "fn": fn, "precision": precision, "recall": recall, "f1": f1}
+    m = FoldMetrics(tp, fp, tn, fn)
+    # json.dumps writes each float's shortest round-tripping repr, and report.json is written by it
+    assert json.dumps(m.as_dict()) == json.dumps(expected)
+    assert (m.precision_degenerate, m.recall_degenerate) == (tp + fp == 0, tp + fn == 0)
+
+
+@given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
 @settings(max_examples=200)
 def test_f1_is_harmonic_mean(tp, fp, tn, fn):
-    m = metrics_from_counts(tp, fp, tn, fn)
+    m = FoldMetrics(tp, fp, tn, fn)
     assert 0.0 <= m.precision <= 1.0
     assert 0.0 <= m.recall <= 1.0
     if m.precision + m.recall > 0:

@@ -338,15 +338,48 @@ def test_report_on_a_run_holding_another_runs_report_is_a_validation_error(pipel
 def test_config_unknown_key_rejected(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"seed": 1, "corpus_dir": ".", "primary_csv": "x", "label_map": "y", "bogus": 1}))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as raised:
         PipelineConfig.from_file(config_file)
+    assert "'bogus'" in str(raised.value) and str(config_file) in str(raised.value)
 
 
 def test_config_requires_seed(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"corpus_dir": ".", "primary_csv": "x", "label_map": "y"}))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as raised:
         PipelineConfig.from_file(config_file)
+    assert "'seed'" in str(raised.value) and str(config_file) in str(raised.value)
+
+
+@pytest.mark.parametrize("out", ["corpus", "corpus/../corpus/."], ids=["same-path", "same-directory-resolved"])
+def test_pipeline_out_at_its_corpus_directory_is_refused(tmp_path, capsys, out):
+    # the demo config's corpus_dir is ".": --out at its own directory once replaced the corpus's repos.jsonl
+    # with the filtered repos, and the next run exited 2 on an issue of a repo filtered out
+    corpus = tmp_path / "corpus"
+    shutil.copytree(DEMO, corpus)
+    before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+    argv = ["pipeline", "--config", str(corpus / "demo_config.json"), "--out", str(tmp_path / out)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(tmp_path / out) in err and str(corpus) in err
+    assert "Traceback" not in err
+    assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before  # no manifest.json, no staging
+
+
+def test_harvest_passes_a_client_built_from_its_flags(tmp_path, monkeypatch):
+    from issueforge import github
+
+    monkeypatch.setenv("HARVEST_TOKEN", "s3cret")
+    calls = []
+    monkeypatch.setattr(github, "fetch_remote", lambda *args, **kwargs: calls.append((args, kwargs)))
+    argv = _harvest(tmp_path, "--token-env", "HARVEST_TOKEN", "--rate-limit", "720", "--parallel", "3")
+    assert main(argv) == EXIT_OK
+    [((client, names, out), kwargs)] = calls
+    assert isinstance(client, github.Client)
+    assert client.base_url == "http://127.0.0.1:9"
+    assert client.headers["Authorization"] == "Bearer s3cret"
+    assert client.gate._interval == 3600.0 / 720
+    assert (names, out, kwargs) == (["demo/x"], str(tmp_path / "h"), {"parallel": 3})
 
 
 # --- stage subcommands chained by hand -----------------------------------------------------
@@ -1117,9 +1150,14 @@ def test_pipeline_validates_the_lexicon_once(tmp_path, monkeypatch):
         # preprocess reads its rows as they come: a bad line after a good row still writes nothing
         ("preprocess", '{"issue_id": "1", "repo_id": "r", "title": "App crashes", "text": "It crashes on start", '
                        '"intents": ["bug"]}\n[1, 2]\n'),
+        # an issue without an intent once passed, and trained as a negative for both targets
+        ("extract", '{"issue_id": "i0001", "intents": []}\n'),
+        ("preprocess", '{"issue_id": "1", "repo_id": "r", "title": "App crashes", "text": "It crashes on start", '
+                       '"intents": []}\n'),
     ],
     ids=["labels-not-json", "labels-without-issue-id", "labels-unknown-intent", "extracted-without-intents",
-         "extracted-not-an-object", "extracted-bad-line-after-a-good-row"],
+         "extracted-not-an-object", "extracted-bad-line-after-a-good-row", "labels-empty-intents",
+         "extracted-empty-intents"],
 )
 def test_malformed_stage_input_is_a_validation_error(tmp_path, command, text):
     bad = tmp_path / "input.jsonl"
@@ -1336,6 +1374,11 @@ BAD_INPUT_FILES = {
         t / "pool.jsonl", '{"doc_id": "d", "source": "review", "tokens": ["a", 1], "intents": ["bug"]}\n')),
     "augmented-unknown-source": lambda t: _train_eval(
         t, '{"doc_id": "d", "source": "x", "tokens": ["a"], "intents": ["bug"]}\n'),
+    # a document without an intent once loaded, a negative for both targets
+    "pool-empty-intents": lambda t: _augment(t, pool=_write(
+        t / "pool.jsonl", '{"doc_id": "d", "source": "issue_body", "tokens": ["a"], "intents": []}\n')),
+    "augmented-empty-intents": lambda t: _train_eval(
+        t, '{"doc_id": "d", "source": "review", "tokens": ["a"], "intents": []}\n'),
     "repos-line-not-json": lambda t: ["filter", "--in", str(_corpus_with_bad_repos_line(t)), "--out", str(t / "out")],
     "readme-text-a-number": lambda t: [
         "similar", "--in", str(_corpus_with_repo_field(t, readme_text=5)), "--query", "r1", "--out", str(t / "r.json")],
@@ -1531,6 +1574,11 @@ CHANGED_EXIT_CODES = {
         "pipeline", "--config", _pipeline_config(t, target_app="r-podkit"), "--out", str(t / "run")]),
     "augment-between-app-with-app": (EXIT_VALIDATION, lambda t, i: [
         *_augment(t, pool=i["docs"]), "--app", "r-podkit"]),
+    # include_same_app selects nothing outside within-context, yet named its model "+same" and exited 0
+    "augment-between-app-include-same-app": (EXIT_VALIDATION, lambda t, i: [
+        *_augment(t, pool=i["docs"]), "--include-same-app"]),
+    "experiment-within-app-include-same-app": (EXIT_VALIDATION, lambda t, i: _experiment(
+        t, specs=[{"method": "within-app", "target_app": "r-podkit", "include_same_app": True}])),
     # sweep's method defaults to between-app
     "sweep-app-without-method": (EXIT_VALIDATION, lambda t, i: [
         "sweep", "--primary", str(DEMO / "primary_demo.csv"), "--labelmap", str(DEMO / "labelmap_demo.tsv"),

@@ -19,6 +19,8 @@ class FakeForge:
         self.fail_with: int | None = None
         self.rate_limit_hits_remaining = 0
         self.requests_seen: list[str] = []
+        # repos whose contributors are answered 204 No Content, as GitHub answers for an empty repository
+        self.contributors_no_content: set[str] = set()
 
     def add_repo(self, full_name: str, repo_id: int, issues: list[dict], stars: int = 10,
                  contributors: int = 3, readme: str = "# Hello\n\nAn app.", description: str = "An app."):
@@ -70,6 +72,9 @@ class _Handler(BaseHTTPRequestHandler):
         rest = parts[3:]
         if not rest:
             self._send(repo["meta"])
+        elif rest == ["contributors"] and full_name in forge.contributors_no_content:
+            self.send_response(204)
+            self.end_headers()
         elif rest == ["contributors"]:
             self._send(self._page(repo["contributors"], page, per_page))
         elif rest == ["readme"]:
@@ -128,7 +133,7 @@ def make_issues(n: int, offset: int = 0, prs: int = 0) -> list[dict]:
 def test_two_pages_of_issues(forge_server, tmp_path):
     forge, url = forge_server
     forge.add_repo("demo/big", 1, make_issues(200))
-    out = fetch_remote(["demo/big"], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
+    out = fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/big"], tmp_path / "corpus")
     corpus = load_corpus(out)
     assert len(corpus.issues) == 200
     assert corpus.repos[str(1)].contributors == 3
@@ -139,15 +144,28 @@ def test_harvested_issues_are_written_sorted(forge_server, tmp_path):
     forge, url = forge_server
     forge.add_repo("demo/b", 30, make_issues(3, offset=8)[::-1])
     forge.add_repo("demo/a", 4, make_issues(2, offset=20)[::-1])
-    out = fetch_remote(["demo/b", "demo/a"], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
+    out = fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/b", "demo/a"], tmp_path / "corpus")
     written = [(issue.repo_id, issue.issue_id) for issue in load_corpus(out).issues]
     assert written == [("30", "10"), ("30", "8"), ("30", "9"), ("4", "20"), ("4", "21")]
+
+
+def test_contributors_answered_with_204_are_none(forge_server, tmp_path):
+    # the 204's empty body was once "not JSON", and the whole harvest failed with nothing written
+    forge, url = forge_server
+    forge.add_repo("demo/full", 1, make_issues(2))
+    forge.add_repo("demo/empty", 2, [])
+    forge.contributors_no_content.add("demo/empty")
+    out = fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/full", "demo/empty"], tmp_path / "corpus")
+    corpus = load_corpus(out)
+    assert {record.full_name: record.contributors for record in corpus.repos.values()} == {
+        "demo/full": 3, "demo/empty": 0}
+    assert len(corpus.issues) == 2
 
 
 def test_unknown_repo_skipped_others_unaffected(forge_server, tmp_path):
     forge, url = forge_server
     forge.add_repo("demo/real", 2, make_issues(3))
-    out = fetch_remote(["demo/ghost", "demo/real"], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
+    out = fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/ghost", "demo/real"], tmp_path / "corpus")
     corpus = load_corpus(out)
     assert set(corpus.repos) == {"2"}
     assert len(corpus.issues) == 3
@@ -155,7 +173,7 @@ def test_unknown_repo_skipped_others_unaffected(forge_server, tmp_path):
 
 def test_empty_repo_list_writes_empty_files(forge_server, tmp_path):
     _, url = forge_server
-    out = fetch_remote([], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
+    out = fetch_remote(Client(base_url=url, sleeper=lambda s: None), [], tmp_path / "corpus")
     corpus = load_corpus(out)
     assert corpus.repos == {} and corpus.issues == []
 
@@ -166,7 +184,7 @@ def test_a_repeated_repo_is_harvested_once(forge_server, tmp_path, caplog, names
     forge, url = forge_server
     forge.add_repo("a/x", 9, make_issues(3))
     forge.add_repo("a/renamed", 9, make_issues(3))
-    corpus = load_corpus(fetch_remote(names, tmp_path / "corpus", base_url=url, sleeper=lambda s: None))
+    corpus = load_corpus(fetch_remote(Client(base_url=url, sleeper=lambda s: None), names, tmp_path / "corpus"))
     assert [record.full_name for record in corpus.repos.values()] == ["a/x"]
     assert sorted(issue.issue_id for issue in corpus.issues) == ["0", "1", "2"]
     assert f"repo {names[1]} repeats repo id 9 of a/x, skipped" in caplog.text
@@ -175,7 +193,7 @@ def test_a_repeated_repo_is_harvested_once(forge_server, tmp_path, caplog, names
 def test_pull_requests_excluded(forge_server, tmp_path):
     forge, url = forge_server
     forge.add_repo("demo/mixed", 3, make_issues(5, prs=4))
-    out = fetch_remote(["demo/mixed"], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
+    out = fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/mixed"], tmp_path / "corpus")
     corpus = load_corpus(out)
     assert len(corpus.issues) == 5
 
@@ -183,7 +201,7 @@ def test_pull_requests_excluded(forge_server, tmp_path):
 def test_templates_and_readme_fetched(forge_server, tmp_path):
     forge, url = forge_server
     forge.add_repo("demo/tpl", 4, make_issues(1))
-    out = fetch_remote(["demo/tpl"], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
+    out = fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/tpl"], tmp_path / "corpus")
     corpus = load_corpus(out)
     assert not [path for path in forge.requests_seen if "/contents/" in path]
     assert corpus.repos["4"].readme_text.startswith("# Hello")
@@ -195,7 +213,7 @@ def test_auth_failure(forge_server, tmp_path):
     forge.fail_with = 401
     forge.add_repo("demo/x", 5, [])
     with pytest.raises(AuthFailure):
-        fetch_remote(["demo/x"], tmp_path / "corpus", base_url=url, sleeper=lambda s: None)
+        fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/x"], tmp_path / "corpus")
 
 
 def test_rate_limit_backoff_then_success(forge_server, tmp_path):
@@ -204,7 +222,7 @@ def test_rate_limit_backoff_then_success(forge_server, tmp_path):
     forge.rate_limit_hits_remaining = 2
     sleeps: list[float] = []
     out = fetch_remote(
-        ["demo/slow"], tmp_path / "corpus", base_url=url, sleeper=sleeps.append, max_retries=5
+        Client(base_url=url, sleeper=sleeps.append, max_retries=5), ["demo/slow"], tmp_path / "corpus"
     )
     corpus = load_corpus(out)
     assert len(corpus.issues) == 2
@@ -223,8 +241,8 @@ def test_rate_limit_exhausted(forge_server):
 def test_refetch_is_idempotent(forge_server, tmp_path):
     forge, url = forge_server
     forge.add_repo("demo/stable", 8, make_issues(7))
-    out1 = fetch_remote(["demo/stable"], tmp_path / "a", base_url=url, sleeper=lambda s: None)
-    out2 = fetch_remote(["demo/stable"], tmp_path / "b", base_url=url, sleeper=lambda s: None)
+    out1 = fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/stable"], tmp_path / "a")
+    out2 = fetch_remote(Client(base_url=url, sleeper=lambda s: None), ["demo/stable"], tmp_path / "b")
     for name in ("repos.jsonl", "issues.jsonl"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -339,21 +357,21 @@ def _repo_answers(repo=None, contributors=None, issues=None, readme=None) -> dic
 )
 def test_malformed_payload_is_a_failed_request_naming_the_url(tmp_path, answers):
     with pytest.raises(RequestFailed, match="forge.invalid/repos/demo/x"):
-        fetch_remote(["demo/x"], tmp_path / "corpus", base_url="http://forge.invalid",
-                     session=_RoutedSession(answers), sleeper=lambda s: None)
+        fetch_remote(Client(base_url="http://forge.invalid", session=_RoutedSession(answers), sleeper=lambda s: None),
+                     ["demo/x"], tmp_path / "corpus")
     assert not (tmp_path / "corpus").exists()
 
 
 def test_well_formed_answers_harvest_the_repo(tmp_path):
     answers = _repo_answers(issues=[{"id": 2, "title": "t", "labels": [{"name": "bug"}]}])
-    corpus = load_corpus(fetch_remote(["demo/x"], tmp_path / "corpus", base_url="http://forge.invalid",
-                                      session=_RoutedSession(answers), sleeper=lambda s: None))
+    corpus = load_corpus(fetch_remote(Client(base_url="http://forge.invalid", session=_RoutedSession(answers),
+                                             sleeper=lambda s: None), ["demo/x"], tmp_path / "corpus"))
     assert list(corpus.repos) == ["1"] and [issue.label_names for issue in corpus.issues] == [("bug",)]
 
 
 def test_readme_not_in_base64_is_kept_as_its_text(tmp_path):
     # content without a space was once base64-decoded whatever its encoding: "TODO" became "L\ufffd\ufffd"
     answers = _repo_answers(readme={"content": "TODO", "encoding": "utf-8"})
-    corpus = load_corpus(fetch_remote(["demo/x"], tmp_path / "corpus", base_url="http://forge.invalid",
-                                      session=_RoutedSession(answers), sleeper=lambda s: None))
+    corpus = load_corpus(fetch_remote(Client(base_url="http://forge.invalid", session=_RoutedSession(answers),
+                                             sleeper=lambda s: None), ["demo/x"], tmp_path / "corpus"))
     assert corpus.repos["1"].readme_text == "TODO"

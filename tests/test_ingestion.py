@@ -387,7 +387,7 @@ def _harvest_names(path: Path) -> list[str]:
     """The repo names that the harvest command reads from ``path`` and passes to fetch_remote."""
     args = cli.build_parser().parse_args(["harvest", "--repos", str(path), "--out", str(path.parent / "corpus")])
     fetched = []
-    with mock.patch.object(github, "fetch_remote", lambda names, *_, **__: fetched.append(names)):
+    with mock.patch.object(github, "fetch_remote", lambda client, names, *_, **__: fetched.append(names)):
         args.func(args)
     return fetched[0]
 
