@@ -25,7 +25,7 @@ from . import classifier
 from .errors import IssueforgeError, ValidationError, check_int
 from .ingestion import SchemaViolation, decoded_lines, parse_jsonl, table_lines, write_jsonl
 from .labels import INTENT_OF, INTENT_VALUES, IntentClass
-from .similarity import rank_similar
+from .similarity import Profiles, rank_similar
 from .textprep import ProcessedDocument, Source, WordLists, admit, is_primary, preprocess
 
 logger = logging.getLogger(__name__)
@@ -166,7 +166,7 @@ def augment(
     primary: Sequence[ProcessedDocument],
     pool: Sequence[ProcessedDocument],
     spec: AugmentationSpec,
-    profiles: dict[str, dict[str, float]] | None = None,
+    profiles: Profiles | None = None,
 ) -> AugmentedDataset:
     """Select ``spec``'s auxiliary rows from ``pool`` and merge them with the ``primary`` review rows.
 
@@ -233,7 +233,7 @@ def run_experiment(
     primary: Sequence[ProcessedDocument],
     specs: Sequence[AugmentationSpec],
     pool: Sequence[ProcessedDocument],
-    profiles: dict[str, dict[str, float]] | None = None,
+    profiles: Profiles | None = None,
     k: int = 5,
     seed: int = 0,
 ) -> list[dict]:

@@ -17,6 +17,9 @@ still adds its own entries in stored order; ``X.T`` keeps the stored row-major
 order, so each column adds in ascending row order. A step evaluates only the
 gradient it steps on (``gradient``), never the loss, and computes exactly the
 floats that the by-definition objective's gradient does.
+
+The same ``count_terms`` → ``build_feature_space`` → ``vectorize`` path builds
+``similarity``'s repository profiles; it is the one tf-idf of the package.
 """
 
 from __future__ import annotations
@@ -143,11 +146,6 @@ class FeatureSpace:
         return tuple(compress(self.terms, (self.columns >= 0).tolist()))
 
 
-def idf(n_docs: int, df: int) -> float:
-    """ln(N/df) + 1, in both tf-idfs; math.log, not np.log, so every weight rounds as it always has."""
-    return math.log(n_docs / df) + 1.0
-
-
 def build_feature_space(rows: Sequence[ProcessedDocument]) -> FeatureSpace:
     """Vocabulary and idf weights derived from training rows only."""
     counted = count_terms(rows)
@@ -156,11 +154,12 @@ def build_feature_space(rows: Sequence[ProcessedDocument]) -> FeatureSpace:
     present = df > 0
     held = df[present]
     n_docs = max(len(counted), 1)
-    # terms share few distinct df values, so each value's idf is taken once, into a table indexed by df
+    # terms share few distinct df values, so each value's idf, ln(N/df) + 1, is taken once, into a table
+    # indexed by df; math.log, not np.log, so every weight rounds as it always has
     tally = np.bincount(held)
     distinct = np.flatnonzero(tally)
     table = np.zeros(len(tally))
-    table[distinct] = [idf(n_docs, d) for d in distinct.tolist()]
+    table[distinct] = [math.log(n_docs / d) + 1.0 for d in distinct.tolist()]
     columns = np.where(present, np.cumsum(present) - 1, -1)
     return FeatureSpace(idf=table[held], terms=counted.vocabulary, columns=columns)
 

@@ -330,7 +330,9 @@ def _cmd_harvest(args) -> int:
         if not _REPO_NAME.fullmatch(name := line.strip()):
             raise ValidationError(f"{args.repos}:{lineno}: expected owner/name, got {name!r}")
         names.append(name)
-    token = os.environ.get(args.token_env) if args.token_env else None
+    token = None if args.token_env is None else os.environ.get(args.token_env, "")
+    if token == "":  # else the harvest would run unauthenticated, at the anonymous rate limit
+        raise ValidationError(f"--token-env: environment variable {args.token_env!r} is not set or is empty")
     client = github.Client(base_url=args.base_url, token=token, rate_limit=args.rate_limit)
     github.fetch_remote(client, names, args.out, parallel=args.parallel)
     return EXIT_OK

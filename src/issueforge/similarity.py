@@ -2,16 +2,19 @@
 
 A profile is built from the About text, the ReadMe's pre-heading text, and the
 content of ReadMe sections titled like a project description (introduction,
-features, overview, ...). Profiles are compared with cosine similarity over
-tf-idf vectors (tf = count/length, idf = ln(N/df) + 1).
+features, overview, ...). Profiles are rows of the classifier's sparse tf-idf
+with tf = count/length (idf = ln(N/df) + 1), and a ranking is one product.
 """
 
 from __future__ import annotations
 
 import logging
-import math
+from types import SimpleNamespace
+from typing import NamedTuple
 
-from .classifier import idf
+import numpy as np
+
+from .classifier import TfidfMatrix, build_feature_space, count_terms, vectorize
 from .errors import IssueforgeError
 from .extraction import _titled_lines, normalize_title
 from .ingestion import RepoRecord
@@ -57,60 +60,44 @@ def profile_text(repo: RepoRecord, lists: WordLists) -> str:
     return "\n".join(parts)
 
 
-def tfidf(token_lists: list[list[str]]) -> list[dict[str, float]]:
-    """tf-idf vectors for a list of token documents (tf=count/len, idf=ln(N/df)+1)."""
-    n_docs = len(token_lists)
-    if not any(token_lists):
-        raise ValueError("tfidf requires at least one non-empty document")
-    df: dict[str, int] = {}
-    for tokens in token_lists:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
-    weights = {term: idf(n_docs, n) for term, n in df.items()}
-    vectors: list[dict[str, float]] = []
-    for tokens in token_lists:
-        vector: dict[str, float] = {}
-        if tokens:
-            length = len(tokens)
-            counts: dict[str, int] = {}
-            for term in tokens:
-                counts[term] = counts.get(term, 0) + 1
-            for term, count in counts.items():
-                vector[term] = (count / length) * weights[term]
-        vectors.append(vector)
-    return vectors
+def tfidf(token_lists: list[list[str]]) -> tuple[TfidfMatrix, tuple[str, ...]]:
+    """One tf-idf row per token list, tf = count/length, by the classifier's sparse path; and the column terms."""
+    if not all(token_lists):
+        raise ValueError("tfidf takes non-empty token lists: tf = count/length")
+    counted = count_terms([SimpleNamespace(tokens=tokens) for tokens in token_lists])  # it reads only .tokens
+    space = build_feature_space(counted)
+    X = vectorize(space, counted)
+    lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.float64)
+    np.divide(X.values, lengths[X.row_ids], out=X.values)  # count × idf, in place, to tf × idf
+    return X, space.vocabulary
 
 
-def cosine(u: dict[str, float], v: dict[str, float]) -> float:
-    if len(v) < len(u):
-        u, v = v, u
-    dot = sum(weight * v.get(term, 0.0) for term, weight in u.items())
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 0.0
-    return dot / (norm_u * norm_v)
+class Profiles(NamedTuple):
+    """Row i of ``matrix`` is ``repo_ids[i]``'s profile (repo ids sorted); column j is term ``terms[j]``."""
+
+    repo_ids: tuple[str, ...]
+    matrix: TfidfMatrix
+    terms: tuple[str, ...]
 
 
-def build_profiles(repos: dict[str, RepoRecord], lists: WordLists) -> dict[str, dict[str, float]]:
-    """Each repo's profile tf-idf vector, for every repo with usable text; empty ones are logged and skipped."""
-    token_lists: list[list[str]] = []
-    ids: list[str] = []
+def build_profiles(repos: dict[str, RepoRecord], lists: WordLists) -> Profiles:
+    """The profiles of every repo with usable text; empty ones are logged and skipped."""
+    tokens_of: dict[str, list[str]] = {}
     for repo_id in sorted(repos):
-        tokens = preprocess(profile_text(repos[repo_id], lists), lists, filter_noise=False)
-        if not tokens:
+        if tokens := preprocess(profile_text(repos[repo_id], lists), lists, filter_noise=False):
+            tokens_of[repo_id] = tokens
+        else:
             logger.info("similarity: repo %s has an empty profile, excluded", repo_id)
-            continue
-        ids.append(repo_id)
-        token_lists.append(tokens)
-    return dict(zip(ids, tfidf(token_lists))) if ids else {}
+    return Profiles(tuple(tokens_of), *tfidf(list(tokens_of.values())))
 
 
-def rank_similar(query_repo: str, profiles: dict[str, dict[str, float]]) -> tuple[tuple[str, float], ...]:
-    """(repo, cosine) for all other non-empty profiles, in descending cosine order."""
-    query = profiles.get(query_repo)
-    if not query:
+def rank_similar(query_repo: str, profiles: Profiles) -> tuple[tuple[str, float], ...]:
+    """(repo, cosine) for every other profile, in descending cosine order, ties by repo id."""
+    if query_repo not in profiles.repo_ids:
         raise EmptyProfile(f"query repo {query_repo!r} has no profile")
-    scored = [(repo_id, cosine(query, vector))
-              for repo_id, vector in profiles.items() if repo_id != query_repo and vector]
+    X, row = profiles.matrix, profiles.repo_ids.index(query_repo)
+    norms = np.sqrt(np.bincount(X.row_ids, weights=X.values * X.values, minlength=X.shape[0]))
+    query = X.T @ (np.arange(X.shape[0]) == row)  # Xᵀe: the query's row as a dense vector
+    scores = (X @ query / (norms * norms[row])).tolist()
+    scored = [(repo_id, score) for repo_id, score in zip(profiles.repo_ids, scores) if repo_id != query_repo]
     return tuple(sorted(scored, key=lambda pair: (-pair[1], pair[0])))

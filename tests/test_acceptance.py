@@ -10,14 +10,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from issueforge import augmentation, classifier, extraction, similarity, textprep
+from issueforge import augmentation, classifier, extraction, textprep
 from issueforge.augmentation import AugmentationSpec, Method
 from issueforge.cli import PipelineConfig, run_pipeline
 from issueforge.labels import IntentClass, normalize_label
 from issueforge.textprep import ProcessedDocument, Source, default_data_dir
 
 from extraction_gold import load_gold, score
-from test_similarity import oracle_cosine, oracle_tfidf
+from test_similarity import cosines, oracle_cosine, oracle_tfidf, tfidf_vectors
 from title_examples import DESIGNATED_TITLES, NEGATIVE_TITLES
 
 BUG = IntentClass.BUG_REPORT
@@ -108,16 +108,15 @@ def test_c05_tfidf_cosine_oracle_equivalence():
                 [rng.choice(vocabulary) for _ in range(rng.randint(1, 15))]
                 for _ in range(rng.randint(2, 10))
             ]
-            got = similarity.tfidf(docs)
+            got = tfidf_vectors(docs)
             want = oracle_tfidf(docs)
             for g, w in zip(got, want):
                 assert set(g) == set(w)
                 for term in g:
                     assert abs(g[term] - w[term]) < 1e-9
-            for i in range(len(docs)):
-                for j in range(len(docs)):
-                    delta = abs(similarity.cosine(got[i], got[j]) - oracle_cosine(want[i], want[j]))
-                    assert delta < 1e-9
+            # every ordered pair of distinct documents, as ``similarity.rank_similar`` scores it
+            for (i, j), score in cosines({f"{i:02d}": doc for i, doc in enumerate(docs)}).items():
+                assert abs(score - oracle_cosine(want[int(i)], want[int(j)])) < 1e-9
 
 
 def _rows_for_stratification(rng, n, positives, n_aux):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,10 @@ from issueforge.augmentation import (
     load_primary,
     write_docs,
 )
+from issueforge.classifier import TfidfMatrix
 from issueforge.errors import ValidationError
 from issueforge.labels import IntentClass
+from issueforge.similarity import Profiles
 from issueforge.textprep import ProcessedDocument, Source, default_data_dir
 
 
@@ -30,6 +33,16 @@ def doc(doc_id: str, app_id: str = "a1", intents=frozenset({IntentClass.BUG_REPO
         intents=intents,
         app_id=app_id,
     )
+
+
+def hand_profiles(weights: dict[str, dict[str, float]]) -> Profiles:
+    """Profiles whose rows hold exactly ``weights`` ({repo: {term: weight}})."""
+    ids = sorted(weights)
+    terms = sorted({term for row in weights.values() for term in row})
+    entries = [(i, terms.index(term), weights[repo][term])
+               for i, repo in enumerate(ids) for term in sorted(weights[repo])]
+    row_ids, col_ids, values = (np.array(column) for column in zip(*entries))
+    return Profiles(tuple(ids), TfidfMatrix(row_ids, col_ids, values, (len(ids), len(terms))), tuple(terms))
 
 
 def primary_of(n: int) -> tuple[ProcessedDocument, ...]:
@@ -170,7 +183,7 @@ def test_spec_validation():
 def test_pool_nesting_invariant():
     # a ratio of 1 with as many primary rows as pool documents takes every candidate
     pool = [doc(f"d{i}", app_id=f"a{i % 4}") for i in range(40)]
-    profiles = {"a0": {"x": 1.0}, "a1": {"x": 1.0}, "a2": {"x": 1.0, "y": 1.0}, "a3": {"y": 1.0}}
+    profiles = hand_profiles({"a0": {"x": 1.0}, "a1": {"x": 1.0}, "a2": {"x": 1.0, "y": 1.0}, "a3": {"y": 1.0}})
     specs = [
         AugmentationSpec(method=Method.WITHIN_APP, ratio=1.0, target_app="a0"),
         AugmentationSpec(method=Method.WITHIN_CONTEXT, ratio=1.0, target_app="a0", top_k_similar=2,
@@ -184,7 +197,7 @@ def test_pool_nesting_invariant():
 
 def test_within_context_without_same_app():
     pool = [doc(f"d{i}", app_id=f"a{i % 3}") for i in range(9)]
-    profiles = {"a0": {"x": 1.0}, "a1": {"x": 1.0}, "a2": {"y": 1.0}}
+    profiles = hand_profiles({"a0": {"x": 1.0}, "a1": {"x": 1.0}, "a2": {"y": 1.0}})
     spec = AugmentationSpec(method=Method.WITHIN_CONTEXT, ratio=1.0, target_app="a0", top_k_similar=1)
     dataset = augment(primary_of(10), pool, spec, profiles)
     assert {row.app_id for row in dataset.rows if not is_primary(row)} == {"a1"}

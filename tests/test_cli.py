@@ -382,6 +382,22 @@ def test_harvest_passes_a_client_built_from_its_flags(tmp_path, monkeypatch):
     assert (names, out, kwargs) == (["demo/x"], str(tmp_path / "h"), {"parallel": 3})
 
 
+@pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+def test_harvest_token_env_without_a_token_exits_2_before_any_request(tmp_path, monkeypatch, capsys, value):
+    from issueforge import github
+
+    if value is None:
+        monkeypatch.delenv("HARVEST_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("HARVEST_TOKEN", value)
+    calls = []
+    monkeypatch.setattr(github, "fetch_remote", lambda *args, **kwargs: calls.append((args, kwargs)))
+    assert main(_harvest(tmp_path, "--token-env", "HARVEST_TOKEN")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "--token-env" in err and "HARVEST_TOKEN" in err and "Traceback" not in err
+    assert calls == [] and not (tmp_path / "h").exists()
+
+
 # --- stage subcommands chained by hand -----------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -1654,7 +1670,7 @@ def test_similar_top_below_1_is_a_validation_error(tmp_path, top):
 
 
 
-DEMO_SIMILAR_SHA256 = "bcefb7bd761f8ecf4b4b86d3c43f209f72bcf97cfcb2f2e045232dc6b71cbaf4"
+DEMO_SIMILAR_SHA256 = "af82ba488a0248423800709830de481b2b0d5585bb72fa1d59c40aedef627052"
 
 
 def test_similar_output_is_pinned(tmp_path):

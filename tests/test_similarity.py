@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from issueforge.ingestion import RepoRecord
 from issueforge.similarity import (
     EmptyProfile,
+    Profiles,
     build_profiles,
-    cosine,
     rank_similar,
     tfidf,
 )
@@ -43,6 +43,26 @@ def oracle_cosine(u: dict[str, float], v: dict[str, float]) -> float:
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
+def tfidf_vectors(docs: list[list[str]]) -> list[dict[str, float]]:
+    """``tfidf``'s rows as {term: weight} dicts, the oracle's form."""
+    matrix, terms = tfidf(docs)
+    vectors: list[dict[str, float]] = [{} for _ in docs]
+    for row, col, value in zip(matrix.row_ids.tolist(), matrix.col_ids.tolist(), matrix.values.tolist()):
+        vectors[row][terms[col]] = value
+    return vectors
+
+
+def make_profiles(token_lists: dict[str, list[str]]) -> Profiles:
+    ids = sorted(token_lists)
+    return Profiles(tuple(ids), *tfidf([token_lists[i] for i in ids]))
+
+
+def cosines(token_lists: dict[str, list[str]]) -> dict[tuple[str, str], float]:
+    """(query, other) -> ``rank_similar``'s score, for every ordered pair of distinct ids."""
+    profiles = make_profiles(token_lists)
+    return {(query, other): score for query in profiles.repo_ids for other, score in rank_similar(query, profiles)}
+
+
 # --- profile construction -------------------------------------------------------------
 
 README = """# PodPlayer
@@ -71,7 +91,7 @@ def repo(repo_id: str, readme: str | None, about: str | None) -> RepoRecord:
 
 
 def test_profile_takes_preamble_and_description_sections(lists):
-    tokens = build_profiles({"a": repo("a", README, "Podcast app.")}, lists)["a"]
+    tokens = build_profiles({"a": repo("a", README, "Podcast app.")}, lists).terms
     assert "podcast" in tokens and "subscrib" in tokens
     # install and license sections are excluded
     assert "store" not in tokens and "gpl" not in tokens
@@ -79,7 +99,7 @@ def test_profile_takes_preamble_and_description_sections(lists):
 
 def test_profile_features_only_readme(lists):
     readme = "## Features\n\nRoute planning and offline maps.\n"
-    tokens = build_profiles({"a": repo("a", readme, None)}, lists)["a"]
+    tokens = build_profiles({"a": repo("a", readme, None)}, lists).terms
     assert "rout" in tokens and "offlin" in tokens and "map" in tokens
 
 
@@ -94,19 +114,19 @@ def test_empty_profile_raises(lists):
 # --- tfidf ------------------------------------------------------------------------------
 
 def test_single_document_idf_is_one(lists):
-    [vec] = tfidf([["app", "app", "crash"]])
+    [vec] = tfidf_vectors([["app", "app", "crash"]])
     assert vec["app"] == pytest.approx(2 / 3)
     assert vec["crash"] == pytest.approx(1 / 3)
 
 
 def test_identical_documents_identical_vectors():
-    va, vb = tfidf([["a", "b"], ["a", "b"]])
+    va, vb = tfidf_vectors([["a", "b"], ["a", "b"]])
     assert va == vb
 
 
 def test_three_document_corpus_hand_computed():
     docs = [["app", "crash"], ["app", "sync"], ["map", "sync", "sync"]]
-    vectors = tfidf(docs)
+    vectors = tfidf_vectors(docs)
     expected = oracle_tfidf(docs)
     for vec, exp in zip(vectors, expected):
         assert set(vec) == set(exp)
@@ -124,11 +144,6 @@ def test_tfidf_requires_a_nonempty_document():
 
 
 # --- cosine and ranking ---------------------------------------------------------------
-
-def make_profiles(token_lists: dict[str, list[str]]) -> dict[str, dict[str, float]]:
-    ids = sorted(token_lists)
-    return dict(zip(ids, tfidf([token_lists[i] for i in ids])))
-
 
 def test_identical_profiles_score_one():
     profiles = make_profiles({"a": ["x", "y"], "b": ["x", "y"], "c": ["z", "w"]})
@@ -177,7 +192,7 @@ def test_missing_query_raises():
 
 def test_build_profiles_skips_empty(lists):
     profiles = build_profiles({"a": repo("a", README, "Podcast app."), "b": repo("b", None, None)}, lists)
-    assert set(profiles) == {"a"}
+    assert profiles.repo_ids == ("a",)
 
 
 # --- properties -----------------------------------------------------------------------
@@ -188,23 +203,20 @@ TOKENS = st.lists(st.sampled_from(["app", "map", "pod", "sync", "note", "queue",
 @given(TOKENS)
 @settings(max_examples=100)
 def test_self_cosine_is_one(tokens):
-    [vec] = tfidf([tokens])
-    assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-12)
+    assert cosines({"a": tokens, "b": tokens})["a", "b"] == pytest.approx(1.0, abs=1e-12)
 
 
 @given(TOKENS, TOKENS)
 @settings(max_examples=100)
 def test_cosine_symmetric(ta, tb):
-    va, vb = tfidf([ta, tb])
-    assert cosine(va, vb) == pytest.approx(cosine(vb, va), abs=1e-12)
+    scores = cosines({"a": ta, "b": tb})
+    assert scores["a", "b"] == pytest.approx(scores["b", "a"], abs=1e-12)
 
 
 @given(TOKENS, TOKENS, st.integers(min_value=2, max_value=5))
 @settings(max_examples=100)
 def test_token_replication_leaves_cosine_unchanged(ta, tb, k):
-    va, vb = tfidf([ta, tb])
-    va_scaled, vb_same = tfidf([ta * k, tb])
-    assert cosine(va_scaled, vb_same) == pytest.approx(cosine(va, vb), abs=1e-9)
+    assert cosines({"a": ta * k, "b": tb})["a", "b"] == pytest.approx(cosines({"a": ta, "b": tb})["a", "b"], abs=1e-9)
 
 
 def test_random_corpora_match_oracle_within_1e9():
@@ -216,12 +228,39 @@ def test_random_corpora_match_oracle_within_1e9():
             [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
             for _ in range(n_docs)
         ]
-        got = tfidf(docs)
+        got = tfidf_vectors(docs)
         want = oracle_tfidf(docs)
         for g, w in zip(got, want):
             assert set(g) == set(w)
             for term in g:
                 assert abs(g[term] - w[term]) < 1e-9
-        for i in range(n_docs):
-            for j in range(n_docs):
-                assert abs(cosine(got[i], got[j]) - oracle_cosine(want[i], want[j])) < 1e-9
+        # every ordered pair of distinct documents; a document against itself is test_self_cosine_is_one
+        for (i, j), score in cosines({f"{i:02d}": doc for i, doc in enumerate(docs)}).items():
+            assert abs(score - oracle_cosine(want[int(i)], want[int(j)])) < 1e-9
+
+
+CORPUS = st.lists(TOKENS, min_size=2, max_size=6)
+
+
+@given(CORPUS, st.data())
+@settings(max_examples=100)
+def test_ranking_follows_oracle_order_and_ties_break_by_id(docs, data):
+    # some documents again, under ids drawn in any order, so a copy may sort before its original
+    docs = docs + [docs[i] for i in data.draw(st.lists(st.sampled_from(range(len(docs))), max_size=3))]
+    token_lists = dict(zip(data.draw(st.permutations([f"r{i:02d}" for i in range(len(docs))])), docs))
+    profiles = make_profiles(token_lists)
+    oracle = dict(zip(profiles.repo_ids, oracle_tfidf([token_lists[r] for r in profiles.repo_ids])))
+    for query in profiles.repo_ids:
+        ranking = rank_similar(query, profiles)
+        want = {other: oracle_cosine(oracle[query], oracle[other]) for other in profiles.repo_ids if other != query}
+        assert sorted(r for r, _ in ranking) == sorted(want)
+        for repo_id, score in ranking:
+            assert abs(score - want[repo_id]) < 1e-9
+        for (a, _), (b, _) in zip(ranking, ranking[1:]):
+            if abs(want[a] - want[b]) > 1e-12:
+                assert want[a] > want[b]
+        score, position = dict(ranking), {r: i for i, (r, _) in enumerate(ranking)}
+        for a in want:
+            for b in want:
+                if a < b and sorted(token_lists[a]) == sorted(token_lists[b]):
+                    assert score[a] == score[b] and position[a] < position[b]
