@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import classifier
 from .errors import IssueforgeError, ValidationError, check_int
-from .ingestion import SchemaViolation, decoded_lines, parse_jsonl, table_lines, write_jsonl
+from .ingestion import decoded_lines, parse_jsonl, table_lines, write_jsonl
 from .labels import INTENT_OF, INTENT_VALUES, IntentClass
 from .similarity import Profiles, rank_similar
 from .textprep import ProcessedDocument, Source, WordLists, admit, is_primary, preprocess
@@ -84,6 +84,12 @@ class AugmentationSpec:
         elif not (isinstance(self.target_app, str) and self.target_app):
             raise ValidationError(f"{self.method.value} requires a target_app string, got {self.target_app!r}")
 
+    @property
+    def model_name(self) -> str:
+        """``method@r=ratio``, then ``+same`` with ``include_same_app`` and ``:target_app`` unless between-app."""
+        return (f"{self.method.value}@r={self.ratio:g}" + ("+same" if self.include_same_app else "")
+                + ("" if self.target_app is None else f":{self.target_app}"))
+
 
 @dataclass(frozen=True)
 class AugmentedDataset:
@@ -100,18 +106,18 @@ class AugmentedDataset:
 
 
 def load_label_map(path: Path | str) -> dict[str, IntentClass | None]:
-    """Read "source_label<TAB>bug|feature|other|drop" mapping lines; a file without one is invalid."""
+    """Read "source_label<TAB>bug|feature|other|drop" lines; a file without one, or a label sent two ways, fails."""
     mapping: dict[str, IntentClass | None] = {}
     for lineno, line in table_lines(path):
         source_label, _, target = line.partition("\t")
         target = target.strip()
-        if target == DROP:
-            mapping[source_label] = None
-        else:
-            try:
-                mapping[source_label] = IntentClass(target)
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: unknown target class {target!r}")
+        try:
+            intent = None if target == DROP else IntentClass(target)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: unknown target class {target!r}")
+        if mapping.get(source_label, intent) is not intent:
+            raise ValidationError(f"{path}:{lineno}: source label {source_label!r} mapped to more than one target")
+        mapping[source_label] = intent
     if not mapping:
         raise ValidationError(f"{path}: no mapping line")
     return mapping
@@ -241,13 +247,17 @@ def run_experiment(
 
     Returns deterministic rows: per (target, model) mean metrics and the
     deltas against the baseline trained on the primary rows alone. Each
-    within-context spec ranks its own target app against ``profiles``.
+    within-context spec ranks its own target app against ``profiles``. Specs
+    that share a ``model_name`` are a ValidationError before any augmentation.
     """
+    first: dict[str, int] = {}  # model name -> position of the first spec with it
+    for i, spec in enumerate(specs):
+        if (j := first.setdefault(spec.model_name, i)) != i:
+            raise ValidationError(f"specs {j} and {i} share the model name {spec.model_name!r}")
+    models = ["baseline", *first]
     # sampling depends on spec.seed alone, so every target sees the same rows
     datasets = [primary] + [augment(primary, pool, spec, profiles).rows for spec in specs]
     reports = cross_validate_datasets(datasets, k=k, seed=seed)
-    models = ["baseline"] + [f"{spec.method.value}@r={spec.ratio:g}" + ("+same" if spec.include_same_app else "")
-                             for spec in specs]
     comparison = []
     for target in classifier.TARGETS:
         # the baseline row's deltas are its means less themselves, exactly 0.0
@@ -291,14 +301,11 @@ def write_docs(docs: list[ProcessedDocument], path: Path | str) -> Path:
 
 
 def load_docs(path: Path | str) -> list[ProcessedDocument]:
-    """Documents of a pool or augmented-dataset JSONL file; a malformed line is a SchemaViolation naming it."""
-    path = Path(path)
+    """Documents of a pool or augmented-dataset JSONL file; a malformed line or repeated doc_id is a SchemaViolation."""
     docs = []
-    for lineno, row in parse_jsonl(path, _DOC_FIELDS, {"source": _SOURCES, "intents": INTENT_VALUES}):
-        app_id = row.get("app_id")
-        if app_id is not None and not isinstance(app_id, str):
-            raise SchemaViolation(path.name, lineno, "app_id", "expected str or null")
+    for _, row in parse_jsonl(Path(path), _DOC_FIELDS, {"source": _SOURCES, "intents": INTENT_VALUES},
+                              nullable={"app_id": str}, key="doc_id"):
         docs.append(ProcessedDocument(row["doc_id"], _SOURCE_OF[row["source"]], tuple(row["tokens"]),
-                                      frozenset(map(INTENT_OF.__getitem__, row["intents"])), app_id))
+                                      frozenset(map(INTENT_OF.__getitem__, row["intents"])), row.get("app_id")))
     return docs
 

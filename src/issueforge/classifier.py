@@ -109,10 +109,8 @@ class CountedRows(Sequence[ProcessedDocument]):
 def count_terms(rows: Sequence[ProcessedDocument], vocabulary: tuple[str, ...] | None = None) -> CountedRows:
     """Each row's term counts over ``vocabulary`` (sorted; by default every
     term of ``rows``), terms outside it dropped. Rows already counted, over
-    ``vocabulary`` when one is given, are returned as they are."""
-    if isinstance(rows, CountedRows) and (
-        vocabulary is None or rows.vocabulary is vocabulary or rows.vocabulary == vocabulary
-    ):
+    this very ``vocabulary`` object when one is given, are returned as they are."""
+    if isinstance(rows, CountedRows) and (vocabulary is None or rows.vocabulary is vocabulary):
         return rows
     rows = tuple(rows)
     if vocabulary is None:

@@ -4,9 +4,9 @@ Subcommands mirror the stages (harvest, filter, labels, extract, preprocess,
 similar, augment, sweep, train-eval, experiment) plus ``pipeline``, which runs
 filter -> labels -> extract -> preprocess -> augment -> train-eval on one
 config and writes a content-hash manifest, and ``report``, which prints the
-data funnel and the comparison table. Exit codes follow the error's type:
-0 ok, 2 ``ValidationError``, 3 any other ``IssueforgeError`` or a file that
-cannot be read.
+data funnel and the comparison table. ``main`` alone returns the exit code,
+from the error's type: 0 ok, 2 ``ValidationError``, 3 any other
+``IssueforgeError`` or a file that cannot be read.
 """
 
 from __future__ import annotations
@@ -93,11 +93,8 @@ class _JsonConfig:
             if not isinstance(value, str):
                 raise ValidationError(f"{name} must be a path string, got {value!r}")
             setattr(config, name, os.path.abspath(path.parent / value))
-        config.validate()
+        config.validate()  # each config's checks beyond key names, integers and paths
         return config
-
-    def validate(self) -> None:
-        """Checks beyond key names, integers and paths."""
 
 
 @dataclass
@@ -183,8 +180,8 @@ def _dump_json(obj, path: Path) -> Path:
 
 
 def _read_stage_rows(path: str, required: dict[str, type]) -> Iterator[dict]:
-    """Rows of a stage's JSONL input, read as they are drawn; a bad line or intent value is a SchemaViolation."""
-    return (row for _, row in ingestion.parse_jsonl(Path(path), required, {"intents": INTENT_VALUES}))
+    """Rows of a stage's JSONL input, read as they are drawn; a bad line or a repeated issue_id is a SchemaViolation."""
+    return (row for _, row in ingestion.parse_jsonl(Path(path), required, {"intents": INTENT_VALUES}, key="issue_id"))
 
 
 # --- pipeline -----------------------------------------------------------------------
@@ -320,7 +317,7 @@ def print_report(artifact_dir: Path | str, stream=None) -> dict:
 
 # --- subcommand handlers ---------------------------------------------------------------
 
-def _cmd_harvest(args) -> int:
+def _cmd_harvest(args) -> None:
     from . import github  # only harvest needs the HTTP stack (requests, urllib3, ssl)
 
     check_int("--parallel", args.parallel, 1)
@@ -335,17 +332,15 @@ def _cmd_harvest(args) -> int:
         raise ValidationError(f"--token-env: environment variable {args.token_env!r} is not set or is empty")
     client = github.Client(base_url=args.base_url, token=token, rate_limit=args.rate_limit)
     github.fetch_remote(client, names, args.out, parallel=args.parallel)
-    return EXIT_OK
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args) -> None:
     check_int("--min-issues", args.min_issues, 0)
     check_int("--min-contributors", args.min_contributors, 0)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     filtered = ingestion.filter_repos(corpus, args.min_issues, args.min_contributors)
     ingestion.write_corpus(filtered, args.out)
     print(f"kept {len(filtered.repos)}/{len(corpus.repos)} repos, {len(filtered.issues)} issues")
-    return EXIT_OK
 
 
 def _intents_of(label_rows: Iterable[dict]) -> dict[str, list]:
@@ -393,17 +388,16 @@ def _train_eval_stage(rows, k: int, seed: int, out) -> dict:
     return reports
 
 
-def _cmd_labels(args) -> int:
+def _cmd_labels(args) -> None:
     check_int("--min-freq", args.min_freq, 0)
     lists = textprep.load_wordlists(args.lists)
     lexicon = labels_mod.load_lexicon(args.lexicon, lists)
     corpus = ingestion.load_corpus(getattr(args, "in"))
     intents = _labels_stage(corpus, lexicon, lists, args.min_freq, args.out)
     print(f"assigned intents to {len(intents)}/{len(corpus.issues)} issues")
-    return EXIT_OK
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> None:
     lists = textprep.load_wordlists(args.lists)
     patterns = extraction.load_patterns(args.patterns)
     intents = _intents_of(_read_stage_rows(args.labels, {"issue_id": str, "intents": list}))
@@ -412,20 +406,18 @@ def _cmd_extract(args) -> int:
     if args.report:
         _dump_json(counts, Path(args.report))
     print(f"extracted {counts['extracted']}/{counts['considered']} issues")
-    return EXIT_OK
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args) -> None:
     lists = textprep.load_wordlists(args.lists)
     extracted_rows = _read_stage_rows(
         getattr(args, "in"), {"issue_id": str, "repo_id": str, "title": str, "text": str, "intents": list}
     )
     docs, n_rows = _preprocess_stage(extracted_rows, lists, args.out)
     print(f"admitted {len(docs)} documents from {n_rows} extracted issues")
-    return EXIT_OK
 
 
-def _cmd_similar(args) -> int:
+def _cmd_similar(args) -> None:
     check_int("--top", args.top, 1)
     lists = textprep.load_wordlists(args.lists)
     profiles = similarity.build_profiles(ingestion.load_repos(getattr(args, "in")), lists)
@@ -437,7 +429,6 @@ def _cmd_similar(args) -> int:
     }
     _dump_json(payload, Path(args.out))
     print(f"top {args.top} similar to {args.query}: {payload['top']}")
-    return EXIT_OK
 
 
 def _load_selection(specs: list[AugmentationSpec], lists_dir: str | None, label_map: str, primary_csv: str,
@@ -466,11 +457,10 @@ def _augment_from_args(args, ratios: list[float]) -> list[augmentation.Augmented
     return [augmentation.augment(primary, pool, dataclasses.replace(spec, ratio=ratio), profiles) for ratio in ratios]
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args) -> None:
     [dataset] = _augment_from_args(args, [args.ratio])
     augmentation.write_docs(dataset.rows, args.out)
     print(f"wrote {dataset.n_primary} primary + {dataset.n_auxiliary} auxiliary rows")
-    return EXIT_OK
 
 
 def _parse_ratios(text: str) -> list[float]:
@@ -507,7 +497,7 @@ def _sweep_file(ratio: float) -> str:
     return f"augmented_r{ratio:g}.jsonl"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     if args.train:
         classifier.check_folds(args.k)
     datasets = _augment_from_args(args, _parse_ratios(args.ratios))
@@ -524,7 +514,6 @@ def _cmd_sweep(args) -> int:
         augmentation.write_docs(dataset.rows, out_dir / row["file"])
     _write_tsv(trend_rows, list(trend_rows[0]), out_dir / "trend.tsv")
     print(f"wrote {len(datasets)} datasets and trend.tsv to {out_dir}")
-    return EXIT_OK
 
 
 def _write_tsv(rows: list[dict], columns: list[str], path: Path | str) -> None:
@@ -536,34 +525,30 @@ def _write_tsv(rows: list[dict], columns: list[str], path: Path | str) -> None:
             handle.write("\t".join(cells) + "\n")
 
 
-def _cmd_train_eval(args) -> int:
+def _cmd_train_eval(args) -> None:
     reports = _train_eval_stage(augmentation.load_docs(args.data), args.k, args.seed, args.out)
     for target, report in reports.items():
         print(f"{target.value}: " + " ".join(f"{name}={mean:.3f}" for name, mean in report.means.items()))
-    return EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> None:
     config = ExperimentConfig.from_file(args.config)
     specs = config.augmentation_specs()
     primary, pool, profiles = _load_selection(specs, config.word_lists_dir, config.label_map, config.primary_csv,
                                               config.pool, config.corpus_dir)
     rows = augmentation.run_experiment(primary, specs, pool, profiles=profiles, k=config.k, seed=config.seed)
     _write_tsv(rows, list(rows[0]), args.out)
-    print(f"wrote comparison for {len(rows)} models to {args.out}")
-    return EXIT_OK
+    print(f"wrote comparison for {len(specs) + 1} models to {args.out}")
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> None:
     config = PipelineConfig.from_file(args.config)
     run_pipeline(config, args.out)
     print(f"pipeline complete: {args.out}")
-    return EXIT_OK
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     print_report(args.artifact_dir)
-    return EXIT_OK
 
 
 # --- parser -------------------------------------------------------------------------
@@ -675,13 +660,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     configure_logging(args.verbose)
     try:
-        return args.func(args)
+        args.func(args)
     except ValidationError as exc:
         logger.error("validation error: %s", exc)
         return EXIT_VALIDATION
     except (IssueforgeError, OSError) as exc:  # OSError: a missing or unreadable file
         logger.error("%s: %s", type(exc).__name__, exc)
         return EXIT_STAGE_FAILURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -111,7 +111,6 @@ class Client:
             if not response.ok:  # any other 4xx or 5xx
                 raise RequestFailed(f"HTTP {response.status_code} for {url}")
             return response
-        raise RateLimited(url)
 
     def get_json(self, path: str, params: dict | None = None):
         """The answer's JSON; 204 No Content, GitHub's answer to an empty repository's contributors, is an

@@ -68,6 +68,7 @@ _REPO_FIELDS = {
     "contributors": int,
     "stars": int,
 }
+_REPO_TEXTS = {"readme_text": str, "about_text": str}  # each may be absent or null
 _ISSUE_FIELDS = {
     "issue_id": str,
     "repo_id": str,
@@ -104,16 +105,21 @@ def table_lines(path: Path | str) -> Iterator[tuple[int, str]]:
 
 
 def parse_jsonl(
-    path: Path, required: dict[str, type], allowed: dict[str, frozenset[str]] | None = None
+    path: Path, required: dict[str, type], allowed: dict[str, frozenset[str]] | None = None, *,
+    nullable: dict[str, type] | None = None, key: str | None = None,
 ) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each non-blank line; SchemaViolation names a bad line.
+    """Yield (line number, object) for each non-blank line; SchemaViolation names a bad line. Every rule
+    of a JSONL input's lines is checked here.
 
     Lines are read and checked one at a time, so a caller holds one decoded
     object, not the whole file, and a caller's own check of line n is raised
     before any line after n is read. A ``list`` field must hold strings.
     ``allowed`` gives the permitted values of a required ``str`` field, or of
-    each element of a required ``list`` field, which must hold at least one.
+    each element of a required ``list`` field, which must hold at least one. A
+    ``nullable`` field is absent, null or of its type. No two lines share the
+    value of the required field ``key``.
     """
+    seen = set()
     for lineno, line in decoded_lines(path):
         if not line.strip():
             continue
@@ -139,6 +145,13 @@ def parse_jsonl(
                 raise SchemaViolation(path.name, lineno, name, "expected one or more values")
             if not values.issuperset(held):
                 raise SchemaViolation(path.name, lineno, name, f"values must be drawn from {sorted(values)}")
+        for name, type_ in (nullable or {}).items():
+            if obj.get(name) is not None and not isinstance(obj[name], type_):
+                raise SchemaViolation(path.name, lineno, name, f"expected {type_.__name__} or null")
+        if key is not None:
+            if obj[key] in seen:
+                raise SchemaViolation(path.name, lineno, key, f"duplicate {key}")
+            seen.add(obj[key])
         yield lineno, obj
 
 
@@ -146,12 +159,7 @@ def load_repos(path: Path | str) -> dict[str, RepoRecord]:
     """``repo_id`` -> record for each line of ``<path>/repos.jsonl``; no other file is read."""
     repos_file = Path(path) / "repos.jsonl"
     repos: dict[str, RepoRecord] = {}
-    for lineno, row in parse_jsonl(repos_file, _REPO_FIELDS):
-        if row["repo_id"] in repos:
-            raise SchemaViolation(repos_file.name, lineno, "repo_id", "duplicate repo_id")
-        for name in ("readme_text", "about_text"):
-            if row.get(name) is not None and not isinstance(row[name], str):
-                raise SchemaViolation(repos_file.name, lineno, name, "expected str or null")
+    for _, row in parse_jsonl(repos_file, _REPO_FIELDS, nullable=_REPO_TEXTS, key="repo_id"):
         repos[row["repo_id"]] = RepoRecord(
             repo_id=row["repo_id"],
             full_name=row["full_name"],
@@ -169,11 +177,7 @@ def load_corpus(path: Path | str) -> Corpus:
     repos = load_repos(path)
 
     issues: list[RawIssue] = []
-    seen_issue_ids: set[str] = set()
-    for lineno, row in parse_jsonl(issues_file, _ISSUE_FIELDS):
-        if row["issue_id"] in seen_issue_ids:
-            raise SchemaViolation(issues_file.name, lineno, "issue_id", "duplicate issue_id")
-        seen_issue_ids.add(row["issue_id"])
+    for lineno, row in parse_jsonl(issues_file, _ISSUE_FIELDS, key="issue_id"):
         if row["repo_id"] not in repos:
             raise DanglingRepoRef(
                 f"{issues_file.name}:{lineno}: issue {row['issue_id']!r} references unknown repo {row['repo_id']!r}"

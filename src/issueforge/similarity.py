@@ -60,8 +60,9 @@ def profile_text(repo: RepoRecord, lists: WordLists) -> str:
     return "\n".join(parts)
 
 
-def tfidf(token_lists: list[list[str]]) -> tuple[TfidfMatrix, tuple[str, ...]]:
-    """One tf-idf row per token list, tf = count/length, by the classifier's sparse path; and the column terms."""
+def tfidf(token_lists: list[list[str]]) -> TfidfMatrix:
+    """One tf-idf row per token list, tf = count/length, by the classifier's sparse path; column j is the
+    j-th of the lists' distinct tokens, sorted."""
     if not all(token_lists):
         raise ValueError("tfidf takes non-empty token lists: tf = count/length")
     counted = count_terms([SimpleNamespace(tokens=tokens) for tokens in token_lists])  # it reads only .tokens
@@ -69,15 +70,14 @@ def tfidf(token_lists: list[list[str]]) -> tuple[TfidfMatrix, tuple[str, ...]]:
     X = vectorize(space, counted)
     lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.float64)
     np.divide(X.values, lengths[X.row_ids], out=X.values)  # count × idf, in place, to tf × idf
-    return X, space.vocabulary
+    return X
 
 
 class Profiles(NamedTuple):
-    """Row i of ``matrix`` is ``repo_ids[i]``'s profile (repo ids sorted); column j is term ``terms[j]``."""
+    """Row i of ``matrix`` is ``repo_ids[i]``'s profile (repo ids sorted); ``tfidf`` gives the columns."""
 
     repo_ids: tuple[str, ...]
     matrix: TfidfMatrix
-    terms: tuple[str, ...]
 
 
 def build_profiles(repos: dict[str, RepoRecord], lists: WordLists) -> Profiles:
@@ -88,7 +88,7 @@ def build_profiles(repos: dict[str, RepoRecord], lists: WordLists) -> Profiles:
             tokens_of[repo_id] = tokens
         else:
             logger.info("similarity: repo %s has an empty profile, excluded", repo_id)
-    return Profiles(tuple(tokens_of), *tfidf(list(tokens_of.values())))
+    return Profiles(tuple(tokens_of), tfidf(list(tokens_of.values())))
 
 
 def rank_similar(query_repo: str, profiles: Profiles) -> tuple[tuple[str, float], ...]:

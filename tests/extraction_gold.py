@@ -22,11 +22,9 @@ GOLD_FIXTURE = Path(__file__).resolve().parent / "data" / "extraction_gold.jsonl
 def load_gold(path: Path = GOLD_FIXTURE) -> list[tuple[RawIssue, str | None]]:
     """(issue, gold text) of each fixture line; a line without a string or null ``gold_text`` is a SchemaViolation."""
     gold = []
-    for lineno, row in parse_jsonl(path, {"issue_id": str, "body": str}):
-        if "gold_text" not in row:
+    for lineno, row in parse_jsonl(path, {"issue_id": str, "body": str}, nullable={"gold_text": str}):
+        if "gold_text" not in row:  # required, though it may be null
             raise SchemaViolation(path.name, lineno, "gold_text", "missing")
-        if row["gold_text"] is not None and not isinstance(row["gold_text"], str):
-            raise SchemaViolation(path.name, lineno, "gold_text", "expected str or null")
         issue = RawIssue(
             issue_id=row["issue_id"],
             repo_id=row.get("repo_id", "fixture"),

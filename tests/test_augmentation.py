@@ -20,6 +20,7 @@ from issueforge.augmentation import (
 )
 from issueforge.classifier import TfidfMatrix
 from issueforge.errors import ValidationError
+from issueforge.ingestion import SchemaViolation
 from issueforge.labels import IntentClass
 from issueforge.similarity import Profiles
 from issueforge.textprep import ProcessedDocument, Source, default_data_dir
@@ -42,7 +43,7 @@ def hand_profiles(weights: dict[str, dict[str, float]]) -> Profiles:
     entries = [(i, terms.index(term), weights[repo][term])
                for i, repo in enumerate(ids) for term in sorted(weights[repo])]
     row_ids, col_ids, values = (np.array(column) for column in zip(*entries))
-    return Profiles(tuple(ids), TfidfMatrix(row_ids, col_ids, values, (len(ids), len(terms))), tuple(terms))
+    return Profiles(tuple(ids), TfidfMatrix(row_ids, col_ids, values, (len(ids), len(terms))))
 
 
 def primary_of(n: int) -> tuple[ProcessedDocument, ...]:
@@ -73,6 +74,25 @@ def test_label_map_without_a_mapping_line_is_rejected(tmp_path, text):
     empty.write_text(text, encoding="utf-8")
     with pytest.raises(ValidationError, match=r"map\.tsv: no mapping line"):
         load_label_map(empty)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("crash\tbug\nui\tfeature\ncrash\tfeature\n", 3),
+    ("crash\tdrop\ncrash\tbug\n", 2),
+    ("crash\tbug\ncrash\tdrop\n", 2),
+], ids=["bug-then-feature", "drop-then-bug", "bug-then-drop"])
+def test_label_map_source_label_to_two_targets_is_rejected(tmp_path, text, line):
+    # the last line once won silently: crash -> bug, then crash -> feature, loaded as feature
+    path = tmp_path / "map.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=rf"map\.tsv:{line}: source label 'crash' mapped to more than one target"):
+        load_label_map(path)
+
+
+def test_label_map_identical_repeat_is_accepted(tmp_path):
+    path = tmp_path / "map.tsv"
+    path.write_text("crash\tbug\nspam\tdrop\ncrash\tbug\nspam\tdrop\n", encoding="utf-8")
+    assert load_label_map(path) == {"crash": IntentClass.BUG_REPORT, "spam": None}
 
 
 def test_load_primary_maps_and_drops(tmp_path, lists):
@@ -273,6 +293,28 @@ def test_augmented_round_trip(tmp_path):
         assert set(json.loads(line)) == {"doc_id", "source", "app_id", "tokens", "intents"}
 
 
+@pytest.mark.parametrize("rows,field,message", [
+    # a repeated document was once trained on and scored in one cross-validation
+    ([{"doc_id": "d0"}, {"doc_id": "d1"}, {"doc_id": "d0"}], "doc_id", "duplicate doc_id"),
+    ([{"doc_id": "d0", "app_id": 5}], "app_id", "expected str or null"),
+    ([{"doc_id": "d0"}, {"doc_id": "d1", "app_id": ["a1"]}], "app_id", "expected str or null"),
+])
+def test_load_docs_checks_each_record(tmp_path, rows, field, message):
+    path = tmp_path / "docs.jsonl"
+    line = {"source": "issue_body", "tokens": ["app"], "intents": ["bug"]}
+    path.write_text("".join(json.dumps({**line, **row}) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(SchemaViolation, match=message) as err:
+        load_docs(path)
+    assert (err.value.filename, err.value.line_number, err.value.field) == ("docs.jsonl", len(rows), field)
+
+
+def test_load_docs_app_id_may_be_absent(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"doc_id": "d0", "source": "issue_body", "tokens": ["app"], "intents": ["bug"]}\n',
+                    encoding="utf-8")
+    assert [row.app_id for row in load_docs(path)] == [None]
+
+
 def test_review_in_the_pool_is_a_validation_error():
     pool = [doc("d0"), doc("d1"), primary_of(1)[0]]
     spec = AugmentationSpec(method=Method.BETWEEN_APP, ratio=0.3, seed=0)
@@ -308,3 +350,12 @@ def test_spec_checks_each_field(changes):
     assert AugmentationSpec(method="within-app", target_app="a1").method is Method.WITHIN_APP
     with pytest.raises(ValidationError):
         AugmentationSpec(**{"method": "between-app", **changes})
+
+
+@pytest.mark.parametrize("spec,name", [
+    (AugmentationSpec("between-app", 0.3, seed=4), "between-app@r=0.3"),
+    (AugmentationSpec("within-app", 0.5, target_app="a1", top_k_similar=7), "within-app@r=0.5:a1"),
+    (AugmentationSpec("within-context", 1, target_app="a1", include_same_app=True), "within-context@r=1+same:a1"),
+])
+def test_model_name_states_the_method_ratio_and_target_app(spec, name):
+    assert spec.model_name == name

@@ -82,7 +82,7 @@ def test_demo_artifact_hashes_are_pinned(pipeline_dir):
 
 # sha256 of json.dumps(run_experiment(...), sort_keys=True), the comparison rows of the README/CI demo
 # experiment at full precision; comparison.tsv rounds every metric to six decimals
-DEMO_EXPERIMENT_SHA256 = "99df80b8ebdb5ef224524d34491570ffa86b1fe1fb7bb3c89ce5389992d3669a"
+DEMO_EXPERIMENT_SHA256 = "c8375968d6a6e7854f5f88f39b33789678adcae7d3299e0c87f5e4066a8064d5"
 
 
 def test_demo_experiment_is_pinned_at_full_precision(pipeline_dir, tmp_path, monkeypatch):
@@ -1320,6 +1320,52 @@ def test_within_context_specs_each_rank_their_own_app(staged, tmp_path, monkeypa
     assert sampled == {app: {nearest[app]} for app in apps}
 
 
+# --- one id per JSONL file: a repeated line once read as two rows (or as the last one), and exited 0 -----
+
+@pytest.mark.parametrize("command,field", [
+    ("augment", "doc_id"), ("train-eval", "doc_id"), ("extract", "issue_id"), ("preprocess", "issue_id"),
+], ids=["pool", "augmented", "labels", "extracted"])
+def test_repeated_id_in_a_jsonl_input_exits_2_naming_its_line(staged, pipeline_dir, tmp_path, capsys, command, field):
+    _, filtered, labels_file, extracted, docs = staged
+    source = {"augment": docs, "train-eval": pipeline_dir / "augmented.jsonl", "extract": labels_file,
+              "preprocess": extracted}[command]
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    data, out = _write(tmp_path / "input.jsonl", "".join(lines) + lines[0]), tmp_path / "out.jsonl"
+    argv = {"augment": _augment(tmp_path, pool=data),
+            "train-eval": ["train-eval", "--data", str(data), "--out", str(out)],
+            "extract": ["extract", "--in", str(filtered), "--labels", str(data), "--out", str(out)],
+            "preprocess": ["preprocess", "--in", str(data), "--out", str(out)]}[command]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"input.jsonl:{len(lines) + 1}: field '{field}': duplicate {field}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_experiment_models_name_their_target_app(staged, tmp_path, capsys):
+    # two within-app specs that differ only in their app once wrote two "within-app@r=0.3" rows per target
+    *_, docs = staged
+    specs = [{"method": "within-app", "target_app": app} for app in ("r-podkit", "r-mapgo")]
+    assert main(_experiment(tmp_path, pool=str(docs), specs=specs)) == EXIT_OK
+    assert "wrote comparison for 3 models" in capsys.readouterr().out
+    with (tmp_path / "comparison.tsv").open(encoding="utf-8", newline="") as handle:
+        models = [row["model"] for row in csv.DictReader(handle, delimiter="\t")]
+    assert models == ["baseline", "within-app@r=0.3:r-podkit", "within-app@r=0.3:r-mapgo"] * 2
+
+
+def test_experiment_specs_sharing_a_model_name_exit_2_before_any_augmentation(staged, tmp_path, capsys,
+                                                                              monkeypatch):
+    *_, docs = staged
+    monkeypatch.setattr(augmentation, "augment", mock.Mock(side_effect=AssertionError("augmented")))
+    specs = [{"method": "between-app", "seed": 1}, {"method": "between-app", "ratio": 0.5},
+             {"method": "between-app", "seed": 2}]
+    assert main(_experiment(tmp_path, pool=str(docs), specs=specs)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "specs 0 and 2 share the model name 'between-app@r=0.3'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "comparison.tsv").exists()
+
+
 def _write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
@@ -1604,6 +1650,10 @@ CHANGED_EXIT_CODES = {
         "pipeline", "--config", str(t / "missing.json"), "--out", str(t / "run")]),
     "experiment-missing-config": (EXIT_STAGE_FAILURE, lambda t, i: [
         "experiment", "--config", str(t / "missing.json"), "--out", str(t / "comparison.tsv")]),
+    # the last line once won: crash -> bug, then crash -> feature, loaded as feature
+    "labelmap-label-to-two-classes": (EXIT_VALIDATION, lambda t, i: _augment(
+        t, labelmap=_write(t / "map.tsv", (DEMO / "labelmap_demo.tsv").read_text(encoding="utf-8") + "bug\tother\n"),
+        pool=i["docs"])),
 }
 
 

@@ -146,6 +146,19 @@ def test_lexicon_key_must_be_normalized(tmp_path, lists):
         load_lexicon(bad, lists)
 
 
+def test_lexicon_surface_to_two_classes_is_rejected(tmp_path, lists):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("crash\tbug\nbug\tbug\ncrash\tfeature\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{lexicon}:3: surface 'crash' mapped to more than one class")):
+        load_lexicon(lexicon, lists)
+
+
+def test_lexicon_identical_repeat_is_accepted(tmp_path, lists):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("crash\tbug\nbug\tbug\ncrash\tbug\n", encoding="utf-8")
+    assert load_lexicon(lexicon, lists) == {"crash": IntentClass.BUG_REPORT, "bug": IntentClass.BUG_REPORT}
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n", "# crash\tbug\n"], ids=["empty", "blank", "comments"])
 def test_lexicon_without_an_entry_is_rejected(tmp_path, lists, text):
     empty = tmp_path / "lexicon.tsv"

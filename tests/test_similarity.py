@@ -11,10 +11,11 @@ from issueforge.similarity import (
     EmptyProfile,
     Profiles,
     build_profiles,
+    profile_text,
     rank_similar,
     tfidf,
 )
-from issueforge.textprep import load_wordlists
+from issueforge.textprep import load_wordlists, preprocess
 
 
 # --- independent oracle: tf-idf and cosine straight from the definitions ------------
@@ -44,8 +45,10 @@ def oracle_cosine(u: dict[str, float], v: dict[str, float]) -> float:
 
 
 def tfidf_vectors(docs: list[list[str]]) -> list[dict[str, float]]:
-    """``tfidf``'s rows as {term: weight} dicts, the oracle's form."""
-    matrix, terms = tfidf(docs)
+    """``tfidf``'s rows as {term: weight} dicts, the oracle's form: column j is the j-th distinct token, sorted."""
+    matrix = tfidf(docs)
+    terms = sorted({t for doc in docs for t in doc})
+    assert matrix.shape[1] == len(terms)
     vectors: list[dict[str, float]] = [{} for _ in docs]
     for row, col, value in zip(matrix.row_ids.tolist(), matrix.col_ids.tolist(), matrix.values.tolist()):
         vectors[row][terms[col]] = value
@@ -54,7 +57,7 @@ def tfidf_vectors(docs: list[list[str]]) -> list[dict[str, float]]:
 
 def make_profiles(token_lists: dict[str, list[str]]) -> Profiles:
     ids = sorted(token_lists)
-    return Profiles(tuple(ids), *tfidf([token_lists[i] for i in ids]))
+    return Profiles(tuple(ids), tfidf([token_lists[i] for i in ids]))
 
 
 def cosines(token_lists: dict[str, list[str]]) -> dict[tuple[str, str], float]:
@@ -90,8 +93,17 @@ def repo(repo_id: str, readme: str | None, about: str | None) -> RepoRecord:
     )
 
 
+def profile_terms(repos: dict[str, RepoRecord], lists) -> list[str]:
+    """``build_profiles``'s columns: the sorted distinct tokens of every profile."""
+    profiles = build_profiles(repos, lists)
+    tokens = {token for repo_id in profiles.repo_ids
+              for token in preprocess(profile_text(repos[repo_id], lists), lists, filter_noise=False)}
+    assert profiles.matrix.shape[1] == len(tokens)
+    return sorted(tokens)
+
+
 def test_profile_takes_preamble_and_description_sections(lists):
-    tokens = build_profiles({"a": repo("a", README, "Podcast app.")}, lists).terms
+    tokens = profile_terms({"a": repo("a", README, "Podcast app.")}, lists)
     assert "podcast" in tokens and "subscrib" in tokens
     # install and license sections are excluded
     assert "store" not in tokens and "gpl" not in tokens
@@ -99,7 +111,7 @@ def test_profile_takes_preamble_and_description_sections(lists):
 
 def test_profile_features_only_readme(lists):
     readme = "## Features\n\nRoute planning and offline maps.\n"
-    tokens = build_profiles({"a": repo("a", readme, None)}, lists).terms
+    tokens = profile_terms({"a": repo("a", readme, None)}, lists)
     assert "rout" in tokens and "offlin" in tokens and "map" in tokens
 
 
